@@ -31,13 +31,9 @@ def power_oracle(p: float = 2.0) -> FunctionOracle:
     """``|x|^p`` on the line: growth modulus 1, tilt constant ``p^(-q/p)``,
     value-gap constant ``p^(-q)``."""
     pq = ExponentPair.from_p(p)
-
-    def value(x: np.ndarray) -> float:
-        return float(np.abs(x[0]) ** p)
-
-    return FunctionOracle(
-        value,
-        descriptor=f"power(p={p})",
+    return FunctionOracle.from_batch(
+        lambda x: np.abs(x[:, 0]) ** p,
+        f"power(p={p})",
         known_minimizer=np.zeros(1),
         known_constants={
             "p": p,
@@ -51,13 +47,9 @@ def power_oracle(p: float = 2.0) -> FunctionOracle:
 def halfpower_oracle(p: float = 2.0) -> FunctionOracle:
     """``max(x, 0)^p`` on the line: flat on the left, so the two-sided
     growth modulus is zero while the right-restricted one is 1."""
-
-    def value(x: np.ndarray) -> float:
-        return float(max(x[0], 0.0) ** p)
-
-    return FunctionOracle(
-        value,
-        descriptor=f"halfpower(p={p})",
+    return FunctionOracle.from_batch(
+        lambda x: np.maximum(x[:, 0], 0.0) ** p,
+        f"halfpower(p={p})",
         known_minimizer=np.zeros(1),
         known_constants={"p": p, "gamma": 0.0, "gamma_right": 1.0},
     )
@@ -66,13 +58,9 @@ def halfpower_oracle(p: float = 2.0) -> FunctionOracle:
 def maxsq2d_oracle() -> FunctionOracle:
     """``max(x1, 0)^2 + x2^2`` on the plane: quadratic growth only on the
     half-space ``x1 >= 0``."""
-
-    def value(x: np.ndarray) -> float:
-        return float(max(x[0], 0.0) ** 2 + x[1] ** 2)
-
-    return FunctionOracle(
-        value,
-        descriptor="maxsq2d",
+    return FunctionOracle.from_batch(
+        lambda x: np.maximum(x[:, 0], 0.0) ** 2 + x[:, 1] ** 2,
+        "maxsq2d",
         known_minimizer=np.zeros(2),
         known_constants={"p": 2.0, "gamma": 0.0, "gamma_right": 1.0},
     )
@@ -83,15 +71,9 @@ def boxquad_oracle(bound: float = 1.0) -> FunctionOracle:
     domain, so graph sampling by tilting covers every subgradient."""
     if not (bound > 0 and math.isfinite(bound)):
         raise ValueError(f"bound must be positive and finite, got {bound}")
-
-    def value(x: np.ndarray) -> float:
-        if abs(x[0]) > bound:
-            return math.inf
-        return float(x[0] ** 2)
-
-    return FunctionOracle(
-        value,
-        descriptor=f"boxquad(bound={bound})",
+    return FunctionOracle.from_batch(
+        lambda x: np.where(np.abs(x[:, 0]) > bound, math.inf, x[:, 0] ** 2),
+        f"boxquad(bound={bound})",
         known_minimizer=np.zeros(1),
         known_constants={"p": 2.0, "gamma": 1.0, "kappa": 0.5, "mu": 0.25},
     )

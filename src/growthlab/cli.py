@@ -424,8 +424,44 @@ def cmd_catalog(config: RunConfig) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits with 2 on a usage error; here 2 means an audited
+        # relation failed, so usage errors take the solver-error path (exit 1)
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _attach_negative_values(argv: Sequence[str]) -> List[str]:
+    """Join ``--flag -1.2,0.5`` into ``--flag=-1.2,0.5`` for numeric flags.
+
+    argparse reads a token starting with ``-`` as an option name unless it
+    looks like a plain negative number, so negative lists such as ``--x0
+    -1.2,0.5`` and exponents such as ``--epsilon -1e-3`` would be refused.
+    """
+    kinds = {
+        f"--{key.replace('_', '-')}": kind
+        for schema in _SCHEMAS.values()
+        for key, (kind, _) in schema.items()
+        if kind != "str"
+    }
+    out: List[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if token.startswith("-") and flag in kinds:
+            try:
+                _parse_value(kinds[flag], token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{flag}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="growthlab",
         description="Growth-condition diagnostics, proximal point rates, and elliptic tracking runs.",
     )
@@ -447,8 +483,9 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = build_parser().parse_args(_attach_negative_values(argv))
         config = resolve_config(args.subcommand, args)
         return _HANDLERS[args.subcommand](config)
     except (GrowthLabError, ValueError, OSError) as exc:

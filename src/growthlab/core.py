@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -90,12 +90,19 @@ class BallRegion:
 
     def project(self, x) -> np.ndarray:
         """Radial projection of ``x`` onto the closed ball."""
-        x = as_vector(x, self.dim)
-        offset = x - self.center
-        nrm = float(np.linalg.norm(offset))
-        if nrm <= self.radius:
-            return x
-        return self.center + offset * (self.radius / nrm)
+        return self.project_rows(as_vector(x, self.dim)[None, :])[0]
+
+    def project_rows(self, points: np.ndarray) -> np.ndarray:
+        """Radial projection of each row of a finite ``(m, d)`` array onto
+        the closed ball; rows already inside are returned unchanged."""
+        out = np.array(points, dtype=float)
+        offset = out - self.center
+        nrm = np.linalg.norm(offset, axis=1)
+        outside = nrm > self.radius
+        if outside.any():
+            scale = self.radius / nrm[outside]
+            out[outside] = self.center + offset[outside] * scale[:, None]
+        return out
 
 
 @dataclass(frozen=True)
@@ -105,13 +112,17 @@ class FunctionOracle:
     ``evaluate`` must be pure and deterministic and may return ``math.inf``
     to signal points outside the effective domain.  ``known_minimizer`` and
     ``known_constants`` are optional analytic metadata for test harnesses;
-    estimators never read them.
+    estimators never read them.  ``evaluate_batch``, when given, maps an
+    ``(m, d)`` array of points to their ``(m,)`` values at once and must
+    agree with ``evaluate`` row by row; the solvers evaluate through
+    ``evaluate_rows``, which falls back to ``evaluate`` on each row.
     """
 
     evaluate: Callable[[np.ndarray], float]
     descriptor: str = "f"
     known_minimizer: Optional[np.ndarray] = None
     known_constants: Optional[Mapping[str, float]] = None
+    evaluate_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.known_minimizer is not None:
@@ -122,13 +133,49 @@ class FunctionOracle:
                     f"oracle '{self.descriptor}': value at known_minimizer is not finite"
                 )
 
+    @classmethod
+    def from_batch(
+        cls, batch: Callable[[np.ndarray], np.ndarray], descriptor: str = "f", **metadata
+    ) -> "FunctionOracle":
+        """Oracle defined by one vectorized formula ``(m, d) -> (m,)``; its
+        ``evaluate`` runs the same formula on a single row, so the two agree
+        bitwise."""
+
+        def value(x: np.ndarray) -> float:
+            return float(batch(np.reshape(x, (1, -1)))[0])
+
+        return cls(value, descriptor, evaluate_batch=batch, **metadata)
+
     def __call__(self, x) -> float:
         return float(self.evaluate(np.asarray(x, dtype=float)))
 
+    def evaluate_rows(self, points: np.ndarray) -> np.ndarray:
+        """Values at the rows of an ``(m, d)`` array, as a new ``(m,)`` array."""
+        if self.evaluate_batch is None:
+            return np.array([float(self.evaluate(row)) for row in points], dtype=float)
+        values = np.array(self.evaluate_batch(points), dtype=float)
+        if values.shape != (len(points),):
+            raise ValueError(
+                f"oracle '{self.descriptor}': evaluate_batch returned shape "
+                f"{values.shape} for {len(points)} points"
+            )
+        return values
 
-def pairing(xi, x) -> float:
-    """Dual pairing of a tilt with a point: the Euclidean dot product."""
+
+def pairing(xi, x) -> Union[float, np.ndarray]:
+    """Dual pairing of a tilt with a point: the Euclidean dot product.
+
+    ``x`` may also be an ``(m, d)`` array of points; the result is then the
+    ``(m,)`` array of the pairings with its rows.
+    """
     xi = as_vector(xi)
+    if np.ndim(x) == 2:
+        rows = np.asarray(x, dtype=float)
+        if rows.shape[1] != xi.size:
+            raise ValueError(f"dimension mismatch: expected {xi.size}, got {rows.shape[1]}")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("vector entries must be finite (no NaN/inf)")
+        return rows @ xi
     x = as_vector(x, xi.size)
     return float(np.dot(xi, x))
 

@@ -10,8 +10,9 @@ over-estimated (a finite grid can only miss bad points), the other two are
 under-estimated (a finite tilt sample can only miss bad witnesses).  Audits
 therefore carry a configurable multiplicative slack factor.
 
-Tilted problems are independent and solved in a fixed order with a
-deterministic reduction, so estimates do not depend on the worker count.
+Tilted problems are solved one after another in a fixed order and reduced
+deterministically; ``run_diagnostics`` solves each sampled tilt once and
+hands the solves to both tilt-based estimators.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .core import (
     GrowthLabError,
     as_vector,
 )
-from ._parallel import ordered_map
 from .minimize import (
     SolverConfig,
+    TiltedSolveResult,
     argmin_perturbed,
     argmin_tilted,
     ball_grid,
@@ -80,6 +81,11 @@ DEFAULT_SLOPE_DIRECTIONS = 64
 # Probe inequalities are quantified over exact minimizers; numerical ones
 # carry solver wobble, absorbed by this absolute distance allowance.
 PROBE_DISTANCE_SLACK = 1e-9
+
+# Graph checks treat a tilt norm at or below this fraction of the sample's
+# largest tilt norm as zero: it is rounding left in a tilt meant to be zero,
+# such as the middle point of np.linspace(-a, a, 2k + 1).
+TILT_ROUNDING_RTOL = 64 * np.finfo(float).eps
 
 
 class NoFiniteSamples(GrowthLabError):
@@ -272,23 +278,21 @@ def estimate_growth(
     keep = dist > BASE_POINT_EXCLUSION
     pts, dist = pts[keep], dist[keep]
 
-    ratios: List[float] = []
-    witnesses: List[np.ndarray] = []
-    for x, r in zip(pts, dist):
-        fx = float(f.evaluate(x))
-        if math.isnan(fx):
-            raise ValueError(f"oracle '{f.descriptor}' returned NaN at {x}")
-        if math.isinf(fx):
-            continue
-        ratios.append(float((fx - fbar) / r**pq.p))
-        witnesses.append(x)
-    if not ratios:
+    values = f.evaluate_rows(pts)
+    nan = np.isnan(values)
+    if np.any(nan):
+        x = pts[np.flatnonzero(nan)[0]]
+        raise ValueError(f"oracle '{f.descriptor}' returned NaN at {x}")
+    finite = np.isfinite(values)
+    if not np.any(finite):
         raise NoFiniteSamples(
             f"oracle '{f.descriptor}' has no finite samples on the region"
         )
+    ratios = (values[finite] - fbar) / dist[finite] ** pq.p
+    witnesses = pts[finite]
 
     i = int(np.argmin(ratios))
-    gamma_hat = ratios[i]
+    gamma_hat = float(ratios[i])
     if gamma_hat < -NEGATIVE_GAP_TOLERANCE:
         raise NegativeGap(
             f"f({witnesses[i]}) < f(base) by normalized gap {gamma_hat}: "
@@ -296,6 +300,22 @@ def estimate_growth(
             witnesses[i],
         )
     return GrowthEstimate(max(gamma_hat, 0.0), witnesses[i], len(ratios))
+
+
+def _tilted_solves(
+    f: FunctionOracle,
+    region: BallRegion,
+    tilts: Sequence[np.ndarray],
+    cfg: SolverConfig,
+    solves: Optional[Sequence[TiltedSolveResult]],
+) -> Sequence[TiltedSolveResult]:
+    if solves is None:
+        return [argmin_tilted(f, xi, region, cfg) for xi in tilts]
+    if len(solves) != len(tilts):
+        raise ValueError(
+            f"got {len(solves)} tilted solves for a sample of {len(tilts)} tilts"
+        )
+    return solves
 
 
 def _tilt_samples(
@@ -325,15 +345,19 @@ def estimate_tilt_constant(
     directions_per_norm: int,
     cfg: SolverConfig,
     seed: int = 0,
+    *,
+    solves: Optional[Sequence[TiltedSolveResult]] = None,
 ) -> TiltEstimate:
     """Worst ``|x - xbar| / |xi|^(q/p)`` over sampled tilted problems.
 
     Every reported minimizer of every tilted problem contributes; the
-    estimate is a lower bound on the true constant.
+    estimate is a lower bound on the true constant.  ``solves``, when
+    given, holds the ``argmin_tilted`` results for the tilt sample the
+    other arguments define, in sample order, and replaces solving it.
     """
     xbar = _require_centered(xbar, region)
     tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
-    solves = ordered_map(lambda xi: argmin_tilted(f, xi, region, cfg), tilts)
+    solves = _tilted_solves(f, region, tilts, cfg, solves)
     kappa_hat = 0.0
     worst_tilt = np.zeros(region.dim)
     worst_min = xbar.copy()
@@ -355,14 +379,19 @@ def estimate_loja_constant(
     directions_per_norm: int,
     cfg: SolverConfig,
     seed: int = 0,
+    *,
+    solves: Optional[Sequence[TiltedSolveResult]] = None,
 ) -> LojaEstimate:
-    """Worst ``(f(x) - f(xbar)) / |xi|^q`` over sampled tilted problems."""
+    """Worst ``(f(x) - f(xbar)) / |xi|^q`` over sampled tilted problems.
+
+    ``solves`` is as in ``estimate_tilt_constant``.
+    """
     xbar = _require_centered(xbar, region)
     fbar = f(xbar)
     if not math.isfinite(fbar):
         raise ValueError("objective must be finite at the base point")
     tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
-    solves = ordered_map(lambda xi: argmin_tilted(f, xi, region, cfg), tilts)
+    solves = _tilted_solves(f, region, tilts, cfg, solves)
     mu_hat = 0.0
     worst_tilt = np.zeros(region.dim)
     for xi, result in zip(tilts, solves):
@@ -427,14 +456,22 @@ def run_diagnostics(
     seed: int = 0,
     tau: float = DEFAULT_SLACK_FACTOR,
 ) -> DiagnosticsReport:
-    """Run the three estimators at the region center and audit the relations."""
+    """Run the three estimators at the region center and audit the relations.
+
+    Each sampled tilt is solved once; both tilt-based estimators reduce
+    over the same solves.
+    """
     xbar = region.center
     growth = estimate_growth(f, xbar, region, pq, cfg)
+    tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
+    solves = _tilted_solves(f, region, tilts, cfg, None)
     tilt = estimate_tilt_constant(
-        f, xbar, region, pq, tilt_norms, directions_per_norm, cfg, seed=seed
+        f, xbar, region, pq, tilt_norms, directions_per_norm, cfg, seed=seed,
+        solves=solves,
     )
     loja = estimate_loja_constant(
-        f, xbar, region, pq, tilt_norms, directions_per_norm, cfg, seed=seed
+        f, xbar, region, pq, tilt_norms, directions_per_norm, cfg, seed=seed,
+        solves=solves,
     )
     audit = check_equivalence(growth, tilt, loja, pq, tau=tau)
     return DiagnosticsReport(growth, tilt, loja, audit, pq, region)
@@ -645,15 +682,22 @@ def check_global_loja(
     pq: ExponentPair,
     mu: float,
 ) -> GraphCheck:
-    """Check ``f(x) - f(xbar) <= mu * d^q`` over the sampled graph."""
+    """Check ``f(x) - f(xbar) <= mu * d^q`` over the sampled graph.
+
+    Points whose tilt norm ``d`` is zero, or at rounding level next to the
+    largest tilt norm sampled, carry no evidence and are skipped.
+    """
     xbar = as_vector(xbar)
     fbar = f(xbar)
     if not math.isfinite(fbar):
         raise ValueError("objective must be finite at the base point")
+    zero_norm = TILT_ROUNDING_RTOL * max(
+        (float(np.linalg.norm(xi)) for _, xi in pairs), default=0.0
+    )
     worst: Optional[float] = None
     wit_pt, wit_nrm = None, None
     for x, d in _group_min_tilt_norm(pairs):
-        if d <= 0.0:
+        if d <= zero_norm:
             continue
         ratio = (f(x) - fbar) / d**pq.q
         if worst is None or ratio > worst:

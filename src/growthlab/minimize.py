@@ -3,8 +3,10 @@
 The primitive behind every "minimize over a closed ball" statement in the
 package: a dense axis-aligned grid scan over the ball's bounding cube,
 followed by projected coordinate-descent polish from the best grid cells.
-Correctness of the minimizer set, not speed, is the design goal; the grid
-dimension is capped at 4.
+Correctness of the minimizer set is the design goal; the grid dimension is
+capped at 4.  Oracles are evaluated a batch of points at a time: the whole
+grid in one call, then the candidates of all polish starts at each
+coordinate step in one call.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from ._parallel import evaluate_points, ordered_map
 from .core import BallRegion, FunctionOracle, GrowthLabError, as_vector, pairing
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "SolverConfig",
     "TiltedSolveResult",
     "ball_grid",
+    "compose_oracle",
     "argmin_ball",
     "argmin_tilted",
     "argmin_perturbed",
@@ -109,47 +111,84 @@ def ball_grid(region: BallRegion, points_per_axis: int) -> np.ndarray:
 
 def _check_values(values: np.ndarray, points: np.ndarray, descriptor: str) -> None:
     bad = np.isnan(values) | np.isneginf(values)
-    if np.any(bad):
+    if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise NonFiniteValue(
             f"oracle '{descriptor}' returned {values[i]} at {points[i]}"
         )
 
 
+def compose_oracle(
+    f: FunctionOracle, term: Callable[[np.ndarray], np.ndarray], descriptor: str
+) -> FunctionOracle:
+    """The objective ``f + term`` with ``+inf`` absorbing, evaluated in batches.
+
+    ``term`` maps an ``(m, d)`` array of points to ``(m,)`` values.  It is
+    evaluated only on the points where ``f`` is below ``+inf``, and a
+    ``+inf`` term value is kept whatever ``f`` is.  The tilted, perturbed
+    and proximal objectives are all built here.
+    """
+
+    def batch(points: np.ndarray) -> np.ndarray:
+        values = f.evaluate_rows(points)
+        live = values != math.inf
+        if live.any():
+            extra = term(points[live])
+            values[live] = np.where(extra == math.inf, extra, values[live] + extra)
+        return values
+
+    return FunctionOracle.from_batch(batch, descriptor)
+
+
 def _polish(
-    evaluate: Callable[[np.ndarray], float],
-    start: np.ndarray,
-    start_value: float,
+    f: FunctionOracle,
+    starts: np.ndarray,
+    start_values: np.ndarray,
     region: BallRegion,
     step0: float,
     cfg: SolverConfig,
-) -> Tuple[np.ndarray, float, int]:
-    """Projected coordinate descent with shrinking steps from ``start``."""
-    x = start.copy()
-    fx = start_value
-    step = step0
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Projected coordinate descent with shrinking steps from each row of
+    ``starts``, all starts advanced in lockstep.
+
+    Each start follows the trajectory it would follow alone: at every
+    coordinate the ``+step`` candidate is tried before the ``-step`` one and
+    a candidate is taken only if strictly better; after a sweep without
+    improvement the start's step halves, and the start stops once its step
+    falls below the tolerance.  The candidates of all running starts at one
+    coordinate are evaluated in one batch.
+    """
+    x = np.array(starts, dtype=float)
+    fx = np.array(start_values, dtype=float)
+    step = np.full(len(x), float(step0))
+    running = np.ones(len(x), dtype=bool)
     evals = 0
     for _ in range(cfg.polish_max_iters):
-        improved = False
-        for i in range(x.size):
-            best_cand, best_val = None, fx
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[i] += sign * step
-                cand = region.project(cand)
-                val = float(evaluate(cand))
-                evals += 1
-                if math.isnan(val) or val == -math.inf:
-                    raise NonFiniteValue(f"oracle returned {val} at {cand}")
-                if val < best_val:
-                    best_cand, best_val = cand, val
-            if best_cand is not None:
-                x, fx = best_cand, best_val
-                improved = True
-        if not improved:
-            step *= 0.5
-            if step < cfg.polish_step_tolerance:
-                break
+        idx = np.flatnonzero(running)
+        if idx.size == 0:
+            break
+        improved = np.zeros(idx.size, dtype=bool)
+        steps = step[idx]
+        for i in range(x.shape[1]):
+            # rows 2k and 2k+1 are the +step and -step candidates of start idx[k]
+            cand = np.repeat(x[idx], 2, axis=0)
+            cand[0::2, i] += steps
+            cand[1::2, i] -= steps
+            cand = region.project_rows(cand)
+            vals = f.evaluate_rows(cand)
+            evals += len(cand)
+            _check_values(vals, cand, f.descriptor)
+            plus, minus = vals[0::2], vals[1::2]
+            take_plus = plus < fx[idx]
+            take_minus = minus < np.where(take_plus, plus, fx[idx])
+            take = take_plus | take_minus
+            if take.any():
+                x[idx[take]] = np.where(take_minus[:, None], cand[1::2], cand[0::2])[take]
+                fx[idx[take]] = np.where(take_minus, minus, plus)[take]
+                improved |= take
+        stalled = idx[~improved]
+        step[stalled] *= 0.5
+        running[stalled[step[stalled] < cfg.polish_step_tolerance]] = False
     return x, fx, evals
 
 
@@ -164,7 +203,7 @@ def argmin_ball(
     minimizer and must see the worst witness.
     """
     pts = ball_grid(region, cfg.grid_points_per_axis)
-    values = evaluate_points(f.evaluate, pts)
+    values = f.evaluate_rows(pts)
     evaluations = len(pts)
     _check_values(values, pts, f.descriptor)
 
@@ -175,37 +214,29 @@ def argmin_ball(
             f"of the ball around {region.center}"
         )
 
-    pool_pts: List[np.ndarray] = [p for p in pts[finite]]
-    pool_vals: List[float] = [float(v) for v in values[finite]]
+    pool_pts = pts[finite]
+    pool_vals = values[finite]
 
-    n_starts = min(cfg.multistart_count, len(pool_pts))
+    n_starts = min(cfg.multistart_count, len(pool_vals))
     if n_starts > 0:
         order = np.argsort(pool_vals, kind="stable")[:n_starts]
         spacing = 2.0 * region.radius / (cfg.grid_points_per_axis - 1)
-        # polish runs are independent; results are reduced in start order
-        polished = ordered_map(
-            lambda idx: _polish(
-                f.evaluate, pool_pts[idx], pool_vals[idx], region, spacing, cfg
-            ),
-            list(order),
-        )
-        for x, fx, used in polished:
-            evaluations += used
-            pool_pts.append(x)
-            pool_vals.append(fx)
+        # polished points join the pool in start order
+        x, fx, used = _polish(f, pool_pts[order], pool_vals[order], region, spacing, cfg)
+        evaluations += used
+        pool_pts = np.concatenate([pool_pts, x])
+        pool_vals = np.concatenate([pool_vals, fx])
 
-    vals = np.asarray(pool_vals)
-    min_value = float(vals.min())
+    min_value = float(pool_vals.min())
     cut = min_value + cfg.minimizer_value_tolerance * (1.0 + abs(min_value))
-    near = [pool_pts[i] for i in np.flatnonzero(vals <= cut)]
+    near = pool_pts[pool_vals <= cut]
 
-    stacked = np.asarray(near)
-    order = np.lexsort(stacked.T[::-1])
+    order = np.lexsort(near.T[::-1])
     minimizers: List[np.ndarray] = []
     for i in order:
-        if minimizers and np.max(np.abs(stacked[i] - minimizers[-1])) <= 1e-12:
+        if minimizers and np.max(np.abs(near[i] - minimizers[-1])) <= 1e-12:
             continue
-        minimizers.append(stacked[i])
+        minimizers.append(near[i])
     return TiltedSolveResult(tuple(minimizers), min_value, evaluations)
 
 
@@ -214,14 +245,7 @@ def argmin_tilted(
 ) -> TiltedSolveResult:
     """Minimize the linearly tilted objective ``f(y) - <xi, y>`` over the ball."""
     xi = as_vector(xi, region.dim)
-
-    def tilted(y: np.ndarray) -> float:
-        fy = float(f.evaluate(y))
-        if math.isinf(fy) and fy > 0:
-            return fy
-        return fy - pairing(xi, y)
-
-    oracle = FunctionOracle(tilted, descriptor=f"{f.descriptor} - <xi,.>")
+    oracle = compose_oracle(f, lambda y: -pairing(xi, y), f"{f.descriptor} - <xi,.>")
     return argmin_ball(oracle, region, cfg)
 
 
@@ -229,15 +253,5 @@ def argmin_perturbed(
     f: FunctionOracle, g: FunctionOracle, region: BallRegion, cfg: SolverConfig
 ) -> TiltedSolveResult:
     """Minimize ``f + g`` over the ball; ``+inf`` is absorbing in the sum."""
-
-    def perturbed(y: np.ndarray) -> float:
-        fy = float(f.evaluate(y))
-        if math.isinf(fy) and fy > 0:
-            return fy
-        gy = float(g.evaluate(y))
-        if math.isinf(gy) and gy > 0:
-            return gy
-        return fy + gy
-
-    oracle = FunctionOracle(perturbed, descriptor=f"{f.descriptor} + {g.descriptor}")
+    oracle = compose_oracle(f, g.evaluate_rows, f"{f.descriptor} + {g.descriptor}")
     return argmin_ball(oracle, region, cfg)

@@ -16,7 +16,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .core import BallRegion, ExponentPair, FunctionOracle, GrowthLabError, as_vector
-from .minimize import SolverConfig, TiltedSolveResult, argmin_ball
+from .minimize import SolverConfig, TiltedSolveResult, argmin_ball, compose_oracle
 
 __all__ = [
     "EpsilonNotBelowGamma",
@@ -64,25 +64,17 @@ class ProxTrajectory:
     steps: Tuple[TiltedSolveResult, ...]
 
 
-def _prox_objective(f: FunctionOracle, anchor: np.ndarray, epsilon: float, p: float):
-    def value(y: np.ndarray) -> float:
-        fy = float(f.evaluate(y))
-        if math.isinf(fy) and fy > 0:
-            return fy
-        return fy + (epsilon / p) * float(np.linalg.norm(y - anchor)) ** p
-
-    return value
-
-
 def prox_step(f: FunctionOracle, anchor, cfg: ProxConfig) -> TiltedSolveResult:
     """One proximal subproblem: minimize ``f + (eps/p)|. - anchor|^p`` over
     the working ball."""
     anchor = as_vector(anchor, cfg.region.dim)
     if not cfg.region.contains(anchor):
         raise ValueError("anchor must lie in the working ball")
-    oracle = FunctionOracle(
-        _prox_objective(f, anchor, cfg.epsilon, cfg.exponents.p),
-        descriptor=f"{f.descriptor} + prox",
+    weight, p = cfg.epsilon / cfg.exponents.p, cfg.exponents.p
+    oracle = compose_oracle(
+        f,
+        lambda y: weight * np.linalg.norm(y - anchor, axis=1) ** p,
+        f"{f.descriptor} + prox",
     )
     return argmin_ball(oracle, cfg.region, cfg.solver)
 

@@ -23,7 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from ._parallel import ordered_map
 from .core import GrowthLabError
 
 __all__ = [
@@ -478,8 +477,7 @@ def perturbation_sweep(
     y_d = _as_field(y_d, grid, "y_d")
     ybar = ubar_result.state
 
-    def run_sample(spec: Tuple[int, int, float]) -> SweepSample:
-        j, i, target = spec
+    def run_sample(j: int, i: int, target: float) -> SweepSample:
         rng = np.random.default_rng([seed, j, i])
         eta = sine_combination(grid, rng.standard_normal((modes, modes)))
         nrm = l2_norm(eta, grid)
@@ -496,14 +494,12 @@ def perturbation_sweep(
         except GrowthLabError as exc:
             return SweepSample(float(target), i, math.nan, False, 0, error=str(exc))
 
-    # samples are independent (each owns its solver state and rng stream)
-    # and are reduced in a fixed order
-    specs = [
-        (j, i, float(target))
+    # each sample owns its solver state and rng stream
+    samples = [
+        run_sample(j, i, float(target))
         for j, target in enumerate(eta_norms)
         for i in range(etas_per_norm)
     ]
-    samples = ordered_map(run_sample, specs)
     finite = [s.ratio for s in samples if math.isfinite(s.ratio)]
     kappa_hat = max(finite) if finite else math.nan
     return SweepReport(tuple(samples), kappa_hat)

@@ -1,0 +1,349 @@
+"""Differential tests: the batched solver path against the scalar path it
+replaced.
+
+The reference below is a frozen copy of the scalar grid scan and
+coordinate-descent polish (one oracle call per point, one start after
+another) and of the per-point tilted and perturbed objectives.  Where the
+arithmetic is unchanged, which is every 1-D oracle given by ``evaluate``
+alone, the batched path must reproduce it bitwise.  Where vectorized
+reductions replace per-row ``np.dot``/``np.linalg.norm`` or a batched
+formula replaces a scalar one, results may differ in the last ulp, so the
+comparison is by value tolerance and by near-optimality of each path's
+minimizers under the other's cut.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from growthlab.catalog import boxquad_oracle, halfpower_oracle, maxsq2d_oracle, power_oracle
+from growthlab.core import BallRegion, ExponentPair, FunctionOracle, pairing
+from growthlab.diagnostics import _tilt_samples, run_diagnostics
+from growthlab.minimize import (
+    NonFiniteValue,
+    SolverConfig,
+    argmin_perturbed,
+    argmin_tilted,
+    ball_grid,
+)
+
+# ---------------------------------------------------------------------------
+# Frozen scalar reference
+
+
+def _ref_project(region, x):
+    offset = x - region.center
+    nrm = float(np.linalg.norm(offset))
+    if nrm <= region.radius:
+        return x
+    return region.center + offset * (region.radius / nrm)
+
+
+def _ref_polish(evaluate, start, start_value, region, step0, cfg):
+    x = start.copy()
+    fx = start_value
+    step = step0
+    evals = 0
+    for _ in range(cfg.polish_max_iters):
+        improved = False
+        for i in range(x.size):
+            best_cand, best_val = None, fx
+            for sign in (1.0, -1.0):
+                cand = x.copy()
+                cand[i] += sign * step
+                cand = _ref_project(region, cand)
+                val = float(evaluate(cand))
+                evals += 1
+                if math.isnan(val) or val == -math.inf:
+                    raise NonFiniteValue(f"oracle returned {val} at {cand}")
+                if val < best_val:
+                    best_cand, best_val = cand, val
+            if best_cand is not None:
+                x, fx = best_cand, best_val
+                improved = True
+        if not improved:
+            step *= 0.5
+            if step < cfg.polish_step_tolerance:
+                break
+    return x, fx, evals
+
+
+def ref_argmin_ball(evaluate, region, cfg):
+    """(minimizers, min_value, evaluations) of the scalar solver."""
+    pts = ball_grid(region, cfg.grid_points_per_axis)
+    values = np.asarray([float(evaluate(row)) for row in pts])
+    evaluations = len(pts)
+    if np.any(np.isnan(values) | np.isneginf(values)):
+        raise NonFiniteValue("grid")
+    finite = np.isfinite(values)
+    pool_pts = [p for p in pts[finite]]
+    pool_vals = [float(v) for v in values[finite]]
+    n_starts = min(cfg.multistart_count, len(pool_pts))
+    if n_starts > 0:
+        order = np.argsort(pool_vals, kind="stable")[:n_starts]
+        spacing = 2.0 * region.radius / (cfg.grid_points_per_axis - 1)
+        for idx in order:
+            x, fx, used = _ref_polish(
+                evaluate, pool_pts[idx], pool_vals[idx], region, spacing, cfg
+            )
+            evaluations += used
+            pool_pts.append(x)
+            pool_vals.append(fx)
+    vals = np.asarray(pool_vals)
+    min_value = float(vals.min())
+    cut = min_value + cfg.minimizer_value_tolerance * (1.0 + abs(min_value))
+    stacked = np.asarray([pool_pts[i] for i in np.flatnonzero(vals <= cut)])
+    minimizers = []
+    for i in np.lexsort(stacked.T[::-1]):
+        if minimizers and np.max(np.abs(stacked[i] - minimizers[-1])) <= 1e-12:
+            continue
+        minimizers.append(stacked[i])
+    return minimizers, min_value, evaluations
+
+
+def ref_tilted(f, xi):
+    xi = np.asarray(xi, dtype=float)
+
+    def tilted(y):
+        fy = float(f.evaluate(y))
+        if math.isinf(fy) and fy > 0:
+            return fy
+        return fy - pairing(xi, y)
+
+    return tilted
+
+
+def ref_perturbed(f, g):
+    def perturbed(y):
+        fy = float(f.evaluate(y))
+        if math.isinf(fy) and fy > 0:
+            return fy
+        gy = float(g.evaluate(y))
+        if math.isinf(gy) and gy > 0:
+            return gy
+        return fy + gy
+
+    return perturbed
+
+
+# ---------------------------------------------------------------------------
+# Cases
+
+
+def _scalar_only(fn, name):
+    return FunctionOracle(fn, name)
+
+
+SCALAR_1D = {
+    "square": _scalar_only(lambda x: float(x[0] ** 2), "square"),
+    "kink": _scalar_only(lambda x: float(abs(x[0] - 0.3) ** 1.5), "kink"),
+    "wiggle": _scalar_only(lambda x: float(np.cos(5 * x[0]) + x[0] ** 2), "wiggle"),
+    "quartic": _scalar_only(lambda x: float(x[0] ** 4 + x[0] ** 2), "quartic"),
+    "halfcube": _scalar_only(lambda x: float(max(x[0], 0.0) ** 3), "halfcube"),
+    "box": _scalar_only(
+        lambda x: math.inf if abs(x[0]) > 0.8 else float(x[0] ** 2), "box"
+    ),
+}
+
+PERTURBATIONS_1D = {
+    "kink": _scalar_only(lambda y: float(0.2 * abs(y[0] - 1.0)), "kink"),
+    "linear": _scalar_only(lambda y: float(0.3 * y[0]), "linear"),
+    "slab": _scalar_only(
+        lambda y: 0.0 if 0.5 <= y[0] <= 1.0 else math.inf, "slab"
+    ),
+    "penalty": _scalar_only(lambda y: float(0.25 * (y[0] - 1.0) ** 2), "penalty"),
+}
+
+CONFIGS = {
+    "r1-g101": (1.0, SolverConfig(grid_points_per_axis=101)),
+    "r2-g201-s3": (2.0, SolverConfig(grid_points_per_axis=201, multistart_count=3)),
+}
+
+TILTS_1D = (-2.0, -0.7, 0.0, 0.45, 1.5)
+
+
+def _assert_bitwise(new, ref):
+    minimizers, min_value, evaluations = ref
+    assert new.min_value == min_value
+    assert new.evaluations == evaluations
+    assert len(new.minimizers) == len(minimizers)
+    for a, b in zip(new.minimizers, minimizers):
+        np.testing.assert_array_equal(a, b)
+
+
+def _assert_equivalent(new, ref, objective, cfg):
+    """Values agree to 1e-12 relative, and each path's minimizers lie
+    inside the other path's near-optimality cut under ``objective``."""
+    minimizers, min_value, _ = ref
+    assert abs(new.min_value - min_value) <= 1e-12 * (1.0 + abs(min_value))
+    tol = cfg.minimizer_value_tolerance
+    for points, best in ((new.minimizers, min_value), (minimizers, new.min_value)):
+        cut = best + tol * (1.0 + abs(best))
+        for x in points:
+            assert float(objective(x)) <= cut
+
+
+class TestScalarOracles1D:
+    """1-D oracles with ``evaluate`` only: bitwise equal to the reference."""
+
+    @pytest.mark.parametrize("cfg_id", sorted(CONFIGS))
+    @pytest.mark.parametrize("name", sorted(SCALAR_1D))
+    def test_tilted_bitwise(self, name, cfg_id):
+        f = SCALAR_1D[name]
+        radius, cfg = CONFIGS[cfg_id]
+        region = BallRegion(np.zeros(1), radius)
+        for t in TILTS_1D:
+            new = argmin_tilted(f, [t], region, cfg)
+            _assert_bitwise(new, ref_argmin_ball(ref_tilted(f, [t]), region, cfg))
+
+    @pytest.mark.parametrize("cfg_id", sorted(CONFIGS))
+    @pytest.mark.parametrize("gname", sorted(PERTURBATIONS_1D))
+    @pytest.mark.parametrize("fname", ("square", "wiggle", "box"))
+    def test_perturbed_bitwise(self, fname, gname, cfg_id):
+        f, g = SCALAR_1D[fname], PERTURBATIONS_1D[gname]
+        radius, cfg = CONFIGS[cfg_id]
+        region = BallRegion(np.zeros(1), radius)
+        new = argmin_perturbed(f, g, region, cfg)
+        _assert_bitwise(new, ref_argmin_ball(ref_perturbed(f, g), region, cfg))
+
+
+BATCHED_1D = {
+    "power1.5": power_oracle(1.5),
+    "power3": power_oracle(3.0),
+    "halfpower2": halfpower_oracle(2.0),
+    "boxquad": boxquad_oracle(0.8),
+}
+
+
+class TestBatchedOracles1D:
+    """Catalog oracles with ``evaluate_batch``: equal up to rounding."""
+
+    @pytest.mark.parametrize("name", sorted(BATCHED_1D))
+    def test_tilted_equivalent(self, name):
+        f = BATCHED_1D[name]
+        region = BallRegion(np.zeros(1), 1.0)
+        cfg = SolverConfig(grid_points_per_axis=201)
+        for t in TILTS_1D:
+            objective = ref_tilted(f, [t])
+            new = argmin_tilted(f, [t], region, cfg)
+            _assert_equivalent(new, ref_argmin_ball(objective, region, cfg), objective, cfg)
+
+    @pytest.mark.parametrize("gname", sorted(PERTURBATIONS_1D))
+    def test_perturbed_equivalent(self, gname):
+        f, g = power_oracle(3.0), PERTURBATIONS_1D[gname]
+        region = BallRegion(np.zeros(1), 2.0)
+        cfg = SolverConfig(grid_points_per_axis=201)
+        objective = ref_perturbed(f, g)
+        new = argmin_perturbed(f, g, region, cfg)
+        _assert_equivalent(new, ref_argmin_ball(objective, region, cfg), objective, cfg)
+
+
+ORACLES_2D = {
+    "maxsq2d": maxsq2d_oracle(),
+    "maxsq2d-scalar": _scalar_only(
+        lambda x: float(max(x[0], 0.0) ** 2 + x[1] ** 2), "maxsq2d-scalar"
+    ),
+    "bowl": _scalar_only(
+        lambda x: float((x[0] - 0.3) ** 2 + abs(x[1]) ** 1.5 + 0.1 * np.sin(4 * x[0])),
+        "bowl",
+    ),
+}
+
+# angles include pi/2, where the flat segment of maxsq2d meets a tilt whose
+# first component is ~6e-17 instead of 0
+ANGLES_2D = tuple(np.pi * k / 4 for k in range(8))
+
+
+class TestOracles2D:
+    @pytest.mark.parametrize("name", sorted(ORACLES_2D))
+    def test_tilted_equivalent(self, name):
+        f = ORACLES_2D[name]
+        region = BallRegion(np.zeros(2), 1.0)
+        cfg = SolverConfig(grid_points_per_axis=41)
+        for nrm in (0.5, 2.0):
+            for a in ANGLES_2D:
+                xi = nrm * np.array([np.cos(a), np.sin(a)])
+                objective = ref_tilted(f, xi)
+                new = argmin_tilted(f, xi, region, cfg)
+                ref = ref_argmin_ball(objective, region, cfg)
+                _assert_equivalent(new, ref, objective, cfg)
+
+    def test_perturbed_equivalent_at_radius_ten(self):
+        f = maxsq2d_oracle()
+        g = _scalar_only(lambda y: float(0.4 * abs(y[0] - 1.0) + 0.2 * y[1]), "kink2")
+        region = BallRegion(np.zeros(2), 10.0)
+        cfg = SolverConfig(grid_points_per_axis=61)
+        objective = ref_perturbed(f, g)
+        new = argmin_perturbed(f, g, region, cfg)
+        _assert_equivalent(new, ref_argmin_ball(objective, region, cfg), objective, cfg)
+
+
+def _ref_constants(f, region, pq, cfg, norms, dirs):
+    """gamma, kappa, mu from the scalar growth loop and reference solves."""
+    xbar = region.center
+    fbar = f(xbar)
+    gamma = math.inf
+    for x in ball_grid(region, cfg.grid_points_per_axis):
+        r = float(np.linalg.norm(x - xbar))
+        fx = float(f.evaluate(x))
+        if r > 1e-9 and math.isfinite(fx):
+            gamma = min(gamma, (fx - fbar) / r**pq.p)
+    kappa = mu = 0.0
+    for xi in _tilt_samples(region.dim, norms, dirs, 0):
+        minimizers, _, _ = ref_argmin_ball(ref_tilted(f, xi), region, cfg)
+        nrm = float(np.linalg.norm(xi))
+        for x in minimizers:
+            kappa = max(kappa, float(np.linalg.norm(x - xbar)) / nrm ** (pq.q / pq.p))
+            mu = max(mu, (f(x) - fbar) / nrm**pq.q)
+    return max(gamma, 0.0), kappa, mu
+
+
+@pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+def test_power_family_constants_agree(p):
+    f, pq = power_oracle(p), ExponentPair.from_p(p)
+    region = BallRegion(np.zeros(1), 10.0)
+    cfg = SolverConfig(grid_points_per_axis=2001)
+    norms = (0.5, 1.0, 2.0, 4.0)
+    report = run_diagnostics(f, region, pq, cfg, norms, 2)
+    ref = _ref_constants(f, region, pq, cfg, norms, 2)
+    new = (report.growth.gamma_hat, report.tilt.kappa_hat, report.loja.mu_hat)
+    for a, b in zip(new, ref):
+        assert a == pytest.approx(b, rel=1e-6)
+
+
+class TestErrorContract:
+    """NaN and -inf are refused on the lockstep polish as on the scan."""
+
+    @staticmethod
+    def _off_grid(bad):
+        # finite on the 101-point grid of [-1, 1] (spacing 0.02), ``bad``
+        # once the polish halves its step below the spacing
+        def value(x):
+            on_grid = abs(x[0] * 50.0 - round(x[0] * 50.0)) <= 1e-9
+            return float(x[0] ** 2) if on_grid else bad
+
+        return value
+
+    @pytest.mark.parametrize("bad", (math.nan, -math.inf))
+    def test_polish_rejects(self, bad):
+        f = FunctionOracle(self._off_grid(bad), "offgrid")
+        region = BallRegion(np.zeros(1), 1.0)
+        cfg = SolverConfig(grid_points_per_axis=101)
+        with pytest.raises(NonFiniteValue):
+            argmin_tilted(f, [0.3], region, cfg)
+
+    @pytest.mark.parametrize("bad", (math.nan, -math.inf))
+    def test_scan_rejects_batched(self, bad):
+        f = FunctionOracle.from_batch(
+            lambda x: np.where(x[:, 0] > 0.5, bad, x[:, 0] ** 2), "bad-batch"
+        )
+        with pytest.raises(NonFiniteValue):
+            argmin_tilted(f, [0.1], BallRegion(np.zeros(1), 1.0), SolverConfig(grid_points_per_axis=101))
+
+    def test_batch_of_wrong_shape_rejected(self):
+        f = FunctionOracle(
+            lambda x: float(x[0] ** 2), "short", evaluate_batch=lambda x: x[:-1, 0] ** 2
+        )
+        with pytest.raises(ValueError):
+            argmin_tilted(f, [0.1], BallRegion(np.zeros(1), 1.0), SolverConfig(grid_points_per_axis=11))

@@ -145,6 +145,46 @@ class TestConfigResolution:
         assert "no_such_key" in err
 
 
+class TestArgumentParsing:
+    def test_negative_list_value_is_accepted(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        code, _, err = run(
+            ["prox", "--fn", "maxsq2d", "--x0", "-1.2,0.5", "--iterations", "2",
+             "--grid-points", "41", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0, err
+        lines = (out / "prox_trajectory.csv").read_text().splitlines()
+        data = [l for l in lines if not l.startswith("#")]
+        assert data[1].startswith("0,-1.2,0.5,")
+
+    def test_negative_list_value_reaches_validation(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code, _, err = run(
+            ["diagnose", "--fn", "power", "--tilt-norms", "-1,2", "--out", str(out)]
+            + FAST_DIAGNOSE,
+            capsys,
+        )
+        assert code == 1
+        assert "tilt norms must be positive" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["prox", "--x0", "--iterations", "2"],
+            ["diagnose", "--no-such-flag", "1"],
+            ["nosuch"],
+        ),
+    )
+    def test_usage_error_exits_one_without_files(self, argv, tmp_path, capsys):
+        out = tmp_path / "u"
+        code, _, err = run(argv + ["--out", str(out)], capsys)
+        assert code == 1
+        assert "usage:" in err
+        assert not out.exists()
+
+
 class TestReproducibility:
     def test_diagnose_rerun_is_bit_identical(self, tmp_path, capsys):
         out = tmp_path / "d"

@@ -49,6 +49,16 @@ class TestPairing:
         other = list(reversed(coords))
         assert pairing(coords, other) == pairing(other, coords)
 
+    def test_rows_pair_one_by_one(self):
+        rows = np.array([[3.0, 4.0], [0.0, 1.0], [-2.0, 0.5]])
+        np.testing.assert_array_equal(
+            pairing([1.0, 2.0], rows), [pairing([1.0, 2.0], r) for r in rows]
+        )
+        with pytest.raises(ValueError):
+            pairing([1.0, 2.0, 3.0], rows)
+        with pytest.raises(ValueError):
+            pairing([1.0, 2.0], np.array([[1.0, math.nan]]))
+
 
 class TestTiltedValue:
     def test_quadratic_with_unit_tilt(self):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from growthlab.catalog import boxquad_oracle, halfpower_oracle, power_oracle
+from growthlab import diagnostics
+from growthlab.catalog import boxquad_oracle, halfpower_oracle, maxsq2d_oracle, power_oracle
 from growthlab.core import BallRegion, ExponentPair, FunctionOracle, indicator, pairing
 from growthlab.diagnostics import (
     GrowthEstimate,
@@ -24,6 +25,7 @@ from growthlab.diagnostics import (
     estimate_tilt_constant,
     lipschitz_probe,
     metric_slope,
+    run_diagnostics,
     sample_subdifferential_graph,
     unit_directions,
 )
@@ -142,6 +144,45 @@ class TestTiltAndLojaEstimates:
             estimate_tilt_constant(f, ORIGIN, region(1.0), P2, (0.0,), 2, CFG_SMALL)
         with pytest.raises(ValueError):
             estimate_tilt_constant(f, ORIGIN, region(1.0), P2, NORMS, 0, CFG_SMALL)
+
+
+class TestSharedTiltedSolves:
+    @pytest.mark.parametrize("dim", (1, 2))
+    def test_each_tilt_solved_once_with_standalone_results(self, monkeypatch, dim):
+        if dim == 1:
+            f, pq, cfg, dirs = power_oracle(3.0), P3, CFG_SMALL, 2
+        else:
+            f, pq, cfg, dirs = maxsq2d_oracle(), P2, SolverConfig(grid_points_per_axis=41), 8
+        reg = region(2.0, dim)
+        xbar = reg.center
+        growth = estimate_growth(f, xbar, reg, pq, cfg)
+        tilt = estimate_tilt_constant(f, xbar, reg, pq, NORMS, dirs, cfg, seed=3)
+        loja = estimate_loja_constant(f, xbar, reg, pq, NORMS, dirs, cfg, seed=3)
+
+        calls = []
+
+        def counting(f_, xi, region_, cfg_):
+            calls.append(np.asarray(xi, dtype=float).tobytes())
+            return argmin_tilted(f_, xi, region_, cfg_)
+
+        monkeypatch.setattr(diagnostics, "argmin_tilted", counting)
+        report = run_diagnostics(f, reg, pq, cfg, NORMS, dirs, seed=3)
+        assert len(calls) == len(NORMS) * dirs
+        assert len(set(calls)) == len(calls)
+
+        assert report.growth.gamma_hat == growth.gamma_hat
+        assert report.growth.samples_used == growth.samples_used
+        np.testing.assert_array_equal(report.growth.witness, growth.witness)
+        assert report.tilt.kappa_hat == tilt.kappa_hat
+        np.testing.assert_array_equal(report.tilt.worst_tilt, tilt.worst_tilt)
+        np.testing.assert_array_equal(report.tilt.worst_minimizer, tilt.worst_minimizer)
+        assert report.loja.mu_hat == loja.mu_hat
+        np.testing.assert_array_equal(report.loja.worst_tilt, loja.worst_tilt)
+
+    def test_solves_must_match_the_tilt_sample(self):
+        f = power_oracle(2.0)
+        with pytest.raises(ValueError):
+            estimate_tilt_constant(f, ORIGIN, region(1.0), P2, NORMS, 2, CFG_SMALL, solves=[])
 
 
 class TestCheckEquivalence:
@@ -326,6 +367,32 @@ class TestSubdifferentialGraph:
         only_zero = sample_subdifferential_graph(f, region(1.5), [np.zeros(1)], CFG_SMALL)
         vac = check_global_loja(only_zero, f, ORIGIN, P2, mu=0.25)
         assert vac.passed and vac.vacuous
+
+    def test_global_loja_skips_rounding_level_tilt(self):
+        f = boxquad_oracle(1.0)
+        tiny = np.array([2.220446049250313e-16])
+        pairs = (
+            (-tiny, tiny),
+            (np.array([0.5]), np.array([1.0])),
+            (np.array([-0.75]), np.array([-1.5])),
+        )
+        check = check_global_loja(pairs, f, ORIGIN, P2, mu=0.275)
+        assert check.passed and not check.vacuous
+        assert check.worst_ratio == pytest.approx(0.25, rel=1e-12)
+        # with no larger tilt beside it, the same norm is evidence (ratio 1)
+        alone = check_global_loja(pairs[:1], f, ORIGIN, P2, mu=0.275)
+        assert not alone.passed and alone.worst_ratio == pytest.approx(1.0)
+
+    def test_global_loja_on_linspace_tilts(self):
+        # the middle tilt of this linspace is 2.2e-16, not 0
+        b = 0.75 + 3.5 / 59
+        f = boxquad_oracle(b)
+        grid = [np.array([t]) for t in np.linspace(-2 * b, 2 * b, 41)]
+        pairs = sample_subdifferential_graph(
+            f, region(1.5 * b), grid, SolverConfig(grid_points_per_axis=301)
+        )
+        assert check_global_loja(pairs, f, ORIGIN, P2, mu=0.25 * 1.10).passed
+        assert not check_global_loja(pairs, f, ORIGIN, P2, mu=0.25 * 1.10 / 2).passed
 
 
 class TestUnitDirections:

@@ -142,24 +142,6 @@ class TestArgminPerturbed:
         np.testing.assert_allclose(res.representative, [0.5], atol=1e-9)
 
 
-class TestWorkerThreads:
-    def test_threaded_evaluation_matches_serial_bitwise(self, monkeypatch):
-        f = FunctionOracle(lambda x: float(np.cos(5 * x[0]) + x[0] ** 2), "wiggle")
-        region = unit_ball(radius=2.0)
-        serial = argmin_ball(f, region, CFG)
-        monkeypatch.setenv("GROWTHLAB_THREADS", "4")
-        threaded = argmin_ball(f, region, CFG)
-        assert threaded.min_value == serial.min_value
-        assert threaded.evaluations == serial.evaluations
-        for a, b in zip(threaded.minimizers, serial.minimizers):
-            np.testing.assert_array_equal(a, b)
-
-    def test_invalid_thread_count_rejected(self, monkeypatch):
-        monkeypatch.setenv("GROWTHLAB_THREADS", "many")
-        with pytest.raises(ValueError):
-            argmin_ball(SQUARE, unit_ball(), CFG)
-
-
 class TestBallGrid:
     def test_points_inside_ball_only(self):
         region = BallRegion(np.array([1.0, -1.0]), 0.7)
