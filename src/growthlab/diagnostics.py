@@ -33,6 +33,7 @@ from .core import (
 from .minimize import (
     SolverConfig,
     TiltedSolveResult,
+    _check_values,
     argmin_perturbed,
     argmin_tilted,
     ball_grid,
@@ -279,10 +280,7 @@ def estimate_growth(
     pts, dist = pts[keep], dist[keep]
 
     values = f.evaluate_rows(pts)
-    nan = np.isnan(values)
-    if np.any(nan):
-        x = pts[np.flatnonzero(nan)[0]]
-        raise ValueError(f"oracle '{f.descriptor}' returned NaN at {x}")
+    _check_values(values, pts, f.descriptor)
     finite = np.isfinite(values)
     if not np.any(finite):
         raise NoFiniteSamples(

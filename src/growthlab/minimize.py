@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -93,20 +94,25 @@ def ball_grid(region: BallRegion, points_per_axis: int) -> np.ndarray:
     the ball are dropped, not projected, to avoid biasing density toward
     the boundary.  Rows are in row-major axis order (deterministic).
     """
+    return _ball_grid(tuple(region.center), region.radius, points_per_axis).copy()
+
+
+@lru_cache(maxsize=16)
+def _ball_grid(center: Tuple[float, ...], radius: float, points_per_axis: int) -> np.ndarray:
+    # Memoized, read-only: every tilt of a diagnose job scans the same grid.
     if points_per_axis < 3:
         raise ValueError("points_per_axis must be >= 3")
-    d = region.dim
+    d = len(center)
     if d > MAX_GRID_DIM:
         raise ValueError(f"grid scan supports dimension <= {MAX_GRID_DIM}, got {d}")
-    axes = [
-        np.linspace(c - region.radius, c + region.radius, points_per_axis)
-        for c in region.center
-    ]
+    axes = [np.linspace(c - radius, c + radius, points_per_axis) for c in center]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    dist = np.linalg.norm(pts - region.center, axis=1)
-    keep = dist <= region.radius + BALL_SLACK * max(1.0, region.radius)
-    return pts[keep]
+    dist = np.linalg.norm(pts - np.array(center), axis=1)
+    keep = dist <= radius + BALL_SLACK * max(1.0, radius)
+    pts = pts[keep]
+    pts.flags.writeable = False
+    return pts
 
 
 def _check_values(values: np.ndarray, points: np.ndarray, descriptor: str) -> None:
@@ -202,7 +208,7 @@ def argmin_ball(
     are reported, not just one: downstream estimators quantify over every
     minimizer and must see the worst witness.
     """
-    pts = ball_grid(region, cfg.grid_points_per_axis)
+    pts = _ball_grid(tuple(region.center), region.radius, cfg.grid_points_per_axis)
     values = f.evaluate_rows(pts)
     evaluations = len(pts)
     _check_values(values, pts, f.descriptor)

@@ -2,11 +2,15 @@
 
 Finite-difference realization on the unit square with homogeneous Dirichlet
 data: 5-point Laplacian, cubic nonlinearity, damped Newton for the state,
-direct sparse solves for the adjoint and linearized states, and a spectral
-projected-gradient loop for the control problem
+and a spectral projected-gradient loop for the control problem
 
     minimize 0.5 * |y_u - y_d|^2   over   alpha <= u <= beta,
     where  -lap(y_u) + y_u^3 = u,  y_u = 0 on the boundary.
+
+Every linear solve (Newton steps, adjoint and linearized states) has the
+symmetric positive definite operator ``-lap + diag(d)`` with ``d >= 0`` and
+goes through one conjugate-gradient solver preconditioned by the exact
+inverse of ``-lap`` (matrix-diagonalization fast Poisson solver).
 
 States, adjoints, controls, and targets are all (n, n) arrays of interior
 nodal values; the discrete L2 norm of such a field is ``h * |values|_2``.
@@ -21,7 +25,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .core import GrowthLabError
 
@@ -52,6 +55,8 @@ STATE_RESIDUAL_TOL = 1e-10
 LINEAR_RESIDUAL_TOL = 1e-12
 NEWTON_MAX_ITERS = 50
 NEWTON_MAX_HALVINGS = 30
+# Relative residual at which the preconditioned CG iteration stops.
+CG_RTOL = 1e-15
 
 
 class NewtonDivergence(GrowthLabError):
@@ -100,6 +105,78 @@ def _neg_laplacian(n: int) -> sp.csr_matrix:
     return ((sp.kron(eye, t) + sp.kron(t, eye)) / h**2).tocsr()
 
 
+@lru_cache(maxsize=None)
+def _poisson_eigen(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The orthonormal, symmetric DST-I matrix ``S`` and the eigenvalues
+    ``lam_k + lam_l`` of ``-lap``, so that ``-lap X = S ((S X S) * lam) S``
+    for a field ``X`` of shape (n, n)."""
+    h = 1.0 / (n + 1)
+    k = np.arange(1, n + 1)
+    s = math.sqrt(2.0 * h) * np.sin(np.pi * h * np.outer(k, k))
+    lam1 = (2.0 - 2.0 * np.cos(k * np.pi * h)) / h**2
+    lam = lam1[:, None] + lam1[None, :]
+    s.flags.writeable = False
+    lam.flags.writeable = False
+    return s, lam
+
+
+def _cg_iteration_cap(d: np.ndarray, n: int) -> int:
+    # The preconditioned spectrum lies in [1, 1 + max(d) / lam_min], and the
+    # classic CG bound needs 0.5 sqrt(cond) ln(2 / CG_RTOL) steps; allow
+    # twice that.
+    lam_min = _poisson_eigen(n)[1][0, 0]
+    cond = 1.0 + float(np.max(d)) / lam_min
+    if not math.isfinite(cond):
+        raise LinearSolveFailure("operator diagonal is not finite")
+    return 10 + int(math.sqrt(cond) * math.log(2.0 / CG_RTOL))
+
+
+def _spd_matvec(d: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    return _neg_laplacian(n) @ x + d * x
+
+
+def _pcg_solve(d: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Solve ``(-lap + diag(d)) x = b`` for flat ``d >= 0`` and ``b`` by
+    conjugate gradients preconditioned with the exact inverse of ``-lap``.
+
+    Stops once the recurrence residual is below ``CG_RTOL`` relative to
+    ``b``; a non-finite iterate or reaching the iteration cap raises
+    ``LinearSolveFailure``.
+    """
+    s, lam = _poisson_eigen(n)
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        return (s @ ((s @ r.reshape(n, n) @ s) / lam) @ s).ravel()
+
+    x = np.zeros_like(b)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return x
+    r = b.copy()
+    z = precondition(r)
+    direction = z
+    rz = float(r @ z)
+    cap = _cg_iteration_cap(d, n)
+    for _ in range(cap):
+        q = _spd_matvec(d, direction, n)
+        step = rz / float(direction @ q)
+        x = x + step * direction
+        r = r - step * q
+        rnorm = float(np.linalg.norm(r))
+        if not math.isfinite(rnorm):
+            raise LinearSolveFailure("conjugate gradients produced a non-finite residual")
+        if rnorm <= CG_RTOL * bnorm:
+            return x
+        z = precondition(r)
+        rz_next = float(r @ z)
+        direction = z + (rz_next / rz) * direction
+        rz = rz_next
+    raise LinearSolveFailure(
+        f"conjugate gradients reached its cap of {cap} iterations at relative "
+        f"residual {rnorm / bnorm:.3e} (target {CG_RTOL:.1e})"
+    )
+
+
 def l2_norm(values: np.ndarray, grid: Grid2D) -> float:
     """Discrete L2 norm of an interior nodal field: ``h * |values|_2``."""
     return grid.h * float(np.linalg.norm(np.ravel(values)))
@@ -146,8 +223,7 @@ def solve_state(
     for _ in range(max_iters):
         if rnorm <= tol:
             return y.reshape(grid.n, grid.n)
-        jac = a + sp.diags(3.0 * y**2)
-        step = spsolve(jac.tocsr(), -res)
+        step = _pcg_solve(3.0 * y**2, -res, grid.n)
         t = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
             y_try = y + t * step
@@ -170,17 +246,17 @@ def solve_state(
 
 
 def _solve_spd(y_base: np.ndarray, rhs: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Direct solve of ``(-lap + 3 diag(y^2)) x = rhs`` with a residual
-    check and iterative refinement."""
-    m = (_neg_laplacian(grid.n) + sp.diags(3.0 * y_base.ravel() ** 2)).tocsr()
+    """Preconditioned CG solve of ``(-lap + 3 diag(y^2)) x = rhs`` with a
+    true-residual check and iterative refinement."""
+    d = 3.0 * y_base.ravel() ** 2
     b = rhs.ravel()
-    x = spsolve(m, b)
+    x = _pcg_solve(d, b, grid.n)
     for _ in range(3):
-        resid = b - m @ x
+        resid = b - _spd_matvec(d, x, grid.n)
         if grid.h * float(np.linalg.norm(resid)) <= LINEAR_RESIDUAL_TOL:
             return x.reshape(grid.n, grid.n)
-        x = x + spsolve(m, resid)
-    resid_norm = grid.h * float(np.linalg.norm(b - m @ x))
+        x = x + _pcg_solve(d, resid, grid.n)
+    resid_norm = grid.h * float(np.linalg.norm(b - _spd_matvec(d, x, grid.n)))
     if resid_norm <= LINEAR_RESIDUAL_TOL:
         return x.reshape(grid.n, grid.n)
     raise LinearSolveFailure(

@@ -2,12 +2,21 @@
 configuration precedence, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import growthlab
+from growthlab import tracking as trk
 from growthlab.cli import main
 
 FAST_DIAGNOSE = ["--grid-points", "301", "--multistart", "4"]
+# The subprocess runs in a temporary directory, where a relative PYTHONPATH
+# no longer points at the package under test.
+PACKAGE_ROOT = str(Path(growthlab.__file__).resolve().parents[1])
 MINI_TRACKING = [
     "--n", "8", "--eta-norms", "1e-2,1e-1", "--etas-per-norm", "1",
     "--ssc-samples", "4",
@@ -118,6 +127,47 @@ class TestTracking:
         assert manifest["solve"]["converged"] is True
         assert manifest["ssc_estimate"] > 0.0
         assert manifest["sweep"]["consistent"] is True
+
+
+    def test_capped_linear_solve_exits_one_without_files(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d, n: 1)
+        out = tmp_path / "t"
+        code, _, err = run(["tracking", "--out", str(out)] + MINI_TRACKING, capsys)
+        assert code == 1
+        assert "conjugate gradients" in err
+        assert not out.exists()
+
+    def test_newton_stall_exits_one_without_files(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(trk, "NEWTON_MAX_HALVINGS", 0)
+        out = tmp_path / "t"
+        code, _, err = run(["tracking", "--out", str(out)] + MINI_TRACKING, capsys)
+        assert code == 1
+        assert "stalled" in err
+        assert not out.exists()
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # the preconditioner runs dense matrix products through BLAS
+        outputs = {}
+        for threads in ("1", "2"):
+            cwd = tmp_path / threads
+            cwd.mkdir()
+            env = os.environ.copy()
+            env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = PACKAGE_ROOT + (
+                os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "growthlab.cli", "tracking", "--n", "32",
+                 "--eta-norms", "1e-2", "--etas-per-norm", "1", "--ssc-samples", "2",
+                 "--out", "out"],
+                cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads] = (
+                proc.stdout,
+                {f.name: f.read_bytes() for f in sorted((cwd / "out").iterdir())},
+            )
+        assert outputs["1"] == outputs["2"]
 
 
 class TestConfigResolution:

@@ -29,7 +29,7 @@ from growthlab.diagnostics import (
     sample_subdifferential_graph,
     unit_directions,
 )
-from growthlab.minimize import SolverConfig, argmin_tilted
+from growthlab.minimize import NonFiniteValue, SolverConfig, argmin_ball, argmin_tilted
 
 P2 = ExponentPair.from_p(2.0)
 P3 = ExponentPair.from_p(3.0)
@@ -80,6 +80,22 @@ class TestEstimateGrowth:
             lambda x: 0.0 if abs(x[0]) <= 1e-10 else math.inf, "point"
         )
         with pytest.raises(NoFiniteSamples):
+            estimate_growth(f, ORIGIN, region(1.0), P2, CFG_SMALL)
+
+    def test_minus_infinity_is_refused_not_skipped(self):
+        # -inf is not "outside the domain": argmin_ball refuses it, and so
+        # must the growth scan
+        f = FunctionOracle.from_batch(
+            lambda pts: np.where(pts[:, 0] < -0.5, -math.inf, pts[:, 0] ** 2), "sink"
+        )
+        with pytest.raises(NonFiniteValue, match="-inf"):
+            estimate_growth(f, ORIGIN, region(1.0), P2, CFG_SMALL)
+        with pytest.raises(NonFiniteValue):
+            argmin_ball(f, region(1.0), CFG_SMALL)
+
+    def test_nan_is_refused(self):
+        f = FunctionOracle(lambda x: math.nan if x[0] > 0.5 else float(x[0] ** 2), "hole")
+        with pytest.raises(NonFiniteValue, match="nan"):
             estimate_growth(f, ORIGIN, region(1.0), P2, CFG_SMALL)
 
     def test_base_point_must_be_center(self):

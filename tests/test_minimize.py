@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from growthlab import minimize
 from growthlab.core import BallRegion, FunctionOracle, indicator, pairing
 from growthlab.minimize import (
     AllInfinite,
@@ -149,6 +150,41 @@ class TestBallGrid:
         assert len(pts) > 0
         dist = np.linalg.norm(pts - region.center, axis=1)
         assert np.all(dist <= region.radius + 1e-12)
+
+    def test_public_grid_is_a_fresh_writable_copy(self):
+        region = BallRegion(np.array([0.5, 0.25]), 1.0)
+        first = ball_grid(region, 21)
+        assert first.flags.writeable
+        first[:] = 99.0
+        second = ball_grid(region, 21)
+        assert second is not first
+        assert np.all(np.abs(second) <= 2.0)
+
+    def test_memoized_grid_matches_fresh_build_bitwise(self):
+        # frozen copy of the grid construction before memoization
+        region = BallRegion(np.array([0.3, -0.7]), 1.3)
+        axes = [np.linspace(c - 1.3, c + 1.3, 41) for c in region.center]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        keep = np.linalg.norm(pts - region.center, axis=1) <= 1.3 + 1e-12 * 1.3
+        cached = minimize._ball_grid(tuple(region.center), region.radius, 41)
+        assert not cached.flags.writeable
+        np.testing.assert_array_equal(cached, pts[keep])
+        np.testing.assert_array_equal(ball_grid(region, 41), pts[keep])
+
+    def test_argmin_ball_unchanged_by_cached_grid(self):
+        f = FunctionOracle(lambda x: float(np.cos(4 * x[0]) + x[1] ** 2), "wave")
+        region = unit_ball(dim=2)
+        cfg = SolverConfig(grid_points_per_axis=41)
+        minimize._ball_grid.cache_clear()
+        cold = argmin_ball(f, region, cfg)
+        warm = argmin_ball(f, region, cfg)
+        assert minimize._ball_grid.cache_info().hits >= 1
+        assert warm.min_value == cold.min_value
+        assert warm.evaluations == cold.evaluations
+        assert len(warm.minimizers) == len(cold.minimizers)
+        for a, b in zip(warm.minimizers, cold.minimizers):
+            np.testing.assert_array_equal(a, b)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

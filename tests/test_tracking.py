@@ -6,9 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from growthlab import tracking as trk
 from growthlab.tracking import (
     DescentConfig,
     Grid2D,
+    LinearSolveFailure,
+    NewtonDivergence,
+    _neg_laplacian,
     default_target,
     l2_inner,
     l2_norm,
@@ -54,6 +58,22 @@ class TestStateSolver:
             errors[n] = l2_norm(y - ystar, grid)
         ratio = errors[16] / errors[32]
         assert 3.3 <= ratio <= 4.7
+
+    def test_manufactured_solution_order_on_finer_grids(self):
+        # same bounds as the acceptance order check, one octave further
+        errors = {}
+        for n in (32, 64, 128):
+            grid = Grid2D(n)
+            ystar = sinbump(grid)
+            u = 2.0 * np.pi**2 * ystar + ystar**3
+            y = solve_state(u, grid)
+            residual = grid.h * np.linalg.norm(
+                _neg_laplacian(n) @ y.ravel() + y.ravel() ** 3 - u.ravel()
+            )
+            assert residual <= 1e-10
+            errors[n] = l2_norm(y - ystar, grid)
+        assert 3.3 <= errors[32] / errors[64] <= 4.7
+        assert 3.3 <= errors[64] / errors[128] <= 4.7
 
     def test_discrete_maximum_principle_positivity(self):
         y = solve_state(np.full((16, 16), 2.0), GRID)
@@ -303,3 +323,44 @@ class TestPerturbationSweep:
         coeffs[0, 0] = 2.0
         field = sine_combination(GRID, coeffs)
         np.testing.assert_allclose(field, 2.0 * sinbump(GRID), atol=1e-12)
+
+
+class TestErrorContract:
+    """Solver failures are explicit errors, never quiet results."""
+
+    def test_newton_iteration_cap_raises_with_history(self):
+        with pytest.raises(NewtonDivergence, match="no convergence after 1 iterations") as info:
+            solve_state(np.full((16, 16), 50.0), GRID, max_iters=1)
+        history = info.value.residual_history
+        assert len(history) == 2 and history[1] < history[0]
+
+    def test_newton_stall_raises_with_history(self):
+        # no iterate reaches a residual of 1e-300, and once rounding stops
+        # every halved step from decreasing it, Newton reports a stall
+        with pytest.raises(NewtonDivergence, match="stalled") as info:
+            solve_state(np.full((16, 16), 50.0), GRID, tol=1e-300)
+        history = info.value.residual_history
+        assert history[-1] <= 1e-10
+        assert all(b < a for a, b in zip(history, history[1:]))
+
+    def test_capped_linear_solve_raises(self, monkeypatch):
+        y = solve_state(np.full((16, 16), 2.0), GRID)
+        v = np.random.default_rng(0).standard_normal((16, 16))
+        monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d, n: 1)
+        with pytest.raises(LinearSolveFailure, match="cap of 1 iterations"):
+            solve_linearized(v, y, GRID)
+        with pytest.raises(LinearSolveFailure):
+            solve_adjoint(y, np.zeros((16, 16)), GRID)
+
+    def test_capped_newton_step_raises(self, monkeypatch):
+        monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d, n: 1)
+        with pytest.raises(LinearSolveFailure):
+            solve_state(np.full((16, 16), 2.0), GRID)
+
+    def test_non_finite_linear_solve_raises(self):
+        y = solve_state(np.full((16, 16), 2.0), GRID)
+        with np.errstate(all="ignore"):
+            with pytest.raises(LinearSolveFailure, match="non-finite"):
+                solve_linearized(np.full((16, 16), 1e308), y, GRID)
+            with pytest.raises(LinearSolveFailure, match="not finite"):
+                solve_linearized(np.ones((16, 16)), np.full((16, 16), 1e200), GRID)
