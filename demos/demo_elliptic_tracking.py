@@ -8,7 +8,7 @@ binds.  A positive sampled curvature constant predicts that re-solving with
 perturbed targets moves the optimal state by at most a bounded multiple of
 the perturbation; a small sweep shows those ratios directly.
 
-Run:  python demos/demo_elliptic_tracking.py   (about half a minute)
+Run:  python demos/demo_elliptic_tracking.py   (about a second)
 """
 
 from growthlab.tracking import (

@@ -10,7 +10,9 @@ and a spectral projected-gradient loop for the control problem
 Every linear solve (Newton steps, adjoint and linearized states) has the
 symmetric positive definite operator ``-lap + diag(d)`` with ``d >= 0`` and
 goes through one conjugate-gradient solver preconditioned by the exact
-inverse of ``-lap`` (matrix-diagonalization fast Poisson solver).
+inverse of ``-lap`` (matrix-diagonalization fast Poisson solver).  The
+operator ``-lap`` itself is applied as a 5-point stencil; no matrix is
+assembled.
 
 States, adjoints, controls, and targets are all (n, n) arrays of interior
 nodal values; the discrete L2 norm of such a field is ``h * |values|_2``.
@@ -24,7 +26,6 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import GrowthLabError
 
@@ -96,13 +97,22 @@ class Grid2D:
         return np.meshgrid(xs, xs, indexing="ij")
 
 
-@lru_cache(maxsize=None)
-def _neg_laplacian(n: int) -> sp.csr_matrix:
+def _neg_lap_stencil(x: np.ndarray, n: int) -> np.ndarray:
+    """``-lap x`` for a flat field ``x`` of n * n interior values.
+
+    The five terms are summed in the column order of the assembled CSR
+    matrix, (i-1, j), (i, j-1), centre, (i, j+1), (i+1, j), so the result
+    is bitwise equal to that matrix's product (``tests/_reference.py``)."""
     h = 1.0 / (n + 1)
-    ones = np.ones(n)
-    t = sp.diags([-ones[:-1], 2.0 * ones, -ones[:-1]], offsets=(-1, 0, 1))
-    eye = sp.identity(n)
-    return ((sp.kron(eye, t) + sp.kron(t, eye)) / h**2).tocsr()
+    off = -1.0 / h**2
+    x = x.reshape(n, n)
+    out = np.zeros((n, n))
+    np.multiply(x[:-1], off, out=out[1:])
+    out[:, 1:] += off * x[:, :-1]
+    out += (4.0 / h**2) * x
+    out[:, :-1] += off * x[:, 1:]
+    out[:-1] += off * x[1:]
+    return out.ravel()
 
 
 @lru_cache(maxsize=None)
@@ -132,16 +142,19 @@ def _cg_iteration_cap(d: np.ndarray, n: int) -> int:
 
 
 def _spd_matvec(d: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    return _neg_laplacian(n) @ x + d * x
+    return _neg_lap_stencil(x, n) + d * x
 
 
 def _pcg_solve(d: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Solve ``(-lap + diag(d)) x = b`` for flat ``d >= 0`` and ``b`` by
     conjugate gradients preconditioned with the exact inverse of ``-lap``.
 
-    Stops once the recurrence residual is below ``CG_RTOL`` relative to
-    ``b``; a non-finite iterate or reaching the iteration cap raises
-    ``LinearSolveFailure``.
+    Since the preconditioner inverts ``-lap``, ``-lap z = r`` for every
+    preconditioned residual ``z``, so ``w = -lap direction`` follows the
+    direction recurrence (``w = r`` at the start, ``w <- r + beta w``) and
+    the loop applies no Laplacian.  Stops once the recurrence residual is
+    below ``CG_RTOL`` relative to ``b``; a non-finite iterate or reaching
+    the iteration cap raises ``LinearSolveFailure``.
     """
     s, lam = _poisson_eigen(n)
 
@@ -155,10 +168,11 @@ def _pcg_solve(d: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     r = b.copy()
     z = precondition(r)
     direction = z
+    w = r
     rz = float(r @ z)
     cap = _cg_iteration_cap(d, n)
     for _ in range(cap):
-        q = _spd_matvec(d, direction, n)
+        q = w + d * direction
         step = rz / float(direction @ q)
         x = x + step * direction
         r = r - step * q
@@ -169,7 +183,9 @@ def _pcg_solve(d: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
             return x
         z = precondition(r)
         rz_next = float(r @ z)
-        direction = z + (rz_next / rz) * direction
+        beta = rz_next / rz
+        direction = z + beta * direction
+        w = r + beta * w
         rz = rz_next
     raise LinearSolveFailure(
         f"conjugate gradients reached its cap of {cap} iterations at relative "
@@ -211,11 +227,10 @@ def solve_state(
     large forcing.  ``y0`` warm-starts the iteration.
     """
     u = _as_field(u, grid, "u").ravel()
-    a = _neg_laplacian(grid.n)
     y = np.zeros_like(u) if y0 is None else _as_field(y0, grid, "y0").ravel().copy()
 
     def residual(vec: np.ndarray) -> np.ndarray:
-        return a @ vec + vec**3 - u
+        return _neg_lap_stencil(vec, grid.n) + vec**3 - u
 
     res = residual(y)
     rnorm = grid.h * float(np.linalg.norm(res))

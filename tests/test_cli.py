@@ -29,6 +29,26 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+class TestImport:
+    def test_cold_import_loads_no_scipy(self):
+        # -I ignores PYTHONPATH and the user site; the package is found
+        # through its absolute root only
+        code = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {PACKAGE_ROOT!r})\n"
+            "import growthlab, growthlab.cli\n"
+            "print(json.dumps([growthlab.__file__, sorted(m for m in sys.modules\n"
+            "    if m == 'scipy' or m.startswith('scipy.'))]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        where, scipy_modules = json.loads(proc.stdout)
+        assert Path(where).resolve().parents[1] == Path(PACKAGE_ROOT)
+        assert scipy_modules == []
+
+
 class TestCatalog:
     def test_lists_known_functions(self, capsys):
         code, out, _ = run(["catalog"], capsys)

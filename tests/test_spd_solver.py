@@ -3,9 +3,9 @@ direct solve, and of the Newton state solve against a frozen sparse-direct copy.
 
 Every tracking solve goes through one conjugate-gradient solver for
 ``(-lap + diag(d)) x = b`` preconditioned by the exact fast-Poisson inverse
-of ``-lap``.  The reference below is ``scipy.sparse.linalg.spsolve`` on the
-assembled matrix, and a frozen copy of the damped Newton iteration that
-used it.
+of ``-lap``, and applies ``-lap`` as a matrix-free stencil.  The references
+below are the assembled CSR matrix, ``scipy.sparse.linalg.spsolve`` on it,
+and a frozen copy of the damped Newton iteration that used it.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+from _reference import neg_laplacian as _neg_laplacian
 from growthlab import tracking as trk
 from growthlab.tracking import (
     LINEAR_RESIDUAL_TOL,
@@ -20,10 +21,9 @@ from growthlab.tracking import (
     NEWTON_MAX_ITERS,
     STATE_RESIDUAL_TOL,
     Grid2D,
-    _neg_laplacian,
 )
 
-SIZES = (8, 16, 24, 32, 64)
+SIZES = (8, 16, 24, 32, 64, 128)
 BASES = ("target", "saturated", "random")
 
 
@@ -73,6 +73,18 @@ def spsolve_newton(u, grid):
         y, res, rnorm = y_try, res_try, rnorm_try
     assert rnorm <= STATE_RESIDUAL_TOL
     return y.reshape(grid.n, grid.n)
+
+
+@pytest.mark.parametrize("n", (4, 8, 16, 24, 32, 64, 128))
+def test_stencil_equals_assembled_product_bitwise(n):
+    a = _neg_laplacian(n)
+    rng = np.random.default_rng(n)
+    for _ in range(8):
+        # magnitudes from 1e-8 to 1e8, both signs
+        x = rng.choice((-1.0, 1.0), n * n) * 10.0 ** rng.uniform(-8.0, 8.0, n * n)
+        assert np.array_equal(trk._neg_lap_stencil(x, n), a @ x)
+        d = 3.0 * x**2
+        assert np.array_equal(trk._spd_matvec(d, x, n), a @ x + d * x)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from _reference import neg_laplacian as _neg_laplacian
 from growthlab import tracking as trk
 from growthlab.tracking import (
     DescentConfig,
     Grid2D,
     LinearSolveFailure,
     NewtonDivergence,
-    _neg_laplacian,
     default_target,
     l2_inner,
     l2_norm,
