@@ -308,7 +308,7 @@ def _tilted_solves(
     solves: Optional[Sequence[TiltedSolveResult]],
 ) -> Sequence[TiltedSolveResult]:
     if solves is None:
-        return [argmin_tilted(f, xi, region, cfg) for xi in tilts]
+        return argmin_tilted(f, np.reshape(tilts, (-1, region.dim)), region, cfg)
     if len(solves) != len(tilts):
         raise ValueError(
             f"got {len(solves)} tilted solves for a sample of {len(tilts)} tilts"
@@ -614,12 +614,11 @@ def sample_subdifferential_graph(
     the region, so the ball constraint is never active and each pair is a
     genuine graph sample.
     """
-    pairs: List[Tuple[np.ndarray, np.ndarray]] = []
-    for xi in tilt_grid:
-        xi = as_vector(xi, domain_region.dim)
-        result = argmin_tilted(f, xi, domain_region, cfg)
-        pairs.extend((x, xi) for x in result.minimizers)
-    return tuple(pairs)
+    tilts = np.reshape(
+        [as_vector(xi, domain_region.dim) for xi in tilt_grid], (-1, domain_region.dim)
+    )
+    results = argmin_tilted(f, tilts, domain_region, cfg)
+    return tuple((x, xi) for xi, result in zip(tilts, results) for x in result.minimizers)
 
 
 @dataclass(frozen=True)

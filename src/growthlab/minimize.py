@@ -6,7 +6,8 @@ followed by projected coordinate-descent polish from the best grid cells.
 Correctness of the minimizer set is the design goal; the grid dimension is
 capped at 4.  Oracles are evaluated a batch of points at a time: the whole
 grid in one call, then the candidates of all polish starts at each
-coordinate step in one call.
+coordinate step in one call.  A stack of tilted problems shares that grid
+scan and that polish loop.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -131,8 +132,10 @@ def compose_oracle(
 
     ``term`` maps an ``(m, d)`` array of points to ``(m,)`` values.  It is
     evaluated only on the points where ``f`` is below ``+inf``, and a
-    ``+inf`` term value is kept whatever ``f`` is.  The tilted, perturbed
-    and proximal objectives are all built here.
+    ``+inf`` term value is kept whatever ``f`` is.  The perturbed and
+    proximal objectives are built here; tilted objectives subtract the same
+    way inside the solver, so that a stack of tilts shares one scan of
+    ``f``.
     """
 
     def batch(points: np.ndarray) -> np.ndarray:
@@ -146,33 +149,63 @@ def compose_oracle(
     return FunctionOracle.from_batch(batch, descriptor)
 
 
+def _subtract_tilt(values: np.ndarray, points: np.ndarray, xi: np.ndarray) -> None:
+    """``values - <xi, row>`` in place on the rows where ``values`` is below
+    ``+inf``: the arithmetic of ``core.pairing`` on rows, without its checks.
+
+    The products are taken over the live rows as one matrix, as the
+    one-tilt solve takes them, because a matrix-vector product may round a
+    row differently at another position.
+    """
+    live = values != math.inf
+    n_live = np.count_nonzero(live)
+    if n_live == len(values):
+        values -= points @ xi
+    elif n_live:
+        values[live] -= points[live] @ xi
+
+
 def _polish(
     f: FunctionOracle,
     starts: np.ndarray,
     start_values: np.ndarray,
+    offsets: List[int],
+    tilts: Optional[np.ndarray],
     region: BallRegion,
     step0: float,
     cfg: SolverConfig,
-) -> Tuple[np.ndarray, np.ndarray, int]:
+    descriptor: str,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projected coordinate descent with shrinking steps from each row of
     ``starts``, all starts advanced in lockstep.
 
-    Each start follows the trajectory it would follow alone: at every
-    coordinate the ``+step`` candidate is tried before the ``-step`` one and
-    a candidate is taken only if strictly better; after a sweep without
-    improvement the start's step halves, and the start stops once its step
-    falls below the tolerance.  The candidates of all running starts at one
-    coordinate are evaluated in one batch.
+    The starts ``offsets[t]:offsets[t + 1]`` minimize ``f - <tilts[t], .>``,
+    or ``f`` when ``tilts`` is None.  Each start follows the trajectory it
+    would follow alone: at every coordinate the ``+step`` candidate is tried
+    before the ``-step`` one and a candidate is taken only if strictly
+    better; after a sweep without improvement the start's step halves, and
+    the start stops once its step falls below the tolerance.  The
+    candidates of all running starts at one coordinate are evaluated in one
+    batch, and each tilt's term is added over its own contiguous candidate
+    rows.  Returns the polished points and values and the number of
+    candidates each start evaluated.
     """
     x = np.array(starts, dtype=float)
     fx = np.array(start_values, dtype=float)
     step = np.full(len(x), float(step0))
     running = np.ones(len(x), dtype=bool)
-    evals = 0
-    for _ in range(cfg.polish_max_iters):
+    sweeps = np.full(len(x), cfg.polish_max_iters)
+    for sweep in range(cfg.polish_max_iters):
         idx = np.flatnonzero(running)
         if idx.size == 0:
             break
+        groups = []
+        if tilts is not None:
+            # the running starts of tilt t are idx[lo:hi], and their
+            # candidates the rows 2*lo:2*hi
+            cut = np.searchsorted(idx, offsets)
+            groups = [(xi, 2 * lo, 2 * hi)
+                      for xi, lo, hi in zip(tilts, cut[:-1], cut[1:]) if lo < hi]
         improved = np.zeros(idx.size, dtype=bool)
         steps = step[idx]
         for i in range(x.shape[1]):
@@ -182,8 +215,9 @@ def _polish(
             cand[1::2, i] -= steps
             cand = region.project_rows(cand)
             vals = f.evaluate_rows(cand)
-            evals += len(cand)
-            _check_values(vals, cand, f.descriptor)
+            for xi, lo, hi in groups:
+                _subtract_tilt(vals[lo:hi], cand[lo:hi], xi)
+            _check_values(vals, cand, descriptor)
             plus, minus = vals[0::2], vals[1::2]
             take_plus = plus < fx[idx]
             take_minus = minus < np.where(take_plus, plus, fx[idx])
@@ -194,8 +228,83 @@ def _polish(
                 improved |= take
         stalled = idx[~improved]
         step[stalled] *= 0.5
-        running[stalled[step[stalled] < cfg.polish_step_tolerance]] = False
-    return x, fx, evals
+        done = stalled[step[stalled] < cfg.polish_step_tolerance]
+        if done.size:
+            running[done] = False
+            sweeps[done] = sweep + 1
+    return x, fx, 2 * x.shape[1] * sweeps
+
+
+def _solve(
+    f: FunctionOracle,
+    tilts: Optional[np.ndarray],
+    region: BallRegion,
+    cfg: SolverConfig,
+    descriptor: str,
+) -> Tuple[TiltedSolveResult, ...]:
+    """Minimize ``f - <xi, .>`` over the ball for each row ``xi`` of
+    ``tilts``, or ``f`` itself when ``tilts`` is None, all in lockstep.
+
+    ``f`` is evaluated on the grid once.  Each problem's grid values are
+    formed on their own to pick its multistarts, all starts are polished in
+    one loop, and each minimizer set is cut from the problem's grid values,
+    formed again, and its polished points.  No array holds the grid values
+    of more than one problem.
+    """
+    pts = _ball_grid(tuple(region.center), region.radius, cfg.grid_points_per_axis)
+    base = f.evaluate_rows(pts)
+    problems = [None] if tilts is None else list(tilts)
+
+    def grid_values(xi: Optional[np.ndarray]) -> np.ndarray:
+        if xi is None:
+            return base
+        values = base.copy()
+        live = values != math.inf
+        if live.any():
+            values[live] -= pairing(xi, pts[live])
+        return values
+
+    starts, start_values, offsets = [], [], [0]
+    for xi in problems:
+        values = grid_values(xi)
+        _check_values(values, pts, descriptor)
+        n_finite = int(np.count_nonzero(np.isfinite(values)))
+        if n_finite == 0:
+            raise AllInfinite(
+                f"oracle '{descriptor}' is +inf at all {len(pts)} sampled points "
+                f"of the ball around {region.center}"
+            )
+        # +inf sorts last: the best finite cells, ties in grid order
+        order = np.argsort(values, kind="stable")[: min(cfg.multistart_count, n_finite)]
+        starts.append(pts[order])
+        start_values.append(values[order])
+        offsets.append(offsets[-1] + order.size)
+    spacing = 2.0 * region.radius / (cfg.grid_points_per_axis - 1)
+    x, fx, used = _polish(
+        f, np.concatenate(starts), np.concatenate(start_values), offsets, tilts,
+        region, spacing, cfg, descriptor,
+    )
+
+    results = []
+    for t, xi in enumerate(problems):
+        values = grid_values(xi)
+        finite = np.isfinite(values)
+        mine = slice(offsets[t], offsets[t + 1])
+        # polished points join the pool in start order
+        pool_pts = np.concatenate([pts[finite], x[mine]])
+        pool_vals = np.concatenate([values[finite], fx[mine]])
+        min_value = float(pool_vals.min())
+        cut = min_value + cfg.minimizer_value_tolerance * (1.0 + abs(min_value))
+        near = pool_pts[pool_vals <= cut]
+
+        minimizers: List[np.ndarray] = []
+        for i in np.lexsort(near.T[::-1]):
+            if minimizers and np.max(np.abs(near[i] - minimizers[-1])) <= 1e-12:
+                continue
+            minimizers.append(near[i])
+        evaluations = len(pts) + int(used[mine].sum())
+        results.append(TiltedSolveResult(tuple(minimizers), min_value, evaluations))
+    return tuple(results)
 
 
 def argmin_ball(
@@ -208,51 +317,35 @@ def argmin_ball(
     are reported, not just one: downstream estimators quantify over every
     minimizer and must see the worst witness.
     """
-    pts = _ball_grid(tuple(region.center), region.radius, cfg.grid_points_per_axis)
-    values = f.evaluate_rows(pts)
-    evaluations = len(pts)
-    _check_values(values, pts, f.descriptor)
-
-    finite = np.isfinite(values)
-    if not np.any(finite):
-        raise AllInfinite(
-            f"oracle '{f.descriptor}' is +inf at all {len(pts)} sampled points "
-            f"of the ball around {region.center}"
-        )
-
-    pool_pts = pts[finite]
-    pool_vals = values[finite]
-
-    n_starts = min(cfg.multistart_count, len(pool_vals))
-    if n_starts > 0:
-        order = np.argsort(pool_vals, kind="stable")[:n_starts]
-        spacing = 2.0 * region.radius / (cfg.grid_points_per_axis - 1)
-        # polished points join the pool in start order
-        x, fx, used = _polish(f, pool_pts[order], pool_vals[order], region, spacing, cfg)
-        evaluations += used
-        pool_pts = np.concatenate([pool_pts, x])
-        pool_vals = np.concatenate([pool_vals, fx])
-
-    min_value = float(pool_vals.min())
-    cut = min_value + cfg.minimizer_value_tolerance * (1.0 + abs(min_value))
-    near = pool_pts[pool_vals <= cut]
-
-    order = np.lexsort(near.T[::-1])
-    minimizers: List[np.ndarray] = []
-    for i in order:
-        if minimizers and np.max(np.abs(near[i] - minimizers[-1])) <= 1e-12:
-            continue
-        minimizers.append(near[i])
-    return TiltedSolveResult(tuple(minimizers), min_value, evaluations)
+    return _solve(f, None, region, cfg, f.descriptor)[0]
 
 
 def argmin_tilted(
     f: FunctionOracle, xi, region: BallRegion, cfg: SolverConfig
-) -> TiltedSolveResult:
-    """Minimize the linearly tilted objective ``f(y) - <xi, y>`` over the ball."""
-    xi = as_vector(xi, region.dim)
-    oracle = compose_oracle(f, lambda y: -pairing(xi, y), f"{f.descriptor} - <xi,.>")
-    return argmin_ball(oracle, region, cfg)
+) -> Union[TiltedSolveResult, Tuple[TiltedSolveResult, ...]]:
+    """Minimize the linearly tilted objective ``f(y) - <xi, y>`` over the ball.
+
+    A 0-D or 1-D ``xi`` is one tilt and gives one ``TiltedSolveResult``.  A
+    ``(T, d)`` array is a stack of tilts and gives a tuple of T results, in
+    stack order, each bitwise equal to solving its tilt alone: ``f`` is
+    evaluated on the grid once for the whole stack, and every tilt's
+    multistarts are polished in one lockstep loop.  Each result's
+    ``evaluations`` counts the grid points plus that tilt's own polish
+    candidates.
+    """
+    descriptor = f"{f.descriptor} - <xi,.>"
+    if np.ndim(xi) < 2:
+        return _solve(f, as_vector(xi, region.dim)[None, :], region, cfg, descriptor)[0]
+    tilts = np.array(xi, dtype=float)
+    if tilts.ndim != 2 or tilts.shape[1] != region.dim:
+        raise ValueError(
+            f"expected a (T, {region.dim}) stack of tilts, got shape {tilts.shape}"
+        )
+    if not np.all(np.isfinite(tilts)):
+        raise ValueError("tilt entries must be finite (no NaN/inf)")
+    if len(tilts) == 0:
+        return ()
+    return _solve(f, tilts, region, cfg, descriptor)
 
 
 def argmin_perturbed(

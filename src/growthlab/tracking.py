@@ -105,13 +105,14 @@ def _neg_lap_stencil(x: np.ndarray, n: int) -> np.ndarray:
     is bitwise equal to that matrix's product (``tests/_reference.py``)."""
     h = 1.0 / (n + 1)
     off = -1.0 / h**2
-    x = x.reshape(n, n)
+    ox = off * x.reshape(n, n)
     out = np.zeros((n, n))
-    np.multiply(x[:-1], off, out=out[1:])
-    out[:, 1:] += off * x[:, :-1]
-    out += (4.0 / h**2) * x
-    out[:, :-1] += off * x[:, 1:]
-    out[:-1] += off * x[1:]
+    out[1:] = ox[:-1]
+    out[:, 1:] += ox[:, :-1]
+    # the centre coefficient 4/h^2 is -4 * off exactly (a power-of-two scale)
+    out -= 4.0 * ox
+    out[:, :-1] += ox[:, 1:]
+    out[:-1] += ox[1:]
     return out.ravel()
 
 
@@ -162,7 +163,8 @@ def _pcg_solve(d: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         return (s @ ((s @ r.reshape(n, n) @ s) / lam) @ s).ravel()
 
     x = np.zeros_like(b)
-    bnorm = float(np.linalg.norm(b))
+    # np.linalg.norm of a vector is sqrt(v @ v); the same formula, bitwise
+    bnorm = math.sqrt(float(b @ b))
     if bnorm == 0.0:
         return x
     r = b.copy()
@@ -176,7 +178,7 @@ def _pcg_solve(d: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         step = rz / float(direction @ q)
         x = x + step * direction
         r = r - step * q
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(float(r @ r))
         if not math.isfinite(rnorm):
             raise LinearSolveFailure("conjugate gradients produced a non-finite residual")
         if rnorm <= CG_RTOL * bnorm:

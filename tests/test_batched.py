@@ -10,17 +10,23 @@ reductions replace per-row ``np.dot``/``np.linalg.norm`` or a batched
 formula replaces a scalar one, results may differ in the last ulp, so the
 comparison is by value tolerance and by near-optimality of each path's
 minimizers under the other's cut.
+
+A stack of tilts is solved in one call; each of its results must be bitwise
+equal to solving that tilt alone, whatever the stack's order and whatever
+other tilts share it.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from growthlab.catalog import boxquad_oracle, halfpower_oracle, maxsq2d_oracle, power_oracle
 from growthlab.core import BallRegion, ExponentPair, FunctionOracle, pairing
-from growthlab.diagnostics import _tilt_samples, run_diagnostics
+from growthlab.diagnostics import _tilt_samples, run_diagnostics, sample_subdifferential_graph
 from growthlab.minimize import (
+    AllInfinite,
     NonFiniteValue,
     SolverConfig,
     argmin_perturbed,
@@ -193,9 +199,12 @@ class TestScalarOracles1D:
         f = SCALAR_1D[name]
         radius, cfg = CONFIGS[cfg_id]
         region = BallRegion(np.zeros(1), radius)
-        for t in TILTS_1D:
-            new = argmin_tilted(f, [t], region, cfg)
-            _assert_bitwise(new, ref_argmin_ball(ref_tilted(f, [t]), region, cfg))
+        stacked = argmin_tilted(f, [[t] for t in TILTS_1D], region, cfg)
+        assert len(stacked) == len(TILTS_1D)
+        for t, in_stack in zip(TILTS_1D, stacked):
+            ref = ref_argmin_ball(ref_tilted(f, [t]), region, cfg)
+            _assert_bitwise(argmin_tilted(f, [t], region, cfg), ref)
+            _assert_bitwise(in_stack, ref)
 
     @pytest.mark.parametrize("cfg_id", sorted(CONFIGS))
     @pytest.mark.parametrize("gname", sorted(PERTURBATIONS_1D))
@@ -224,10 +233,12 @@ class TestBatchedOracles1D:
         f = BATCHED_1D[name]
         region = BallRegion(np.zeros(1), 1.0)
         cfg = SolverConfig(grid_points_per_axis=201)
-        for t in TILTS_1D:
+        stacked = argmin_tilted(f, [[t] for t in TILTS_1D], region, cfg)
+        for t, in_stack in zip(TILTS_1D, stacked):
             objective = ref_tilted(f, [t])
-            new = argmin_tilted(f, [t], region, cfg)
-            _assert_equivalent(new, ref_argmin_ball(objective, region, cfg), objective, cfg)
+            ref = ref_argmin_ball(objective, region, cfg)
+            _assert_equivalent(argmin_tilted(f, [t], region, cfg), ref, objective, cfg)
+            _assert_equivalent(in_stack, ref, objective, cfg)
 
     @pytest.mark.parametrize("gname", sorted(PERTURBATIONS_1D))
     def test_perturbed_equivalent(self, gname):
@@ -261,13 +272,13 @@ class TestOracles2D:
         f = ORACLES_2D[name]
         region = BallRegion(np.zeros(2), 1.0)
         cfg = SolverConfig(grid_points_per_axis=41)
-        for nrm in (0.5, 2.0):
-            for a in ANGLES_2D:
-                xi = nrm * np.array([np.cos(a), np.sin(a)])
-                objective = ref_tilted(f, xi)
-                new = argmin_tilted(f, xi, region, cfg)
-                ref = ref_argmin_ball(objective, region, cfg)
-                _assert_equivalent(new, ref, objective, cfg)
+        tilts = [nrm * np.array([np.cos(a), np.sin(a)]) for nrm in (0.5, 2.0) for a in ANGLES_2D]
+        stacked = argmin_tilted(f, np.array(tilts), region, cfg)
+        for xi, in_stack in zip(tilts, stacked):
+            objective = ref_tilted(f, xi)
+            ref = ref_argmin_ball(objective, region, cfg)
+            _assert_equivalent(argmin_tilted(f, xi, region, cfg), ref, objective, cfg)
+            _assert_equivalent(in_stack, ref, objective, cfg)
 
     def test_perturbed_equivalent_at_radius_ten(self):
         f = maxsq2d_oracle()
@@ -347,3 +358,107 @@ class TestErrorContract:
         )
         with pytest.raises(ValueError):
             argmin_tilted(f, [0.1], BallRegion(np.zeros(1), 1.0), SolverConfig(grid_points_per_axis=11))
+
+    @pytest.mark.parametrize("bad", (math.nan, -math.inf))
+    def test_stack_names_the_value(self, bad):
+        region = BallRegion(np.zeros(1), 1.0)
+        cfg = SolverConfig(grid_points_per_axis=101)
+        tilts = [[0.3], [-0.2], [0.0]]
+        f = FunctionOracle.from_batch(
+            lambda x: np.where(x[:, 0] > 0.5, bad, x[:, 0] ** 2), "bad-batch"
+        )
+        with pytest.raises(NonFiniteValue, match=str(bad)):
+            argmin_tilted(f, tilts, region, cfg)
+        with pytest.raises(NonFiniteValue, match=str(bad)):
+            argmin_tilted(FunctionOracle(self._off_grid(bad), "offgrid"), tilts, region, cfg)
+
+    def test_stack_all_infinite(self):
+        f = FunctionOracle.from_batch(lambda x: np.full(len(x), math.inf), "nowhere")
+        with pytest.raises(AllInfinite):
+            argmin_tilted(f, [[0.5], [1.0]], BallRegion(np.zeros(1), 1.0), SolverConfig(grid_points_per_axis=11))
+
+    @pytest.mark.parametrize(
+        "tilts",
+        (
+            np.zeros((2, 2)),  # wrong dimension
+            np.array([[0.5], [math.nan]]),
+            np.array([[0.5], [math.inf]]),
+            np.zeros((2, 1, 1)),
+        ),
+    )
+    def test_bad_stack_rejected(self, tilts):
+        with pytest.raises(ValueError):
+            argmin_tilted(power_oracle(2.0), tilts, BallRegion(np.zeros(1), 1.0), SolverConfig(grid_points_per_axis=11))
+
+    def test_empty_stack(self):
+        def never(x):
+            raise AssertionError("an empty stack evaluates nothing")
+
+        f, region = FunctionOracle(never, "never"), BallRegion(np.zeros(1), 1.0)
+        cfg = SolverConfig(grid_points_per_axis=11)
+        assert argmin_tilted(f, np.zeros((0, 1)), region, cfg) == ()
+        assert sample_subdifferential_graph(f, region, [], cfg) == ()
+
+    def test_no_multistarts(self):
+        f, region = maxsq2d_oracle(), BallRegion(np.zeros(2), 1.0)
+        cfg = SolverConfig(grid_points_per_axis=21, multistart_count=0)
+        tilts = np.array([[0.5, 0.0], [0.0, -1.0], [0.3, 0.3]])
+        for xi, new in zip(tilts, argmin_tilted(f, tilts, region, cfg)):
+            _assert_same(new, argmin_tilted(f, xi, region, cfg))
+            assert new.evaluations == len(ball_grid(region, 21))
+
+
+# ---------------------------------------------------------------------------
+# Stacked tilts against one tilt at a time
+
+
+def _assert_same(new, alone):
+    _assert_bitwise(new, (alone.minimizers, alone.min_value, alone.evaluations))
+
+
+STACK_ORACLES = {
+    1: {
+        "power1.5": power_oracle(1.5),
+        "halfpower3": halfpower_oracle(3.0),
+        "boxquad": boxquad_oracle(0.8),
+        "wiggle": SCALAR_1D["wiggle"],
+    },
+    2: {"maxsq2d": maxsq2d_oracle(), "bowl": ORACLES_2D["bowl"]},
+}
+STACK_CFG = {
+    1: SolverConfig(grid_points_per_axis=101, multistart_count=3),
+    2: SolverConfig(grid_points_per_axis=21, multistart_count=3),
+}
+
+
+@st.composite
+def tilt_stacks(draw):
+    """(dim, oracle name, stack, permutation): a stack of 1-12 tilts that
+    holds a zero tilt and a repeated tilt."""
+    dim = draw(st.sampled_from((1, 2)))
+    name = draw(st.sampled_from(sorted(STACK_ORACLES[dim])))
+    tilt = st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=dim, max_size=dim)
+    tilts = draw(st.lists(tilt, min_size=0, max_size=10))
+    tilts.insert(draw(st.integers(0, len(tilts))), [0.0] * dim)
+    tilts.insert(draw(st.integers(0, len(tilts))), tilts[draw(st.integers(0, len(tilts) - 1))])
+    order = draw(st.permutations(range(len(tilts))))
+    return dim, name, np.array(tilts), np.array(order)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tilt_stacks())
+def test_stack_equals_one_tilt_at_a_time(case):
+    dim, name, tilts, order = case
+    f, cfg = STACK_ORACLES[dim][name], STACK_CFG[dim]
+    region = BallRegion(np.zeros(dim), 1.0)
+    alone = [argmin_tilted(f, xi, region, cfg) for xi in tilts]
+    stacked = argmin_tilted(f, tilts, region, cfg)
+    assert len(stacked) == len(tilts)
+    for a, b in zip(stacked, alone):
+        _assert_same(a, b)
+    # another order, and the stack split in two: other company, same results
+    for k, a in zip(order, argmin_tilted(f, tilts[order], region, cfg)):
+        _assert_same(a, alone[k])
+    half = len(tilts) // 2
+    for a, b in zip(argmin_tilted(f, tilts[order[:half]], region, cfg), order[:half]):
+        _assert_same(a, alone[b])

@@ -178,7 +178,8 @@ class TestSharedTiltedSolves:
         calls = []
 
         def counting(f_, xi, region_, cfg_):
-            calls.append(np.asarray(xi, dtype=float).tobytes())
+            # one stacked call: each row of the stack is one tilted solve
+            calls.extend(row.tobytes() for row in np.asarray(xi, dtype=float))
             return argmin_tilted(f_, xi, region_, cfg_)
 
         monkeypatch.setattr(diagnostics, "argmin_tilted", counting)
