@@ -17,7 +17,6 @@ from .core import (
     duality_map,
     indicator,
     pairing,
-    tilted_value,
 )
 from .minimize import (
     AllInfinite,

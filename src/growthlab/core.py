@@ -22,10 +22,13 @@ __all__ = [
     "FunctionOracle",
     "as_vector",
     "pairing",
-    "tilted_value",
     "duality_map",
     "indicator",
 ]
+
+
+# Absolute slack on the radius in closed-ball membership tests.
+CONTAINS_SLACK = 1e-12
 
 
 class GrowthLabError(Exception):
@@ -83,14 +86,11 @@ class BallRegion:
     def dim(self) -> int:
         return self.center.size
 
-    def contains(self, x, slack: float = 1e-12) -> bool:
-        """Closed-ball membership with absolute ``slack`` on the radius."""
+    def contains(self, x) -> bool:
+        """Closed-ball membership with absolute ``CONTAINS_SLACK`` on the
+        radius."""
         x = as_vector(x, self.dim)
-        return bool(np.linalg.norm(x - self.center) <= self.radius + slack)
-
-    def project(self, x) -> np.ndarray:
-        """Radial projection of ``x`` onto the closed ball."""
-        return self.project_rows(as_vector(x, self.dim)[None, :])[0]
+        return bool(np.linalg.norm(x - self.center) <= self.radius + CONTAINS_SLACK)
 
     def project_rows(self, points: np.ndarray) -> np.ndarray:
         """Radial projection of each row of a finite ``(m, d)`` array onto
@@ -178,17 +178,6 @@ def pairing(xi, x) -> Union[float, np.ndarray]:
         return rows @ xi
     x = as_vector(x, xi.size)
     return float(np.dot(xi, x))
-
-
-def tilted_value(f: FunctionOracle, xi, x) -> float:
-    """Value of the linearly tilted objective ``f(x) - <xi, x>``.
-
-    A ``+inf`` objective value propagates regardless of the tilt.
-    """
-    fx = f(x)
-    if math.isinf(fx):
-        return fx
-    return fx - pairing(xi, x)
 
 
 def duality_map(x, p: float) -> np.ndarray:

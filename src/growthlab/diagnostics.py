@@ -10,9 +10,9 @@ over-estimated (a finite grid can only miss bad points), the other two are
 under-estimated (a finite tilt sample can only miss bad witnesses).  Audits
 therefore carry a configurable multiplicative slack factor.
 
-Tilted problems are solved one after another in a fixed order and reduced
-deterministically; ``run_diagnostics`` solves each sampled tilt once and
-hands the solves to both tilt-based estimators.
+A tilt sample is solved as one stacked ``argmin_tilted`` call (one grid
+scan, one lockstep polish); ``run_diagnostics`` makes that call once and
+both tilt-based estimators reduce over its results in sample order.
 """
 
 from __future__ import annotations
@@ -78,6 +78,8 @@ DEFAULT_SLACK_FACTOR = 1.10
 
 DEFAULT_SLOPE_RADII = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_SLOPE_DIRECTIONS = 64
+# Seed of the probe directions of ``metric_slope``.
+SLOPE_SEED = 0
 
 # Probe inequalities are quantified over exact minimizers; numerical ones
 # carry solver wobble, absorbed by this absolute distance allowance.
@@ -488,7 +490,6 @@ def metric_slope(
     x,
     probe_radii: Sequence[float] = DEFAULT_SLOPE_RADII,
     directions: int = DEFAULT_SLOPE_DIRECTIONS,
-    seed: int = 0,
 ) -> SlopeEstimate:
     """Normalized maximal descent of ``phi`` near ``x``, probed on shrinking
     spheres.
@@ -507,7 +508,7 @@ def metric_slope(
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("probe_radii must be strictly decreasing")
 
-    dirs = unit_directions(x.size, directions, seed=seed)
+    dirs = unit_directions(x.size, directions, seed=SLOPE_SEED)
     per_radius: List[Tuple[float, float]] = []
     for r in radii:
         best = 0.0
@@ -582,14 +583,12 @@ def convex_probe(
     lam: float,
     kappa: float,
     cfg: SolverConfig,
-    slope_radii: Sequence[float] = DEFAULT_SLOPE_RADII,
-    slope_directions: int = DEFAULT_SLOPE_DIRECTIONS,
 ) -> ProbeResult:
     """Check that minimizers of ``f + phi`` (``phi`` convex by declaration)
     stay within ``kappa * slope^lam`` of the base point, where ``slope`` is
     the local descent slope of ``phi`` there."""
     xbar = _require_centered(xbar, region)
-    slope = metric_slope(phi, xbar, slope_radii, slope_directions).value
+    slope = metric_slope(phi, xbar).value
     if math.isinf(slope):
         raise SlopeInfinite(
             f"base point is outside the domain of '{phi.descriptor}'"

@@ -39,6 +39,10 @@ MAX_GRID_DIM = 4
 # Closed-ball membership slack, absorbs rounding at the boundary.
 BALL_SLACK = 1e-12
 
+# Polish: sweep cap per start, and the step length below which a start stops.
+POLISH_MAX_ITERS = 200
+POLISH_STEP_TOLERANCE = 1e-10
+
 
 class AllInfinite(GrowthLabError):
     """The oracle returned +inf at every sampled point of the region."""
@@ -54,8 +58,6 @@ class SolverConfig:
 
     grid_points_per_axis: int = 201
     multistart_count: int = 8
-    polish_max_iters: int = 200
-    polish_step_tolerance: float = 1e-10
     minimizer_value_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -63,10 +65,11 @@ class SolverConfig:
             raise ValueError("grid_points_per_axis must be >= 3")
         if self.multistart_count < 0:
             raise ValueError("multistart_count must be >= 0")
-        for name in ("polish_step_tolerance", "minimizer_value_tolerance"):
-            val = getattr(self, name)
-            if not (val > 0.0 and math.isfinite(val)):
-                raise ValueError(f"{name} must be positive and finite, got {val}")
+        tol = self.minimizer_value_tolerance
+        if not (tol > 0.0 and math.isfinite(tol)):
+            raise ValueError(
+                f"minimizer_value_tolerance must be positive and finite, got {tol}"
+            )
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,6 @@ def _polish(
     tilts: Optional[np.ndarray],
     region: BallRegion,
     step0: float,
-    cfg: SolverConfig,
     descriptor: str,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projected coordinate descent with shrinking steps from each row of
@@ -184,7 +186,7 @@ def _polish(
     would follow alone: at every coordinate the ``+step`` candidate is tried
     before the ``-step`` one and a candidate is taken only if strictly
     better; after a sweep without improvement the start's step halves, and
-    the start stops once its step falls below the tolerance.  The
+    the start stops once its step falls below ``POLISH_STEP_TOLERANCE``.  The
     candidates of all running starts at one coordinate are evaluated in one
     batch, and each tilt's term is added over its own contiguous candidate
     rows.  Returns the polished points and values and the number of
@@ -194,8 +196,8 @@ def _polish(
     fx = np.array(start_values, dtype=float)
     step = np.full(len(x), float(step0))
     running = np.ones(len(x), dtype=bool)
-    sweeps = np.full(len(x), cfg.polish_max_iters)
-    for sweep in range(cfg.polish_max_iters):
+    sweeps = np.full(len(x), POLISH_MAX_ITERS)
+    for sweep in range(POLISH_MAX_ITERS):
         idx = np.flatnonzero(running)
         if idx.size == 0:
             break
@@ -228,7 +230,7 @@ def _polish(
                 improved |= take
         stalled = idx[~improved]
         step[stalled] *= 0.5
-        done = stalled[step[stalled] < cfg.polish_step_tolerance]
+        done = stalled[step[stalled] < POLISH_STEP_TOLERANCE]
         if done.size:
             running[done] = False
             sweeps[done] = sweep + 1
@@ -282,7 +284,7 @@ def _solve(
     spacing = 2.0 * region.radius / (cfg.grid_points_per_axis - 1)
     x, fx, used = _polish(
         f, np.concatenate(starts), np.concatenate(start_values), offsets, tilts,
-        region, spacing, cfg, descriptor,
+        region, spacing, descriptor,
     )
 
     results = []

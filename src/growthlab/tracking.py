@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +58,15 @@ NEWTON_MAX_ITERS = 50
 NEWTON_MAX_HALVINGS = 30
 # Relative residual at which the preconditioned CG iteration stops.
 CG_RTOL = 1e-15
+# Control solve: Armijo sufficient-decrease factor, first step length,
+# bounds on the Barzilai-Borwein step length, and backtracking cap.
+SPG_ARMIJO = 1e-4
+SPG_STEP_INIT = 1.0
+SPG_STEP_MIN = 1e-3
+SPG_STEP_MAX = 1e12
+SPG_MAX_HALVINGS = 60
+# Sweep perturbations combine SWEEP_MODES x SWEEP_MODES low-frequency sines.
+SWEEP_MODES = 4
 
 
 class NewtonDivergence(GrowthLabError):
@@ -322,20 +331,12 @@ class DescentConfig:
 
     tol: float = 1e-8
     max_iters: int = 5000
-    armijo: float = 1e-4
-    memory: int = 1
-    step_init: float = 1.0
-    step_min: float = 1e-3
-    step_max: float = 1e12
-    max_halvings: int = 60
 
     def __post_init__(self) -> None:
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (0.0 < self.armijo < 1.0):
-            raise ValueError("armijo must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -345,7 +346,7 @@ class TrackingResult:
     ``converged`` is False when the iteration cap was reached; the result
     is still returned with its measured first-order residual.
     ``objective_history`` holds the objective at every accepted iterate,
-    which with the default monotone line search is non-increasing.
+    which the monotone line search keeps non-increasing.
     """
 
     control: np.ndarray
@@ -355,7 +356,7 @@ class TrackingResult:
     first_order_residual: float
     iterations: int
     converged: bool
-    objective_history: Tuple[float, ...] = ()
+    objective_history: Tuple[float, ...]
 
 
 def solve_tracking(
@@ -369,8 +370,8 @@ def solve_tracking(
     """Projected-gradient solve of the box-constrained tracking problem.
 
     The update is ``u+ = clip(u - s * p_u, [alpha, beta])`` with a spectral
-    (Barzilai-Borwein) step length and nonmonotone Armijo backtracking on
-    the objective.  Terminates when the projected-gradient norm
+    (Barzilai-Borwein) step length and monotone Armijo backtracking on the
+    objective.  Terminates when the projected-gradient norm
     ``|u - clip(u - p_u)|_{L2}`` falls below ``cfg.tol`` or at the
     iteration cap, whichever comes first.
     """
@@ -386,9 +387,8 @@ def solve_tracking(
     y = solve_state(u, grid)
     jval = 0.5 * l2_norm(y - y_d, grid) ** 2
     p = solve_adjoint(y, y_d, grid)
-    recent: List[float] = [jval]
     history: List[float] = [jval]
-    step = cfg.step_init
+    step = SPG_STEP_INIT
     prev_u: Optional[np.ndarray] = None
     prev_p: Optional[np.ndarray] = None
 
@@ -405,21 +405,20 @@ def solve_tracking(
             dg = p - prev_p
             den = l2_inner(du, dg, grid)
             if den > 0.0:
-                step = min(max(l2_inner(du, du, grid) / den, cfg.step_min), cfg.step_max)
+                step = min(max(l2_inner(du, du, grid) / den, SPG_STEP_MIN), SPG_STEP_MAX)
             else:
-                step = cfg.step_max
+                step = SPG_STEP_MAX
 
-        j_ref = max(recent)
         accepted = False
         t = 1.0
-        for _ in range(cfg.max_halvings):
+        for _ in range(SPG_MAX_HALVINGS):
             u_try = np.clip(u - t * step * p, alpha, beta)
             move = u_try - u
             if l2_norm(move, grid) == 0.0:
                 break
             y_try = solve_state(u_try, grid, y0=y)
             j_try = 0.5 * l2_norm(y_try - y_d, grid) ** 2
-            if j_try <= j_ref + cfg.armijo * l2_inner(p, move, grid):
+            if j_try <= jval + SPG_ARMIJO * l2_inner(p, move, grid):
                 accepted = True
                 break
             t *= 0.5
@@ -429,10 +428,7 @@ def solve_tracking(
         prev_u, prev_p = u, p
         u, y, jval = u_try, y_try, j_try
         p = solve_adjoint(y, y_d, grid)
-        recent.append(jval)
         history.append(jval)
-        if len(recent) > cfg.memory:
-            recent.pop(0)
 
     residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
     return TrackingResult(
@@ -540,7 +536,7 @@ class SweepReport:
 
     samples: Tuple[SweepSample, ...]
     kappa_hat: float
-    label: str = "stationary-point sensitivity"
+    label: ClassVar[str] = "stationary-point sensitivity"
 
     def ratios(self) -> List[float]:
         return [s.ratio for s in self.samples if math.isfinite(s.ratio)]
@@ -556,14 +552,14 @@ def perturbation_sweep(
     etas_per_norm: int,
     cfg: DescentConfig = DescentConfig(),
     seed: int = 0,
-    modes: int = 4,
 ) -> SweepReport:
     """Re-solve the tracking problem for randomly perturbed targets.
 
-    Perturbations are low-frequency random sine combinations (``modes`` x
-    ``modes`` with standard normal coefficients) rescaled to each requested
-    norm; each perturbed problem is warm-started from the unperturbed
-    control.  Per-sample solver failures are recorded, not fatal.
+    Perturbations are low-frequency random sine combinations
+    (``SWEEP_MODES`` x ``SWEEP_MODES`` with standard normal coefficients)
+    rescaled to each requested norm; each perturbed problem is warm-started
+    from the unperturbed control.  Per-sample solver failures are recorded,
+    not fatal.
     """
     if etas_per_norm < 1:
         raise ValueError("etas_per_norm must be >= 1")
@@ -572,7 +568,7 @@ def perturbation_sweep(
 
     def run_sample(j: int, i: int, target: float) -> SweepSample:
         rng = np.random.default_rng([seed, j, i])
-        eta = sine_combination(grid, rng.standard_normal((modes, modes)))
+        eta = sine_combination(grid, rng.standard_normal((SWEEP_MODES, SWEEP_MODES)))
         nrm = l2_norm(eta, grid)
         if not (target > 0.0) or nrm == 0.0:
             return SweepSample(float(target), i, math.nan, False, 0,

@@ -26,6 +26,8 @@ from growthlab.catalog import boxquad_oracle, halfpower_oracle, maxsq2d_oracle, 
 from growthlab.core import BallRegion, ExponentPair, FunctionOracle, pairing
 from growthlab.diagnostics import _tilt_samples, run_diagnostics, sample_subdifferential_graph
 from growthlab.minimize import (
+    POLISH_MAX_ITERS,
+    POLISH_STEP_TOLERANCE,
     AllInfinite,
     NonFiniteValue,
     SolverConfig,
@@ -46,12 +48,12 @@ def _ref_project(region, x):
     return region.center + offset * (region.radius / nrm)
 
 
-def _ref_polish(evaluate, start, start_value, region, step0, cfg):
+def _ref_polish(evaluate, start, start_value, region, step0):
     x = start.copy()
     fx = start_value
     step = step0
     evals = 0
-    for _ in range(cfg.polish_max_iters):
+    for _ in range(POLISH_MAX_ITERS):
         improved = False
         for i in range(x.size):
             best_cand, best_val = None, fx
@@ -70,7 +72,7 @@ def _ref_polish(evaluate, start, start_value, region, step0, cfg):
                 improved = True
         if not improved:
             step *= 0.5
-            if step < cfg.polish_step_tolerance:
+            if step < POLISH_STEP_TOLERANCE:
                 break
     return x, fx, evals
 
@@ -91,7 +93,7 @@ def ref_argmin_ball(evaluate, region, cfg):
         spacing = 2.0 * region.radius / (cfg.grid_points_per_axis - 1)
         for idx in order:
             x, fx, used = _ref_polish(
-                evaluate, pool_pts[idx], pool_vals[idx], region, spacing, cfg
+                evaluate, pool_pts[idx], pool_vals[idx], region, spacing
             )
             evaluations += used
             pool_pts.append(x)

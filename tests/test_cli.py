@@ -215,6 +215,26 @@ class TestConfigResolution:
         assert "no_such_key" in err
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (["tracking", "--tol", "0"], "tol must be positive and finite"),
+            (["tracking", "--tol", "nan"], "tol must be positive and finite"),
+            (["tracking", "--max-iters", "0"], "max_iters must be >= 1"),
+            (["diagnose", "--multistart", "-1"], "multistart_count must be >= 0"),
+        ),
+    )
+    def test_invalid_solver_setting_exits_one_without_files(
+        self, argv, message, tmp_path, capsys
+    ):
+        out = tmp_path / "v"
+        code, _, err = run(argv + ["--out", str(out)], capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestArgumentParsing:
     def test_negative_list_value_is_accepted(self, tmp_path, capsys):
         out = tmp_path / "p"

@@ -14,10 +14,7 @@ from growthlab.core import (
     duality_map,
     indicator,
     pairing,
-    tilted_value,
 )
-
-SQUARE = FunctionOracle(lambda x: float(x[0] ** 2), "square")
 
 
 def finite_vectors(max_dim=4):
@@ -60,24 +57,6 @@ class TestPairing:
             pairing([1.0, 2.0], np.array([[1.0, math.nan]]))
 
 
-class TestTiltedValue:
-    def test_quadratic_with_unit_tilt(self):
-        assert tilted_value(SQUARE, [1.0], [1.0]) == 0.0
-
-    def test_no_tilt(self):
-        assert tilted_value(SQUARE, [0.0], [2.0]) == 4.0
-
-    def test_indicator_propagates(self):
-        f = FunctionOracle(indicator(lambda x: x[0] >= 0.0), "halfline")
-        assert tilted_value(f, [3.0], [-1.0]) == math.inf
-
-    @given(finite_vectors())
-    def test_zero_tilt_is_identity(self, coords):
-        f = FunctionOracle(lambda x: float(np.sum(x * x)), "sumsq")
-        x = np.asarray(coords)
-        assert tilted_value(f, np.zeros_like(x), x) == f(x)
-
-
 class TestDualityMap:
     def test_identity_at_p_two(self):
         np.testing.assert_array_equal(duality_map([3.0, 4.0], 2.0), [3.0, 4.0])
@@ -118,7 +97,7 @@ class TestTypes:
         region = BallRegion(np.zeros(2), 2.0)
         assert region.contains([2.0, 0.0])
         assert not region.contains([2.0, 1.0])
-        np.testing.assert_allclose(region.project([4.0, 0.0]), [2.0, 0.0])
+        np.testing.assert_allclose(region.project_rows(np.array([[4.0, 0.0]])), [[2.0, 0.0]])
 
     def test_vector_validation(self):
         with pytest.raises(ValueError):
