@@ -5,6 +5,10 @@ Everything lives in finite-dimensional Euclidean space with the 2-norm.
 ``+inf`` is the one and only encoding of "outside the domain"; oracles never
 use large sentinel floats, so indicator functions compose safely with
 comparisons.
+
+Pairings and vector norms are summed coordinate by coordinate in
+elementwise numpy operations, never in a BLAS product, so a value does not
+depend on the BLAS kernel or on the rows that share its batch.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ class BallRegion:
         """Closed-ball membership with absolute ``CONTAINS_SLACK`` on the
         radius."""
         x = as_vector(x, self.dim)
-        return bool(np.linalg.norm(x - self.center) <= self.radius + CONTAINS_SLACK)
+        return bool(_norm(x - self.center) <= self.radius + CONTAINS_SLACK)
 
     def project_rows(self, points: np.ndarray) -> np.ndarray:
         """Radial projection of each row of a finite ``(m, d)`` array onto
@@ -162,11 +166,34 @@ class FunctionOracle:
         return values
 
 
+def _pair_rows(points: np.ndarray, tilts: np.ndarray) -> np.ndarray:
+    """Pairings of the rows of an ``(m, d)`` array with one ``(d,)`` tilt,
+    or with an ``(m, d)`` array holding one tilt per row, as ``(m,)`` values.
+
+    The sum runs coordinate by coordinate in elementwise operations, which
+    round each row alike wherever it sits in the array and whatever BLAS
+    kernel is loaded; a matrix product does neither.
+    """
+    acc = points[:, 0] * tilts[..., 0]
+    for j in range(1, points.shape[1]):
+        acc = acc + points[:, j] * tilts[..., j]
+    return acc
+
+
+def _norm(x) -> float:
+    """Euclidean norm of a vector, ``sqrt(sum(x*x))``: bitwise the norm
+    ``np.linalg.norm(rows, axis=1)`` gives that vector as a row, and free of
+    BLAS."""
+    x = np.asarray(x, dtype=float)
+    return math.sqrt(float(np.sum(x * x)))
+
+
 def pairing(xi, x) -> Union[float, np.ndarray]:
     """Dual pairing of a tilt with a point: the Euclidean dot product.
 
     ``x`` may also be an ``(m, d)`` array of points; the result is then the
-    ``(m,)`` array of the pairings with its rows.
+    ``(m,)`` array of the pairings with its rows, each bitwise equal to
+    pairing that row alone.
     """
     xi = as_vector(xi)
     if np.ndim(x) == 2:
@@ -175,9 +202,9 @@ def pairing(xi, x) -> Union[float, np.ndarray]:
             raise ValueError(f"dimension mismatch: expected {xi.size}, got {rows.shape[1]}")
         if not np.all(np.isfinite(rows)):
             raise ValueError("vector entries must be finite (no NaN/inf)")
-        return rows @ xi
+        return _pair_rows(rows, xi)
     x = as_vector(x, xi.size)
-    return float(np.dot(xi, x))
+    return float(_pair_rows(x[None, :], xi)[0])
 
 
 def duality_map(x, p: float) -> np.ndarray:
@@ -189,7 +216,7 @@ def duality_map(x, p: float) -> np.ndarray:
     if not (p >= 1.0 and math.isfinite(p)):
         raise ValueError(f"p must be finite and >= 1, got {p}")
     x = as_vector(x)
-    nrm = float(np.linalg.norm(x))
+    nrm = _norm(x)
     if nrm == 0.0:
         return np.zeros_like(x)
     return nrm ** (p - 2.0) * x

@@ -28,6 +28,7 @@ from .core import (
     ExponentPair,
     FunctionOracle,
     GrowthLabError,
+    _norm,
     as_vector,
 )
 from .minimize import (
@@ -245,9 +246,9 @@ def unit_directions(dim: int, count: int, seed=0) -> np.ndarray:
     out = np.empty((count, dim))
     for i in range(count):
         v = rng.standard_normal(dim)
-        while np.linalg.norm(v) < 1e-12:
+        while _norm(v) < 1e-12:
             v = rng.standard_normal(dim)
-        out[i] = v / np.linalg.norm(v)
+        out[i] = v / _norm(v)
     return out
 
 
@@ -327,6 +328,8 @@ def _tilt_samples(
     """Deterministic tilt sample: each norm times a fresh direction set."""
     if directions_per_norm < 1:
         raise ValueError("directions_per_norm must be >= 1")
+    if len(tilt_norms) == 0:
+        raise ValueError("tilt_norms must not be empty")
     tilts: List[np.ndarray] = []
     for j, nrm in enumerate(tilt_norms):
         if not (nrm > 0.0 and math.isfinite(nrm)):
@@ -362,9 +365,9 @@ def estimate_tilt_constant(
     worst_tilt = np.zeros(region.dim)
     worst_min = xbar.copy()
     for xi, result in zip(tilts, solves):
-        denom = float(np.linalg.norm(xi)) ** (pq.q / pq.p)
+        denom = _norm(xi) ** (pq.q / pq.p)
         for x in result.minimizers:
-            ratio = float(np.linalg.norm(x - xbar)) / denom
+            ratio = _norm(x - xbar) / denom
             if ratio > kappa_hat:
                 kappa_hat, worst_tilt, worst_min = ratio, xi, x
     return TiltEstimate(kappa_hat, worst_tilt, worst_min)
@@ -395,7 +398,7 @@ def estimate_loja_constant(
     mu_hat = 0.0
     worst_tilt = np.zeros(region.dim)
     for xi, result in zip(tilts, solves):
-        denom = float(np.linalg.norm(xi)) ** pq.q
+        denom = _norm(xi) ** pq.q
         for x in result.minimizers:
             ratio = (f(x) - fbar) / denom
             if ratio > mu_hat:
@@ -544,7 +547,7 @@ def _probe_distances(
     result = argmin_perturbed(f, perturbation, region, cfg)
     worst, witness = -1.0, xbar
     for x in result.minimizers:
-        d = float(np.linalg.norm(x - xbar))
+        d = _norm(x - xbar)
         if d > worst:
             worst, witness = d, x
     return worst, witness
@@ -641,7 +644,7 @@ def _group_min_tilt_norm(
     grouped: dict = {}
     for x, xi in pairs:
         key = tuple(np.round(np.asarray(x, dtype=float), 10))
-        nrm = float(np.linalg.norm(xi))
+        nrm = _norm(xi)
         if key not in grouped or nrm < grouped[key][1]:
             grouped[key] = (np.asarray(x, dtype=float), nrm)
     return list(grouped.values())
@@ -660,7 +663,7 @@ def check_subregularity(
     worst: Optional[float] = None
     wit_pt, wit_nrm = None, None
     for x, d in _group_min_tilt_norm(pairs):
-        lhs = float(np.linalg.norm(x - xbar))
+        lhs = _norm(x - xbar)
         if lhs <= BASE_POINT_EXCLUSION:
             continue
         ratio = lhs / d ** (pq.q / pq.p) if d > 0.0 else math.inf
@@ -688,7 +691,7 @@ def check_global_loja(
     if not math.isfinite(fbar):
         raise ValueError("objective must be finite at the base point")
     zero_norm = TILT_ROUNDING_RTOL * max(
-        (float(np.linalg.norm(xi)) for _, xi in pairs), default=0.0
+        (_norm(xi) for _, xi in pairs), default=0.0
     )
     worst: Optional[float] = None
     wit_pt, wit_nrm = None, None

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import BallRegion, FunctionOracle, GrowthLabError, as_vector, pairing
+from .core import BallRegion, FunctionOracle, GrowthLabError, _pair_rows, as_vector, pairing
 
 __all__ = [
     "MAX_GRID_DIM",
@@ -152,27 +152,10 @@ def compose_oracle(
     return FunctionOracle.from_batch(batch, descriptor)
 
 
-def _subtract_tilt(values: np.ndarray, points: np.ndarray, xi: np.ndarray) -> None:
-    """``values - <xi, row>`` in place on the rows where ``values`` is below
-    ``+inf``: the arithmetic of ``core.pairing`` on rows, without its checks.
-
-    The products are taken over the live rows as one matrix, as the
-    one-tilt solve takes them, because a matrix-vector product may round a
-    row differently at another position.
-    """
-    live = values != math.inf
-    n_live = np.count_nonzero(live)
-    if n_live == len(values):
-        values -= points @ xi
-    elif n_live:
-        values[live] -= points[live] @ xi
-
-
 def _polish(
     f: FunctionOracle,
     starts: np.ndarray,
     start_values: np.ndarray,
-    offsets: List[int],
     tilts: Optional[np.ndarray],
     region: BallRegion,
     step0: float,
@@ -181,16 +164,16 @@ def _polish(
     """Projected coordinate descent with shrinking steps from each row of
     ``starts``, all starts advanced in lockstep.
 
-    The starts ``offsets[t]:offsets[t + 1]`` minimize ``f - <tilts[t], .>``,
-    or ``f`` when ``tilts`` is None.  Each start follows the trajectory it
-    would follow alone: at every coordinate the ``+step`` candidate is tried
-    before the ``-step`` one and a candidate is taken only if strictly
-    better; after a sweep without improvement the start's step halves, and
-    the start stops once its step falls below ``POLISH_STEP_TOLERANCE``.  The
-    candidates of all running starts at one coordinate are evaluated in one
-    batch, and each tilt's term is added over its own contiguous candidate
-    rows.  Returns the polished points and values and the number of
-    candidates each start evaluated.
+    Start ``k`` minimizes ``f - <tilts[k], .>``, or ``f`` when ``tilts`` is
+    None.  Each start follows the trajectory it would follow alone: at every
+    coordinate the ``+step`` candidate is tried before the ``-step`` one and
+    a candidate is taken only if strictly better; after a sweep without
+    improvement the start's step halves, and the start stops once its step
+    falls below ``POLISH_STEP_TOLERANCE``.  The candidates of all running
+    starts at one coordinate are evaluated in one batch, and their tilt
+    terms are subtracted in one elementwise pairing, which rounds each
+    candidate alike whatever rows share the batch.  Returns the polished
+    points and values and the number of candidates each start evaluated.
     """
     x = np.array(starts, dtype=float)
     fx = np.array(start_values, dtype=float)
@@ -201,24 +184,19 @@ def _polish(
         idx = np.flatnonzero(running)
         if idx.size == 0:
             break
-        groups = []
-        if tilts is not None:
-            # the running starts of tilt t are idx[lo:hi], and their
-            # candidates the rows 2*lo:2*hi
-            cut = np.searchsorted(idx, offsets)
-            groups = [(xi, 2 * lo, 2 * hi)
-                      for xi, lo, hi in zip(tilts, cut[:-1], cut[1:]) if lo < hi]
+        # rows 2k and 2k+1 are the +step and -step candidates of start idx[k]
+        cand_tilts = None if tilts is None else np.repeat(tilts[idx], 2, axis=0)
         improved = np.zeros(idx.size, dtype=bool)
         steps = step[idx]
         for i in range(x.shape[1]):
-            # rows 2k and 2k+1 are the +step and -step candidates of start idx[k]
             cand = np.repeat(x[idx], 2, axis=0)
             cand[0::2, i] += steps
             cand[1::2, i] -= steps
             cand = region.project_rows(cand)
             vals = f.evaluate_rows(cand)
-            for xi, lo, hi in groups:
-                _subtract_tilt(vals[lo:hi], cand[lo:hi], xi)
+            if cand_tilts is not None:
+                live = vals != math.inf
+                vals[live] -= _pair_rows(cand[live], cand_tilts[live])
             _check_values(vals, cand, descriptor)
             plus, minus = vals[0::2], vals[1::2]
             take_plus = plus < fx[idx]
@@ -282,8 +260,9 @@ def _solve(
         start_values.append(values[order])
         offsets.append(offsets[-1] + order.size)
     spacing = 2.0 * region.radius / (cfg.grid_points_per_axis - 1)
+    start_tilts = None if tilts is None else np.repeat(tilts, np.diff(offsets), axis=0)
     x, fx, used = _polish(
-        f, np.concatenate(starts), np.concatenate(start_values), offsets, tilts,
+        f, np.concatenate(starts), np.concatenate(start_values), start_tilts,
         region, spacing, descriptor,
     )
 

@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .core import BallRegion, ExponentPair, FunctionOracle, GrowthLabError, as_vector
+from .core import BallRegion, ExponentPair, FunctionOracle, GrowthLabError, _norm, as_vector
 from .minimize import SolverConfig, TiltedSolveResult, argmin_ball, compose_oracle
 
 __all__ = [
@@ -148,7 +148,7 @@ def audit_rates(
         )
     xbar = as_vector(xbar, traj.points[0].size)
     rho = epsilon / gamma_ref
-    d0 = float(np.linalg.norm(traj.points[0] - xbar))
+    d0 = _norm(traj.points[0] - xbar)
     g0 = traj.values[0] - fbar
 
     records: List[RateRecord] = []
@@ -156,7 +156,7 @@ def audit_rates(
     for k, (x, v) in enumerate(zip(traj.points, traj.values)):
         bound_d = rho ** (k * pq.q / pq.p) * d0
         bound_g = rho ** (k * pq.q) * g0
-        actual_d = float(np.linalg.norm(x - xbar))
+        actual_d = _norm(x - xbar)
         actual_g = v - fbar
         ok_d = actual_d <= bound_d + RATE_SLACK_ABS + RATE_SLACK_REL * abs(bound_d)
         ok_g = actual_g <= bound_g + RATE_SLACK_ABS + RATE_SLACK_REL * abs(bound_g)

@@ -563,6 +563,8 @@ def perturbation_sweep(
     """
     if etas_per_norm < 1:
         raise ValueError("etas_per_norm must be >= 1")
+    if len(eta_norms) == 0:
+        raise ValueError("eta_norms must not be empty")
     y_d = _as_field(y_d, grid, "y_d")
     ybar = ubar_result.state
 

@@ -5,16 +5,18 @@ The reference below is a frozen copy of the scalar grid scan and
 coordinate-descent polish (one oracle call per point, one start after
 another) and of the per-point tilted and perturbed objectives.  Where the
 arithmetic is unchanged, which is every 1-D oracle given by ``evaluate``
-alone, the batched path must reproduce it bitwise.  Where vectorized
-reductions replace per-row ``np.dot``/``np.linalg.norm`` or a batched
-formula replaces a scalar one, results may differ in the last ulp, so the
-comparison is by value tolerance and by near-optimality of each path's
-minimizers under the other's cut.
+alone, the batched path must reproduce it bitwise.  Where the batched
+projection's row norms replace the reference's per-point
+``np.linalg.norm`` (a BLAS dot product), or a batched formula replaces a
+scalar one, results may differ in the last ulp, so the comparison is by
+value tolerance and by near-optimality of each path's minimizers under the
+other's cut.
 
 A stack of tilts is solved in one call; each of its results must be bitwise
 equal to solving that tilt alone, whatever the stack's order and whatever
-other tilts share it.
-"""
+other tilts share it.  That holds because every tilt term, on the grid and
+in the polish, is an elementwise pairing, which rounds a row alike wherever
+it sits in the batch."""
 
 import math
 

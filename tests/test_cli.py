@@ -29,6 +29,23 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _subprocess_outputs(cwd, argv, **env_vars):
+    """(stdout, {file name: bytes}) of ``growthlab.cli argv`` run in a fresh
+    interpreter in ``cwd`` with ``env_vars`` set and no other BLAS setting."""
+    cwd.mkdir()
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    env.update(env_vars)
+    env["PYTHONPATH"] = PACKAGE_ROOT + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "growthlab.cli", *argv, "--out", "out"],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, {f.name: f.read_bytes() for f in sorted((cwd / "out").iterdir())}
+
+
 class TestImport:
     def test_cold_import_loads_no_scipy(self):
         # -I ignores PYTHONPATH and the user site; the package is found
@@ -167,27 +184,24 @@ class TestTracking:
 
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
         # the preconditioner runs dense matrix products through BLAS
-        outputs = {}
-        for threads in ("1", "2"):
-            cwd = tmp_path / threads
-            cwd.mkdir()
-            env = os.environ.copy()
-            env["OPENBLAS_NUM_THREADS"] = threads
-            env["PYTHONPATH"] = PACKAGE_ROOT + (
-                os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-            )
-            proc = subprocess.run(
-                [sys.executable, "-m", "growthlab.cli", "tracking", "--n", "32",
-                 "--eta-norms", "1e-2", "--etas-per-norm", "1", "--ssc-samples", "2",
-                 "--out", "out"],
-                cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs[threads] = (
-                proc.stdout,
-                {f.name: f.read_bytes() for f in sorted((cwd / "out").iterdir())},
-            )
-        assert outputs["1"] == outputs["2"]
+        argv = ["tracking", "--n", "32", "--eta-norms", "1e-2", "--etas-per-norm", "1",
+                "--ssc-samples", "2"]
+        outputs = [
+            _subprocess_outputs(tmp_path / threads, argv, OPENBLAS_NUM_THREADS=threads)
+            for threads in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
+
+
+class TestBlasKernel:
+    def test_diagnose_outputs_do_not_depend_on_blas_kernel(self, tmp_path):
+        # every tilt term and norm is summed in elementwise operations, so
+        # no BLAS kernel takes part; where OpenBLAS picks a kernel per CPU,
+        # Prescott and the default kernel round 2-D dot products apart
+        argv = ["diagnose", "--fn", "maxsq2d", "--delta", "1", "--grid-points", "41"]
+        default = _subprocess_outputs(tmp_path / "default", argv)
+        prescott = _subprocess_outputs(tmp_path / "prescott", argv, OPENBLAS_CORETYPE="Prescott")
+        assert default == prescott
 
 
 class TestConfigResolution:
@@ -223,6 +237,10 @@ class TestConfigValidation:
             (["tracking", "--tol", "nan"], "tol must be positive and finite"),
             (["tracking", "--max-iters", "0"], "max_iters must be >= 1"),
             (["diagnose", "--multistart", "-1"], "multistart_count must be >= 0"),
+            (["diagnose", "--grid-points", "41", "--tilt-norms", ","],
+             "tilt_norms must not be empty"),
+            (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", ","],
+             "eta_norms must not be empty"),
         ),
     )
     def test_invalid_solver_setting_exits_one_without_files(

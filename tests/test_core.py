@@ -10,6 +10,7 @@ from growthlab.core import (
     BallRegion,
     ExponentPair,
     FunctionOracle,
+    _norm,
     as_vector,
     duality_map,
     indicator,
@@ -25,6 +26,20 @@ def finite_vectors(max_dim=4):
             max_size=d,
         )
     )
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tilt_and_rows(draw, max_dim=4):
+    """A tilt, 1-40 rows of its dimension, and a slice of the rows."""
+    d = draw(st.integers(1, max_dim))
+    xi = draw(st.lists(FINITE, min_size=d, max_size=d))
+    rows = draw(st.lists(st.lists(FINITE, min_size=d, max_size=d), min_size=1, max_size=40))
+    lo = draw(st.integers(0, len(rows) - 1))
+    hi = draw(st.integers(lo + 1, len(rows)))
+    return np.array(xi), np.array(rows), slice(lo, hi)
 
 
 class TestPairing:
@@ -46,11 +61,20 @@ class TestPairing:
         other = list(reversed(coords))
         assert pairing(coords, other) == pairing(other, coords)
 
-    def test_rows_pair_one_by_one(self):
-        rows = np.array([[3.0, 4.0], [0.0, 1.0], [-2.0, 0.5]])
+    @given(tilt_and_rows())
+    def test_rows_pair_one_by_one(self, case):
+        # bitwise, whatever rows share the array: no BLAS product rounds a
+        # row by its position
+        xi, rows, part = case
+        paired = pairing(xi, rows)
+        np.testing.assert_array_equal(paired, [pairing(xi, r) for r in rows])
+        np.testing.assert_array_equal(pairing(xi, rows[part]), paired[part])
         np.testing.assert_array_equal(
-            pairing([1.0, 2.0], rows), [pairing([1.0, 2.0], r) for r in rows]
+            [_norm(r) for r in rows], np.linalg.norm(rows, axis=1)
         )
+
+    def test_rows_are_validated(self):
+        rows = np.array([[3.0, 4.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             pairing([1.0, 2.0, 3.0], rows)
         with pytest.raises(ValueError):
