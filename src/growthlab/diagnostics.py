@@ -11,15 +11,17 @@ under-estimated (a finite tilt sample can only miss bad witnesses).  Audits
 therefore carry a configurable multiplicative slack factor.
 
 A tilt sample is solved as one stacked ``argmin_tilted`` call (one grid
-scan, one lockstep polish); ``run_diagnostics`` makes that call once and
-both tilt-based estimators reduce over its results in sample order.
+scan, one lockstep polish) and becomes ``(minimizer, tilt)`` pairs in tilt
+order, then minimizer order; ``run_diagnostics`` solves its sample once.
+The tilt estimators and the subdifferential-graph checks reduce such pairs
+through one rule: the first pair with the strictly largest ratio wins.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .core import (
 )
 from .minimize import (
     SolverConfig,
-    TiltedSolveResult,
     _check_values,
     argmin_perturbed,
     argmin_tilted,
@@ -90,6 +91,9 @@ PROBE_DISTANCE_SLACK = 1e-9
 # largest tilt norm as zero: it is rounding left in a tilt meant to be zero,
 # such as the middle point of np.linspace(-a, a, 2k + 1).
 TILT_ROUNDING_RTOL = 64 * np.finfo(float).eps
+
+# A sampled ``(point, tilt)`` pair of the subdifferential graph.
+Pair = Tuple[np.ndarray, np.ndarray]
 
 
 class NoFiniteSamples(GrowthLabError):
@@ -259,6 +263,29 @@ def _require_centered(xbar: np.ndarray, region: BallRegion) -> np.ndarray:
     return xbar
 
 
+def _base_value(f: FunctionOracle, xbar: np.ndarray) -> float:
+    fbar = f(xbar)
+    if not math.isfinite(fbar):
+        raise ValueError("objective must be finite at the base point")
+    return fbar
+
+
+def _worst_pair(
+    pairs: Sequence[Pair],
+    ratio: Callable[[np.ndarray, np.ndarray], Optional[float]],
+    start: Optional[Tuple[float, np.ndarray, np.ndarray]] = None,
+) -> Optional[Tuple[float, np.ndarray, np.ndarray]]:
+    """``(ratio, x, xi)`` of the first pair with the strictly largest
+    ``ratio(x, xi)``, or ``start`` if no pair beats it.  A ratio of ``None``
+    skips its pair."""
+    worst = start
+    for x, xi in pairs:
+        r = ratio(x, xi)
+        if r is not None and (worst is None or r > worst[0]):
+            worst = (r, x, xi)
+    return worst
+
+
 def estimate_growth(
     f: FunctionOracle,
     xbar,
@@ -273,9 +300,7 @@ def estimate_growth(
     the base value, which means ``xbar`` is not a minimizer on the region.
     """
     xbar = _require_centered(xbar, region)
-    fbar = f(xbar)
-    if not math.isfinite(fbar):
-        raise ValueError("objective must be finite at the base point")
+    fbar = _base_value(f, xbar)
 
     pts = ball_grid(region, cfg.grid_points_per_axis)
     dist = np.linalg.norm(pts - xbar, axis=1)
@@ -303,40 +328,52 @@ def estimate_growth(
     return GrowthEstimate(max(gamma_hat, 0.0), witnesses[i], len(ratios))
 
 
-def _tilted_solves(
-    f: FunctionOracle,
-    region: BallRegion,
-    tilts: Sequence[np.ndarray],
-    cfg: SolverConfig,
-    solves: Optional[Sequence[TiltedSolveResult]],
-) -> Sequence[TiltedSolveResult]:
-    if solves is None:
-        return argmin_tilted(f, np.reshape(tilts, (-1, region.dim)), region, cfg)
-    if len(solves) != len(tilts):
-        raise ValueError(
-            f"got {len(solves)} tilted solves for a sample of {len(tilts)} tilts"
-        )
-    return solves
-
-
 def _tilt_samples(
     dim: int,
     tilt_norms: Sequence[float],
     directions_per_norm: int,
     seed: int,
-) -> List[np.ndarray]:
-    """Deterministic tilt sample: each norm times a fresh direction set."""
+) -> np.ndarray:
+    """Deterministic ``(T, dim)`` tilt sample: each norm times fresh directions."""
     if directions_per_norm < 1:
         raise ValueError("directions_per_norm must be >= 1")
     if len(tilt_norms) == 0:
         raise ValueError("tilt_norms must not be empty")
-    tilts: List[np.ndarray] = []
+    blocks = []
     for j, nrm in enumerate(tilt_norms):
         if not (nrm > 0.0 and math.isfinite(nrm)):
             raise ValueError(f"tilt norms must be positive and finite, got {nrm}")
-        dirs = unit_directions(dim, directions_per_norm, seed=[seed, j])
-        tilts.extend(nrm * u for u in dirs)
-    return tilts
+        blocks.append(nrm * unit_directions(dim, directions_per_norm, seed=[seed, j]))
+    return np.concatenate(blocks)
+
+
+def _tilted_pairs(
+    f: FunctionOracle, tilts: np.ndarray, region: BallRegion, cfg: SolverConfig
+) -> Tuple[Pair, ...]:
+    """``(minimizer, tilt)`` pairs of one stacked solve of a checked
+    ``(T, d)`` tilt stack, in tilt order, then minimizer order."""
+    results = argmin_tilted(f, tilts, region, cfg)
+    return tuple((x, xi) for xi, result in zip(tilts, results) for x in result.minimizers)
+
+
+def _tilt_estimate(pairs: Sequence[Pair], xbar: np.ndarray, pq: ExponentPair) -> TiltEstimate:
+    kappa_hat, x, xi = _worst_pair(
+        pairs,
+        lambda x, xi: _norm(x - xbar) / _norm(xi) ** (pq.q / pq.p),
+        start=(0.0, xbar.copy(), np.zeros(xbar.size)),
+    )
+    return TiltEstimate(kappa_hat, xi, x)
+
+
+def _loja_estimate(
+    pairs: Sequence[Pair], f: FunctionOracle, fbar: float, xbar: np.ndarray, pq: ExponentPair
+) -> LojaEstimate:
+    mu_hat, _, xi = _worst_pair(
+        pairs,
+        lambda x, xi: (f(x) - fbar) / _norm(xi) ** pq.q,
+        start=(0.0, xbar, np.zeros(xbar.size)),
+    )
+    return LojaEstimate(mu_hat, xi)
 
 
 def estimate_tilt_constant(
@@ -348,29 +385,15 @@ def estimate_tilt_constant(
     directions_per_norm: int,
     cfg: SolverConfig,
     seed: int = 0,
-    *,
-    solves: Optional[Sequence[TiltedSolveResult]] = None,
 ) -> TiltEstimate:
     """Worst ``|x - xbar| / |xi|^(q/p)`` over sampled tilted problems.
 
     Every reported minimizer of every tilted problem contributes; the
-    estimate is a lower bound on the true constant.  ``solves``, when
-    given, holds the ``argmin_tilted`` results for the tilt sample the
-    other arguments define, in sample order, and replaces solving it.
+    estimate is a lower bound on the true constant.
     """
     xbar = _require_centered(xbar, region)
     tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
-    solves = _tilted_solves(f, region, tilts, cfg, solves)
-    kappa_hat = 0.0
-    worst_tilt = np.zeros(region.dim)
-    worst_min = xbar.copy()
-    for xi, result in zip(tilts, solves):
-        denom = _norm(xi) ** (pq.q / pq.p)
-        for x in result.minimizers:
-            ratio = _norm(x - xbar) / denom
-            if ratio > kappa_hat:
-                kappa_hat, worst_tilt, worst_min = ratio, xi, x
-    return TiltEstimate(kappa_hat, worst_tilt, worst_min)
+    return _tilt_estimate(_tilted_pairs(f, tilts, region, cfg), xbar, pq)
 
 
 def estimate_loja_constant(
@@ -382,28 +405,12 @@ def estimate_loja_constant(
     directions_per_norm: int,
     cfg: SolverConfig,
     seed: int = 0,
-    *,
-    solves: Optional[Sequence[TiltedSolveResult]] = None,
 ) -> LojaEstimate:
-    """Worst ``(f(x) - f(xbar)) / |xi|^q`` over sampled tilted problems.
-
-    ``solves`` is as in ``estimate_tilt_constant``.
-    """
+    """Worst ``(f(x) - f(xbar)) / |xi|^q`` over sampled tilted problems."""
     xbar = _require_centered(xbar, region)
-    fbar = f(xbar)
-    if not math.isfinite(fbar):
-        raise ValueError("objective must be finite at the base point")
+    fbar = _base_value(f, xbar)
     tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
-    solves = _tilted_solves(f, region, tilts, cfg, solves)
-    mu_hat = 0.0
-    worst_tilt = np.zeros(region.dim)
-    for xi, result in zip(tilts, solves):
-        denom = _norm(xi) ** pq.q
-        for x in result.minimizers:
-            ratio = (f(x) - fbar) / denom
-            if ratio > mu_hat:
-                mu_hat, worst_tilt = ratio, xi
-    return LojaEstimate(mu_hat, worst_tilt)
+    return _loja_estimate(_tilted_pairs(f, tilts, region, cfg), f, fbar, xbar, pq)
 
 
 def check_equivalence(
@@ -462,20 +469,15 @@ def run_diagnostics(
     """Run the three estimators at the region center and audit the relations.
 
     Each sampled tilt is solved once; both tilt-based estimators reduce
-    over the same solves.
+    the same ``(minimizer, tilt)`` pairs.
     """
     xbar = region.center
     growth = estimate_growth(f, xbar, region, pq, cfg)
+    fbar = _base_value(f, xbar)
     tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
-    solves = _tilted_solves(f, region, tilts, cfg, None)
-    tilt = estimate_tilt_constant(
-        f, xbar, region, pq, tilt_norms, directions_per_norm, cfg, seed=seed,
-        solves=solves,
-    )
-    loja = estimate_loja_constant(
-        f, xbar, region, pq, tilt_norms, directions_per_norm, cfg, seed=seed,
-        solves=solves,
-    )
+    pairs = _tilted_pairs(f, tilts, region, cfg)
+    tilt = _tilt_estimate(pairs, xbar, pq)
+    loja = _loja_estimate(pairs, f, fbar, xbar, pq)
     audit = check_equivalence(growth, tilt, loja, pq, tau=tau)
     return DiagnosticsReport(growth, tilt, loja, audit, pq, region)
 
@@ -514,14 +516,12 @@ def metric_slope(
     dirs = unit_directions(x.size, directions, seed=SLOPE_SEED)
     per_radius: List[Tuple[float, float]] = []
     for r in radii:
-        best = 0.0
-        for u in dirs:
-            val = phi(x + r * u)
-            if math.isnan(val):
-                raise ValueError(f"oracle '{phi.descriptor}' returned NaN")
-            if math.isinf(val):
-                continue
-            best = max(best, max(0.0, phix - val) / r)
+        values = phi.evaluate_rows(x + r * dirs)
+        if np.isnan(values).any():
+            raise ValueError(f"oracle '{phi.descriptor}' returned NaN")
+        # division by r > 0 is monotone, so the largest gain gives the max
+        gains = phix - values[np.isfinite(values)]
+        best = max(0.0, float(gains.max())) / r if gains.size else 0.0
         per_radius.append((r, best))
     return SlopeEstimate(per_radius[-1][1], tuple(per_radius))
 
@@ -619,8 +619,7 @@ def sample_subdifferential_graph(
     tilts = np.reshape(
         [as_vector(xi, domain_region.dim) for xi in tilt_grid], (-1, domain_region.dim)
     )
-    results = argmin_tilted(f, tilts, domain_region, cfg)
-    return tuple((x, xi) for xi, result in zip(tilts, results) for x in result.minimizers)
+    return _tilted_pairs(f, tilts, domain_region, cfg)
 
 
 @dataclass(frozen=True)
@@ -637,70 +636,63 @@ class GraphCheck:
     witness_tilt_norm: Optional[float]
 
 
-def _group_min_tilt_norm(
-    pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
-) -> List[Tuple[np.ndarray, float]]:
-    """Distinct sampled points with the minimal tilt norm attached to each."""
-    grouped: dict = {}
-    for x, xi in pairs:
-        key = tuple(np.round(np.asarray(x, dtype=float), 10))
-        nrm = _norm(xi)
-        if key not in grouped or nrm < grouped[key][1]:
-            grouped[key] = (np.asarray(x, dtype=float), nrm)
-    return list(grouped.values())
+def _graph_pairs(pairs: Sequence[Pair], dim: int) -> List[Pair]:
+    pairs = [(np.asarray(x, dtype=float), np.asarray(xi, dtype=float)) for x, xi in pairs]
+    if any(v.shape != (dim,) for pair in pairs for v in pair):
+        raise ValueError(f"graph pairs must hold points and tilts of shape ({dim},)")
+    return pairs
+
+
+def _graph_check(worst: Optional[Tuple[float, np.ndarray, np.ndarray]], bound: float) -> GraphCheck:
+    if worst is None:
+        return GraphCheck(True, True, None, None, None)
+    ratio, x, xi = worst
+    return GraphCheck(ratio <= bound, False, ratio, x, _norm(xi))
 
 
 def check_subregularity(
-    pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
+    pairs: Sequence[Pair],
     xbar,
     pq: ExponentPair,
     kappa: float,
 ) -> GraphCheck:
-    """Check ``|x - xbar| <= kappa * d^(q/p)`` over the sampled graph, where
-    ``d`` approximates the distance from zero to the subdifferential at
-    ``x`` by the minimal sampled tilt norm there."""
+    """Check ``|x - xbar| <= kappa * |xi|^(q/p)`` over sampled graph pairs
+    ``(x, xi)``; a point's worst pair has its smallest sampled tilt norm,
+    which approximates the distance from zero to its subdifferential.
+    Pairs at the base point carry no evidence and are skipped."""
     xbar = as_vector(xbar)
-    worst: Optional[float] = None
-    wit_pt, wit_nrm = None, None
-    for x, d in _group_min_tilt_norm(pairs):
+    pairs = _graph_pairs(pairs, xbar.size)
+
+    def ratio(x, xi):
         lhs = _norm(x - xbar)
         if lhs <= BASE_POINT_EXCLUSION:
-            continue
-        ratio = lhs / d ** (pq.q / pq.p) if d > 0.0 else math.inf
-        if worst is None or ratio > worst:
-            worst, wit_pt, wit_nrm = ratio, x, d
-    if worst is None:
-        return GraphCheck(True, True, None, None, None)
-    return GraphCheck(worst <= kappa, False, worst, wit_pt, wit_nrm)
+            return None
+        d = _norm(xi)
+        return lhs / d ** (pq.q / pq.p) if d > 0.0 else math.inf
+
+    return _graph_check(_worst_pair(pairs, ratio), kappa)
 
 
 def check_global_loja(
-    pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
+    pairs: Sequence[Pair],
     f: FunctionOracle,
     xbar,
     pq: ExponentPair,
     mu: float,
 ) -> GraphCheck:
-    """Check ``f(x) - f(xbar) <= mu * d^q`` over the sampled graph.
+    """Check ``f(x) - f(xbar) <= mu * |xi|^q`` over sampled graph pairs ``(x, xi)``.
 
-    Points whose tilt norm ``d`` is zero, or at rounding level next to the
-    largest tilt norm sampled, carry no evidence and are skipped.
+    Pairs whose tilt norm is zero, or at rounding level next to the largest
+    tilt norm sampled, carry no evidence and are skipped; the other pairs of
+    the same point still count.
     """
     xbar = as_vector(xbar)
-    fbar = f(xbar)
-    if not math.isfinite(fbar):
-        raise ValueError("objective must be finite at the base point")
-    zero_norm = TILT_ROUNDING_RTOL * max(
-        (_norm(xi) for _, xi in pairs), default=0.0
-    )
-    worst: Optional[float] = None
-    wit_pt, wit_nrm = None, None
-    for x, d in _group_min_tilt_norm(pairs):
-        if d <= zero_norm:
-            continue
-        ratio = (f(x) - fbar) / d**pq.q
-        if worst is None or ratio > worst:
-            worst, wit_pt, wit_nrm = ratio, x, d
-    if worst is None:
-        return GraphCheck(True, True, None, None, None)
-    return GraphCheck(worst <= mu, False, worst, wit_pt, wit_nrm)
+    pairs = _graph_pairs(pairs, xbar.size)
+    fbar = _base_value(f, xbar)
+    zero_norm = TILT_ROUNDING_RTOL * max((_norm(xi) for _, xi in pairs), default=0.0)
+
+    def ratio(x, xi):
+        d = _norm(xi)
+        return (f(x) - fbar) / d**pq.q if d > zero_norm else None
+
+    return _graph_check(_worst_pair(pairs, ratio), mu)

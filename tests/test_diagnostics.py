@@ -8,7 +8,7 @@ import pytest
 
 from growthlab import diagnostics
 from growthlab.catalog import boxquad_oracle, halfpower_oracle, maxsq2d_oracle, power_oracle
-from growthlab.core import BallRegion, ExponentPair, FunctionOracle, indicator, pairing
+from growthlab.core import BallRegion, ExponentPair, FunctionOracle, _norm, indicator, pairing
 from growthlab.diagnostics import (
     GrowthEstimate,
     LojaEstimate,
@@ -196,10 +196,41 @@ class TestSharedTiltedSolves:
         assert report.loja.mu_hat == loja.mu_hat
         np.testing.assert_array_equal(report.loja.worst_tilt, loja.worst_tilt)
 
-    def test_solves_must_match_the_tilt_sample(self):
-        f = power_oracle(2.0)
-        with pytest.raises(ValueError):
-            estimate_tilt_constant(f, ORIGIN, region(1.0), P2, NORMS, 2, CFG_SMALL, solves=[])
+
+class TestSharedPairReduction:
+    """The tilt estimators and the graph checks take the same worst ratio
+    over the pairs of one tilt sample."""
+
+    CASES = {
+        "power-1.5": (power_oracle(1.5), ExponentPair.from_p(1.5), 1),
+        "power-2": (power_oracle(2.0), P2, 1),
+        "power-3": (power_oracle(3.0), P3, 1),
+        "halfpower": (halfpower_oracle(2.0), P2, 1),
+        "boxquad": (boxquad_oracle(1.0), P2, 1),
+        "maxsq2d": (maxsq2d_oracle(), P2, 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_estimates_equal_graph_check_worst_ratios(self, case):
+        f, pq, dim = self.CASES[case]
+        dirs, cfg = (2, CFG_SMALL) if dim == 1 else (8, SolverConfig(grid_points_per_axis=41))
+        reg = region(2.0, dim)
+        xbar = reg.center
+        tilts = diagnostics._tilt_samples(dim, NORMS, dirs, 0)
+        pairs = sample_subdifferential_graph(f, reg, tilts, cfg)
+
+        tilt = estimate_tilt_constant(f, xbar, reg, pq, NORMS, dirs, cfg)
+        sub = check_subregularity(pairs, xbar, pq, tilt.kappa_hat)
+        assert tilt.kappa_hat > 0.0
+        assert sub.passed and sub.worst_ratio == tilt.kappa_hat
+        np.testing.assert_array_equal(sub.witness_point, tilt.worst_minimizer)
+        assert sub.witness_tilt_norm == _norm(tilt.worst_tilt)
+
+        loja = estimate_loja_constant(f, xbar, reg, pq, NORMS, dirs, cfg)
+        glo = check_global_loja(pairs, f, xbar, pq, loja.mu_hat)
+        assert loja.mu_hat > 0.0
+        assert glo.passed and glo.worst_ratio == loja.mu_hat
+        assert glo.witness_tilt_norm == _norm(loja.worst_tilt)
 
 
 class TestCheckEquivalence:
@@ -278,6 +309,31 @@ class TestMetricSlope:
         est = metric_slope(phi, [0.0])
         assert math.isinf(est.value)
         assert est.per_radius == ()
+
+    def test_matches_direction_by_direction_probe(self):
+        # a hinge cut off by an indicator: some probes are +inf and skipped
+        phi = FunctionOracle(
+            lambda y: float(0.7 * max(y[0], 0.0) - 0.2 * y[1]) if y[1] < 1.00005 else math.inf,
+            "hinge-slab",
+        )
+        x = np.array([0.0, 1.0])
+        est = metric_slope(phi, x, directions=16)
+        dirs = unit_directions(2, 16)
+        expected = []
+        for r in diagnostics.DEFAULT_SLOPE_RADII:
+            best = 0.0
+            for u in dirs:
+                val = phi(x + r * u)
+                if math.isfinite(val):
+                    best = max(best, max(0.0, phi(x) - val) / r)
+            expected.append((r, best))
+        assert est.per_radius == tuple(expected)
+        assert any(math.isinf(phi(x + 1e-2 * u)) for u in dirs)
+
+    def test_nan_probe_is_an_error(self):
+        phi = FunctionOracle(lambda y: math.nan if y[0] > 0.0 else 0.0, "nan-right")
+        with pytest.raises(ValueError):
+            metric_slope(phi, [0.0])
 
     def test_radii_must_decrease(self):
         phi = FunctionOracle(lambda y: float(y[0]), "lin")
@@ -399,6 +455,27 @@ class TestSubdifferentialGraph:
         # with no larger tilt beside it, the same norm is evidence (ratio 1)
         alone = check_global_loja(pairs[:1], f, ORIGIN, P2, mu=0.275)
         assert not alone.passed and alone.worst_ratio == pytest.approx(1.0)
+
+    def test_global_loja_skips_only_the_rounding_level_pair(self):
+        f = boxquad_oracle(1.0)
+        x = np.array([0.5])
+        pairs = ((x, np.array([2.220446049250313e-16])), (x, np.array([1.0])))
+        check = check_global_loja(pairs, f, ORIGIN, P2, mu=0.275)
+        assert check.passed and not check.vacuous
+        assert check.worst_ratio == 0.25
+        assert check.witness_tilt_norm == 1.0
+
+    def test_graph_checks_reject_pairs_of_the_wrong_dimension(self):
+        pairs = ((np.array([0.5, 0.0]), np.array([1.0, 0.0])),)
+        with pytest.raises(ValueError):
+            check_subregularity(pairs, [0.5], P2, 0.55)
+        with pytest.raises(ValueError):
+            check_global_loja(pairs, maxsq2d_oracle(), [0.5], P2, 0.275)
+        short_tilt = ((np.array([0.5, 0.0]), np.array([1.0])),)
+        with pytest.raises(ValueError):
+            check_subregularity(short_tilt, np.zeros(2), P2, 0.55)
+        with pytest.raises(ValueError):
+            check_global_loja(short_tilt, maxsq2d_oracle(), np.zeros(2), P2, 0.275)
 
     def test_global_loja_on_linspace_tilts(self):
         # the middle tilt of this linspace is 2.2e-16, not 0
