@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -99,14 +99,7 @@ class BallRegion:
     def project_rows(self, points: np.ndarray) -> np.ndarray:
         """Radial projection of each row of a finite ``(m, d)`` array onto
         the closed ball; rows already inside are returned unchanged."""
-        out = np.array(points, dtype=float)
-        offset = out - self.center
-        nrm = np.linalg.norm(offset, axis=1)
-        outside = nrm > self.radius
-        if outside.any():
-            scale = self.radius / nrm[outside]
-            out[outside] = self.center + offset[outside] * scale[:, None]
-        return out
+        return _project_rows(self, points)[0]
 
 
 @dataclass(frozen=True)
@@ -178,6 +171,19 @@ def _pair_rows(points: np.ndarray, tilts: np.ndarray) -> np.ndarray:
     for j in range(1, points.shape[1]):
         acc = acc + points[:, j] * tilts[..., j]
     return acc
+
+
+def _project_rows(region: BallRegion, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``region.project_rows(points)`` and the ``(m,)`` mask of the rows it
+    moved, which land on the sphere."""
+    out = np.array(points, dtype=float)
+    offset = out - region.center
+    nrm = np.linalg.norm(offset, axis=1)
+    outside = nrm > region.radius
+    if outside.any():
+        scale = region.radius / nrm[outside]
+        out[outside] = region.center + offset[outside] * scale[:, None]
+    return out, outside
 
 
 def _norm(x) -> float:

@@ -2,12 +2,15 @@
 
 The primitive behind every "minimize over a closed ball" statement in the
 package: a dense axis-aligned grid scan over the ball's bounding cube,
-followed by projected coordinate-descent polish from the best grid cells.
-Correctness of the minimizer set is the design goal; the grid dimension is
-capped at 4.  Oracles are evaluated a batch of points at a time: the whole
-grid in one call, then the candidates of all polish starts at each
-coordinate step in one call.  A stack of tilted problems shares that grid
-scan and that polish loop.
+followed by a projected direct-search polish from the best grid cells.  The
+polish steps along the coordinate axes inside the ball and along the
+outward normal and tangent directions on its sphere, so that a start can
+slide along the sphere toward a boundary minimizer.  Correctness of the
+minimizer set is the design goal; the grid dimension is capped at 4.
+Oracles are evaluated a batch of points at a time: the whole grid in one
+call, then the candidates of all polish starts at each step direction in
+one call.  A stack of tilted problems shares that grid scan and that polish
+loop.
 """
 
 from __future__ import annotations
@@ -19,7 +22,15 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import BallRegion, FunctionOracle, GrowthLabError, _pair_rows, as_vector, pairing
+from .core import (
+    BallRegion,
+    FunctionOracle,
+    GrowthLabError,
+    _pair_rows,
+    _project_rows,
+    as_vector,
+    pairing,
+)
 
 __all__ = [
     "MAX_GRID_DIM",
@@ -54,7 +65,7 @@ class NonFiniteValue(GrowthLabError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the grid scan and the coordinate-descent polish."""
+    """Knobs for the grid scan and the direct-search polish."""
 
     grid_points_per_axis: int = 201
     multistart_count: int = 8
@@ -152,6 +163,27 @@ def compose_oracle(
     return FunctionOracle.from_batch(batch, descriptor)
 
 
+def _sphere_axis(points: np.ndarray, region: BallRegion, i: int) -> np.ndarray:
+    """Vector ``i`` of an orthonormal basis at each row of ``points``, a
+    point on the ball's sphere, as an ``(m, d)`` array.
+
+    Vector 0 is the outward normal ``n = (x - center) / radius``.  The others
+    span the tangent space: they are the columns ``e_i - n_i v / (1 + |n_0|)``
+    of the Householder reflection ``I - 2 v v^T / |v|^2`` with
+    ``v = n + sign(n_0) e_0``, which maps ``e_0`` to ``-sign(n_0) n``; the
+    sign keeps ``|v|^2 = 2 (1 + |n_0|)`` away from zero.  Elementwise, free
+    of BLAS.
+    """
+    n = (points - region.center) / region.radius
+    if i == 0:
+        return n
+    coef = n[:, i] / (1.0 + np.abs(n[:, 0]))
+    n[:, 0] += np.where(n[:, 0] >= 0.0, 1.0, -1.0)
+    axis = -coef[:, None] * n
+    axis[:, i] += 1.0
+    return axis
+
+
 def _polish(
     f: FunctionOracle,
     starts: np.ndarray,
@@ -161,51 +193,83 @@ def _polish(
     step0: float,
     descriptor: str,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Projected coordinate descent with shrinking steps from each row of
+    """Projected direct search with shrinking steps from each row of
     ``starts``, all starts advanced in lockstep.
 
     Start ``k`` minimizes ``f - <tilts[k], .>``, or ``f`` when ``tilts`` is
-    None.  Each start follows the trajectory it would follow alone: at every
-    coordinate the ``+step`` candidate is tried before the ``-step`` one and
-    a candidate is taken only if strictly better; after a sweep without
-    improvement the start's step halves, and the start stops once its step
-    falls below ``POLISH_STEP_TOLERANCE``.  The candidates of all running
-    starts at one coordinate are evaluated in one batch, and their tilt
-    terms are subtracted in one elementwise pairing, which rounds each
-    candidate alike whatever rows share the batch.  Returns the polished
-    points and values and the number of candidates each start evaluated.
+    None.  Each start follows the trajectory it would follow alone: a sweep
+    steps along the ``d`` vectors of an orthonormal basis, and at each the
+    ``+step`` candidate is tried before the ``-step`` one and a candidate is
+    taken only if strictly better; after a sweep without improvement the
+    start's step halves, and the start stops once its step falls below
+    ``POLISH_STEP_TOLERANCE``.  Candidates outside the ball are projected
+    radially onto it.
+
+    The basis is the coordinate axes, except for a start on the sphere in
+    dimension ``d >= 2``: there it is the outward normal and ``d - 1``
+    tangent directions (``_sphere_axis``), so the start can slide along the
+    sphere at its full step.  Coordinate steps there would be projected
+    back, and a boundary minimizer would be approached only by a factor of
+    about ``1 / (1 + step)`` per sweep, every sweep a small improvement, so
+    the step would never halve.  A start is on the sphere when its distance
+    from the center reaches the radius at the outset, and afterwards when
+    the candidate it last took was one the projection moved.  In 1-D the
+    sphere is two points with no tangent, and every start steps along the
+    axis.
+
+    The candidates of all running starts at one basis vector are evaluated
+    in one batch, and their tilt terms are subtracted in one elementwise
+    pairing, which rounds each candidate alike whatever rows share the
+    batch.  Returns the polished points and values and the number of
+    candidates each start evaluated.
     """
     x = np.array(starts, dtype=float)
     fx = np.array(start_values, dtype=float)
     step = np.full(len(x), float(step0))
     running = np.ones(len(x), dtype=bool)
     sweeps = np.full(len(x), POLISH_MAX_ITERS)
+    on_sphere = None
+    if x.shape[1] > 1:
+        on_sphere = np.linalg.norm(x - region.center, axis=1) >= region.radius
     for sweep in range(POLISH_MAX_ITERS):
         idx = np.flatnonzero(running)
         if idx.size == 0:
             break
+        # the running starts' points, values and flags, stored back after the sweep
+        xs, fs, steps = x[idx], fx[idx], step[idx]
+        sphere = None if on_sphere is None else on_sphere[idx]
         # rows 2k and 2k+1 are the +step and -step candidates of start idx[k]
         cand_tilts = None if tilts is None else np.repeat(tilts[idx], 2, axis=0)
         improved = np.zeros(idx.size, dtype=bool)
-        steps = step[idx]
         for i in range(x.shape[1]):
-            cand = np.repeat(x[idx], 2, axis=0)
+            cand = np.repeat(xs, 2, axis=0)
             cand[0::2, i] += steps
             cand[1::2, i] -= steps
-            cand = region.project_rows(cand)
+            if sphere is not None and np.count_nonzero(sphere):
+                rows = xs[sphere]
+                move = steps[sphere, None] * _sphere_axis(rows, region, i)
+                cand[0::2][sphere] = rows + move
+                cand[1::2][sphere] = rows - move
+            cand, moved = _project_rows(region, cand)
             vals = f.evaluate_rows(cand)
             if cand_tilts is not None:
                 live = vals != math.inf
                 vals[live] -= _pair_rows(cand[live], cand_tilts[live])
             _check_values(vals, cand, descriptor)
             plus, minus = vals[0::2], vals[1::2]
-            take_plus = plus < fx[idx]
-            take_minus = minus < np.where(take_plus, plus, fx[idx])
-            take = take_plus | take_minus
-            if take.any():
-                x[idx[take]] = np.where(take_minus[:, None], cand[1::2], cand[0::2])[take]
-                fx[idx[take]] = np.where(take_minus, minus, plus)[take]
-                improved |= take
+            take_plus = plus < fs
+            take_minus = minus < np.where(take_plus, plus, fs)
+            took = np.flatnonzero(take_plus | take_minus)
+            if took.size:
+                pick = 2 * took + take_minus[took]
+                xs[took] = cand[pick]
+                fs[took] = vals[pick]
+                if sphere is not None:
+                    sphere[took] = moved[pick]
+                improved[took] = True
+        x[idx], fx[idx] = xs, fs
+        if sphere is not None:
+            on_sphere[idx] = sphere
         stalled = idx[~improved]
         step[stalled] *= 0.5
         done = stalled[step[stalled] < POLISH_STEP_TOLERANCE]
@@ -293,7 +357,7 @@ def argmin_ball(
 ) -> TiltedSolveResult:
     """Global minimization of ``f`` over the closed ball.
 
-    Dense grid scan, then coordinate-descent polish from the
+    Dense grid scan, then direct-search polish from the
     ``multistart_count`` best grid cells.  All near-optimal points found
     are reported, not just one: downstream estimators quantify over every
     minimizer and must see the worst witness.

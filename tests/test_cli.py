@@ -3,6 +3,7 @@ configuration precedence, and reproducibility."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -302,6 +303,34 @@ class TestReproducibility:
         assert run(argv, capsys)[0] == 0
         second = {f.name: f.read_bytes() for f in out.iterdir()}
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["diagnose", "--fn", "maxsq2d", "--delta", "1"],
+            ["prox", "--fn", "maxsq2d", "--x0=0.7,-0.4", "--iterations", "4"],
+            ["tracking", "--n", "8"],
+        ),
+    )
+    def test_rerun_from_manifest_config_is_bit_identical(self, argv, tmp_path, capsys):
+        # every output embeds the resolved configuration: written back as a
+        # --config file, it must reproduce the run byte for byte
+        out = tmp_path / "run"
+        code, stdout, _ = run(argv + ["--out", str(out)], capsys)
+        assert code == 0
+        first = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        config = json.loads(first["manifest.json"])["config"]
+        lines = []
+        for key, val in config.items():
+            if key != "subcommand":
+                val = ",".join(repr(v) for v in val) if isinstance(val, list) else val
+                lines.append(f"{key} = {val}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(lines))
+        shutil.rmtree(out)
+        rerun = run([config["subcommand"], "--config", str(cfg)], capsys)
+        assert rerun == (code, stdout, "")
+        assert {f.name: f.read_bytes() for f in sorted(out.iterdir())} == first
 
     def test_catalog_stdout_is_stable(self, capsys):
         _, out1, _ = run(["catalog"], capsys)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from growthlab import minimize
-from growthlab.core import BallRegion, FunctionOracle, indicator, pairing
+from growthlab.catalog import maxsq2d_oracle
+from growthlab.core import BallRegion, FunctionOracle, _pair_rows, indicator, pairing
+from growthlab.diagnostics import _tilt_samples
 from growthlab.minimize import (
     AllInfinite,
     NonFiniteValue,
@@ -193,3 +195,190 @@ class TestBallGrid:
             SolverConfig(multistart_count=-1)
         with pytest.raises(ValueError):
             SolverConfig(minimizer_value_tolerance=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Polish on the sphere
+
+
+def _coordinate_polish(f, starts, start_values, tilts, region, step0, max_iters):
+    """Frozen copy of the lockstep polish that steps along the coordinate
+    axes everywhere, with the sweep cap as a parameter.
+
+    Also returns which starts touched the sphere: sat at the radius, or
+    took a candidate the projection moved.  Every other start never leaves
+    the interior and must follow the same trajectory under the current
+    polish."""
+    x = np.array(starts, dtype=float)
+    fx = np.array(start_values, dtype=float)
+    step = np.full(len(x), float(step0))
+    running = np.ones(len(x), dtype=bool)
+    sweeps = np.full(len(x), max_iters)
+    touched = np.linalg.norm(x - region.center, axis=1) >= region.radius
+    for sweep in range(max_iters):
+        idx = np.flatnonzero(running)
+        if idx.size == 0:
+            break
+        cand_tilts = None if tilts is None else np.repeat(tilts[idx], 2, axis=0)
+        improved = np.zeros(idx.size, dtype=bool)
+        steps = step[idx]
+        for i in range(x.shape[1]):
+            cand = np.repeat(x[idx], 2, axis=0)
+            cand[0::2, i] += steps
+            cand[1::2, i] -= steps
+            moved = np.linalg.norm(cand - region.center, axis=1) > region.radius
+            cand = region.project_rows(cand)
+            vals = f.evaluate_rows(cand)
+            if cand_tilts is not None:
+                live = vals != math.inf
+                vals[live] -= _pair_rows(cand[live], cand_tilts[live])
+            plus, minus = vals[0::2], vals[1::2]
+            take_plus = plus < fx[idx]
+            take_minus = minus < np.where(take_plus, plus, fx[idx])
+            take = take_plus | take_minus
+            if take.any():
+                x[idx[take]] = np.where(take_minus[:, None], cand[1::2], cand[0::2])[take]
+                fx[idx[take]] = np.where(take_minus, minus, plus)[take]
+                touched[idx[take]] |= np.where(take_minus, moved[1::2], moved[0::2])[take]
+                improved |= take
+        stalled = idx[~improved]
+        step[stalled] *= 0.5
+        done = stalled[step[stalled] < minimize.POLISH_STEP_TOLERANCE]
+        if done.size:
+            running[done] = False
+            sweeps[done] = sweep + 1
+    return x, fx, 2 * x.shape[1] * sweeps, touched
+
+
+def _anisotropic_bowl(d):
+    weights = np.linspace(1.0, 3.0, d)
+    return FunctionOracle.from_batch(
+        lambda x: sum(weights[j] * x[:, j] ** 2 for j in range(d)), f"bowl{d}"
+    )
+
+
+def _off_center_ball(d):
+    return BallRegion(np.linspace(0.5, -0.5, d), 2.5)
+
+
+# (oracle, region, config, tilt stack): maxsq2d at every grid size the
+# diagnose benchmark runs, on the balls of `diagnose --delta 1` and of the
+# default delta 10, at the diagnose tilt sample; and tilted bowls whose
+# minimizers sit on the sphere of an off-center ball of radius 2.5.  The
+# bowls' tilt sample is seed 1, on which the coordinate polish converges
+# within 10,000 sweeps; on seed 0 some of its starts still creep after
+# 100,000.
+MAXSQ2D_CASES = {
+    f"maxsq2d-r{radius:g}-g{g}": (
+        maxsq2d_oracle(), unit_ball(dim=2, radius=radius), SolverConfig(grid_points_per_axis=g),
+        _tilt_samples(2, (0.5, 1.0), 8, 0),
+    )
+    for radius in (1.0, 10.0)
+    for g in (41, 61, 101)
+}
+BOUNDARY_CASES = {
+    f"bowl{d}-g{g}": (
+        _anisotropic_bowl(d), _off_center_ball(d), SolverConfig(grid_points_per_axis=g),
+        _tilt_samples(d, (8.0, 16.0), 6, 1),
+    )
+    for d, g in ((2, 41), (3, 15), (4, 9))
+}
+
+
+def _record_polish(monkeypatch, polish):
+    """Route ``_solve``'s polish through ``polish`` and collect its outputs."""
+    calls = []
+
+    def recorded(*args):
+        out = polish(*args)
+        calls.append(out)
+        return out[:3]
+
+    monkeypatch.setattr(minimize, "_polish", recorded)
+    return calls
+
+
+class TestSpherePolish:
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_sphere_basis_is_orthonormal_with_outward_normal_first(self, d):
+        region = _off_center_ball(d)
+        rng = np.random.default_rng(d)
+        dirs = rng.standard_normal((64, d))
+        dirs[:8, 0] = 0.0  # the sign choice at n_0 = 0
+        dirs[8:16] = np.sign(dirs[8:16]) * np.eye(d)[0]  # n = +-e_0
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        points = region.center + region.radius * dirs
+        basis = np.stack([minimize._sphere_axis(points, region, i) for i in range(d)], axis=1)
+        np.testing.assert_allclose(basis[:, 0], dirs, atol=1e-15)
+        gram = np.einsum("kij,klj->kil", basis, basis)
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(d), gram.shape), atol=1e-15)
+
+    def test_sphere_flag_follows_the_projection(self):
+        # center + (0.75, 1.0) lies on the sphere, exactly
+        region = BallRegion(np.array([0.5, -0.5]), 1.25)
+
+        def polish_batches(objective, start, step):
+            """The candidate batches of one polished start."""
+            batches = []
+
+            def logged(x):
+                batches.append(x.copy())
+                return objective(x)
+
+            f = FunctionOracle.from_batch(logged, "logged")
+            start = np.array([start])
+            minimize._polish(f, start, objective(start), None, region, step, "logged")
+            return batches
+
+        # a start at the radius steps along the normal (0.6, 0.8) first; the
+        # inner candidate is taken, and the next step is along axis 1 again
+        bowl = lambda x: (x[:, 0] - 0.5) ** 2 + (x[:, 1] + 0.5) ** 2
+        first, second = polish_batches(bowl, [1.25, 0.5], 0.25)[:2]
+        np.testing.assert_allclose(first, [[1.25, 0.5], [1.1, 0.3]], rtol=1e-15)
+        inner = first[1]
+        np.testing.assert_array_equal(second, [inner + [0.0, 0.25], inner - [0.0, 0.25]])
+
+        # an inside start takes the projection of its +e_0 step; its next
+        # step is along the tangent (-n_1, n_0) and stays on the sphere
+        slope = lambda x: -(x[:, 0] + x[:, 1])
+        first, second = polish_batches(slope, [1.5, 0.0], 0.25)[:2]
+        on_sphere = first[0]
+        assert np.linalg.norm(on_sphere - region.center) == pytest.approx(region.radius, rel=1e-15)
+        n = (on_sphere - region.center) / region.radius
+        tangent = np.array([-n[1], n[0]])
+        expected = region.project_rows(np.array([on_sphere + 0.25 * tangent, on_sphere - 0.25 * tangent]))
+        np.testing.assert_allclose(second, expected, rtol=1e-14)
+        np.testing.assert_allclose(np.linalg.norm(second - region.center, axis=1), region.radius, rtol=1e-15)
+
+    @pytest.mark.parametrize("case", sorted(MAXSQ2D_CASES) + sorted(BOUNDARY_CASES))
+    def test_no_start_reaches_the_sweep_cap(self, case, monkeypatch):
+        f, region, cfg, tilts = MAXSQ2D_CASES.get(case) or BOUNDARY_CASES[case]
+        calls = _record_polish(monkeypatch, minimize._polish)
+        argmin_tilted(f, tilts, region, cfg)
+        (used,) = [out[2] for out in calls]
+        assert used.max() < 2 * region.dim * minimize.POLISH_MAX_ITERS
+
+    @pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+    def test_agrees_with_converged_coordinate_polish(self, case, monkeypatch):
+        f, region, cfg, tilts = BOUNDARY_CASES[case]
+        new_calls = _record_polish(monkeypatch, minimize._polish)
+        new = argmin_tilted(f, tilts, region, cfg)
+        cap = 50 * minimize.POLISH_MAX_ITERS
+        ref_calls = _record_polish(
+            monkeypatch, lambda *args: _coordinate_polish(*args[:-1], max_iters=cap)
+        )
+        ref = argmin_tilted(f, tilts, region, cfg)
+        (x, fx, used), (ref_x, ref_fx, ref_used, touched) = new_calls[0], ref_calls[0]
+        assert ref_used.max() < 2 * region.dim * cap  # the reference converged
+        # starts that stay inside the ball take the same steps bitwise
+        assert 0 < np.count_nonzero(touched) < len(touched)
+        np.testing.assert_array_equal(x[~touched], ref_x[~touched])
+        np.testing.assert_array_equal(fx[~touched], ref_fx[~touched])
+        np.testing.assert_array_equal(used[~touched], ref_used[~touched])
+        tol = cfg.minimizer_value_tolerance
+        for xi, a, b in zip(tilts, new, ref):
+            assert a.min_value <= b.min_value + 1e-12 * (1.0 + abs(b.min_value))
+            for points, best in ((a.minimizers, b.min_value), (b.minimizers, a.min_value)):
+                cut = best + tol * (1.0 + abs(best))
+                for point in points:
+                    assert f(point) - pairing(xi, point) <= cut
