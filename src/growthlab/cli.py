@@ -181,11 +181,15 @@ def _matrix_bytes(config: RunConfig, values: np.ndarray) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _write_outputs(config: RunConfig, files: Dict[str, bytes]) -> None:
+def _write_outputs(config: RunConfig, files: Dict[str, bytes], **fields) -> None:
+    """Write ``files`` in order, then ``manifest.json``: the resolved config,
+    the names of ``files`` in write order and the subcommand's ``fields``."""
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     for name, payload in files.items():
         (out / name).write_bytes(payload)
+    manifest = {"config": config.flat(), "outputs": list(files), **fields}
+    (out / "manifest.json").write_bytes(_json_bytes(manifest))
 
 
 def _build_oracle(config: RunConfig) -> FunctionOracle:
@@ -236,13 +240,11 @@ def cmd_diagnose(config: RunConfig) -> int:
     payload = {"config": config.flat(), "function": oracle.descriptor}
     payload.update(report.to_json_dict())
     header, rows = report.csv_rows()
-    manifest = {"config": config.flat(), "outputs": ["diagnose_report.json", "diagnose_report.csv"]}
     _write_outputs(
         config,
         {
             "diagnose_report.json": _json_bytes(payload),
             "diagnose_report.csv": _csv_bytes(config, header, rows),
-            "manifest.json": _json_bytes(manifest),
         },
     )
 
@@ -306,17 +308,10 @@ def cmd_prox(config: RunConfig) -> int:
             row += ["", "", "", ""]
         rows.append(row)
 
-    manifest = {
-        "config": config.flat(),
-        "outputs": ["prox_trajectory.csv"],
-        "audit": None if audit is None else {"passed": audit.passed, "rho": audit.rho},
-    }
     _write_outputs(
         config,
-        {
-            "prox_trajectory.csv": _csv_bytes(config, header, rows),
-            "manifest.json": _json_bytes(manifest),
-        },
+        {"prox_trajectory.csv": _csv_bytes(config, header, rows)},
+        audit=None if audit is None else {"passed": audit.passed, "rho": audit.rho},
     )
 
     if audit is None:
@@ -379,21 +374,6 @@ def cmd_tracking(config: RunConfig) -> int:
          str(s.iterations), s.error.replace(",", ";")]
         for s in sweep.samples
     ]
-    manifest = {
-        "config": config.flat(),
-        "grid": {"n": grid.n, "h": grid.h},
-        "box": {"alpha": alpha, "beta": beta},
-        "solve": {
-            "objective": result.objective_value,
-            "first_order_residual": result.first_order_residual,
-            "iterations": result.iterations,
-            "converged": result.converged,
-        },
-        "ssc_estimate": ssc,
-        "sweep": {"kappa_hat": sweep.kappa_hat, "label": sweep.label,
-                  "consistent": consistent},
-        "outputs": ["control.txt", "state.txt", "adjoint.txt", "target.txt", "sweep.csv"],
-    }
     _write_outputs(
         config,
         {
@@ -402,8 +382,17 @@ def cmd_tracking(config: RunConfig) -> int:
             "adjoint.txt": _matrix_bytes(config, result.adjoint),
             "target.txt": _matrix_bytes(config, y_d),
             "sweep.csv": _csv_bytes(config, header, rows),
-            "manifest.json": _json_bytes(manifest),
         },
+        grid={"n": grid.n, "h": grid.h},
+        box={"alpha": alpha, "beta": beta},
+        solve={
+            "objective": result.objective_value,
+            "first_order_residual": result.first_order_residual,
+            "iterations": result.iterations,
+            "converged": result.converged,
+        },
+        ssc_estimate=ssc,
+        sweep={"kappa_hat": sweep.kappa_hat, "label": sweep.label, "consistent": consistent},
     )
 
     print(

@@ -490,14 +490,10 @@ class SlopeEstimate:
     per_radius: Tuple[Tuple[float, float], ...]
 
 
-def metric_slope(
-    phi: FunctionOracle,
-    x,
-    probe_radii: Sequence[float] = DEFAULT_SLOPE_RADII,
-    directions: int = DEFAULT_SLOPE_DIRECTIONS,
-) -> SlopeEstimate:
-    """Normalized maximal descent of ``phi`` near ``x``, probed on shrinking
-    spheres.
+def metric_slope(phi: FunctionOracle, x) -> SlopeEstimate:
+    """Normalized maximal descent of ``phi`` near ``x``, probed along
+    ``DEFAULT_SLOPE_DIRECTIONS`` directions on the shrinking spheres of
+    ``DEFAULT_SLOPE_RADII``.
 
     Returns the estimate at the smallest radius together with the whole
     per-radius sequence so callers can inspect convergence.  If ``x`` is
@@ -507,15 +503,9 @@ def metric_slope(
     phix = phi(x)
     if math.isinf(phix):
         return SlopeEstimate(math.inf, ())
-    radii = [float(r) for r in probe_radii]
-    if not radii or any(r <= 0 or not math.isfinite(r) for r in radii):
-        raise ValueError("probe_radii must be positive and finite")
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("probe_radii must be strictly decreasing")
-
-    dirs = unit_directions(x.size, directions, seed=SLOPE_SEED)
+    dirs = unit_directions(x.size, DEFAULT_SLOPE_DIRECTIONS, seed=SLOPE_SEED)
     per_radius: List[Tuple[float, float]] = []
-    for r in radii:
+    for r in DEFAULT_SLOPE_RADII:
         values = phi.evaluate_rows(x + r * dirs)
         if np.isnan(values).any():
             raise ValueError(f"oracle '{phi.descriptor}' returned NaN")
@@ -537,20 +527,23 @@ class ProbeResult:
     perturbation_size: float
 
 
-def _probe_distances(
+def _probe(
     f: FunctionOracle,
     perturbation: FunctionOracle,
     xbar: np.ndarray,
     region: BallRegion,
+    size: float,
+    lam: float,
+    kappa: float,
     cfg: SolverConfig,
-) -> Tuple[float, np.ndarray]:
+) -> ProbeResult:
+    """Solve ``f + perturbation`` and check its farthest minimizer (the
+    first, on ties) against ``kappa * size**lam``."""
     result = argmin_perturbed(f, perturbation, region, cfg)
-    worst, witness = -1.0, xbar
-    for x in result.minimizers:
-        d = _norm(x - xbar)
-        if d > worst:
-            worst, witness = d, x
-    return worst, witness
+    witness = max(result.minimizers, key=lambda x: _norm(x - xbar))
+    worst = _norm(witness - xbar)
+    bound = kappa * size**lam
+    return ProbeResult(worst <= bound + PROBE_DISTANCE_SLACK, bound, worst, witness, size)
 
 
 def lipschitz_probe(
@@ -572,10 +565,7 @@ def lipschitz_probe(
     if zeta.known_constants is None or "lip" not in zeta.known_constants:
         raise ValueError("zeta must carry known_constants['lip']")
     lip = float(zeta.known_constants["lip"])
-    worst, witness = _probe_distances(f, zeta, xbar, region, cfg)
-    bound = kappa * lip**lam
-    passed = worst <= bound + PROBE_DISTANCE_SLACK
-    return ProbeResult(passed, bound, worst, witness, lip)
+    return _probe(f, zeta, xbar, region, lip, lam, kappa, cfg)
 
 
 def convex_probe(
@@ -596,10 +586,7 @@ def convex_probe(
         raise SlopeInfinite(
             f"base point is outside the domain of '{phi.descriptor}'"
         )
-    worst, witness = _probe_distances(f, phi, xbar, region, cfg)
-    bound = kappa * slope**lam
-    passed = worst <= bound + PROBE_DISTANCE_SLACK
-    return ProbeResult(passed, bound, worst, witness, slope)
+    return _probe(f, phi, xbar, region, slope, lam, kappa, cfg)
 
 
 def sample_subdifferential_graph(

@@ -223,19 +223,15 @@ def _as_field(values, grid: Grid2D, name: str) -> np.ndarray:
     return arr
 
 
-def solve_state(
-    u,
-    grid: Grid2D,
-    y0: Optional[np.ndarray] = None,
-    tol: float = STATE_RESIDUAL_TOL,
-    max_iters: int = NEWTON_MAX_ITERS,
-) -> np.ndarray:
+def solve_state(u, grid: Grid2D, y0: Optional[np.ndarray] = None) -> np.ndarray:
     """Solve ``-lap(y) + y^3 = u`` with zero Dirichlet data by damped Newton.
 
     The Jacobian ``-lap + 3 diag(y^2)`` is symmetric positive definite and
     the cubic nonlinearity is monotone, so Newton from zero is reliable;
     the step is halved while the residual norm fails to decrease to guard
-    large forcing.  ``y0`` warm-starts the iteration.
+    large forcing.  ``y0`` warm-starts the iteration.  Newton stops once
+    the residual norm is at most ``STATE_RESIDUAL_TOL`` and raises after
+    ``NEWTON_MAX_ITERS`` steps.
     """
     u = _as_field(u, grid, "u").ravel()
     y = np.zeros_like(u) if y0 is None else _as_field(y0, grid, "y0").ravel().copy()
@@ -246,8 +242,8 @@ def solve_state(
     res = residual(y)
     rnorm = grid.h * float(np.linalg.norm(res))
     history = [rnorm]
-    for _ in range(max_iters):
-        if rnorm <= tol:
+    for _ in range(NEWTON_MAX_ITERS):
+        if rnorm <= STATE_RESIDUAL_TOL:
             return y.reshape(grid.n, grid.n)
         step = _pcg_solve(3.0 * y**2, -res, grid.n)
         t = 1.0
@@ -260,14 +256,14 @@ def solve_state(
             t *= 0.5
         else:
             raise NewtonDivergence(
-                f"residual stalled at {rnorm:.3e} (tolerance {tol:.1e})", history
+                f"residual stalled at {rnorm:.3e} (tolerance {STATE_RESIDUAL_TOL:.1e})", history
             )
         y, res, rnorm = y_try, res_try, rnorm_try
         history.append(rnorm)
-    if rnorm <= tol:
+    if rnorm <= STATE_RESIDUAL_TOL:
         return y.reshape(grid.n, grid.n)
     raise NewtonDivergence(
-        f"no convergence after {max_iters} iterations, residual {rnorm:.3e}", history
+        f"no convergence after {NEWTON_MAX_ITERS} iterations, residual {rnorm:.3e}", history
     )
 
 

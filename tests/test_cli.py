@@ -294,6 +294,37 @@ class TestArgumentParsing:
         assert not out.exists()
 
 
+class TestManifest:
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        (
+            (["diagnose", "--fn", "power", "--delta", "1"] + FAST_DIAGNOSE,
+             ["diagnose_report.json", "diagnose_report.csv"]),
+            (["prox", "--fn", "power"], ["prox_trajectory.csv"]),
+            (["tracking", "--n", "8"],
+             ["control.txt", "state.txt", "adjoint.txt", "target.txt", "sweep.csv"]),
+        ),
+    )
+    def test_outputs_lists_the_other_files_in_write_order(
+        self, argv, outputs, tmp_path, capsys, monkeypatch
+    ):
+        written = []
+        write_bytes = Path.write_bytes
+
+        def logged(path, data):
+            written.append(path.name)
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", logged)
+        out = tmp_path / "run"
+        assert run(argv + ["--out", str(out)], capsys)[0] == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == outputs
+        assert written == outputs + ["manifest.json"]
+        assert sorted(f.name for f in out.iterdir()) == sorted(written)
+        assert manifest["config"]["subcommand"] == argv[0]
+
+
 class TestReproducibility:
     def test_diagnose_rerun_is_bit_identical(self, tmp_path, capsys):
         out = tmp_path / "d"

@@ -29,7 +29,13 @@ from growthlab.diagnostics import (
     sample_subdifferential_graph,
     unit_directions,
 )
-from growthlab.minimize import NonFiniteValue, SolverConfig, argmin_ball, argmin_tilted
+from growthlab.minimize import (
+    NonFiniteValue,
+    SolverConfig,
+    argmin_ball,
+    argmin_perturbed,
+    argmin_tilted,
+)
 
 P2 = ExponentPair.from_p(2.0)
 P3 = ExponentPair.from_p(3.0)
@@ -289,7 +295,7 @@ class TestMetricSlope:
     def test_linear_slope_2d_with_equispaced_directions(self):
         c = np.array([0.6, -0.8])
         phi = FunctionOracle(lambda y: float(c @ y), "linear2")
-        est = metric_slope(phi, np.zeros(2), directions=128)
+        est = metric_slope(phi, np.zeros(2))
         assert est.value == pytest.approx(1.0, rel=5e-3)
 
     def test_no_descent_at_minimum(self):
@@ -317,8 +323,8 @@ class TestMetricSlope:
             "hinge-slab",
         )
         x = np.array([0.0, 1.0])
-        est = metric_slope(phi, x, directions=16)
-        dirs = unit_directions(2, 16)
+        est = metric_slope(phi, x)
+        dirs = unit_directions(2, diagnostics.DEFAULT_SLOPE_DIRECTIONS)
         expected = []
         for r in diagnostics.DEFAULT_SLOPE_RADII:
             best = 0.0
@@ -334,11 +340,6 @@ class TestMetricSlope:
         phi = FunctionOracle(lambda y: math.nan if y[0] > 0.0 else 0.0, "nan-right")
         with pytest.raises(ValueError):
             metric_slope(phi, [0.0])
-
-    def test_radii_must_decrease(self):
-        phi = FunctionOracle(lambda y: float(y[0]), "lin")
-        with pytest.raises(ValueError):
-            metric_slope(phi, [0.0], probe_radii=(1e-3, 1e-2))
 
 
 class TestProbes:
@@ -389,6 +390,94 @@ class TestProbes:
         probe = convex_probe(f, ORIGIN, region(1.0), phi, 1.0, 0.0, CFG_SMALL)
         assert probe.perturbation_size == 0.0
         assert probe.passed
+
+
+def _probe_by_loop(f, perturbation, xbar, region, size, lam, kappa, cfg):
+    """The probes' check as a loop over the minimizers: the first strictly
+    farthest one from ``xbar`` is the witness."""
+    result = argmin_perturbed(f, perturbation, region, cfg)
+    worst, witness = -1.0, xbar
+    for x in result.minimizers:
+        d = _norm(x - xbar)
+        if d > worst:
+            worst, witness = d, x
+    bound = kappa * size**lam
+    passed = worst <= bound + diagnostics.PROBE_DISTANCE_SLACK
+    return diagnostics.ProbeResult(passed, bound, worst, witness, size), result.minimizers
+
+
+def _linear(c):
+    c = np.asarray(c, dtype=float)
+    return FunctionOracle(lambda y: float(c @ y), f"linear{c.tolist()}")
+
+
+CFG_2D = SolverConfig(grid_points_per_axis=41)
+# (f, perturbation, region, kappa, solver config) per probe
+LIPSCHITZ_CASES = [
+    (power_oracle(2.0), FunctionOracle(lambda y: 3.0, "const", known_constants={"lip": 0.0}),
+     region(1.0), 0.0, CFG_SMALL),
+    (power_oracle(2.0), FunctionOracle(lambda y: float(0.2 * abs(y[0] - 1.0)), "kink",
+                                       known_constants={"lip": 0.2}), region(1.0), 0.4, CFG_SMALL),
+    # minimizers -0.2 and 0.2 at the same distance: the first one is the witness
+    (power_oracle(2.0), FunctionOracle(lambda y: float(-0.4 * abs(y[0])), "vee",
+                                       known_constants={"lip": 0.4}), region(1.0), 0.5, CFG_SMALL),
+    (halfpower_oracle(2.0), FunctionOracle(lambda y: float(0.1 * abs(y[0] + 0.5)), "shifted-vee",
+                                           known_constants={"lip": 0.1}), region(1.0), 1.0, CFG_SMALL),
+]
+CONVEX_CASES = [
+    (power_oracle(2.0), _linear([0.3]), region(1.0), 0.55, CFG_SMALL),
+    (power_oracle(2.0), FunctionOracle(lambda y: float(0.2 * max(-y[0], 0.0)), "hinge"),
+     region(1.0), 0.0, CFG_SMALL),
+    # 20 minimizers on a segment, the farthest first
+    (maxsq2d_oracle(), _linear([0.0, 0.4]), region(1.0, 2), 7.0, CFG_2D),
+    # 28 minimizers, the farthest second
+    (maxsq2d_oracle(), _linear([0.0, -0.3]), region(1.0, 2), 1.0, CFG_2D),
+    # 5 minimizers on the sphere, four of them at distance 1.0
+    (maxsq2d_oracle(), _linear([0.3, -0.2]), region(1.0, 2), 3.0, CFG_2D),
+]
+
+
+class TestProbeMatchesLoop:
+    """Each probe equals the minimizer loop it replaced, field by field, with
+    the witness compared bitwise."""
+
+    @staticmethod
+    def assert_same(probe, expected):
+        assert probe.passed is expected.passed
+        assert probe.bound == expected.bound
+        assert probe.worst_distance == expected.worst_distance
+        assert probe.perturbation_size == expected.perturbation_size
+        assert probe.witness.dtype == expected.witness.dtype
+        assert probe.witness.tobytes() == expected.witness.tobytes()
+
+    @pytest.mark.parametrize("case", range(len(LIPSCHITZ_CASES)))
+    def test_lipschitz_probe(self, case):
+        f, zeta, reg, kappa, cfg = LIPSCHITZ_CASES[case]
+        xbar = np.zeros(reg.dim)
+        lip = zeta.known_constants["lip"]
+        expected, _ = _probe_by_loop(f, zeta, xbar, reg, lip, 1.0, kappa, cfg)
+        self.assert_same(lipschitz_probe(f, xbar, reg, zeta, 1.0, kappa, cfg), expected)
+
+    @pytest.mark.parametrize("case", range(len(CONVEX_CASES)))
+    def test_convex_probe(self, case):
+        f, phi, reg, kappa, cfg = CONVEX_CASES[case]
+        xbar = np.zeros(reg.dim)
+        slope = metric_slope(phi, xbar).value
+        expected, _ = _probe_by_loop(f, phi, xbar, reg, slope, 2.0, kappa, cfg)
+        self.assert_same(convex_probe(f, xbar, reg, phi, 2.0, kappa, cfg), expected)
+
+    def test_cases_cover_ties_and_a_later_farthest_point(self):
+        # the cases above are only telling if some minimizer sets have
+        # several points, an exact tie, and a farthest point after the first
+        witness_index, ties = [], []
+        for f, g, reg, kappa, cfg in LIPSCHITZ_CASES + CONVEX_CASES:
+            xbar = np.zeros(reg.dim)
+            expected, minimizers = _probe_by_loop(f, g, xbar, reg, 1.0, 1.0, kappa, cfg)
+            dists = [_norm(x - xbar) for x in minimizers]
+            witness_index.append(next(i for i, x in enumerate(minimizers) if x is expected.witness))
+            ties.append(dists.count(max(dists)) > 1)
+        assert any(i > 0 for i in witness_index)
+        assert any(ties)
 
 
 class TestSubdifferentialGraph:

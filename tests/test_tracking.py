@@ -119,14 +119,15 @@ class TestAdjointAndLinearized:
         z2 = solve_linearized(2.0 * v, y, GRID)
         np.testing.assert_array_equal(z2, 2.0 * z1)
 
-    def test_linearized_is_tangent_to_state_map(self):
+    def test_linearized_is_tangent_to_state_map(self, monkeypatch):
+        monkeypatch.setattr(trk, "STATE_RESIDUAL_TOL", 1e-12)
         rng = np.random.default_rng(5)
         u = np.full((16, 16), 1.0)
-        y = solve_state(u, GRID, tol=1e-12)
+        y = solve_state(u, GRID)
         v = rng.standard_normal((16, 16))
         z = solve_linearized(v, y, GRID)
         errs = [
-            l2_norm(solve_state(u + t * v, GRID, tol=1e-12) - y - t * z, GRID)
+            l2_norm(solve_state(u + t * v, GRID) - y - t * z, GRID)
             for t in (2e-2, 1e-2)
         ]
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.5)
@@ -328,17 +329,19 @@ class TestPerturbationSweep:
 class TestErrorContract:
     """Solver failures are explicit errors, never quiet results."""
 
-    def test_newton_iteration_cap_raises_with_history(self):
+    def test_newton_iteration_cap_raises_with_history(self, monkeypatch):
+        monkeypatch.setattr(trk, "NEWTON_MAX_ITERS", 1)
         with pytest.raises(NewtonDivergence, match="no convergence after 1 iterations") as info:
-            solve_state(np.full((16, 16), 50.0), GRID, max_iters=1)
+            solve_state(np.full((16, 16), 50.0), GRID)
         history = info.value.residual_history
         assert len(history) == 2 and history[1] < history[0]
 
-    def test_newton_stall_raises_with_history(self):
+    def test_newton_stall_raises_with_history(self, monkeypatch):
         # no iterate reaches a residual of 1e-300, and once rounding stops
         # every halved step from decreasing it, Newton reports a stall
+        monkeypatch.setattr(trk, "STATE_RESIDUAL_TOL", 1e-300)
         with pytest.raises(NewtonDivergence, match="stalled") as info:
-            solve_state(np.full((16, 16), 50.0), GRID, tol=1e-300)
+            solve_state(np.full((16, 16), 50.0), GRID)
         history = info.value.residual_history
         assert history[-1] <= 1e-10
         assert all(b < a for a, b in zip(history, history[1:]))
