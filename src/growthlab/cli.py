@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -321,6 +322,16 @@ def cmd_prox(config: RunConfig) -> int:
     return 0 if audit.passed else 2
 
 
+def _median(values: Sequence[float]) -> float:
+    """The median as ``np.median`` computes it, bitwise, without the
+    import of ``numpy.ma`` that its first call costs."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2.0)
+
+
 def cmd_tracking(config: RunConfig) -> int:
     grid = trk.Grid2D(int(config.values["n"]))
     alpha = float(config.values["alpha"])
@@ -363,7 +374,7 @@ def cmd_tracking(config: RunConfig) -> int:
         if len(ratios) < len(expected) or not ratios:
             consistent = False
         else:
-            med = float(np.median(ratios))
+            med = _median(ratios)
             consistent = med > 0.0 and all(
                 med / factor <= r <= med * factor for r in ratios
             )
@@ -449,7 +460,10 @@ def _attach_negative_values(argv: Sequence[str]) -> List[str]:
     return out
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the
+    process: ``parse_args`` keeps no state between calls."""
     parser = _ArgumentParser(
         prog="growthlab",
         description="Growth-condition diagnostics, proximal point rates, and elliptic tracking runs.",

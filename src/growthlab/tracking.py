@@ -16,6 +16,13 @@ assembled.
 
 States, adjoints, controls, and targets are all (n, n) arrays of interior
 nodal values; the discrete L2 norm of such a field is ``h * |values|_2``.
+
+A line-search trial's Newton solve stops at an iterate ``y_k`` with
+residual ``r`` once ``0.5 * max(|y_k - y_d| - rho, 0)^2``, with
+``rho = (r + STATE_RESIDUAL_TOL) / lam1``, exceeds the Armijo threshold by
+a rounding margin: ``-lap + y^3`` is strongly monotone with modulus
+``lam1``, the least eigenvalue of ``-lap``, so the state the full solve
+would return lies within ``rho`` of ``y_k``, and the trial fails as well.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -223,18 +230,20 @@ def _as_field(values, grid: Grid2D, name: str) -> np.ndarray:
     return arr
 
 
-def solve_state(u, grid: Grid2D, y0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Solve ``-lap(y) + y^3 = u`` with zero Dirichlet data by damped Newton.
+def _newton(
+    u: np.ndarray,
+    y: np.ndarray,
+    grid: Grid2D,
+    give_up: Optional[Callable[[np.ndarray, float], bool]] = None,
+) -> Optional[np.ndarray]:
+    """Damped Newton for ``-lap(y) + y^3 = u`` on flat fields, from ``y``.
 
-    The Jacobian ``-lap + 3 diag(y^2)`` is symmetric positive definite and
-    the cubic nonlinearity is monotone, so Newton from zero is reliable;
-    the step is halved while the residual norm fails to decrease to guard
-    large forcing.  ``y0`` warm-starts the iteration.  Newton stops once
-    the residual norm is at most ``STATE_RESIDUAL_TOL`` and raises after
+    Returns the first iterate whose residual norm is at most
+    ``STATE_RESIDUAL_TOL``, or None as soon as ``give_up(y_k, rnorm_k)``
+    holds for an iterate ``y_k`` after a Newton step.  Raises
+    ``NewtonDivergence`` when the step halving stalls or after
     ``NEWTON_MAX_ITERS`` steps.
     """
-    u = _as_field(u, grid, "u").ravel()
-    y = np.zeros_like(u) if y0 is None else _as_field(y0, grid, "y0").ravel().copy()
 
     def residual(vec: np.ndarray) -> np.ndarray:
         return _neg_lap_stencil(vec, grid.n) + vec**3 - u
@@ -244,7 +253,7 @@ def solve_state(u, grid: Grid2D, y0: Optional[np.ndarray] = None) -> np.ndarray:
     history = [rnorm]
     for _ in range(NEWTON_MAX_ITERS):
         if rnorm <= STATE_RESIDUAL_TOL:
-            return y.reshape(grid.n, grid.n)
+            return y
         step = _pcg_solve(3.0 * y**2, -res, grid.n)
         t = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
@@ -260,11 +269,41 @@ def solve_state(u, grid: Grid2D, y0: Optional[np.ndarray] = None) -> np.ndarray:
             )
         y, res, rnorm = y_try, res_try, rnorm_try
         history.append(rnorm)
+        if give_up is not None and give_up(y, rnorm):
+            return None
     if rnorm <= STATE_RESIDUAL_TOL:
-        return y.reshape(grid.n, grid.n)
+        return y
     raise NewtonDivergence(
         f"no convergence after {NEWTON_MAX_ITERS} iterations, residual {rnorm:.3e}", history
     )
+
+
+def _state_error_bound(rnorm: float, n: int) -> float:
+    """Bound on the discrete L2 distance from a field with residual norm
+    ``rnorm`` to the state ``solve_state`` returns.
+
+    ``-lap + y^3`` is strongly monotone with modulus ``lam1``, the least
+    eigenvalue of ``-lap``, so two fields are at most the distance of their
+    images over ``lam1`` apart; the returned state's residual is at most
+    ``STATE_RESIDUAL_TOL``.  This is the tilt stability of the state
+    equation: the state map is ``1 / lam1``-Lipschitz in the control.
+    """
+    return (rnorm + STATE_RESIDUAL_TOL) / _poisson_eigen(n)[1][0, 0]
+
+
+def solve_state(u, grid: Grid2D, y0: Optional[np.ndarray] = None) -> np.ndarray:
+    """Solve ``-lap(y) + y^3 = u`` with zero Dirichlet data by damped Newton.
+
+    The Jacobian ``-lap + 3 diag(y^2)`` is symmetric positive definite and
+    the cubic nonlinearity is monotone, so Newton from zero is reliable;
+    the step is halved while the residual norm fails to decrease to guard
+    large forcing.  ``y0`` warm-starts the iteration.  Newton stops once
+    the residual norm is at most ``STATE_RESIDUAL_TOL`` and raises after
+    ``NEWTON_MAX_ITERS`` steps.
+    """
+    u = _as_field(u, grid, "u").ravel()
+    y = np.zeros_like(u) if y0 is None else _as_field(y0, grid, "y0").ravel().copy()
+    return _newton(u, y, grid).reshape(grid.n, grid.n)
 
 
 def _solve_spd(y_base: np.ndarray, rhs: np.ndarray, grid: Grid2D) -> np.ndarray:
@@ -384,6 +423,30 @@ def solve_tracking(
     jval = 0.5 * l2_norm(y - y_d, grid) ** 2
     p = solve_adjoint(y, y_d, grid)
     history: List[float] = [jval]
+
+    # a trial's Newton solve stops once it must fail the Armijo test (see
+    # the module docstring)
+    y_d_flat = y_d.ravel()
+    target_norm = l2_norm(y_d, grid)
+    eps = 2.0**-52
+    threshold = 0.0
+
+    def fails_armijo(y_k: np.ndarray, rnorm: float) -> bool:
+        dist = grid.h * float(np.linalg.norm(y_k - y_d_flat))
+        rho = _state_error_bound(rnorm, grid.n)
+        # Rounding margin, in distance units.  A computed residual norm is
+        # off from the exact one by at most about 50 eps (n + 1)^2 |y|_h
+        # (the stencil's terms are up to 4 (n + 1)^2 |y| each), at y_k and
+        # at Newton's last iterate, whose norms are at most
+        # 2 dist + |y_d|_h; dividing by lam1 >= 19 leaves under
+        # 16 eps (n + 1)^2 (dist + |y_d|_h), with the norm's own rounding.
+        # ``slack`` is 64 times that, and since
+        # 0.5 max(L - slack, 0)^2 >= 0.5 L^2 - dist * slack for
+        # L = max(dist - rho, 0) <= dist, every trial rejected here fails
+        # the full solve's test too.
+        slack = 2.0**10 * eps * (grid.n + 1) ** 2 * (dist + target_norm)
+        return 0.5 * max(dist - rho, 0.0) ** 2 > threshold + dist * slack
+
     step = SPG_STEP_INIT
     prev_u: Optional[np.ndarray] = None
     prev_p: Optional[np.ndarray] = None
@@ -412,11 +475,14 @@ def solve_tracking(
             move = u_try - u
             if l2_norm(move, grid) == 0.0:
                 break
-            y_try = solve_state(u_try, grid, y0=y)
-            j_try = 0.5 * l2_norm(y_try - y_d, grid) ** 2
-            if j_try <= jval + SPG_ARMIJO * l2_inner(p, move, grid):
-                accepted = True
-                break
+            threshold = jval + SPG_ARMIJO * l2_inner(p, move, grid)
+            y_try = _newton(u_try.ravel(), y.ravel(), grid, fails_armijo)
+            if y_try is not None:
+                y_try = y_try.reshape(grid.n, grid.n)
+                j_try = 0.5 * l2_norm(y_try - y_d, grid) ** 2
+                if j_try <= threshold:
+                    accepted = True
+                    break
             t *= 0.5
         if not accepted:
             break

@@ -1,11 +1,30 @@
-"""Reference operators for the tracking tests, built with scipy.sparse.
+"""Reference implementations for the tracking tests.
 
-The library applies ``-lap`` as a matrix-free 5-point stencil; the tests
-compare it, and every solve built on it, against the assembled matrix.
+``neg_laplacian`` assembles the 5-point ``-lap`` with scipy.sparse: the
+library applies it as a matrix-free stencil, and the tests compare the
+stencil, and every solve built on it, against the matrix.
+
+``solve_tracking`` is a frozen copy of the spectral projected-gradient
+loop before line-search trials could stop early: every trial's state is
+solved by ``solve_state`` to its full tolerance before the Armijo test.
 """
+
+import math
+from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
+
+from growthlab import tracking as trk
+from growthlab.tracking import (
+    DescentConfig,
+    Grid2D,
+    TrackingResult,
+    l2_inner,
+    l2_norm,
+    solve_adjoint,
+    solve_state,
+)
 
 
 def neg_laplacian(n: int) -> sp.csr_matrix:
@@ -16,3 +35,73 @@ def neg_laplacian(n: int) -> sp.csr_matrix:
     t = sp.diags([-ones[:-1], 2.0 * ones, -ones[:-1]], offsets=(-1, 0, 1))
     eye = sp.identity(n)
     return ((sp.kron(eye, t) + sp.kron(t, eye)) / h**2).tocsr()
+
+
+def solve_tracking(
+    y_d,
+    grid: Grid2D,
+    alpha: float,
+    beta: float,
+    cfg: DescentConfig = DescentConfig(),
+    u0: Optional[np.ndarray] = None,
+) -> TrackingResult:
+    """The projected-gradient control solve, each trial solved in full."""
+    if not (alpha < beta and math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"need finite alpha < beta, got [{alpha}, {beta}]")
+    y_d = np.asarray(y_d, dtype=float)
+
+    if u0 is None:
+        u = np.full((grid.n, grid.n), 0.5 * (alpha + beta))
+    else:
+        u = np.clip(np.asarray(u0, dtype=float), alpha, beta)
+
+    y = solve_state(u, grid)
+    jval = 0.5 * l2_norm(y - y_d, grid) ** 2
+    p = solve_adjoint(y, y_d, grid)
+    history: List[float] = [jval]
+    step = trk.SPG_STEP_INIT
+    prev_u: Optional[np.ndarray] = None
+    prev_p: Optional[np.ndarray] = None
+
+    iterations = 0
+    for iterations in range(1, cfg.max_iters + 1):
+        residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
+        if residual <= cfg.tol:
+            return TrackingResult(
+                u, y, p, jval, residual, iterations - 1, True, tuple(history)
+            )
+
+        if prev_u is not None:
+            du = u - prev_u
+            dg = p - prev_p
+            den = l2_inner(du, dg, grid)
+            if den > 0.0:
+                step = min(max(l2_inner(du, du, grid) / den, trk.SPG_STEP_MIN), trk.SPG_STEP_MAX)
+            else:
+                step = trk.SPG_STEP_MAX
+
+        accepted = False
+        t = 1.0
+        for _ in range(trk.SPG_MAX_HALVINGS):
+            u_try = np.clip(u - t * step * p, alpha, beta)
+            move = u_try - u
+            if l2_norm(move, grid) == 0.0:
+                break
+            y_try = solve_state(u_try, grid, y0=y)
+            j_try = 0.5 * l2_norm(y_try - y_d, grid) ** 2
+            if j_try <= jval + trk.SPG_ARMIJO * l2_inner(p, move, grid):
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+
+        prev_u, prev_p = u, p
+        u, y, jval = u_try, y_try, j_try
+        p = solve_adjoint(y, y_d, grid)
+        history.append(jval)
+
+    residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
+    return TrackingResult(
+        u, y, p, jval, residual, iterations, residual <= cfg.tol, tuple(history)
+    )

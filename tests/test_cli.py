@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import growthlab
+from growthlab import cli
 from growthlab import tracking as trk
 from growthlab.cli import main
 
@@ -292,6 +294,47 @@ class TestArgumentParsing:
         assert code == 1
         assert "usage:" in err
         assert not out.exists()
+
+
+class TestParserReuse:
+    RUNS = (
+        ["diagnose", "--fn", "maxsq2d", "--delta", "1"],
+        ["tracking", "--n", "8", "--no-such-flag", "1"],
+        ["tracking", "--n", "8"],
+    )
+
+    def _outcomes(self, cwd, fresh, monkeypatch, capsys):
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        outcomes = []
+        for k, argv in enumerate(self.RUNS):
+            if fresh:
+                cli.build_parser.cache_clear()
+            out = Path(f"run{k}")
+            code, stdout, err = run(argv + ["--out", str(out)], capsys)
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.exists() else None
+            outcomes.append((code, stdout, err, files))
+        return outcomes
+
+    def test_one_parser_serves_every_call_as_a_fresh_one_would(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        fresh = self._outcomes(tmp_path / "fresh", True, monkeypatch, capsys)
+        assert cli.build_parser() is cli.build_parser()
+        reused = self._outcomes(tmp_path / "reused", False, monkeypatch, capsys)
+        assert [code for code, *_ in reused] == [0, 1, 0]
+        assert "usage:" in reused[1][2] and reused[1][3] is None
+        assert reused == fresh
+
+
+class TestMedian:
+    @pytest.mark.parametrize("length", (1, 2, 3, 4, 7, 8, 24, 25))
+    def test_equals_numpy_median_bitwise(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(200):
+            values = list(rng.lognormal(0.0, 2.0, length))
+            expected = np.float64(np.median(values))
+            assert np.float64(cli._median(values)).tobytes() == expected.tobytes()
 
 
 class TestManifest:

@@ -1,11 +1,14 @@
 """Tests for the elliptic tracking problem: PDE solvers, optimality
 structure, curvature estimate, and the target-perturbation sweep."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import _reference as reference
 from _reference import neg_laplacian as _neg_laplacian
 from growthlab import tracking as trk
 from growthlab.tracking import (
@@ -13,6 +16,7 @@ from growthlab.tracking import (
     Grid2D,
     LinearSolveFailure,
     NewtonDivergence,
+    TrackingResult,
     default_target,
     l2_inner,
     l2_norm,
@@ -324,6 +328,131 @@ class TestPerturbationSweep:
         coeffs[0, 0] = 2.0
         field = sine_combination(GRID, coeffs)
         np.testing.assert_allclose(field, 2.0 * sinbump(GRID), atol=1e-12)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_same_result(new: TrackingResult, old: TrackingResult) -> None:
+    for field in dataclasses.fields(TrackingResult):
+        a, b = getattr(new, field.name), getattr(old, field.name)
+        assert type(a) is type(b), field.name
+        if isinstance(a, (np.ndarray, float, tuple)):
+            assert np.shape(a) == np.shape(b) and _bits(a) == _bits(b), field.name
+        else:
+            assert a == b, field.name
+
+
+def _assert_same_sweep(new, old) -> None:
+    assert _bits(new.kappa_hat) == _bits(old.kappa_hat)
+    assert len(new.samples) == len(old.samples)
+    for a, b in zip(new.samples, old.samples):
+        assert _bits([a.eta_norm, a.ratio]) == _bits([b.eta_norm, b.ratio])
+        assert (a.index, a.converged, a.iterations, a.error) == (
+            b.index, b.converged, b.iterations, b.error
+        )
+
+
+class TestEarlyRejectMatchesFullSolve:
+    """A line-search trial whose Newton solve stops early, because the
+    state map's Lipschitz bound proves that it fails the Armijo test, must
+    leave every result bitwise as the frozen full-solve loop gives it."""
+
+    @staticmethod
+    def _check_solve_and_sweep(n, amplitude, beta, monkeypatch):
+        grid = Grid2D(n)
+        y_d = amplitude * default_target(grid)
+        cfg = DescentConfig(tol=1e-8)
+        new = solve_tracking(y_d, grid, ALPHA, beta, cfg)
+        old = reference.solve_tracking(y_d, grid, ALPHA, beta, cfg)
+        _assert_same_result(new, old)
+        new_sweep = perturbation_sweep(new, y_d, grid, ALPHA, beta, (1e-3,), 1, cfg)
+        # the sweep's perturbed solves, each warm-started, through the frozen loop
+        monkeypatch.setattr(trk, "solve_tracking", reference.solve_tracking)
+        old_sweep = perturbation_sweep(old, y_d, grid, ALPHA, beta, (1e-3,), 1, cfg)
+        _assert_same_sweep(new_sweep, old_sweep)
+
+    @pytest.mark.parametrize("amplitude", (0.5, 0.64, 0.7))
+    @pytest.mark.parametrize("n", (8, 16, 24))
+    def test_solve_and_sweep_match(self, n, amplitude, monkeypatch):
+        self._check_solve_and_sweep(n, amplitude, BETA, monkeypatch)
+
+    def test_strongly_nonlinear_instance_matches(self, monkeypatch):
+        # here one Newton step leaves trial states far enough from their
+        # limits that a rule ignoring rho rejects trials the full solve accepts
+        self._check_solve_and_sweep(8, 5.0, 400.0, monkeypatch)
+
+    def test_warm_start_matches(self):
+        y_d = 0.64 * default_target(GRID)
+        u0 = np.random.default_rng(7).uniform(-1.0, 9.0, (16, 16))
+        cfg = DescentConfig(tol=1e-8)
+        _assert_same_result(
+            solve_tracking(y_d, GRID, ALPHA, BETA, cfg, u0=u0),
+            reference.solve_tracking(y_d, GRID, ALPHA, BETA, cfg, u0=u0),
+        )
+
+    def test_tight_tolerance_matches(self):
+        grid = Grid2D(8)
+        y_d = 0.6 * default_target(grid)
+        cfg = DescentConfig(tol=1e-11)
+        _assert_same_result(
+            solve_tracking(y_d, grid, ALPHA, BETA, cfg),
+            reference.solve_tracking(y_d, grid, ALPHA, BETA, cfg),
+        )
+
+    def test_rejected_trials_skip_linear_solves(self, monkeypatch):
+        calls = []
+        pcg = trk._pcg_solve
+
+        def counted(d, b, n):
+            calls.append(n)
+            return pcg(d, b, n)
+
+        monkeypatch.setattr(trk, "_pcg_solve", counted)
+        y_d = 0.64 * default_target(GRID)
+        solve_tracking(y_d, GRID, ALPHA, BETA, DescentConfig(tol=1e-8))
+        new_calls = len(calls)
+        calls.clear()
+        reference.solve_tracking(y_d, GRID, ALPHA, BETA, DescentConfig(tol=1e-8))
+        assert 0 < new_calls < len(calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from((8, 16)),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("newton", "random", "lowest mode")),
+    newton_steps=st.integers(1, 3),
+    scale=st.floats(1e-6, 2.0),
+)
+def test_state_error_bound(n, seed, kind, newton_steps, scale):
+    """``|y_u - y|_h <= (|F(y) - u|_h + STATE_RESIDUAL_TOL) / lam1`` for
+    ``F(y) = -lap y + y^3``, whose modulus of strong monotonicity is the
+    least eigenvalue ``lam1`` of the discrete ``-lap``: the bound on which
+    line-search trials are rejected early.  ``y`` is a Newton iterate from
+    zero, a random field, or ``y_u`` moved along the lowest eigenmode,
+    where the bound is nearly attained (a larger ``lam1`` breaks it)."""
+    grid = Grid2D(n)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 8.0, n * n)
+    y_u = solve_state(u.reshape(n, n), grid).ravel()
+    if kind == "newton":
+        iterates = []
+
+        def record(y_k, rnorm):
+            iterates.append(y_k)
+            return len(iterates) == newton_steps
+
+        trk._newton(u, np.zeros_like(u), grid, record)
+        y = iterates[-1]
+    elif kind == "random":
+        y = scale * rng.standard_normal(n * n)
+    else:
+        y = y_u + scale * default_target(grid).ravel()
+    residual = l2_norm(trk._neg_lap_stencil(y, n) + y**3 - u, grid)
+    bound = trk._state_error_bound(residual, n)
+    assert l2_norm(y_u - y, grid) <= bound * (1.0 + 1e-12)
 
 
 class TestErrorContract:
