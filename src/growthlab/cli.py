@@ -368,10 +368,9 @@ def cmd_tracking(config: RunConfig) -> int:
     factor = float(config.values["consistency_factor"])
     consistent = True
     if ssc > 0.0:
-        # every sample with a positive perturbation size must produce a
-        # finite ratio, and the ratios must cluster around their median
-        expected = [s for s in sweep.samples if s.eta_norm > 0.0]
-        if len(ratios) < len(expected) or not ratios:
+        # every sample must produce a finite ratio, and the ratios must
+        # cluster around their median
+        if len(ratios) < len(sweep.samples):
             consistent = False
         else:
             med = _median(ratios)

@@ -20,7 +20,7 @@ through one rule: the first pair with the strictly largest ratio wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -182,38 +182,11 @@ class DiagnosticsReport:
     region: BallRegion
 
     def to_json_dict(self) -> dict:
-        def rel(c: RelationCheck) -> dict:
-            return {"checked": c.checked, "passed": c.passed, "slack": c.slack}
-
-        return {
-            "exponents": {"p": self.exponents.p, "q": self.exponents.q},
-            "region": {
-                "center": self.region.center.tolist(),
-                "radius": self.region.radius,
-            },
-            "growth": {
-                "gamma_hat": self.growth.gamma_hat,
-                "witness": self.growth.witness.tolist(),
-                "samples_used": self.growth.samples_used,
-            },
-            "tilt": {
-                "kappa_hat": self.tilt.kappa_hat,
-                "worst_tilt": self.tilt.worst_tilt.tolist(),
-                "worst_minimizer": self.tilt.worst_minimizer.tolist(),
-            },
-            "loja": {
-                "mu_hat": self.loja.mu_hat,
-                "worst_tilt": self.loja.worst_tilt.tolist(),
-            },
-            "audit": {
-                "tau": self.audit.tau,
-                "kappa_vs_gamma": rel(self.audit.kappa_vs_gamma),
-                "mu_vs_kappa": rel(self.audit.mu_vs_kappa),
-                "gamma_vs_mu": rel(self.audit.gamma_vs_mu),
-                "degenerate": list(self.audit.degenerate),
-                "all_pass": self.audit.all_pass,
-            },
-        }
+        """The report's fields as nested dicts, with the audit's verdict
+        added as ``audit.all_pass``; arrays stay arrays."""
+        out = asdict(self)
+        out["audit"]["all_pass"] = self.audit.all_pass
+        return out
 
     def csv_rows(self) -> Tuple[List[str], List[List[str]]]:
         """One flat row per estimator with witness coordinates."""

@@ -114,7 +114,9 @@ def ball_grid(region: BallRegion, points_per_axis: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _ball_grid(center: Tuple[float, ...], radius: float, points_per_axis: int) -> np.ndarray:
-    # Memoized, read-only: every tilt of a diagnose job scans the same grid.
+    # Memoized, read-only: ``estimate_growth``, each stacked solve (which
+    # scans the grid once for all of its tilts) and each prox step over one
+    # ball share it.
     if points_per_axis < 3:
         raise ValueError("points_per_axis must be >= 3")
     d = len(center)

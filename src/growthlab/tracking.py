@@ -15,7 +15,9 @@ operator ``-lap`` itself is applied as a 5-point stencil; no matrix is
 assembled.
 
 States, adjoints, controls, and targets are all (n, n) arrays of interior
-nodal values; the discrete L2 norm of such a field is ``h * |values|_2``.
+nodal values, and so is every field the Newton, CG and stencil layers
+take and return; the discrete L2 norm of such a field is
+``h * |values|_2``.
 
 A line-search trial's Newton solve stops at an iterate ``y_k`` with
 residual ``r`` once ``0.5 * max(|y_k - y_d| - rho, 0)^2``, with
@@ -113,23 +115,23 @@ class Grid2D:
         return np.meshgrid(xs, xs, indexing="ij")
 
 
-def _neg_lap_stencil(x: np.ndarray, n: int) -> np.ndarray:
-    """``-lap x`` for a flat field ``x`` of n * n interior values.
+def _neg_lap_stencil(x: np.ndarray) -> np.ndarray:
+    """``-lap x`` for an (n, n) field ``x`` of interior values.
 
     The five terms are summed in the column order of the assembled CSR
     matrix, (i-1, j), (i, j-1), centre, (i, j+1), (i+1, j), so the result
     is bitwise equal to that matrix's product (``tests/_reference.py``)."""
-    h = 1.0 / (n + 1)
+    h = 1.0 / (x.shape[0] + 1)
     off = -1.0 / h**2
-    ox = off * x.reshape(n, n)
-    out = np.zeros((n, n))
+    ox = off * x
+    out = np.zeros(x.shape)
     out[1:] = ox[:-1]
     out[:, 1:] += ox[:, :-1]
     # the centre coefficient 4/h^2 is -4 * off exactly (a power-of-two scale)
     out -= 4.0 * ox
     out[:, :-1] += ox[:, 1:]
     out[:-1] += ox[1:]
-    return out.ravel()
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -147,24 +149,25 @@ def _poisson_eigen(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return s, lam
 
 
-def _cg_iteration_cap(d: np.ndarray, n: int) -> int:
+def _cg_iteration_cap(d: np.ndarray) -> int:
     # The preconditioned spectrum lies in [1, 1 + max(d) / lam_min], and the
     # classic CG bound needs 0.5 sqrt(cond) ln(2 / CG_RTOL) steps; allow
     # twice that.
-    lam_min = _poisson_eigen(n)[1][0, 0]
+    lam_min = _poisson_eigen(d.shape[0])[1][0, 0]
     cond = 1.0 + float(np.max(d)) / lam_min
     if not math.isfinite(cond):
         raise LinearSolveFailure("operator diagonal is not finite")
     return 10 + int(math.sqrt(cond) * math.log(2.0 / CG_RTOL))
 
 
-def _spd_matvec(d: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    return _neg_lap_stencil(x, n) + d * x
+def _spd_matvec(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return _neg_lap_stencil(x) + d * x
 
 
-def _pcg_solve(d: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Solve ``(-lap + diag(d)) x = b`` for flat ``d >= 0`` and ``b`` by
-    conjugate gradients preconditioned with the exact inverse of ``-lap``.
+def _pcg_solve(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``(-lap + diag(d)) x = b`` for (n, n) fields ``d >= 0`` and
+    ``b`` by conjugate gradients preconditioned with the exact inverse of
+    ``-lap``.
 
     Since the preconditioner inverts ``-lap``, ``-lap z = r`` for every
     preconditioned residual ``z``, so ``w = -lap direction`` follows the
@@ -173,34 +176,33 @@ def _pcg_solve(d: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     below ``CG_RTOL`` relative to ``b``; a non-finite iterate or reaching
     the iteration cap raises ``LinearSolveFailure``.
     """
-    s, lam = _poisson_eigen(n)
+    s, lam = _poisson_eigen(b.shape[0])
 
     def precondition(r: np.ndarray) -> np.ndarray:
-        return (s @ ((s @ r.reshape(n, n) @ s) / lam) @ s).ravel()
+        return s @ ((s @ r @ s) / lam) @ s
 
     x = np.zeros_like(b)
-    # np.linalg.norm of a vector is sqrt(v @ v); the same formula, bitwise
-    bnorm = math.sqrt(float(b @ b))
+    bnorm = math.sqrt(float(np.vdot(b, b)))
     if bnorm == 0.0:
         return x
     r = b.copy()
     z = precondition(r)
     direction = z
     w = r
-    rz = float(r @ z)
-    cap = _cg_iteration_cap(d, n)
+    rz = float(np.vdot(r, z))
+    cap = _cg_iteration_cap(d)
     for _ in range(cap):
         q = w + d * direction
-        step = rz / float(direction @ q)
+        step = rz / float(np.vdot(direction, q))
         x = x + step * direction
         r = r - step * q
-        rnorm = math.sqrt(float(r @ r))
+        rnorm = math.sqrt(float(np.vdot(r, r)))
         if not math.isfinite(rnorm):
             raise LinearSolveFailure("conjugate gradients produced a non-finite residual")
         if rnorm <= CG_RTOL * bnorm:
             return x
         z = precondition(r)
-        rz_next = float(r @ z)
+        rz_next = float(np.vdot(r, z))
         beta = rz_next / rz
         direction = z + beta * direction
         w = r + beta * w
@@ -213,7 +215,9 @@ def _pcg_solve(d: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 def l2_norm(values: np.ndarray, grid: Grid2D) -> float:
     """Discrete L2 norm of an interior nodal field: ``h * |values|_2``."""
-    return grid.h * float(np.linalg.norm(np.ravel(values)))
+    # np.linalg.norm of the row-major values, bitwise: sqrt of their dot
+    # product with themselves
+    return grid.h * math.sqrt(float(np.vdot(values, values)))
 
 
 def l2_inner(a: np.ndarray, b: np.ndarray, grid: Grid2D) -> float:
@@ -227,7 +231,9 @@ def _as_field(values, grid: Grid2D, name: str) -> np.ndarray:
         raise ValueError(f"{name} must have shape {(grid.n, grid.n)}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite entries")
-    return arr
+    # row-major, so the preconditioner's matrix products and the inner
+    # products see every field in one memory layout
+    return np.ascontiguousarray(arr)
 
 
 def _newton(
@@ -236,7 +242,7 @@ def _newton(
     grid: Grid2D,
     give_up: Optional[Callable[[np.ndarray, float], bool]] = None,
 ) -> Optional[np.ndarray]:
-    """Damped Newton for ``-lap(y) + y^3 = u`` on flat fields, from ``y``.
+    """Damped Newton for ``-lap(y) + y^3 = u`` from the field ``y``.
 
     Returns the first iterate whose residual norm is at most
     ``STATE_RESIDUAL_TOL``, or None as soon as ``give_up(y_k, rnorm_k)``
@@ -246,20 +252,20 @@ def _newton(
     """
 
     def residual(vec: np.ndarray) -> np.ndarray:
-        return _neg_lap_stencil(vec, grid.n) + vec**3 - u
+        return _neg_lap_stencil(vec) + vec**3 - u
 
     res = residual(y)
-    rnorm = grid.h * float(np.linalg.norm(res))
+    rnorm = l2_norm(res, grid)
     history = [rnorm]
     for _ in range(NEWTON_MAX_ITERS):
         if rnorm <= STATE_RESIDUAL_TOL:
             return y
-        step = _pcg_solve(3.0 * y**2, -res, grid.n)
+        step = _pcg_solve(3.0 * y**2, -res)
         t = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
             y_try = y + t * step
             res_try = residual(y_try)
-            rnorm_try = grid.h * float(np.linalg.norm(res_try))
+            rnorm_try = l2_norm(res_try, grid)
             if rnorm_try < rnorm:
                 break
             t *= 0.5
@@ -291,35 +297,31 @@ def _state_error_bound(rnorm: float, n: int) -> float:
     return (rnorm + STATE_RESIDUAL_TOL) / _poisson_eigen(n)[1][0, 0]
 
 
-def solve_state(u, grid: Grid2D, y0: Optional[np.ndarray] = None) -> np.ndarray:
+def solve_state(u, grid: Grid2D) -> np.ndarray:
     """Solve ``-lap(y) + y^3 = u`` with zero Dirichlet data by damped Newton.
 
     The Jacobian ``-lap + 3 diag(y^2)`` is symmetric positive definite and
     the cubic nonlinearity is monotone, so Newton from zero is reliable;
     the step is halved while the residual norm fails to decrease to guard
-    large forcing.  ``y0`` warm-starts the iteration.  Newton stops once
-    the residual norm is at most ``STATE_RESIDUAL_TOL`` and raises after
-    ``NEWTON_MAX_ITERS`` steps.
+    large forcing.  Newton stops once the residual norm is at most
+    ``STATE_RESIDUAL_TOL`` and raises after ``NEWTON_MAX_ITERS`` steps.
     """
-    u = _as_field(u, grid, "u").ravel()
-    y = np.zeros_like(u) if y0 is None else _as_field(y0, grid, "y0").ravel().copy()
-    return _newton(u, y, grid).reshape(grid.n, grid.n)
+    return _newton(_as_field(u, grid, "u"), np.zeros((grid.n, grid.n)), grid)
 
 
 def _solve_spd(y_base: np.ndarray, rhs: np.ndarray, grid: Grid2D) -> np.ndarray:
     """Preconditioned CG solve of ``(-lap + 3 diag(y^2)) x = rhs`` with a
-    true-residual check and iterative refinement."""
-    d = 3.0 * y_base.ravel() ** 2
-    b = rhs.ravel()
-    x = _pcg_solve(d, b, grid.n)
-    for _ in range(3):
-        resid = b - _spd_matvec(d, x, grid.n)
-        if grid.h * float(np.linalg.norm(resid)) <= LINEAR_RESIDUAL_TOL:
-            return x.reshape(grid.n, grid.n)
-        x = x + _pcg_solve(d, resid, grid.n)
-    resid_norm = grid.h * float(np.linalg.norm(b - _spd_matvec(d, x, grid.n)))
-    if resid_norm <= LINEAR_RESIDUAL_TOL:
-        return x.reshape(grid.n, grid.n)
+    true-residual check after the solve and each of up to three
+    refinement steps."""
+    d = 3.0 * y_base**2
+    x = np.zeros_like(rhs)
+    resid = rhs
+    for _ in range(4):
+        x = x + _pcg_solve(d, resid)
+        resid = rhs - _spd_matvec(d, x)
+        resid_norm = l2_norm(resid, grid)
+        if resid_norm <= LINEAR_RESIDUAL_TOL:
+            return x
     raise LinearSolveFailure(
         f"linear residual {resid_norm:.3e} above {LINEAR_RESIDUAL_TOL:.1e}"
     )
@@ -426,13 +428,12 @@ def solve_tracking(
 
     # a trial's Newton solve stops once it must fail the Armijo test (see
     # the module docstring)
-    y_d_flat = y_d.ravel()
     target_norm = l2_norm(y_d, grid)
     eps = 2.0**-52
     threshold = 0.0
 
     def fails_armijo(y_k: np.ndarray, rnorm: float) -> bool:
-        dist = grid.h * float(np.linalg.norm(y_k - y_d_flat))
+        dist = l2_norm(y_k - y_d, grid)
         rho = _state_error_bound(rnorm, grid.n)
         # Rounding margin, in distance units.  A computed residual norm is
         # off from the exact one by at most about 50 eps (n + 1)^2 |y|_h
@@ -476,9 +477,8 @@ def solve_tracking(
             if l2_norm(move, grid) == 0.0:
                 break
             threshold = jval + SPG_ARMIJO * l2_inner(p, move, grid)
-            y_try = _newton(u_try.ravel(), y.ravel(), grid, fails_armijo)
+            y_try = _newton(u_try, y, grid, fails_armijo)
             if y_try is not None:
-                y_try = y_try.reshape(grid.n, grid.n)
                 j_try = 0.5 * l2_norm(y_try - y_d, grid) ** 2
                 if j_try <= threshold:
                     accepted = True
@@ -627,17 +627,16 @@ def perturbation_sweep(
         raise ValueError("etas_per_norm must be >= 1")
     if len(eta_norms) == 0:
         raise ValueError("eta_norms must not be empty")
+    for target in eta_norms:
+        if not (target > 0.0 and math.isfinite(target)):
+            raise ValueError(f"eta norms must be positive and finite, got {target}")
     y_d = _as_field(y_d, grid, "y_d")
     ybar = ubar_result.state
 
     def run_sample(j: int, i: int, target: float) -> SweepSample:
         rng = np.random.default_rng([seed, j, i])
         eta = sine_combination(grid, rng.standard_normal((SWEEP_MODES, SWEEP_MODES)))
-        nrm = l2_norm(eta, grid)
-        if not (target > 0.0) or nrm == 0.0:
-            return SweepSample(float(target), i, math.nan, False, 0,
-                               error="zero perturbation skipped")
-        eta = eta * (target / nrm)
+        eta = eta * (target / l2_norm(eta, grid))
         try:
             res = solve_tracking(
                 y_d + eta, grid, alpha, beta, cfg, u0=ubar_result.control

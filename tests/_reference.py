@@ -6,7 +6,8 @@ stencil, and every solve built on it, against the matrix.
 
 ``solve_tracking`` is a frozen copy of the spectral projected-gradient
 loop before line-search trials could stop early: every trial's state is
-solved by ``solve_state`` to its full tolerance before the Armijo test.
+solved by a full Newton solve, warm-started from the current state, before
+the Armijo test.
 """
 
 import math
@@ -87,7 +88,7 @@ def solve_tracking(
             move = u_try - u
             if l2_norm(move, grid) == 0.0:
                 break
-            y_try = solve_state(u_try, grid, y0=y)
+            y_try = trk._newton(u_try, y, grid)
             j_try = 0.5 * l2_norm(y_try - y_d, grid) ** 2
             if j_try <= jval + trk.SPG_ARMIJO * l2_inner(p, move, grid):
                 accepted = True

@@ -170,7 +170,7 @@ class TestTracking:
 
 
     def test_capped_linear_solve_exits_one_without_files(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d, n: 1)
+        monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d: 1)
         out = tmp_path / "t"
         code, _, err = run(["tracking", "--out", str(out)] + MINI_TRACKING, capsys)
         assert code == 1
@@ -244,6 +244,14 @@ class TestConfigValidation:
              "tilt_norms must not be empty"),
             (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", ","],
              "eta_norms must not be empty"),
+            (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", "0,1e-2"],
+             "eta norms must be positive and finite, got 0.0"),
+            (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", "-1e-2"],
+             "eta norms must be positive and finite, got -0.01"),
+            (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", "nan"],
+             "eta norms must be positive and finite, got nan"),
+            (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", "inf"],
+             "eta norms must be positive and finite, got inf"),
         ),
     )
     def test_invalid_solver_setting_exits_one_without_files(

@@ -146,6 +146,22 @@ class TestAdjointAndLinearized:
             zw = solve_linearized(w, y, GRID)
             assert abs(l2_inner(zv, w, GRID) - l2_inner(v, zw, GRID)) <= 1e-10
 
+    @pytest.mark.parametrize("n", (8, 16, 24, 32, 64))
+    def test_column_major_fields_give_bitwise_equal_solves(self, n):
+        # every field is made row-major on entry, so the preconditioner's
+        # matrix products and the inner products never see the caller's
+        # memory layout
+        grid = Grid2D(n)
+        rng = np.random.default_rng(n)
+        u = rng.uniform(ALPHA, BETA, (n, n))
+        v = rng.standard_normal((n, n))
+        y_d = 0.64 * default_target(grid)
+        y = solve_state(u, grid)
+        f = np.asfortranarray
+        assert _bits(solve_state(f(u), grid)) == _bits(y)
+        assert _bits(solve_linearized(f(v), f(y), grid)) == _bits(solve_linearized(v, y, grid))
+        assert _bits(solve_adjoint(f(y), f(y_d), grid)) == _bits(solve_adjoint(y, y_d, grid))
+
 
 class TestObjectiveAndCurvature:
     def test_perfect_tracking_objective_is_zero(self):
@@ -302,13 +318,13 @@ class TestPerturbationSweep:
         assert report.kappa_hat == pytest.approx(max(ratios))
         assert all(s.converged for s in report.samples)
 
-    def test_zero_norm_skipped(self, default_solution):
+    def test_non_positive_or_non_finite_norm_rejected(self, default_solution):
         y_d, res = default_solution
-        report = perturbation_sweep(
-            res, y_d, GRID, ALPHA, BETA, (0.0,), 1, DescentConfig(tol=1e-8), seed=0
-        )
-        assert math.isnan(report.samples[0].ratio)
-        assert "skipped" in report.samples[0].error
+        for bad in (0.0, -1e-2, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
+                perturbation_sweep(
+                    res, y_d, GRID, ALPHA, BETA, (1e-2, bad), 1, DescentConfig(tol=1e-8)
+                )
 
     def test_deterministic_given_seed(self, default_solution):
         y_d, res = default_solution
@@ -405,9 +421,9 @@ class TestEarlyRejectMatchesFullSolve:
         calls = []
         pcg = trk._pcg_solve
 
-        def counted(d, b, n):
-            calls.append(n)
-            return pcg(d, b, n)
+        def counted(d, b):
+            calls.append(b.shape[0])
+            return pcg(d, b)
 
         monkeypatch.setattr(trk, "_pcg_solve", counted)
         y_d = 0.64 * default_target(GRID)
@@ -435,8 +451,8 @@ def test_state_error_bound(n, seed, kind, newton_steps, scale):
     where the bound is nearly attained (a larger ``lam1`` breaks it)."""
     grid = Grid2D(n)
     rng = np.random.default_rng(seed)
-    u = rng.uniform(0.0, 8.0, n * n)
-    y_u = solve_state(u.reshape(n, n), grid).ravel()
+    u = rng.uniform(0.0, 8.0, (n, n))
+    y_u = solve_state(u, grid)
     if kind == "newton":
         iterates = []
 
@@ -447,10 +463,10 @@ def test_state_error_bound(n, seed, kind, newton_steps, scale):
         trk._newton(u, np.zeros_like(u), grid, record)
         y = iterates[-1]
     elif kind == "random":
-        y = scale * rng.standard_normal(n * n)
+        y = scale * rng.standard_normal((n, n))
     else:
-        y = y_u + scale * default_target(grid).ravel()
-    residual = l2_norm(trk._neg_lap_stencil(y, n) + y**3 - u, grid)
+        y = y_u + scale * default_target(grid)
+    residual = l2_norm(trk._neg_lap_stencil(y) + y**3 - u, grid)
     bound = trk._state_error_bound(residual, n)
     assert l2_norm(y_u - y, grid) <= bound * (1.0 + 1e-12)
 
@@ -478,14 +494,14 @@ class TestErrorContract:
     def test_capped_linear_solve_raises(self, monkeypatch):
         y = solve_state(np.full((16, 16), 2.0), GRID)
         v = np.random.default_rng(0).standard_normal((16, 16))
-        monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d, n: 1)
+        monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d: 1)
         with pytest.raises(LinearSolveFailure, match="cap of 1 iterations"):
             solve_linearized(v, y, GRID)
         with pytest.raises(LinearSolveFailure):
             solve_adjoint(y, np.zeros((16, 16)), GRID)
 
     def test_capped_newton_step_raises(self, monkeypatch):
-        monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d, n: 1)
+        monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d: 1)
         with pytest.raises(LinearSolveFailure):
             solve_state(np.full((16, 16), 2.0), GRID)
 
