@@ -36,12 +36,11 @@ print(f"nodes at lower bound: {(u <= 1e-10).sum()}, "
       f"free: {((u > 1e-10) & (u < 8 - 1e-10)).sum()}")
 print(f"tracking error |y - y_d| = {l2_norm(result.state - y_d, grid):.4e}")
 
-c = ssc_estimate(u, y_d, grid, 0.0, 8.0, delta=0.1, sample_count=16, seed=0)
+c = ssc_estimate(result, delta=0.1, sample_count=16, seed=0)
 print(f"\nsampled curvature constant: c = {c:.4f} (positive: growth holds)")
 
 print("\ntarget-perturbation sweep (state shift / perturbation size):")
-report = perturbation_sweep(result, y_d, grid, 0.0, 8.0,
-                            (1e-3, 1e-2, 1e-1), 3, cfg, seed=0)
+report = perturbation_sweep(result, (1e-3, 1e-2, 1e-1), 3, cfg, seed=0)
 for sample in report.samples:
     print(f"  |eta| = {sample.eta_norm:.0e}  ratio = {sample.ratio:.4f}  "
           f"({sample.iterations} iterations)")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tracking as trk
-from .catalog import CATALOG, get_entry
+from .catalog import CATALOG, CatalogEntry, get_entry
 from .core import BallRegion, ExponentPair, FunctionOracle, GrowthLabError
 from .diagnostics import run_diagnostics
 from .minimize import SolverConfig
@@ -193,14 +194,8 @@ def _write_outputs(config: RunConfig, files: Dict[str, bytes], **fields) -> None
     (out / "manifest.json").write_bytes(_json_bytes(manifest))
 
 
-def _build_oracle(config: RunConfig) -> FunctionOracle:
-    entry = get_entry(str(config.values["fn"]))
-    kwargs = {}
-    if "p" in entry.default_params:
-        kwargs["p"] = float(config.values["p"])
-    if "bound" in entry.default_params:
-        kwargs["bound"] = float(config.values["bound"])
-    return entry.make(**kwargs)
+def _build_oracle(entry: CatalogEntry, config: RunConfig) -> FunctionOracle:
+    return entry.make(**{key: float(config.values[key]) for key in entry.default_params})
 
 
 def _solver_config(config: RunConfig, dim: int) -> SolverConfig:
@@ -215,7 +210,7 @@ def _solver_config(config: RunConfig, dim: int) -> SolverConfig:
 
 def cmd_diagnose(config: RunConfig) -> int:
     entry = get_entry(str(config.values["fn"]))
-    oracle = _build_oracle(config)
+    oracle = _build_oracle(entry, config)
     pq = ExponentPair.from_p(float(config.values["p"]))
     region = BallRegion(np.zeros(entry.dimension), float(config.values["delta"]))
     cfg = _solver_config(config, entry.dimension)
@@ -260,9 +255,14 @@ def cmd_diagnose(config: RunConfig) -> int:
 
 
 def cmd_prox(config: RunConfig) -> int:
-    oracle = _build_oracle(config)
-    pq = ExponentPair.from_p(float(config.values["p"]))
+    entry = get_entry(str(config.values["fn"]))
     x0 = np.asarray(tuple(config.values["x0"]), dtype=float)
+    if x0.size != entry.dimension:
+        raise ValueError(
+            f"x0 has length {x0.size}, but '{entry.id}' has dimension {entry.dimension}"
+        )
+    oracle = _build_oracle(entry, config)
+    pq = ExponentPair.from_p(float(config.values["p"]))
     region = BallRegion(np.zeros(x0.size), float(config.values["delta"]))
     epsilon = float(config.values["epsilon"])
     solver = _solver_config(config, x0.size)
@@ -333,6 +333,9 @@ def _median(values: Sequence[float]) -> float:
 
 
 def cmd_tracking(config: RunConfig) -> int:
+    factor = float(config.values["consistency_factor"])
+    if not (factor >= 1.0 and math.isfinite(factor)):
+        raise ValueError(f"consistency_factor must be finite and >= 1, got {factor}")
     grid = trk.Grid2D(int(config.values["n"]))
     alpha = float(config.values["alpha"])
     beta = float(config.values["beta"])
@@ -343,21 +346,13 @@ def cmd_tracking(config: RunConfig) -> int:
 
     result = trk.solve_tracking(y_d, grid, alpha, beta, descent)
     ssc = trk.ssc_estimate(
-        result.control,
-        y_d,
-        grid,
-        alpha,
-        beta,
+        result,
         delta=float(config.values["ssc_delta"]),
         sample_count=int(config.values["ssc_samples"]),
         seed=config.seed,
     )
     sweep = trk.perturbation_sweep(
         result,
-        y_d,
-        grid,
-        alpha,
-        beta,
         eta_norms=tuple(config.values["eta_norms"]),
         etas_per_norm=int(config.values["etas_per_norm"]),
         cfg=descent,
@@ -365,7 +360,6 @@ def cmd_tracking(config: RunConfig) -> int:
     )
 
     ratios = sweep.ratios()
-    factor = float(config.values["consistency_factor"])
     consistent = True
     if ssc > 0.0:
         # every sample must produce a finite ratio, and the ratios must

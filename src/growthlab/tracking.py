@@ -378,7 +378,9 @@ class DescentConfig:
 
 @dataclass(frozen=True)
 class TrackingResult:
-    """Final iterate of the control solve with its state and adjoint.
+    """Final iterate of the control solve with its state and adjoint, and
+    the problem it solves: the validated ``target``, ``grid`` and box
+    ``[alpha, beta]``.
 
     ``converged`` is False when the iteration cap was reached; the result
     is still returned with its measured first-order residual.
@@ -394,6 +396,10 @@ class TrackingResult:
     iterations: int
     converged: bool
     objective_history: Tuple[float, ...]
+    target: np.ndarray
+    grid: Grid2D
+    alpha: float
+    beta: float
 
 
 def solve_tracking(
@@ -457,7 +463,8 @@ def solve_tracking(
         residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
         if residual <= cfg.tol:
             return TrackingResult(
-                u, y, p, jval, residual, iterations - 1, True, tuple(history)
+                u, y, p, jval, residual, iterations - 1, True, tuple(history),
+                y_d, grid, alpha, beta,
             )
 
         if prev_u is not None:
@@ -494,21 +501,19 @@ def solve_tracking(
 
     residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
     return TrackingResult(
-        u, y, p, jval, residual, iterations, residual <= cfg.tol, tuple(history)
+        u, y, p, jval, residual, iterations, residual <= cfg.tol, tuple(history),
+        y_d, grid, alpha, beta,
     )
 
 
 def ssc_estimate(
-    ubar,
-    y_d,
-    grid: Grid2D,
-    alpha: float,
-    beta: float,
+    result: TrackingResult,
     delta: float,
     sample_count: int,
     seed: int = 0,
 ) -> float:
-    """Sampled lower bound for the curvature constant of the control problem.
+    """Sampled lower bound for the curvature constant of the control problem
+    at the solved control ``ubar``, state ``y`` and adjoint ``p`` of ``result``.
 
     Over feasible directions ``v = u - ubar`` (random box controls plus the
     two box-vertex controls), scaled so the linearized state stays within
@@ -519,14 +524,10 @@ def ssc_estimate(
     A positive value is numerical evidence of quadratic growth of the
     objective in the state distance.
     """
-    if not (alpha < beta):
-        raise ValueError(f"need alpha < beta, got [{alpha}, {beta}]")
     if not (delta > 0 and math.isfinite(delta)):
         raise ValueError("delta must be positive and finite")
-    ubar = _as_field(ubar, grid, "ubar")
-    y_d = _as_field(y_d, grid, "y_d")
-    y = solve_state(ubar, grid)
-    p = solve_adjoint(y, y_d, grid)
+    ubar, y, p, grid = result.control, result.state, result.adjoint, result.grid
+    alpha, beta = result.alpha, result.beta
     weight = 1.0 - 6.0 * y * p
 
     rng = np.random.default_rng(seed)
@@ -606,16 +607,13 @@ class SweepReport:
 
 def perturbation_sweep(
     ubar_result: TrackingResult,
-    y_d,
-    grid: Grid2D,
-    alpha: float,
-    beta: float,
     eta_norms: Sequence[float],
     etas_per_norm: int,
     cfg: DescentConfig = DescentConfig(),
     seed: int = 0,
 ) -> SweepReport:
-    """Re-solve the tracking problem for randomly perturbed targets.
+    """Re-solve the tracking problem of ``ubar_result`` for randomly
+    perturbed targets.
 
     Perturbations are low-frequency random sine combinations
     (``SWEEP_MODES`` x ``SWEEP_MODES`` with standard normal coefficients)
@@ -630,8 +628,8 @@ def perturbation_sweep(
     for target in eta_norms:
         if not (target > 0.0 and math.isfinite(target)):
             raise ValueError(f"eta norms must be positive and finite, got {target}")
-    y_d = _as_field(y_d, grid, "y_d")
-    ybar = ubar_result.state
+    y_d, grid, ybar = ubar_result.target, ubar_result.grid, ubar_result.state
+    alpha, beta = ubar_result.alpha, ubar_result.beta
 
     def run_sample(j: int, i: int, target: float) -> SweepSample:
         rng = np.random.default_rng([seed, j, i])

@@ -69,7 +69,8 @@ def solve_tracking(
         residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
         if residual <= cfg.tol:
             return TrackingResult(
-                u, y, p, jval, residual, iterations - 1, True, tuple(history)
+                u, y, p, jval, residual, iterations - 1, True, tuple(history),
+                y_d, grid, alpha, beta,
             )
 
         if prev_u is not None:
@@ -104,5 +105,6 @@ def solve_tracking(
 
     residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
     return TrackingResult(
-        u, y, p, jval, residual, iterations, residual <= cfg.tol, tuple(history)
+        u, y, p, jval, residual, iterations, residual <= cfg.tol, tuple(history),
+        y_d, grid, alpha, beta,
     )

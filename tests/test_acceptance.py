@@ -253,14 +253,11 @@ def test_c09_perturbation_consistency(tracking_instance):
     grid, y_d, result = tracking_instance
     assert result.converged
 
-    c = trk.ssc_estimate(
-        result.control, y_d, grid, 0.0, 8.0, delta=0.1, sample_count=16, seed=0
-    )
+    c = trk.ssc_estimate(result, delta=0.1, sample_count=16, seed=0)
     assert c > 0.0
 
     sweep = trk.perturbation_sweep(
-        result, y_d, grid, 0.0, 8.0, (1e-3, 1e-2, 1e-1), 8,
-        trk.DescentConfig(tol=1e-8), seed=0,
+        result, (1e-3, 1e-2, 1e-1), 8, trk.DescentConfig(tol=1e-8), seed=0
     )
     ratios = sweep.ratios()
     assert len(ratios) == 24

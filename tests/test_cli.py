@@ -168,6 +168,36 @@ class TestTracking:
         assert manifest["ssc_estimate"] > 0.0
         assert manifest["sweep"]["consistent"] is True
 
+    def test_ssc_is_computed_at_the_written_fields(self, tmp_path, capsys):
+        # the control solve and ssc do not depend on the sweep settings, so
+        # a one-sample sweep keeps the run short
+        out = tmp_path / "t"
+        code, _, err = run(
+            ["tracking", "--n", "16", "--eta-norms", "1e-2", "--etas-per-norm", "1",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0, err
+
+        def field(name):
+            # repr floats round-trip exactly through float()
+            lines = (out / name).read_text().splitlines()
+            return np.array(
+                [[float(v) for v in line.split()] for line in lines if not line.startswith("#")]
+            )
+
+        manifest = json.loads((out / "manifest.json").read_text())
+        config, solve = manifest["config"], manifest["solve"]
+        result = trk.TrackingResult(
+            field("control.txt"), field("state.txt"), field("adjoint.txt"),
+            solve["objective"], solve["first_order_residual"], solve["iterations"],
+            solve["converged"], (), field("target.txt"), trk.Grid2D(config["n"]),
+            config["alpha"], config["beta"],
+        )
+        ssc = trk.ssc_estimate(
+            result, config["ssc_delta"], config["ssc_samples"], seed=config["seed"]
+        )
+        assert np.float64(ssc).tobytes() == np.float64(manifest["ssc_estimate"]).tobytes()
 
     def test_capped_linear_solve_exits_one_without_files(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d: 1)
@@ -252,6 +282,22 @@ class TestConfigValidation:
              "eta norms must be positive and finite, got nan"),
             (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", "inf"],
              "eta norms must be positive and finite, got inf"),
+            (["prox", "--fn", "maxsq2d", "--x0=1"],
+             "x0 has length 1, but 'maxsq2d' has dimension 2"),
+            (["prox", "--fn", "maxsq2d", "--x0=1,2,3"],
+             "x0 has length 3, but 'maxsq2d' has dimension 2"),
+            (["prox", "--fn", "power", "--x0=1,2"],
+             "x0 has length 2, but 'power' has dimension 1"),
+            (["tracking", "--n", "8", "--consistency-factor", "0"],
+             "consistency_factor must be finite and >= 1, got 0.0"),
+            (["tracking", "--n", "8", "--consistency-factor", "0.5"],
+             "consistency_factor must be finite and >= 1, got 0.5"),
+            (["tracking", "--n", "8", "--consistency-factor", "-1"],
+             "consistency_factor must be finite and >= 1, got -1.0"),
+            (["tracking", "--n", "8", "--consistency-factor", "nan"],
+             "consistency_factor must be finite and >= 1, got nan"),
+            (["tracking", "--n", "8", "--consistency-factor", "inf"],
+             "consistency_factor must be finite and >= 1, got inf"),
         ),
     )
     def test_invalid_solver_setting_exits_one_without_files(

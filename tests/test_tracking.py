@@ -260,15 +260,37 @@ class TestSolveTracking:
 
 class TestCurvatureEstimate:
     def test_weight_one_collapse_gives_half(self):
+        # the state of u is the target, so the adjoint is zero and the
+        # weight 1 - 6 y p is one
         u = np.full((16, 16), 1.5)
         y_d = solve_state(u, GRID)
-        c = ssc_estimate(u, y_d, GRID, ALPHA, BETA, delta=0.1, sample_count=4, seed=1)
+        result = TrackingResult(
+            u, y_d, np.zeros((16, 16)), 0.0, 0.0, 0, True, (0.0,), y_d, GRID, ALPHA, BETA
+        )
+        c = ssc_estimate(result, delta=0.1, sample_count=4, seed=1)
         assert c == pytest.approx(0.5, abs=1e-12)
 
     def test_positive_curvature_on_default_instance(self, default_solution):
-        y_d, res = default_solution
-        c = ssc_estimate(res.control, y_d, GRID, ALPHA, BETA, delta=0.1, sample_count=8, seed=0)
+        _, res = default_solution
+        c = ssc_estimate(res, delta=0.1, sample_count=8, seed=0)
         assert c > 0.0
+
+    def test_reuses_the_solved_state_and_adjoint(self, default_solution, monkeypatch):
+        # no state solve, and one linearized solve per kept direction: the
+        # two box vertices and the 8 random controls all differ from ubar
+        _, res = default_solution
+        calls = {"newton": 0, "cg": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(trk, "_newton", counting("newton", trk._newton))
+        monkeypatch.setattr(trk, "_pcg_solve", counting("cg", trk._pcg_solve))
+        ssc_estimate(res, delta=0.1, sample_count=8, seed=0)
+        assert calls == {"newton": 0, "cg": 2 + 8}
 
     def test_scaling_down_never_decreases_quotient(self, default_solution):
         # quotient(a v) = <p, v>/(a |z|^2) + half weighted ratio, a in (0, 1]
@@ -288,7 +310,7 @@ class TestCurvatureEstimate:
 
     def test_growth_crosscheck_positive_where_curvature_positive(self, default_solution):
         y_d, res = default_solution
-        c = ssc_estimate(res.control, y_d, GRID, ALPHA, BETA, delta=0.5, sample_count=8, seed=0)
+        c = ssc_estimate(res, delta=0.5, sample_count=8, seed=0)
         assert c > 0.0
         jbar = res.objective_value
         rng = np.random.default_rng(4)
@@ -307,10 +329,8 @@ class TestCurvatureEstimate:
 
 class TestPerturbationSweep:
     def test_small_sweep_ratios_finite_and_bounded(self, default_solution):
-        y_d, res = default_solution
-        report = perturbation_sweep(
-            res, y_d, GRID, ALPHA, BETA, (1e-2, 1e-1), 2, DescentConfig(tol=1e-8), seed=0
-        )
+        _, res = default_solution
+        report = perturbation_sweep(res, (1e-2, 1e-1), 2, DescentConfig(tol=1e-8), seed=0)
         ratios = report.ratios()
         assert len(ratios) == 4
         assert all(r > 0.0 for r in ratios)
@@ -319,18 +339,16 @@ class TestPerturbationSweep:
         assert all(s.converged for s in report.samples)
 
     def test_non_positive_or_non_finite_norm_rejected(self, default_solution):
-        y_d, res = default_solution
+        _, res = default_solution
         for bad in (0.0, -1e-2, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
-                perturbation_sweep(
-                    res, y_d, GRID, ALPHA, BETA, (1e-2, bad), 1, DescentConfig(tol=1e-8)
-                )
+                perturbation_sweep(res, (1e-2, bad), 1, DescentConfig(tol=1e-8))
 
     def test_deterministic_given_seed(self, default_solution):
-        y_d, res = default_solution
+        _, res = default_solution
         kw = dict(cfg=DescentConfig(tol=1e-8), seed=123)
-        a = perturbation_sweep(res, y_d, GRID, ALPHA, BETA, (1e-2,), 2, **kw)
-        b = perturbation_sweep(res, y_d, GRID, ALPHA, BETA, (1e-2,), 2, **kw)
+        a = perturbation_sweep(res, (1e-2,), 2, **kw)
+        b = perturbation_sweep(res, (1e-2,), 2, **kw)
         assert [s.ratio for s in a.samples] == [s.ratio for s in b.samples]
 
     def test_perturbing_toward_achieved_state_decreases_objective(self, default_solution):
@@ -383,10 +401,10 @@ class TestEarlyRejectMatchesFullSolve:
         new = solve_tracking(y_d, grid, ALPHA, beta, cfg)
         old = reference.solve_tracking(y_d, grid, ALPHA, beta, cfg)
         _assert_same_result(new, old)
-        new_sweep = perturbation_sweep(new, y_d, grid, ALPHA, beta, (1e-3,), 1, cfg)
+        new_sweep = perturbation_sweep(new, (1e-3,), 1, cfg)
         # the sweep's perturbed solves, each warm-started, through the frozen loop
         monkeypatch.setattr(trk, "solve_tracking", reference.solve_tracking)
-        old_sweep = perturbation_sweep(old, y_d, grid, ALPHA, beta, (1e-3,), 1, cfg)
+        old_sweep = perturbation_sweep(old, (1e-3,), 1, cfg)
         _assert_same_sweep(new_sweep, old_sweep)
 
     @pytest.mark.parametrize("amplitude", (0.5, 0.64, 0.7))
