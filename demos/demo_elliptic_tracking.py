@@ -40,7 +40,7 @@ c = ssc_estimate(result, delta=0.1, sample_count=16, seed=0)
 print(f"\nsampled curvature constant: c = {c:.4f} (positive: growth holds)")
 
 print("\ntarget-perturbation sweep (state shift / perturbation size):")
-report = perturbation_sweep(result, (1e-3, 1e-2, 1e-1), 3, cfg, seed=0)
+report = perturbation_sweep(result, (1e-3, 1e-2, 1e-1), 3, seed=0)  # at result.config
 for sample in report.samples:
     print(f"  |eta| = {sample.eta_norm:.0e}  ratio = {sample.ratio:.4f}  "
           f"({sample.iterations} iterations)")

@@ -15,19 +15,18 @@ from growthlab import BallRegion, ExponentPair, SolverConfig
 from growthlab.catalog import power_oracle
 from growthlab.prox import ProxConfig, audit_rates, run_prox
 
-pq = ExponentPair.from_p(2.0)
 f = power_oracle(2.0)
 cfg = ProxConfig(
     epsilon=0.5,
-    exponents=pq,
+    exponents=ExponentPair.from_p(2.0),
     iterations=10,
     region=BallRegion(np.zeros(1), 2.0),
     solver=SolverConfig(grid_points_per_axis=201, minimizer_value_tolerance=1e-15),
 )
 
 traj = run_prox(f, [1.0], cfg)
-audit = audit_rates(traj, gamma_ref=1.0, xbar=np.zeros(1), fbar=0.0,
-                    pq=pq, epsilon=cfg.epsilon)
+# the audit reads epsilon and the exponents from traj.config
+audit = audit_rates(traj, gamma_ref=1.0, xbar=np.zeros(1), fbar=0.0)
 
 print(f"contraction factor of the envelope: rho = {audit.rho}")
 print(f"{'k':>2} {'x_k':>13} {'|x_k| bound':>12} {'f gap':>13} {'f bound':>12}")
@@ -37,8 +36,8 @@ for rec, point in zip(audit.records, traj.points):
 print(f"both envelopes hold at every step: {audit.passed}")
 
 print()
-print("a step parameter at or above the growth modulus is refused:")
+print("a growth modulus at or below the step parameter 0.5 is refused:")
 try:
-    audit_rates(traj, gamma_ref=1.0, xbar=np.zeros(1), fbar=0.0, pq=pq, epsilon=1.5)
+    audit_rates(traj, gamma_ref=0.4, xbar=np.zeros(1), fbar=0.0)
 except Exception as exc:
     print(f"  {type(exc).__name__}: {exc}")

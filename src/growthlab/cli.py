@@ -31,7 +31,7 @@ from .catalog import CATALOG, CatalogEntry, get_entry
 from .core import BallRegion, ExponentPair, FunctionOracle, GrowthLabError
 from .diagnostics import run_diagnostics
 from .minimize import SolverConfig
-from .prox import ProxConfig, audit_rates, run_prox
+from .prox import EpsilonNotBelowGamma, ProxConfig, audit_rates, run_prox
 
 __all__ = ["RunConfig", "main", "cmd_diagnose", "cmd_prox", "cmd_tracking", "cmd_catalog"]
 
@@ -141,6 +141,8 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             values[key] = _parse_value(kind, flag_val) if isinstance(flag_val, str) else flag_val
+    if values.get("seed", 0) < 0:
+        raise ValueError(f"seed must be >= 0, got {values['seed']}")
     return RunConfig(subcommand, values)
 
 
@@ -262,13 +264,12 @@ def cmd_prox(config: RunConfig) -> int:
             f"x0 has length {x0.size}, but '{entry.id}' has dimension {entry.dimension}"
         )
     oracle = _build_oracle(entry, config)
-    pq = ExponentPair.from_p(float(config.values["p"]))
     region = BallRegion(np.zeros(x0.size), float(config.values["delta"]))
     epsilon = float(config.values["epsilon"])
     solver = _solver_config(config, x0.size)
     prox_cfg = ProxConfig(
         epsilon=epsilon,
-        exponents=pq,
+        exponents=ExponentPair.from_p(float(config.values["p"])),
         iterations=int(config.values["iterations"]),
         region=region,
         solver=solver,
@@ -282,18 +283,16 @@ def cmd_prox(config: RunConfig) -> int:
     gamma_ref = constants.get("gamma")
     if gamma_ref is not None and gamma_ref > 0.0 and epsilon >= gamma_ref:
         # Refuse before doing any work: the rate bounds would be vacuous.
-        print(
-            f"error: epsilon={epsilon} must lie strictly below the growth "
-            f"modulus gamma={gamma_ref} of '{oracle.descriptor}'",
-            file=sys.stderr,
+        raise EpsilonNotBelowGamma(
+            f"epsilon={epsilon} must lie strictly below the growth "
+            f"modulus gamma={gamma_ref} of '{oracle.descriptor}'"
         )
-        return 1
 
     traj = run_prox(oracle, x0, prox_cfg)
     audit = None
     if gamma_ref is not None and gamma_ref > 0.0:
         xbar = oracle.known_minimizer
-        audit = audit_rates(traj, gamma_ref, xbar, oracle(xbar), pq, epsilon)
+        audit = audit_rates(traj, gamma_ref, xbar, oracle(xbar))
 
     header = ["k"] + [f"x{i}" for i in range(x0.size)] + [
         "f_value", "bound_x", "bound_f", "margin_x", "margin_f",
@@ -343,21 +342,17 @@ def cmd_tracking(config: RunConfig) -> int:
     descent = trk.DescentConfig(
         tol=float(config.values["tol"]), max_iters=int(config.values["max_iters"])
     )
+    ssc_delta = float(config.values["ssc_delta"])
+    ssc_samples = int(config.values["ssc_samples"])
+    eta_norms = tuple(config.values["eta_norms"])
+    etas_per_norm = int(config.values["etas_per_norm"])
+    # refuse bad sampling settings before the control solve
+    trk._check_ssc_settings(ssc_delta, ssc_samples)
+    trk._check_sweep_settings(eta_norms, etas_per_norm)
 
     result = trk.solve_tracking(y_d, grid, alpha, beta, descent)
-    ssc = trk.ssc_estimate(
-        result,
-        delta=float(config.values["ssc_delta"]),
-        sample_count=int(config.values["ssc_samples"]),
-        seed=config.seed,
-    )
-    sweep = trk.perturbation_sweep(
-        result,
-        eta_norms=tuple(config.values["eta_norms"]),
-        etas_per_norm=int(config.values["etas_per_norm"]),
-        cfg=descent,
-        seed=config.seed,
-    )
+    ssc = trk.ssc_estimate(result, ssc_delta, ssc_samples, seed=config.seed)
+    sweep = trk.perturbation_sweep(result, eta_norms, etas_per_norm, seed=config.seed)
 
     ratios = sweep.ratios()
     consistent = True

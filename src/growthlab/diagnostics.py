@@ -386,21 +386,26 @@ def estimate_loja_constant(
     return _loja_estimate(_tilted_pairs(f, tilts, region, cfg), f, fbar, xbar, pq)
 
 
+def _check_tau(tau: float) -> None:
+    if not (tau >= 1.0 and math.isfinite(tau)):
+        raise ValueError(f"slack factor tau must be finite and >= 1, got {tau}")
+
+
 def check_equivalence(
-    growth: GrowthEstimate,
-    tilt: TiltEstimate,
-    loja: LojaEstimate,
+    gamma_hat: float,
+    kappa_hat: float,
+    mu_hat: float,
     pq: ExponentPair,
     tau: float = DEFAULT_SLACK_FACTOR,
 ) -> EquivalenceAudit:
-    """Audit the constant relations with multiplicative slack ``tau``.
+    """Audit the relations among the growth, tilt and value-gap constants
+    with multiplicative slack ``tau``.
 
-    All three estimates must come from the same objective, base point,
+    All three constants must come from the same objective, base point,
     region, and exponents.
     """
-    if not (tau >= 1.0 and math.isfinite(tau)):
-        raise ValueError(f"slack factor tau must be finite and >= 1, got {tau}")
-    g, k, m = growth.gamma_hat, tilt.kappa_hat, loja.mu_hat
+    _check_tau(tau)
+    g, k, m = gamma_hat, kappa_hat, mu_hat
     degenerate: List[str] = []
 
     if g > 0.0:
@@ -444,14 +449,15 @@ def run_diagnostics(
     Each sampled tilt is solved once; both tilt-based estimators reduce
     the same ``(minimizer, tilt)`` pairs.
     """
+    _check_tau(tau)
+    tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
     xbar = region.center
     growth = estimate_growth(f, xbar, region, pq, cfg)
     fbar = _base_value(f, xbar)
-    tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
     pairs = _tilted_pairs(f, tilts, region, cfg)
     tilt = _tilt_estimate(pairs, xbar, pq)
     loja = _loja_estimate(pairs, f, fbar, xbar, pq)
-    audit = check_equivalence(growth, tilt, loja, pq, tau=tau)
+    audit = check_equivalence(growth.gamma_hat, tilt.kappa_hat, loja.mu_hat, pq, tau=tau)
     return DiagnosticsReport(growth, tilt, loja, audit, pq, region)
 
 

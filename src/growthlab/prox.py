@@ -55,13 +55,15 @@ class ProxConfig:
 
 @dataclass(frozen=True)
 class ProxTrajectory:
-    """Iterates ``x_0..x_K``, their objective values, and per-step solver
-    metadata.  The iteration advances through the lexicographic
-    representative of each subproblem's minimizer set."""
+    """Iterates ``x_0..x_K``, their objective values, per-step solver
+    metadata, and the ``config`` they were run with.  The iteration
+    advances through the lexicographic representative of each
+    subproblem's minimizer set."""
 
     points: Tuple[np.ndarray, ...]
     values: Tuple[float, ...]
     steps: Tuple[TiltedSolveResult, ...]
+    config: ProxConfig
 
 
 def prox_step(f: FunctionOracle, anchor, cfg: ProxConfig) -> TiltedSolveResult:
@@ -100,7 +102,7 @@ def run_prox(f: FunctionOracle, x0, cfg: ProxConfig) -> ProxTrajectory:
         points.append(x)
         values.append(f(x))
         steps.append(result)
-    return ProxTrajectory(tuple(points), tuple(values), tuple(steps))
+    return ProxTrajectory(tuple(points), tuple(values), tuple(steps), cfg)
 
 
 @dataclass(frozen=True)
@@ -121,14 +123,7 @@ class RateAudit:
     records: Tuple[RateRecord, ...]
 
 
-def audit_rates(
-    traj: ProxTrajectory,
-    gamma_ref: float,
-    xbar,
-    fbar: float,
-    pq: ExponentPair,
-    epsilon: float,
-) -> RateAudit:
+def audit_rates(traj: ProxTrajectory, gamma_ref: float, xbar, fbar: float) -> RateAudit:
     """Check the geometric envelopes on distances and value gaps.
 
     For every recorded iterate ``x_k`` the audit verifies, with a small
@@ -137,11 +132,13 @@ def audit_rates(
         |x_k - xbar|    <= rho^(k q/p) * |x_0 - xbar|
         f(x_k) - fbar   <= rho^(k q)   * (f(x_0) - fbar)
 
-    with ``rho = epsilon / gamma_ref``, which requires ``epsilon`` strictly
-    below the growth modulus of reference.
+    with ``rho = epsilon / gamma_ref`` and the exponents ``p, q`` and
+    ``epsilon`` the trajectory was run with, which requires ``epsilon``
+    strictly below the growth modulus of reference.
     """
     if not (gamma_ref > 0.0 and math.isfinite(gamma_ref)):
         raise ValueError(f"gamma_ref must be positive and finite, got {gamma_ref}")
+    epsilon, pq = traj.config.epsilon, traj.config.exponents
     if epsilon >= gamma_ref:
         raise EpsilonNotBelowGamma(
             f"epsilon={epsilon} must lie strictly below gamma_ref={gamma_ref}"

@@ -378,9 +378,9 @@ class DescentConfig:
 
 @dataclass(frozen=True)
 class TrackingResult:
-    """Final iterate of the control solve with its state and adjoint, and
-    the problem it solves: the validated ``target``, ``grid`` and box
-    ``[alpha, beta]``.
+    """Final iterate of the control solve with its state and adjoint, the
+    problem it solves (the validated ``target``, ``grid`` and box
+    ``[alpha, beta]``), and the descent ``config`` it was solved with.
 
     ``converged`` is False when the iteration cap was reached; the result
     is still returned with its measured first-order residual.
@@ -400,6 +400,7 @@ class TrackingResult:
     grid: Grid2D
     alpha: float
     beta: float
+    config: DescentConfig
 
 
 def solve_tracking(
@@ -464,7 +465,7 @@ def solve_tracking(
         if residual <= cfg.tol:
             return TrackingResult(
                 u, y, p, jval, residual, iterations - 1, True, tuple(history),
-                y_d, grid, alpha, beta,
+                y_d, grid, alpha, beta, cfg,
             )
 
         if prev_u is not None:
@@ -502,8 +503,15 @@ def solve_tracking(
     residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
     return TrackingResult(
         u, y, p, jval, residual, iterations, residual <= cfg.tol, tuple(history),
-        y_d, grid, alpha, beta,
+        y_d, grid, alpha, beta, cfg,
     )
+
+
+def _check_ssc_settings(delta: float, sample_count: int) -> None:
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError("delta must be positive and finite")
+    if sample_count < 0:
+        raise ValueError(f"sample_count must be >= 0, got {sample_count}")
 
 
 def ssc_estimate(
@@ -524,8 +532,7 @@ def ssc_estimate(
     A positive value is numerical evidence of quadratic growth of the
     objective in the state distance.
     """
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ValueError("delta must be positive and finite")
+    _check_ssc_settings(delta, sample_count)
     ubar, y, p, grid = result.control, result.state, result.adjoint, result.grid
     alpha, beta = result.alpha, result.beta
     weight = 1.0 - 6.0 * y * p
@@ -605,22 +612,7 @@ class SweepReport:
         return [s.ratio for s in self.samples if math.isfinite(s.ratio)]
 
 
-def perturbation_sweep(
-    ubar_result: TrackingResult,
-    eta_norms: Sequence[float],
-    etas_per_norm: int,
-    cfg: DescentConfig = DescentConfig(),
-    seed: int = 0,
-) -> SweepReport:
-    """Re-solve the tracking problem of ``ubar_result`` for randomly
-    perturbed targets.
-
-    Perturbations are low-frequency random sine combinations
-    (``SWEEP_MODES`` x ``SWEEP_MODES`` with standard normal coefficients)
-    rescaled to each requested norm; each perturbed problem is warm-started
-    from the unperturbed control.  Per-sample solver failures are recorded,
-    not fatal.
-    """
+def _check_sweep_settings(eta_norms: Sequence[float], etas_per_norm: int) -> None:
     if etas_per_norm < 1:
         raise ValueError("etas_per_norm must be >= 1")
     if len(eta_norms) == 0:
@@ -628,8 +620,26 @@ def perturbation_sweep(
     for target in eta_norms:
         if not (target > 0.0 and math.isfinite(target)):
             raise ValueError(f"eta norms must be positive and finite, got {target}")
+
+
+def perturbation_sweep(
+    ubar_result: TrackingResult,
+    eta_norms: Sequence[float],
+    etas_per_norm: int,
+    seed: int = 0,
+) -> SweepReport:
+    """Re-solve the tracking problem of ``ubar_result`` with its descent
+    config for randomly perturbed targets.
+
+    Perturbations are low-frequency random sine combinations
+    (``SWEEP_MODES`` x ``SWEEP_MODES`` with standard normal coefficients)
+    rescaled to each requested norm; each perturbed problem is warm-started
+    from the unperturbed control.  Per-sample solver failures are recorded,
+    not fatal.
+    """
+    _check_sweep_settings(eta_norms, etas_per_norm)
     y_d, grid, ybar = ubar_result.target, ubar_result.grid, ubar_result.state
-    alpha, beta = ubar_result.alpha, ubar_result.beta
+    alpha, beta, cfg = ubar_result.alpha, ubar_result.beta, ubar_result.config
 
     def run_sample(j: int, i: int, target: float) -> SweepSample:
         rng = np.random.default_rng([seed, j, i])

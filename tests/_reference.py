@@ -70,7 +70,7 @@ def solve_tracking(
         if residual <= cfg.tol:
             return TrackingResult(
                 u, y, p, jval, residual, iterations - 1, True, tuple(history),
-                y_d, grid, alpha, beta,
+                y_d, grid, alpha, beta, cfg,
             )
 
         if prev_u is not None:
@@ -106,5 +106,5 @@ def solve_tracking(
     residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
     return TrackingResult(
         u, y, p, jval, residual, iterations, residual <= cfg.tol, tuple(history),
-        y_d, grid, alpha, beta,
+        y_d, grid, alpha, beta, cfg,
     )

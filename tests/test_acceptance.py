@@ -162,7 +162,7 @@ def test_c05_prox_rates():
     traj = run_prox(power_oracle(2.0), [1.0], cfg)
     for k, point in enumerate(traj.points):
         assert point[0] == pytest.approx(0.2**k, abs=1e-6)
-    audit = audit_rates(traj, 1.0, ORIGIN, 0.0, pq, 0.5)
+    audit = audit_rates(traj, 1.0, ORIGIN, 0.0)
     assert audit.passed
     for k, rec in enumerate(audit.records):
         assert rec.actual_distance <= 0.5**k + 1e-9
@@ -256,9 +256,7 @@ def test_c09_perturbation_consistency(tracking_instance):
     c = trk.ssc_estimate(result, delta=0.1, sample_count=16, seed=0)
     assert c > 0.0
 
-    sweep = trk.perturbation_sweep(
-        result, (1e-3, 1e-2, 1e-1), 8, trk.DescentConfig(tol=1e-8), seed=0
-    )
+    sweep = trk.perturbation_sweep(result, (1e-3, 1e-2, 1e-1), 8, seed=0)
     ratios = sweep.ratios()
     assert len(ratios) == 24
     assert math.isfinite(sweep.kappa_hat)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import growthlab
-from growthlab import cli
+from growthlab import cli, diagnostics
 from growthlab import tracking as trk
 from growthlab.cli import main
 
@@ -193,6 +193,7 @@ class TestTracking:
             solve["objective"], solve["first_order_residual"], solve["iterations"],
             solve["converged"], (), field("target.txt"), trk.Grid2D(config["n"]),
             config["alpha"], config["beta"],
+            trk.DescentConfig(config["tol"], config["max_iters"]),
         )
         ssc = trk.ssc_estimate(
             result, config["ssc_delta"], config["ssc_samples"], seed=config["seed"]
@@ -262,44 +263,57 @@ class TestConfigResolution:
         assert "no_such_key" in err
 
 
+# (argv, message): settings refused with ``error: <message>`` and exit 1
+# before any solve or grid scan.
+INVALID_SETTINGS = (
+    (["tracking", "--tol", "0"], "tol must be positive and finite"),
+    (["tracking", "--tol", "nan"], "tol must be positive and finite"),
+    (["tracking", "--max-iters", "0"], "max_iters must be >= 1"),
+    (["diagnose", "--multistart", "-1"], "multistart_count must be >= 0"),
+    (["diagnose", "--grid-points", "41", "--tilt-norms", ","],
+     "tilt_norms must not be empty"),
+    (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", ","],
+     "eta_norms must not be empty"),
+    (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", "0,1e-2"],
+     "eta norms must be positive and finite, got 0.0"),
+    (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", "-1e-2"],
+     "eta norms must be positive and finite, got -0.01"),
+    (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", "nan"],
+     "eta norms must be positive and finite, got nan"),
+    (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", "inf"],
+     "eta norms must be positive and finite, got inf"),
+    (["prox", "--fn", "maxsq2d", "--x0=1"],
+     "x0 has length 1, but 'maxsq2d' has dimension 2"),
+    (["prox", "--fn", "maxsq2d", "--x0=1,2,3"],
+     "x0 has length 3, but 'maxsq2d' has dimension 2"),
+    (["prox", "--fn", "power", "--x0=1,2"],
+     "x0 has length 2, but 'power' has dimension 1"),
+    (["tracking", "--n", "8", "--consistency-factor", "0"],
+     "consistency_factor must be finite and >= 1, got 0.0"),
+    (["tracking", "--n", "8", "--consistency-factor", "0.5"],
+     "consistency_factor must be finite and >= 1, got 0.5"),
+    (["tracking", "--n", "8", "--consistency-factor", "-1"],
+     "consistency_factor must be finite and >= 1, got -1.0"),
+    (["tracking", "--n", "8", "--consistency-factor", "nan"],
+     "consistency_factor must be finite and >= 1, got nan"),
+    (["tracking", "--n", "8", "--consistency-factor", "inf"],
+     "consistency_factor must be finite and >= 1, got inf"),
+    (["tracking", "--n", "8", "--ssc-samples", "-1"], "sample_count must be >= 0, got -1"),
+    (["tracking", "--n", "8", "--ssc-delta", "0"], "delta must be positive and finite"),
+    (["tracking", "--n", "8", "--etas-per-norm", "0"], "etas_per_norm must be >= 1"),
+    (["tracking", "--n", "8", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["diagnose", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["prox", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["diagnose", "--fn", "maxsq2d", "--delta", "1", "--tau", "0.5"],
+     "slack factor tau must be finite and >= 1, got 0.5"),
+    (["diagnose", "--directions", "-1"], "directions_per_norm must be >= 1"),
+    (["prox", "--fn", "power", "--epsilon", "2"],
+     "epsilon=2.0 must lie strictly below the growth modulus gamma=1.0 of 'power(p=2.0)'"),
+)
+
+
 class TestConfigValidation:
-    @pytest.mark.parametrize(
-        "argv, message",
-        (
-            (["tracking", "--tol", "0"], "tol must be positive and finite"),
-            (["tracking", "--tol", "nan"], "tol must be positive and finite"),
-            (["tracking", "--max-iters", "0"], "max_iters must be >= 1"),
-            (["diagnose", "--multistart", "-1"], "multistart_count must be >= 0"),
-            (["diagnose", "--grid-points", "41", "--tilt-norms", ","],
-             "tilt_norms must not be empty"),
-            (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", ","],
-             "eta_norms must not be empty"),
-            (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", "0,1e-2"],
-             "eta norms must be positive and finite, got 0.0"),
-            (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", "-1e-2"],
-             "eta norms must be positive and finite, got -0.01"),
-            (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", "nan"],
-             "eta norms must be positive and finite, got nan"),
-            (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", "inf"],
-             "eta norms must be positive and finite, got inf"),
-            (["prox", "--fn", "maxsq2d", "--x0=1"],
-             "x0 has length 1, but 'maxsq2d' has dimension 2"),
-            (["prox", "--fn", "maxsq2d", "--x0=1,2,3"],
-             "x0 has length 3, but 'maxsq2d' has dimension 2"),
-            (["prox", "--fn", "power", "--x0=1,2"],
-             "x0 has length 2, but 'power' has dimension 1"),
-            (["tracking", "--n", "8", "--consistency-factor", "0"],
-             "consistency_factor must be finite and >= 1, got 0.0"),
-            (["tracking", "--n", "8", "--consistency-factor", "0.5"],
-             "consistency_factor must be finite and >= 1, got 0.5"),
-            (["tracking", "--n", "8", "--consistency-factor", "-1"],
-             "consistency_factor must be finite and >= 1, got -1.0"),
-            (["tracking", "--n", "8", "--consistency-factor", "nan"],
-             "consistency_factor must be finite and >= 1, got nan"),
-            (["tracking", "--n", "8", "--consistency-factor", "inf"],
-             "consistency_factor must be finite and >= 1, got inf"),
-        ),
-    )
+    @pytest.mark.parametrize("argv, message", INVALID_SETTINGS)
     def test_invalid_solver_setting_exits_one_without_files(
         self, argv, message, tmp_path, capsys
     ):
@@ -308,6 +322,20 @@ class TestConfigValidation:
         assert code == 1
         assert err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_invalid_settings_reach_no_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve or grid scan started")
+
+        monkeypatch.setattr(trk, "solve_tracking", no_solve)
+        monkeypatch.setattr(diagnostics, "estimate_growth", no_solve)
+        monkeypatch.setattr(diagnostics, "argmin_tilted", no_solve)
+        monkeypatch.setattr(cli, "run_prox", no_solve)
+        for i, (argv, message) in enumerate(INVALID_SETTINGS):
+            out = tmp_path / str(i)
+            code, _, err = run(argv + ["--out", str(out)], capsys)
+            assert (code, err) == (1, f"error: {message}\n"), argv
+            assert not out.exists()
 
 
 class TestArgumentParsing:

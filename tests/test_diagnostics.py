@@ -10,12 +10,9 @@ from growthlab import diagnostics
 from growthlab.catalog import boxquad_oracle, halfpower_oracle, maxsq2d_oracle, power_oracle
 from growthlab.core import BallRegion, ExponentPair, FunctionOracle, _norm, indicator, pairing
 from growthlab.diagnostics import (
-    GrowthEstimate,
-    LojaEstimate,
     NegativeGap,
     NoFiniteSamples,
     SlopeInfinite,
-    TiltEstimate,
     check_equivalence,
     check_global_loja,
     check_subregularity,
@@ -241,10 +238,7 @@ class TestSharedPairReduction:
 
 class TestCheckEquivalence:
     def test_quadratic_chain_is_tight(self):
-        growth = GrowthEstimate(1.0, ORIGIN, 100)
-        tilt = TiltEstimate(0.5, np.ones(1), np.array([0.5]))
-        loja = LojaEstimate(0.25, np.ones(1))
-        audit = check_equivalence(growth, tilt, loja, P2)
+        audit = check_equivalence(1.0, 0.5, 0.25, P2)
         assert audit.all_pass
         assert audit.kappa_vs_gamma.slack == pytest.approx(0.5)
         assert audit.mu_vs_kappa.slack == pytest.approx(0.5)
@@ -252,37 +246,38 @@ class TestCheckEquivalence:
         assert not audit.degenerate
 
     def test_cubic_chain_is_tight(self):
-        growth = GrowthEstimate(1.0, ORIGIN, 100)
-        tilt = TiltEstimate(3.0 ** (-0.5), np.ones(1), np.array([0.5]))
-        loja = LojaEstimate(3.0 ** (-1.5), np.ones(1))
-        audit = check_equivalence(growth, tilt, loja, P3)
+        audit = check_equivalence(1.0, 3.0 ** (-0.5), 3.0 ** (-1.5), P3)
         assert audit.all_pass
         assert audit.gamma_vs_mu.slack == pytest.approx(1.0)
 
     def test_degenerate_growth_reported_not_failed(self):
-        growth = GrowthEstimate(0.0, np.array([-1.0]), 100)
-        tilt = TiltEstimate(1.4, np.ones(1), np.array([-1.0]))
-        loja = LojaEstimate(0.19, np.ones(1))
-        audit = check_equivalence(growth, tilt, loja, P3)
+        audit = check_equivalence(0.0, 1.4, 0.19, P3)
         assert audit.all_pass
         assert not audit.kappa_vs_gamma.checked
         assert not audit.gamma_vs_mu.checked
         assert any("gamma_hat=0" in note for note in audit.degenerate)
 
     def test_violated_relation_fails(self):
-        growth = GrowthEstimate(1.0, ORIGIN, 100)
-        tilt = TiltEstimate(2.0, np.ones(1), np.array([2.0]))  # way above gamma^(-1)
-        loja = LojaEstimate(0.25, np.ones(1))
-        audit = check_equivalence(growth, tilt, loja, P2)
+        audit = check_equivalence(1.0, 2.0, 0.25, P2)  # kappa way above gamma^(-1)
         assert not audit.all_pass
         assert audit.kappa_vs_gamma.passed is False
 
     def test_tau_validation(self):
-        growth = GrowthEstimate(1.0, ORIGIN, 1)
-        tilt = TiltEstimate(0.5, np.ones(1), ORIGIN)
-        loja = LojaEstimate(0.25, np.ones(1))
         with pytest.raises(ValueError):
-            check_equivalence(growth, tilt, loja, P2, tau=0.9)
+            check_equivalence(1.0, 0.5, 0.25, P2, tau=0.9)
+
+    @pytest.mark.parametrize(
+        "tau, norms, dirs, match",
+        [(0.9, NORMS, 2, "slack factor tau"), (1.1, (), 2, "tilt_norms"),
+         (1.1, (0.0,), 2, "tilt norms"), (1.1, NORMS, 0, "directions_per_norm")],
+    )
+    def test_run_diagnostics_refuses_before_any_evaluation(self, tau, norms, dirs, match):
+        def untouchable(y):
+            raise AssertionError("the oracle was evaluated")
+
+        f = FunctionOracle(untouchable, "untouchable")
+        with pytest.raises(ValueError, match=match):
+            run_diagnostics(f, region(1.0), P2, CFG_SMALL, norms, dirs, tau=tau)
 
 
 class TestMetricSlope:

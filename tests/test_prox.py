@@ -110,7 +110,7 @@ class TestRunProx:
 class TestAuditRates:
     def test_quadratic_rates_pass_with_growing_margin(self):
         traj = run_prox(power_oracle(2.0), [1.0], make_config(iterations=5))
-        audit = audit_rates(traj, 1.0, np.zeros(1), 0.0, P2, 0.5)
+        audit = audit_rates(traj, 1.0, np.zeros(1), 0.0)
         assert audit.passed
         assert audit.rho == pytest.approx(0.5)
         # actual contraction 0.2 beats the 0.5 envelope more at larger k
@@ -120,16 +120,28 @@ class TestAuditRates:
 
     def test_base_case_holds_with_equality(self):
         traj = run_prox(power_oracle(2.0), [1.0], make_config(iterations=1))
-        audit = audit_rates(traj, 1.0, np.zeros(1), 0.0, P2, 0.5)
+        audit = audit_rates(traj, 1.0, np.zeros(1), 0.0)
         assert audit.records[0].margin_distance == 0.0
         assert audit.records[0].margin_gap == 0.0
 
     def test_epsilon_above_gamma_refused(self):
-        traj = run_prox(power_oracle(2.0), [1.0], make_config(iterations=1))
+        # the trajectory itself runs at epsilon 1.5, above gamma_ref 1
+        traj = run_prox(power_oracle(2.0), [1.0], make_config(epsilon=1.5, iterations=1))
         with pytest.raises(EpsilonNotBelowGamma):
-            audit_rates(traj, 1.0, np.zeros(1), 0.0, P2, 1.5)
+            audit_rates(traj, 1.0, np.zeros(1), 0.0)
 
     def test_gamma_must_be_positive(self):
         traj = run_prox(power_oracle(2.0), [1.0], make_config(iterations=1))
         with pytest.raises(ValueError):
-            audit_rates(traj, 0.0, np.zeros(1), 0.0, P2, 0.5)
+            audit_rates(traj, 0.0, np.zeros(1), 0.0)
+
+    @pytest.mark.parametrize("epsilon, p, gamma_ref", [(0.5, 2.0, 1.0), (0.1, 3.0, 0.7)])
+    def test_rates_use_the_trajectory_settings(self, epsilon, p, gamma_ref):
+        cfg = make_config(epsilon=epsilon, p=p, iterations=2)
+        traj = run_prox(power_oracle(p), [1.0], cfg)
+        assert traj.config is cfg
+        audit = audit_rates(traj, gamma_ref, np.zeros(1), 0.0)
+        assert audit.rho == traj.config.epsilon / gamma_ref
+        d0 = audit.records[0].actual_distance
+        for k, rec in enumerate(audit.records):
+            assert rec.bound_distance == audit.rho ** (k * cfg.exponents.q / p) * d0

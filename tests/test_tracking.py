@@ -265,7 +265,8 @@ class TestCurvatureEstimate:
         u = np.full((16, 16), 1.5)
         y_d = solve_state(u, GRID)
         result = TrackingResult(
-            u, y_d, np.zeros((16, 16)), 0.0, 0.0, 0, True, (0.0,), y_d, GRID, ALPHA, BETA
+            u, y_d, np.zeros((16, 16)), 0.0, 0.0, 0, True, (0.0,), y_d, GRID, ALPHA, BETA,
+            DescentConfig(),
         )
         c = ssc_estimate(result, delta=0.1, sample_count=4, seed=1)
         assert c == pytest.approx(0.5, abs=1e-12)
@@ -330,7 +331,7 @@ class TestCurvatureEstimate:
 class TestPerturbationSweep:
     def test_small_sweep_ratios_finite_and_bounded(self, default_solution):
         _, res = default_solution
-        report = perturbation_sweep(res, (1e-2, 1e-1), 2, DescentConfig(tol=1e-8), seed=0)
+        report = perturbation_sweep(res, (1e-2, 1e-1), 2, seed=0)
         ratios = report.ratios()
         assert len(ratios) == 4
         assert all(r > 0.0 for r in ratios)
@@ -342,14 +343,35 @@ class TestPerturbationSweep:
         _, res = default_solution
         for bad in (0.0, -1e-2, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
-                perturbation_sweep(res, (1e-2, bad), 1, DescentConfig(tol=1e-8))
+                perturbation_sweep(res, (1e-2, bad), 1)
 
     def test_deterministic_given_seed(self, default_solution):
         _, res = default_solution
-        kw = dict(cfg=DescentConfig(tol=1e-8), seed=123)
-        a = perturbation_sweep(res, (1e-2,), 2, **kw)
-        b = perturbation_sweep(res, (1e-2,), 2, **kw)
+        a = perturbation_sweep(res, (1e-2,), 2, seed=123)
+        b = perturbation_sweep(res, (1e-2,), 2, seed=123)
         assert [s.ratio for s in a.samples] == [s.ratio for s in b.samples]
+
+    def test_samples_are_solved_with_the_result_config(self):
+        # a sweep of a result solved at tol 1e-11 must re-solve at 1e-11,
+        # not at the DescentConfig default 1e-8
+        grid = Grid2D(8)
+        y_d = 0.6 * default_target(grid)
+        cfg = DescentConfig(tol=1e-11)
+        result = solve_tracking(y_d, grid, ALPHA, BETA, cfg)
+        assert result.config is cfg
+        norms, seed = (1e-3, 1e-2), 5
+        report = perturbation_sweep(result, norms, 2, seed=seed)
+        assert len(report.samples) == 4
+        for sample in report.samples:
+            # the perturbation the docstring specifies for this sample
+            rng = np.random.default_rng([seed, norms.index(sample.eta_norm), sample.index])
+            eta = sine_combination(grid, rng.standard_normal((trk.SWEEP_MODES, trk.SWEEP_MODES)))
+            eta = eta * (sample.eta_norm / l2_norm(eta, grid))
+            direct = solve_tracking(y_d + eta, grid, ALPHA, BETA, result.config, u0=result.control)
+            ratio = l2_norm(direct.state - result.state, grid) / sample.eta_norm
+            assert direct.first_order_residual <= 1e-11
+            assert _bits(sample.ratio) == _bits(ratio)
+            assert (sample.converged, sample.iterations) == (direct.converged, direct.iterations)
 
     def test_perturbing_toward_achieved_state_decreases_objective(self, default_solution):
         y_d, res = default_solution
@@ -401,10 +423,10 @@ class TestEarlyRejectMatchesFullSolve:
         new = solve_tracking(y_d, grid, ALPHA, beta, cfg)
         old = reference.solve_tracking(y_d, grid, ALPHA, beta, cfg)
         _assert_same_result(new, old)
-        new_sweep = perturbation_sweep(new, (1e-3,), 1, cfg)
+        new_sweep = perturbation_sweep(new, (1e-3,), 1)
         # the sweep's perturbed solves, each warm-started, through the frozen loop
         monkeypatch.setattr(trk, "solve_tracking", reference.solve_tracking)
-        old_sweep = perturbation_sweep(old, (1e-3,), 1, cfg)
+        old_sweep = perturbation_sweep(old, (1e-3,), 1)
         _assert_same_sweep(new_sweep, old_sweep)
 
     @pytest.mark.parametrize("amplitude", (0.5, 0.64, 0.7))
