@@ -197,6 +197,11 @@ def _write_outputs(config: RunConfig, files: Dict[str, bytes], **fields) -> None
 
 
 def _build_oracle(entry: CatalogEntry, config: RunConfig) -> FunctionOracle:
+    # every function's outputs record ``bound``, so refuse a bad one even
+    # where the function does not read it
+    bound = float(config.values["bound"])
+    if not (bound > 0 and math.isfinite(bound)):
+        raise ValueError(f"bound must be positive and finite, got {bound}")
     return entry.make(**{key: float(config.values[key]) for key in entry.default_params})
 
 

@@ -4,10 +4,16 @@
 library applies it as a matrix-free stencil, and the tests compare the
 stencil, and every solve built on it, against the matrix.
 
+``pcg_solve`` is a frozen copy of the preconditioned CG solver from before
+it took an absolute residual target: it stops at ``CG_RTOL`` relative to
+the right-hand side alone.
+
 ``solve_tracking`` is a frozen copy of the spectral projected-gradient
 loop before line-search trials could stop early: every trial's state is
 solved by a full Newton solve, warm-started from the current state, before
-the Armijo test.
+the Armijo test.  Its Newton steps stop their CG at the library's trial
+target, so early reject is compared with a full solve under one accuracy
+rule.
 """
 
 import math
@@ -36,6 +42,38 @@ def neg_laplacian(n: int) -> sp.csr_matrix:
     t = sp.diags([-ones[:-1], 2.0 * ones, -ones[:-1]], offsets=(-1, 0, 1))
     eye = sp.identity(n)
     return ((sp.kron(eye, t) + sp.kron(t, eye)) / h**2).tocsr()
+
+
+def pcg_solve(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(-lap + diag(d)) x = b`` by CG to ``CG_RTOL`` relative to ``b``."""
+    s, lam = trk._poisson_eigen(b.shape[0])
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        return s @ ((s @ r @ s) / lam) @ s
+
+    x = np.zeros_like(b)
+    bnorm = math.sqrt(float(np.vdot(b, b)))
+    if bnorm == 0.0:
+        return x
+    r = b.copy()
+    z = precondition(r)
+    direction = z
+    w = r
+    rz = float(np.vdot(r, z))
+    for _ in range(trk._cg_iteration_cap(d)):
+        q = w + d * direction
+        step = rz / float(np.vdot(direction, q))
+        x = x + step * direction
+        r = r - step * q
+        if math.sqrt(float(np.vdot(r, r))) <= trk.CG_RTOL * bnorm:
+            return x
+        z = precondition(r)
+        rz_next = float(np.vdot(r, z))
+        beta = rz_next / rz
+        direction = z + beta * direction
+        w = r + beta * w
+        rz = rz_next
+    raise trk.LinearSolveFailure("conjugate gradients reached its cap")
 
 
 def solve_tracking(
@@ -89,9 +127,12 @@ def solve_tracking(
             move = u_try - u
             if l2_norm(move, grid) == 0.0:
                 break
-            y_try = trk._newton(u_try, y, grid)
+            decrease = trk.SPG_ARMIJO * l2_inner(p, move, grid)
+            y_try = trk._newton(
+                u_try, y, grid, cg_atol=trk._trial_cg_atol(jval, -decrease, grid.n)
+            )
             j_try = 0.5 * l2_norm(y_try - y_d, grid) ** 2
-            if j_try <= jval + trk.SPG_ARMIJO * l2_inner(p, move, grid):
+            if j_try <= jval + decrease:
                 accepted = True
                 break
             t *= 0.5

@@ -11,8 +11,10 @@ and a frozen copy of the damped Newton iteration that used it.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import spsolve
 
+import _reference as reference
 from _reference import neg_laplacian as _neg_laplacian
 from growthlab import tracking as trk
 from growthlab.tracking import (
@@ -135,3 +137,31 @@ def test_iteration_count_does_not_grow_with_the_mesh(n, monkeypatch):
     x = trk._pcg_solve(d, b)
     assert np.linalg.norm(b - trk._spd_matvec(d, x)) <= 1e-13 * np.linalg.norm(b)
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from((8, 16, 24)),
+    seed=st.integers(0, 2**32 - 1),
+    d_max=st.sampled_from((0.0, 1.0, 30.0, 1e3)),
+    b_scale=st.floats(1e-8, 1e8),
+    atol_rel=st.one_of(st.just(0.0), st.floats(1e-18, 1.0)),
+)
+def test_cg_stops_at_the_absolute_or_relative_target(n, seed, d_max, b_scale, atol_rel):
+    """``_pcg_solve(d, b, atol)`` returns ``x`` whose true residual is at
+    most ``max(atol, CG_RTOL * h |b|)`` in the discrete L2 norm ``h |.|``,
+    plus a rounding allowance of ``1e-13 * h |b|`` for the drift of CG's
+    recurrence residual from the true one (at most 6e-15 over 300 random
+    draws with ``max d`` up to 1e4).  ``atol = 0`` is the solve to
+    ``CG_RTOL`` alone, bitwise as the frozen copy gives it."""
+    rng = np.random.default_rng(seed)
+    h = 1.0 / (n + 1)
+    d = rng.uniform(0.0, d_max, (n, n))
+    b = b_scale * rng.standard_normal((n, n))
+    bnorm = h * np.linalg.norm(b)
+    atol = atol_rel * bnorm
+    x = trk._pcg_solve(d, b, atol)
+    residual = h * np.linalg.norm(b - trk._spd_matvec(d, x))
+    assert residual <= max(atol, trk.CG_RTOL * bnorm) + 1e-13 * bnorm
+    if atol == 0.0:
+        assert x.tobytes() == reference.pcg_solve(d, b).tobytes()

@@ -461,9 +461,9 @@ class TestEarlyRejectMatchesFullSolve:
         calls = []
         pcg = trk._pcg_solve
 
-        def counted(d, b):
+        def counted(d, b, atol=0.0):
             calls.append(b.shape[0])
-            return pcg(d, b)
+            return pcg(d, b, atol)
 
         monkeypatch.setattr(trk, "_pcg_solve", counted)
         y_d = 0.64 * default_target(GRID)
@@ -509,6 +509,40 @@ def test_state_error_bound(n, seed, kind, newton_steps, scale):
     residual = l2_norm(trk._neg_lap_stencil(y) + y**3 - u, grid)
     bound = trk._state_error_bound(residual, n)
     assert l2_norm(y_u - y, grid) <= bound * (1.0 + 1e-12)
+
+
+class TestInexactSolvesMatchExact:
+    """CG solves that stop at the accuracy their callers check (trial
+    Newton steps sized by the Armijo margin, adjoint and linearized solves
+    at a fraction of ``LINEAR_RESIDUAL_TOL``) give the results of solves
+    to ``CG_RTOL``, at a tolerance tight enough that the control solves
+    stop near one point.  Measured differences on these instances:
+    objective 4.9e-13 relative, curvature 7.0e-9, sweep ratios 7.2e-7."""
+
+    @staticmethod
+    def _solve_and_sweep(n, amplitude):
+        grid = Grid2D(n)
+        res = solve_tracking(
+            amplitude * default_target(grid), grid, ALPHA, BETA, DescentConfig(tol=1e-11)
+        )
+        return res, ssc_estimate(res, 0.1, 4), perturbation_sweep(res, (1e-3, 1e-2, 1e-1), 1)
+
+    @pytest.mark.parametrize("n, amplitude", ((16, 0.6), (24, 0.64)))
+    def test_tight_tolerance_results_agree(self, n, amplitude, monkeypatch):
+        res, ssc, sweep = self._solve_and_sweep(n, amplitude)
+        for name in ("TRIAL_STATE_FRACTION", "TRIAL_ARMIJO_FRACTION", "SPD_FRACTION"):
+            monkeypatch.setattr(trk, name, 0.0)
+        exact_res, exact_ssc, exact_sweep = self._solve_and_sweep(n, amplitude)
+        assert res.converged and exact_res.converged
+        assert all(s.converged for s in sweep.samples + exact_sweep.samples)
+        assert abs(res.objective_value - exact_res.objective_value) <= (
+            1e-10 * exact_res.objective_value
+        )
+        assert abs(ssc - exact_ssc) <= 1e-6
+        assert abs(sweep.kappa_hat - exact_sweep.kappa_hat) <= 1e-4
+        assert len(sweep.samples) == len(exact_sweep.samples) == 3
+        for a, b in zip(sweep.samples, exact_sweep.samples):
+            assert abs(a.ratio - b.ratio) <= 1e-4
 
 
 class TestErrorContract:
