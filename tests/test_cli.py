@@ -307,6 +307,8 @@ INVALID_SETTINGS = (
     (["diagnose", "--fn", "maxsq2d", "--delta", "1", "--tau", "0.5"],
      "slack factor tau must be finite and >= 1, got 0.5"),
     (["diagnose", "--directions", "-1"], "directions_per_norm must be >= 1"),
+    (["prox", "--fn", "power", "--epsilon", "2"],
+     "epsilon=2.0 must lie strictly below the growth modulus gamma=1.0 of 'power(p=2.0)'"),
     (["diagnose", "--fn", "power", "--bound", "-1"],
      "bound must be positive and finite, got -1.0"),
     (["diagnose", "--fn", "maxsq2d", "--bound", "0"],
@@ -315,8 +317,6 @@ INVALID_SETTINGS = (
      "bound must be positive and finite, got nan"),
     (["prox", "--fn", "boxquad", "--bound", "inf"],
      "bound must be positive and finite, got inf"),
-    (["prox", "--fn", "power", "--epsilon", "2"],
-     "epsilon=2.0 must lie strictly below the growth modulus gamma=1.0 of 'power(p=2.0)'"),
 )
 
 
