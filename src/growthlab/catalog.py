@@ -66,11 +66,16 @@ def maxsq2d_oracle() -> FunctionOracle:
     )
 
 
+def _check_bound(bound: float) -> None:
+    """Refuse a ``bound`` that is not positive and finite."""
+    if not (bound > 0 and math.isfinite(bound)):
+        raise ValueError(f"bound must be positive and finite, got {bound}")
+
+
 def boxquad_oracle(bound: float = 1.0) -> FunctionOracle:
     """``x^2`` restricted to ``[-bound, bound]`` by an indicator: a bounded
     domain, so graph sampling by tilting covers every subgradient."""
-    if not (bound > 0 and math.isfinite(bound)):
-        raise ValueError(f"bound must be positive and finite, got {bound}")
+    _check_bound(bound)
     return FunctionOracle.from_batch(
         lambda x: np.where(np.abs(x[:, 0]) > bound, math.inf, x[:, 0] ** 2),
         f"boxquad(bound={bound})",

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tracking as trk
-from .catalog import CATALOG, CatalogEntry, get_entry
+from .catalog import CATALOG, CatalogEntry, _check_bound, get_entry
 from .core import BallRegion, ExponentPair, FunctionOracle, GrowthLabError
 from .diagnostics import run_diagnostics
 from .minimize import SolverConfig
@@ -199,9 +199,7 @@ def _write_outputs(config: RunConfig, files: Dict[str, bytes], **fields) -> None
 def _build_oracle(entry: CatalogEntry, config: RunConfig) -> FunctionOracle:
     # every function's outputs record ``bound``, so refuse a bad one even
     # where the function does not read it
-    bound = float(config.values["bound"])
-    if not (bound > 0 and math.isfinite(bound)):
-        raise ValueError(f"bound must be positive and finite, got {bound}")
+    _check_bound(float(config.values["bound"]))
     return entry.make(**{key: float(config.values[key]) for key in entry.default_params})
 
 

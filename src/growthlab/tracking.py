@@ -36,10 +36,10 @@ TRIAL_ARMIJO_FRACTION * lam1 * margin / |y - y_d|)``, with the Armijo
 margin ``margin = -SPG_ARMIJO * <p, move>`` and the current state ``y``:
 the trial's objective is then known to a tenth of the margin its Armijo
 test asks for.  Newton's own stop, ``|residual| <= STATE_RESIDUAL_TOL``,
-is unchanged.  The adjoint and linearized solves stop their CG at
+is unchanged.  The adjoint and linearized solves, also those of
+``second_order_form`` and ``ssc_estimate``, stop their CG at
 ``SPD_FRACTION * LINEAR_RESIDUAL_TOL`` and keep their true-residual check
-and refinement.  ``solve_state``, ``objective`` and ``second_order_form``
-solve to ``CG_RTOL``.
+and refinement.  ``solve_state`` and ``objective`` solve to ``CG_RTOL``.
 """
 
 from __future__ import annotations
@@ -347,14 +347,11 @@ def solve_state(u, grid: Grid2D) -> np.ndarray:
     return _newton(_as_field(u, grid, "u"), np.zeros((grid.n, grid.n)), grid)
 
 
-def _solve_spd(
-    y_base: np.ndarray, rhs: np.ndarray, grid: Grid2D, exact: bool = False
-) -> np.ndarray:
+def _solve_spd(y_base: np.ndarray, rhs: np.ndarray, grid: Grid2D) -> np.ndarray:
     """Preconditioned CG solve of ``(-lap + 3 diag(y^2)) x = rhs`` with a
     true-residual check after the solve and each of up to three
-    refinement steps.  CG stops at ``SPD_FRACTION * LINEAR_RESIDUAL_TOL``,
-    or at ``CG_RTOL`` alone when ``exact``."""
-    atol = 0.0 if exact else SPD_FRACTION * LINEAR_RESIDUAL_TOL
+    refinement steps.  CG stops at ``SPD_FRACTION * LINEAR_RESIDUAL_TOL``."""
+    atol = SPD_FRACTION * LINEAR_RESIDUAL_TOL
     d = 3.0 * y_base**2
     x = np.zeros_like(rhs)
     resid = rhs
@@ -398,9 +395,8 @@ def second_order_form(ubar, v, y_d, grid: Grid2D) -> float:
     """Second-order value ``sum (1 - 6 y p) z_v^2`` of the objective at
     ``ubar`` in direction ``v`` (discrete quadrature)."""
     y = solve_state(ubar, grid)
-    y_d = _as_field(y_d, grid, "y_d")
-    p = _solve_spd(y, y - y_d, grid, exact=True)
-    z = _solve_spd(y, _as_field(v, grid, "v"), grid, exact=True)
+    p = solve_adjoint(y, y_d, grid)
+    z = solve_linearized(v, y, grid)
     weight = 1.0 - 6.0 * y * p
     return l2_inner(weight * z, z, grid)
 
