@@ -6,12 +6,15 @@ bump, with u confined to [0, 8].  At the solution the adjoint is negative
 exactly where the upper bound binds and positive where the lower bound
 binds.  A positive sampled curvature constant predicts that re-solving with
 perturbed targets moves the optimal state by at most a bounded multiple of
-the perturbation; a small sweep shows those ratios directly.
+the perturbation; a small sweep shows those ratios directly, and the
+library's consistency rule (the one behind `growthlab tracking`'s exit
+code) judges them.
 
 Run:  python demos/demo_elliptic_tracking.py   (about a second)
 """
 
 from growthlab.tracking import (
+    CONSISTENCY_FACTOR,
     DescentConfig,
     Grid2D,
     default_target,
@@ -45,3 +48,5 @@ for sample in report.samples:
     print(f"  |eta| = {sample.eta_norm:.0e}  ratio = {sample.ratio:.4f}  "
           f"({sample.iterations} iterations)")
 print(f"largest ratio ({report.label}): {report.kappa_hat:.4f}")
+print(f"consistency (every ratio within {CONSISTENCY_FACTOR:g}x of their median): "
+      f"{'pass' if report.consistent(c) else 'FAIL'}")

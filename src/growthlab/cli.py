@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,7 +73,6 @@ _SCHEMAS: Dict[str, Dict[str, Tuple[str, object]]] = {
         "ssc_samples": ("int", 16),
         "eta_norms": ("floats", (1e-3, 1e-2, 1e-1)),
         "etas_per_norm": ("int", 8),
-        "consistency_factor": ("float", 4.0),
         "seed": ("int", 0),
         "out": ("str", "growthlab-out"),
     },
@@ -324,20 +322,7 @@ def cmd_prox(config: RunConfig) -> int:
     return 0 if audit.passed else 2
 
 
-def _median(values: Sequence[float]) -> float:
-    """The median as ``np.median`` computes it, bitwise, without the
-    import of ``numpy.ma`` that its first call costs."""
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return float(ordered[mid])
-    return float((ordered[mid - 1] + ordered[mid]) / 2.0)
-
-
 def cmd_tracking(config: RunConfig) -> int:
-    factor = float(config.values["consistency_factor"])
-    if not (factor >= 1.0 and math.isfinite(factor)):
-        raise ValueError(f"consistency_factor must be finite and >= 1, got {factor}")
     grid = trk.Grid2D(int(config.values["n"]))
     alpha = float(config.values["alpha"])
     beta = float(config.values["beta"])
@@ -356,19 +341,7 @@ def cmd_tracking(config: RunConfig) -> int:
     result = trk.solve_tracking(y_d, grid, alpha, beta, descent)
     ssc = trk.ssc_estimate(result, ssc_delta, ssc_samples, seed=config.seed)
     sweep = trk.perturbation_sweep(result, eta_norms, etas_per_norm, seed=config.seed)
-
-    ratios = sweep.ratios()
-    consistent = True
-    if ssc > 0.0:
-        # every sample must produce a finite ratio, and the ratios must
-        # cluster around their median
-        if len(ratios) < len(sweep.samples):
-            consistent = False
-        else:
-            med = _median(ratios)
-            consistent = med > 0.0 and all(
-                med / factor <= r <= med * factor for r in ratios
-            )
+    consistent = sweep.consistent(ssc)
 
     header = ["eta_norm", "index", "ratio", "converged", "iterations", "error"]
     rows = [

@@ -329,10 +329,19 @@ def _tilted_pairs(
     return tuple((x, xi) for xi, result in zip(tilts, results) for x in result.minimizers)
 
 
+def _tilt_ratio(dist: float, tilt_norm: float, pq: ExponentPair) -> float:
+    """``|x - xbar| / |xi|^(q/p)`` from the two norms; ``inf`` at ``xi = 0``."""
+    return dist / tilt_norm ** (pq.q / pq.p) if tilt_norm > 0.0 else math.inf
+
+
+def _loja_ratio(gap: float, tilt_norm: float, pq: ExponentPair) -> float:
+    return gap / tilt_norm**pq.q
+
+
 def _tilt_estimate(pairs: Sequence[Pair], xbar: np.ndarray, pq: ExponentPair) -> TiltEstimate:
     kappa_hat, x, xi = _worst_pair(
         pairs,
-        lambda x, xi: _norm(x - xbar) / _norm(xi) ** (pq.q / pq.p),
+        lambda x, xi: _tilt_ratio(_norm(x - xbar), _norm(xi), pq),
         start=(0.0, xbar.copy(), np.zeros(xbar.size)),
     )
     return TiltEstimate(kappa_hat, xi, x)
@@ -343,7 +352,7 @@ def _loja_estimate(
 ) -> LojaEstimate:
     mu_hat, _, xi = _worst_pair(
         pairs,
-        lambda x, xi: (f(x) - fbar) / _norm(xi) ** pq.q,
+        lambda x, xi: _loja_ratio(f(x) - fbar, _norm(xi), pq),
         start=(0.0, xbar, np.zeros(xbar.size)),
     )
     return LojaEstimate(mu_hat, xi)
@@ -631,10 +640,7 @@ def check_subregularity(
 
     def ratio(x, xi):
         lhs = _norm(x - xbar)
-        if lhs <= BASE_POINT_EXCLUSION:
-            return None
-        d = _norm(xi)
-        return lhs / d ** (pq.q / pq.p) if d > 0.0 else math.inf
+        return None if lhs <= BASE_POINT_EXCLUSION else _tilt_ratio(lhs, _norm(xi), pq)
 
     return _graph_check(_worst_pair(pairs, ratio), kappa)
 
@@ -659,6 +665,6 @@ def check_global_loja(
 
     def ratio(x, xi):
         d = _norm(xi)
-        return (f(x) - fbar) / d**pq.q if d > zero_norm else None
+        return _loja_ratio(f(x) - fbar, d, pq) if d > zero_norm else None
 
     return _graph_check(_worst_pair(pairs, ratio), mu)

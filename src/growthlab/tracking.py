@@ -96,6 +96,8 @@ SPG_STEP_MAX = 1e12
 SPG_MAX_HALVINGS = 60
 # Sweep perturbations combine SWEEP_MODES x SWEEP_MODES low-frequency sines.
 SWEEP_MODES = 4
+# A consistent sweep keeps every ratio within this factor of their median.
+CONSISTENCY_FACTOR = 4.0
 
 
 class NewtonDivergence(GrowthLabError):
@@ -657,6 +659,26 @@ class SweepReport:
     def ratios(self) -> List[float]:
         return [s.ratio for s in self.samples if math.isfinite(s.ratio)]
 
+    def consistent(self, ssc: float) -> bool:
+        """Whether the sweep bears out the curvature estimate ``ssc``: an ``ssc``
+        that is not positive predicts nothing and passes; otherwise every sample
+        needs a finite ratio, and each lies within ``CONSISTENCY_FACTOR`` of
+        their median, which must be positive."""
+        if not ssc > 0.0:
+            return True
+        ratios = self.ratios()
+        if not ratios or len(ratios) < len(self.samples):
+            return False
+        med = _median(ratios)
+        lo, hi = med / CONSISTENCY_FACTOR, med * CONSISTENCY_FACTOR
+        return med > 0.0 and all(lo <= r <= hi for r in ratios)
+
+
+def _median(values: Sequence[float]) -> float:
+    """The median as ``np.median`` gives it, bitwise, without importing ``numpy.ma``."""
+    ordered, mid = sorted(values), len(values) // 2
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0)
+
 
 def _check_sweep_settings(eta_norms: Sequence[float], etas_per_norm: int) -> None:
     if etas_per_norm < 1:
@@ -707,5 +729,4 @@ def perturbation_sweep(
         for i in range(etas_per_norm)
     ]
     finite = [s.ratio for s in samples if math.isfinite(s.ratio)]
-    kappa_hat = max(finite) if finite else math.nan
-    return SweepReport(tuple(samples), kappa_hat)
+    return SweepReport(tuple(samples), max(finite, default=math.nan))

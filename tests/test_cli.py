@@ -168,6 +168,39 @@ class TestTracking:
         assert manifest["ssc_estimate"] > 0.0
         assert manifest["sweep"]["consistent"] is True
 
+    @pytest.mark.parametrize("factor, code", ((trk.CONSISTENCY_FACTOR, 0), (1.0, 2)))
+    def test_verdict_is_the_library_rule(self, factor, code, tmp_path, capsys, monkeypatch):
+        # a factor of 1 asks every ratio to equal the median, which the two
+        # distinct ratios of the mini sweep cannot
+        monkeypatch.setattr(trk, "CONSISTENCY_FACTOR", factor)
+        out = tmp_path / "t"
+        assert run(["tracking", "--out", str(out)] + MINI_TRACKING, capsys)[0] == code
+        grid = trk.Grid2D(8)
+        result = trk.solve_tracking(
+            0.6 * trk.default_target(grid), grid, 0.0, 8.0, trk.DescentConfig(1e-8, 5000)
+        )
+        ssc = trk.ssc_estimate(result, 0.1, 4, seed=0)
+        sweep = trk.perturbation_sweep(result, (1e-2, 1e-1), 1, seed=0)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["ssc_estimate"], manifest["sweep"]["kappa_hat"]) == (ssc, sweep.kappa_hat)
+        assert manifest["sweep"]["consistent"] is sweep.consistent(ssc) is (code == 0)
+
+    @pytest.mark.parametrize("via_config", (False, True))
+    def test_consistency_factor_is_refused(self, via_config, tmp_path, capsys):
+        # the factor is fixed in the library; no setting widens it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("consistency_factor = 4\n")
+        setting, message = (
+            (["--config", str(cfg)], "error: unknown config key 'consistency_factor' for 'tracking'\n")
+            if via_config
+            else (["--consistency-factor", "4"], "unrecognized arguments: --consistency-factor 4\n")
+        )
+        out = tmp_path / "t"
+        code, _, err = run(["tracking", "--n", "8"] + setting + ["--out", str(out)], capsys)
+        assert code == 1
+        assert err.endswith(message)
+        assert not out.exists()
+
     def test_ssc_is_computed_at_the_written_fields(self, tmp_path, capsys):
         # the control solve and ssc do not depend on the sweep settings, so
         # a one-sample sweep keeps the run short
@@ -288,16 +321,11 @@ INVALID_SETTINGS = (
      "x0 has length 3, but 'maxsq2d' has dimension 2"),
     (["prox", "--fn", "power", "--x0=1,2"],
      "x0 has length 2, but 'power' has dimension 1"),
-    (["tracking", "--n", "8", "--consistency-factor", "0"],
-     "consistency_factor must be finite and >= 1, got 0.0"),
-    (["tracking", "--n", "8", "--consistency-factor", "0.5"],
-     "consistency_factor must be finite and >= 1, got 0.5"),
-    (["tracking", "--n", "8", "--consistency-factor", "-1"],
-     "consistency_factor must be finite and >= 1, got -1.0"),
-    (["tracking", "--n", "8", "--consistency-factor", "nan"],
-     "consistency_factor must be finite and >= 1, got nan"),
-    (["tracking", "--n", "8", "--consistency-factor", "inf"],
-     "consistency_factor must be finite and >= 1, got inf"),
+    (["tracking", "--n", "3"], "grid needs at least 4 interior nodes per axis, got 3"),
+    (["tracking", "--n", "8", "--ssc-delta", "nan"], "delta must be positive and finite"),
+    (["tracking", "--n", "8", "--ssc-delta", "inf"], "delta must be positive and finite"),
+    (["tracking", "--n", "8", "--etas-per-norm", "-1"], "etas_per_norm must be >= 1"),
+    (["tracking", "--tol", "inf"], "tol must be positive and finite"),
     (["tracking", "--n", "8", "--ssc-samples", "-1"], "sample_count must be >= 0, got -1"),
     (["tracking", "--n", "8", "--ssc-delta", "0"], "delta must be positive and finite"),
     (["tracking", "--n", "8", "--etas-per-norm", "0"], "etas_per_norm must be >= 1"),
@@ -424,7 +452,7 @@ class TestMedian:
         for _ in range(200):
             values = list(rng.lognormal(0.0, 2.0, length))
             expected = np.float64(np.median(values))
-            assert np.float64(cli._median(values)).tobytes() == expected.tobytes()
+            assert np.float64(trk._median(values)).tobytes() == expected.tobytes()
 
 
 class TestManifest:

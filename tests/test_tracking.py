@@ -386,6 +386,55 @@ class TestPerturbationSweep:
         np.testing.assert_allclose(field, 2.0 * sinbump(GRID), atol=1e-12)
 
 
+def _sweep(*ratios) -> trk.SweepReport:
+    samples = tuple(
+        trk.SweepSample(1e-2, i, r, math.isfinite(r), 3) for i, r in enumerate(ratios)
+    )
+    return trk.SweepReport(samples, max((r for r in ratios if math.isfinite(r)), default=math.nan))
+
+
+class TestSweepConsistency:
+    @pytest.mark.parametrize(
+        "ratios",
+        ((0.25, 1.0, 4.0), (0.5, 1.5, 2.5, 8.0), (2.0,), (1.0, 1.0, 1.0)),
+    )
+    def test_ratios_up_to_the_bounds_pass(self, ratios):
+        # the median is 1.0, 2.0, 2.0 and 1.0: the extremes sit exactly at
+        # a quarter and four times of it
+        assert _sweep(*ratios).consistent(0.5)
+
+    @pytest.mark.parametrize(
+        "ratios",
+        (
+            (np.nextafter(0.25, 0.0), 1.0, 4.0),
+            (0.25, 1.0, np.nextafter(4.0, np.inf)),
+            (0.5, 1.5, 2.5, np.nextafter(8.0, np.inf)),
+        ),
+    )
+    def test_a_ratio_just_beyond_a_bound_fails(self, ratios):
+        assert not _sweep(*ratios).consistent(0.5)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_one_sample_without_a_finite_ratio_fails(self, bad):
+        assert not _sweep(1.0, bad, 1.0).consistent(0.5)
+
+    @pytest.mark.parametrize("ratios", ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0)))
+    def test_a_zero_median_fails(self, ratios):
+        assert not _sweep(*ratios).consistent(0.5)
+
+    def test_an_empty_sweep_fails(self):
+        assert not _sweep().consistent(0.5)
+
+    @pytest.mark.parametrize("ssc", (0.0, -1.0, -math.inf, math.nan))
+    @pytest.mark.parametrize("ratios", ((1e-3, 1.0, 1e3), (1.0, math.nan), (0.0, 0.0), ()))
+    def test_a_curvature_estimate_that_is_not_positive_passes(self, ssc, ratios):
+        assert _sweep(*ratios).consistent(ssc)
+
+    def test_the_factor_is_four(self):
+        # a fixed constant: a failing sweep is not to be met by widening it
+        assert trk.CONSISTENCY_FACTOR == 4.0
+
+
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
