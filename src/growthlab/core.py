@@ -178,12 +178,19 @@ def _project_rows(region: BallRegion, points: np.ndarray) -> Tuple[np.ndarray, n
     moved, which land on the sphere."""
     out = np.array(points, dtype=float)
     offset = out - region.center
-    nrm = np.linalg.norm(offset, axis=1)
+    nrm = _row_norms(offset)
     outside = nrm > region.radius
-    if outside.any():
+    if np.count_nonzero(outside):
         scale = region.radius / nrm[outside]
         out[outside] = region.center + offset[outside] * scale[:, None]
     return out, outside
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an ``(m, d)`` array: the sum and
+    square root ``np.linalg.norm(rows, axis=1)`` computes, bitwise, without
+    its copy of the array's conjugate."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
 def _norm(x) -> float:

@@ -10,7 +10,9 @@ minimizer set is the design goal; the grid dimension is capped at 4.
 Oracles are evaluated a batch of points at a time: the whole grid in one
 call, then the candidates of all polish starts at each step direction in
 one call.  A stack of tilted problems shares that grid scan and that polish
-loop.
+loop.  Each problem's grid values are formed once, to pick its starts and
+to keep the pool of grid points near its grid minimum; its minimizer set is
+cut from that pool and its polished points.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .core import (
     GrowthLabError,
     _pair_rows,
     _project_rows,
+    _row_norms,
     as_vector,
     pairing,
 )
@@ -53,6 +56,10 @@ BALL_SLACK = 1e-12
 # Polish: sweep cap per start, and the step length below which a start stops.
 POLISH_MAX_ITERS = 200
 POLISH_STEP_TOLERANCE = 1e-10
+
+# Widening of a problem's pool of grid points near its grid minimum m, in
+# units of 1 + |m|: many times the rounding error of the minimizer cut.
+POOL_SLACK = 16.0 * np.finfo(float).eps
 
 
 class AllInfinite(GrowthLabError):
@@ -222,29 +229,28 @@ def _polish(
     The candidates of all running starts at one basis vector are evaluated
     in one batch, and their tilt terms are subtracted in one elementwise
     pairing, which rounds each candidate alike whatever rows share the
-    batch.  Returns the polished points and values and the number of
+    batch.  The running starts' points, values, steps, sphere flags and
+    candidate tilts are kept in arrays of their own, compacted when starts
+    stop.  Returns the polished points and values and the number of
     candidates each start evaluated.
     """
     x = np.array(starts, dtype=float)
     fx = np.array(start_values, dtype=float)
-    step = np.full(len(x), float(step0))
-    running = np.ones(len(x), dtype=bool)
+    d = x.shape[1]
     sweeps = np.full(len(x), POLISH_MAX_ITERS)
-    on_sphere = None
-    if x.shape[1] > 1:
-        on_sphere = np.linalg.norm(x - region.center, axis=1) >= region.radius
+    # the running starts: their rows of x, points, values and steps
+    ids = np.arange(len(x))
+    xs, fs = x.copy(), fx.copy()
+    steps = np.full(len(x), float(step0))
+    sphere = None if d == 1 else _row_norms(x - region.center) >= region.radius
+    # rows 2k and 2k+1 are the +step and -step candidates of running start k
+    cand_tilts = None if tilts is None else np.repeat(tilts, 2, axis=0)
     for sweep in range(POLISH_MAX_ITERS):
-        idx = np.flatnonzero(running)
-        if idx.size == 0:
+        if ids.size == 0:
             break
-        # the running starts' points, values and flags, stored back after the sweep
-        xs, fs, steps = x[idx], fx[idx], step[idx]
-        sphere = None if on_sphere is None else on_sphere[idx]
-        # rows 2k and 2k+1 are the +step and -step candidates of start idx[k]
-        cand_tilts = None if tilts is None else np.repeat(tilts[idx], 2, axis=0)
-        improved = np.zeros(idx.size, dtype=bool)
-        for i in range(x.shape[1]):
-            cand = np.repeat(xs, 2, axis=0)
+        improved = np.zeros(ids.size, dtype=bool)
+        for i in range(d):
+            cand = xs.repeat(2, axis=0)
             cand[0::2, i] += steps
             cand[1::2, i] -= steps
             if sphere is not None and np.count_nonzero(sphere):
@@ -255,13 +261,13 @@ def _polish(
             cand, moved = _project_rows(region, cand)
             vals = f.evaluate_rows(cand)
             if cand_tilts is not None:
-                live = vals != math.inf
-                vals[live] -= _pair_rows(cand[live], cand_tilts[live])
-            _check_values(vals, cand, descriptor)
+                np.subtract(vals, _pair_rows(cand, cand_tilts), out=vals, where=vals != math.inf)
+            if not vals.min() > -math.inf:  # a NaN or -inf, named by the full check
+                _check_values(vals, cand, descriptor)
             plus, minus = vals[0::2], vals[1::2]
             take_plus = plus < fs
-            take_minus = minus < np.where(take_plus, plus, fs)
-            took = np.flatnonzero(take_plus | take_minus)
+            take_minus = minus < np.minimum(plus, fs)
+            took = (take_plus | take_minus).nonzero()[0]
             if took.size:
                 pick = 2 * took + take_minus[took]
                 xs[took] = cand[pick]
@@ -269,16 +275,33 @@ def _polish(
                 if sphere is not None:
                     sphere[took] = moved[pick]
                 improved[took] = True
-        x[idx], fx[idx] = xs, fs
-        if sphere is not None:
-            on_sphere[idx] = sphere
-        stalled = idx[~improved]
-        step[stalled] *= 0.5
-        done = stalled[step[stalled] < POLISH_STEP_TOLERANCE]
-        if done.size:
-            running[done] = False
-            sweeps[done] = sweep + 1
-    return x, fx, 2 * x.shape[1] * sweeps
+        stalled = ~improved
+        if not np.count_nonzero(stalled):
+            continue
+        steps[stalled] *= 0.5
+        done = stalled & (steps < POLISH_STEP_TOLERANCE)
+        if np.count_nonzero(done):
+            gone = ids[done]
+            x[gone], fx[gone], sweeps[gone] = xs[done], fs[done], sweep + 1
+            keep = ~done
+            ids, xs, fs, steps = ids[keep], xs[keep], fs[keep], steps[keep]
+            if sphere is not None:
+                sphere = sphere[keep]
+            if cand_tilts is not None:
+                cand_tilts = cand_tilts[np.repeat(keep, 2)]
+    x[ids], fx[ids] = xs, fs
+    return x, fx, 2 * d * sweeps
+
+
+def _smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(values, kind="stable")[:k]`` for NaN-free ``values``,
+    ties in index order included, from a partition instead of a full
+    sort."""
+    if k == 0:
+        return np.zeros(0, dtype=np.intp)
+    kth = np.partition(values, k - 1)[k - 1]
+    below = np.flatnonzero(values <= kth)
+    return below[np.argsort(values[below], kind="stable")[:k]]
 
 
 def _solve(
@@ -292,39 +315,55 @@ def _solve(
     ``tilts``, or ``f`` itself when ``tilts`` is None, all in lockstep.
 
     ``f`` is evaluated on the grid once.  Each problem's grid values are
-    formed on their own to pick its multistarts, all starts are polished in
-    one loop, and each minimizer set is cut from the problem's grid values,
-    formed again, and its polished points.  No array holds the grid values
-    of more than one problem.
+    formed once, on their own: they give its multistarts and a pool of the
+    grid points near its grid minimum.  All starts are polished in one
+    loop, and each minimizer set is cut from the problem's pool and its
+    polished points.  No array holds the grid values of more than one
+    problem.
+
+    The pool holds every grid point the final cut can keep: the polished
+    minimum is at most the grid minimum, and for a tolerance below 1 the
+    cut ``m + tol * (1 + |m|)`` grows with the minimum ``m``.  The pool is
+    the points within the grid minimum's cut widened by ``POOL_SLACK``,
+    which covers the cut's rounding while the tolerance is at most 1/2;
+    above that it is the whole finite grid.
     """
     pts = _ball_grid(tuple(region.center), region.radius, cfg.grid_points_per_axis)
     base = f.evaluate_rows(pts)
-    problems = [None] if tilts is None else list(tilts)
+    problems = [None] if tilts is None else tilts
+    live = base != math.inf
+    all_live = bool(live.all())
+    live_pts = pts if all_live else pts[live]
+    tol = cfg.minimizer_value_tolerance
 
-    def grid_values(xi: Optional[np.ndarray]) -> np.ndarray:
-        if xi is None:
-            return base
-        values = base.copy()
-        live = values != math.inf
-        if live.any():
-            values[live] -= pairing(xi, pts[live])
-        return values
-
-    starts, start_values, offsets = [], [], [0]
+    starts, start_values, offsets, pools = [], [], [0], []
     for xi in problems:
-        values = grid_values(xi)
-        _check_values(values, pts, descriptor)
-        n_finite = int(np.count_nonzero(np.isfinite(values)))
+        if xi is None:
+            values = base
+        elif all_live:
+            values = base - pairing(xi, live_pts)
+        else:
+            values = base.copy()
+            values[live] -= pairing(xi, live_pts)
+        low = values.min()
+        if not low > -math.inf:  # a NaN or -inf, named by the full check
+            _check_values(values, pts, descriptor)
+        finite = values != math.inf
+        n_finite = int(np.count_nonzero(finite))
         if n_finite == 0:
             raise AllInfinite(
                 f"oracle '{descriptor}' is +inf at all {len(pts)} sampled points "
                 f"of the ball around {region.center}"
             )
         # +inf sorts last: the best finite cells, ties in grid order
-        order = np.argsort(values, kind="stable")[: min(cfg.multistart_count, n_finite)]
+        order = _smallest(values, min(cfg.multistart_count, n_finite))
         starts.append(pts[order])
         start_values.append(values[order])
         offsets.append(offsets[-1] + order.size)
+        if tol <= 0.5:
+            finite &= values <= low + (tol + POOL_SLACK) * (1.0 + abs(low))
+        pool = np.flatnonzero(finite)
+        pools.append((pool, values[pool]))
     spacing = 2.0 * region.radius / (cfg.grid_points_per_axis - 1)
     start_tilts = None if tilts is None else np.repeat(tilts, np.diff(offsets), axis=0)
     x, fx, used = _polish(
@@ -333,15 +372,13 @@ def _solve(
     )
 
     results = []
-    for t, xi in enumerate(problems):
-        values = grid_values(xi)
-        finite = np.isfinite(values)
+    for t, (pool, pool_values) in enumerate(pools):
         mine = slice(offsets[t], offsets[t + 1])
         # polished points join the pool in start order
-        pool_pts = np.concatenate([pts[finite], x[mine]])
-        pool_vals = np.concatenate([values[finite], fx[mine]])
+        pool_pts = np.concatenate([pts[pool], x[mine]])
+        pool_vals = np.concatenate([pool_values, fx[mine]])
         min_value = float(pool_vals.min())
-        cut = min_value + cfg.minimizer_value_tolerance * (1.0 + abs(min_value))
+        cut = min_value + tol * (1.0 + abs(min_value))
         near = pool_pts[pool_vals <= cut]
 
         minimizers: List[np.ndarray] = []

@@ -1,4 +1,4 @@
-"""Reference implementations for the tracking tests.
+"""Reference implementations for the differential tests.
 
 ``neg_laplacian`` assembles the 5-point ``-lap`` with scipy.sparse: the
 library applies it as a matrix-free stencil, and the tests compare the
@@ -14,15 +14,26 @@ solved by a full Newton solve, warm-started from the current state, before
 the Armijo test.  Its Newton steps stop their CG at the library's trial
 target, so early reject is compared with a full solve under one accuracy
 rule.
+
+``solve`` and ``polish`` are frozen copies of the ball-constrained solver's
+stacked solve and lockstep polish from before each tilt's grid values were
+formed once and the polish kept a compact running set: every problem's
+grid values are formed twice, the multistarts come from a full stable
+argsort, and the polish gathers and scatters every array every sweep.
+``project_rows``, ``check_values`` and ``sphere_axis`` are the helpers they
+called, as they were.
 """
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from growthlab import minimize
 from growthlab import tracking as trk
+from growthlab.core import BallRegion, FunctionOracle, _pair_rows, pairing
+from growthlab.minimize import AllInfinite, NonFiniteValue, SolverConfig, TiltedSolveResult
 from growthlab.tracking import (
     DescentConfig,
     Grid2D,
@@ -149,3 +160,168 @@ def solve_tracking(
         u, y, p, jval, residual, iterations, residual <= cfg.tol, tuple(history),
         y_d, grid, alpha, beta, cfg,
     )
+
+
+def project_rows(region: BallRegion, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Radial projection of the rows onto the ball, and the moved rows."""
+    out = np.array(points, dtype=float)
+    offset = out - region.center
+    nrm = np.linalg.norm(offset, axis=1)
+    outside = nrm > region.radius
+    if outside.any():
+        scale = region.radius / nrm[outside]
+        out[outside] = region.center + offset[outside] * scale[:, None]
+    return out, outside
+
+
+def check_values(values: np.ndarray, points: np.ndarray, descriptor: str) -> None:
+    """Refuse NaN and -inf, naming the first such value and its point."""
+    bad = np.isnan(values) | np.isneginf(values)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise NonFiniteValue(
+            f"oracle '{descriptor}' returned {values[i]} at {points[i]}"
+        )
+
+
+def sphere_axis(points: np.ndarray, region: BallRegion, i: int) -> np.ndarray:
+    """Vector ``i`` of the Householder basis at each row, a point on the
+    sphere: the outward normal for ``i = 0``, tangents otherwise."""
+    n = (points - region.center) / region.radius
+    if i == 0:
+        return n
+    coef = n[:, i] / (1.0 + np.abs(n[:, 0]))
+    n[:, 0] += np.where(n[:, 0] >= 0.0, 1.0, -1.0)
+    axis = -coef[:, None] * n
+    axis[:, i] += 1.0
+    return axis
+
+
+def polish(
+    f: FunctionOracle,
+    starts: np.ndarray,
+    start_values: np.ndarray,
+    tilts: Optional[np.ndarray],
+    region: BallRegion,
+    step0: float,
+    descriptor: str,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lockstep projected direct search: polished points, values and
+    candidates evaluated per start."""
+    x = np.array(starts, dtype=float)
+    fx = np.array(start_values, dtype=float)
+    step = np.full(len(x), float(step0))
+    running = np.ones(len(x), dtype=bool)
+    sweeps = np.full(len(x), minimize.POLISH_MAX_ITERS)
+    on_sphere = None
+    if x.shape[1] > 1:
+        on_sphere = np.linalg.norm(x - region.center, axis=1) >= region.radius
+    for sweep in range(minimize.POLISH_MAX_ITERS):
+        idx = np.flatnonzero(running)
+        if idx.size == 0:
+            break
+        xs, fs, steps = x[idx], fx[idx], step[idx]
+        sphere = None if on_sphere is None else on_sphere[idx]
+        cand_tilts = None if tilts is None else np.repeat(tilts[idx], 2, axis=0)
+        improved = np.zeros(idx.size, dtype=bool)
+        for i in range(x.shape[1]):
+            cand = np.repeat(xs, 2, axis=0)
+            cand[0::2, i] += steps
+            cand[1::2, i] -= steps
+            if sphere is not None and np.count_nonzero(sphere):
+                rows = xs[sphere]
+                move = steps[sphere, None] * sphere_axis(rows, region, i)
+                cand[0::2][sphere] = rows + move
+                cand[1::2][sphere] = rows - move
+            cand, moved = project_rows(region, cand)
+            vals = f.evaluate_rows(cand)
+            if cand_tilts is not None:
+                live = vals != math.inf
+                vals[live] -= _pair_rows(cand[live], cand_tilts[live])
+            check_values(vals, cand, descriptor)
+            plus, minus = vals[0::2], vals[1::2]
+            take_plus = plus < fs
+            take_minus = minus < np.where(take_plus, plus, fs)
+            took = np.flatnonzero(take_plus | take_minus)
+            if took.size:
+                pick = 2 * took + take_minus[took]
+                xs[took] = cand[pick]
+                fs[took] = vals[pick]
+                if sphere is not None:
+                    sphere[took] = moved[pick]
+                improved[took] = True
+        x[idx], fx[idx] = xs, fs
+        if sphere is not None:
+            on_sphere[idx] = sphere
+        stalled = idx[~improved]
+        step[stalled] *= 0.5
+        done = stalled[step[stalled] < minimize.POLISH_STEP_TOLERANCE]
+        if done.size:
+            running[done] = False
+            sweeps[done] = sweep + 1
+    return x, fx, 2 * x.shape[1] * sweeps
+
+
+def solve(
+    f: FunctionOracle,
+    tilts: Optional[np.ndarray],
+    region: BallRegion,
+    cfg: SolverConfig,
+    descriptor: str,
+) -> Tuple[TiltedSolveResult, ...]:
+    """Minimize ``f - <xi, .>`` over the ball for each row of ``tilts``, or
+    ``f`` when ``tilts`` is None; each problem's grid values are formed to
+    pick its starts and formed again to cut its minimizer set."""
+    pts = minimize.ball_grid(region, cfg.grid_points_per_axis)
+    base = f.evaluate_rows(pts)
+    problems = [None] if tilts is None else list(tilts)
+
+    def grid_values(xi: Optional[np.ndarray]) -> np.ndarray:
+        if xi is None:
+            return base
+        values = base.copy()
+        live = values != math.inf
+        if live.any():
+            values[live] -= pairing(xi, pts[live])
+        return values
+
+    starts, start_values, offsets = [], [], [0]
+    for xi in problems:
+        values = grid_values(xi)
+        check_values(values, pts, descriptor)
+        n_finite = int(np.count_nonzero(np.isfinite(values)))
+        if n_finite == 0:
+            raise AllInfinite(
+                f"oracle '{descriptor}' is +inf at all {len(pts)} sampled points "
+                f"of the ball around {region.center}"
+            )
+        order = np.argsort(values, kind="stable")[: min(cfg.multistart_count, n_finite)]
+        starts.append(pts[order])
+        start_values.append(values[order])
+        offsets.append(offsets[-1] + order.size)
+    spacing = 2.0 * region.radius / (cfg.grid_points_per_axis - 1)
+    start_tilts = None if tilts is None else np.repeat(tilts, np.diff(offsets), axis=0)
+    x, fx, used = polish(
+        f, np.concatenate(starts), np.concatenate(start_values), start_tilts,
+        region, spacing, descriptor,
+    )
+
+    results = []
+    for t, xi in enumerate(problems):
+        values = grid_values(xi)
+        finite = np.isfinite(values)
+        mine = slice(offsets[t], offsets[t + 1])
+        pool_pts = np.concatenate([pts[finite], x[mine]])
+        pool_vals = np.concatenate([values[finite], fx[mine]])
+        min_value = float(pool_vals.min())
+        cut = min_value + cfg.minimizer_value_tolerance * (1.0 + abs(min_value))
+        near = pool_pts[pool_vals <= cut]
+
+        minimizers: List[np.ndarray] = []
+        for i in np.lexsort(near.T[::-1]):
+            if minimizers and np.max(np.abs(near[i] - minimizers[-1])) <= 1e-12:
+                continue
+            minimizers.append(near[i])
+        evaluations = len(pts) + int(used[mine].sum())
+        results.append(TiltedSolveResult(tuple(minimizers), min_value, evaluations))
+    return tuple(results)

@@ -148,12 +148,6 @@ class TestProx:
 
 
 class TestTracking:
-    def test_too_coarse_grid_exits_one(self, tmp_path, capsys):
-        out = tmp_path / "t"
-        code, _, err = run(["tracking", "--n", "3", "--out", str(out)], capsys)
-        assert code == 1
-        assert not out.exists()
-
     def test_mini_instance_writes_fields_and_sweep(self, tmp_path, capsys):
         out = tmp_path / "t"
         code, stdout, _ = run(
@@ -349,7 +343,12 @@ INVALID_SETTINGS = (
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("argv, message", INVALID_SETTINGS)
+    # each case is named by its command line, so adding a row or rewording
+    # a message renames no test
+    @pytest.mark.parametrize(
+        "argv, message",
+        [pytest.param(argv, message, id=" ".join(argv)) for argv, message in INVALID_SETTINGS],
+    )
     def test_invalid_solver_setting_exits_one_without_files(
         self, argv, message, tmp_path, capsys
     ):

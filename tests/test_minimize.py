@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import _reference as reference
 from growthlab import minimize
-from growthlab.catalog import maxsq2d_oracle
-from growthlab.core import BallRegion, FunctionOracle, _pair_rows, indicator, pairing
+from growthlab.catalog import boxquad_oracle, halfpower_oracle, maxsq2d_oracle, power_oracle
+from growthlab.core import BallRegion, FunctionOracle, _pair_rows, _project_rows, indicator, pairing
 from growthlab.diagnostics import _tilt_samples
 from growthlab.minimize import (
     AllInfinite,
@@ -382,3 +384,157 @@ class TestSpherePolish:
                 cut = best + tol * (1.0 + abs(best))
                 for point in points:
                     assert f(point) - pairing(xi, point) <= cut
+
+
+# ---------------------------------------------------------------------------
+# The stacked solve against its frozen reference
+
+
+def _bowl(d):
+    return FunctionOracle.from_batch(
+        lambda x: sum((j + 1.0) * x[:, j] ** 2 for j in range(d)), f"bowl{d}"
+    )
+
+
+def _terraces(d):
+    # a bowl rounded down to quarters: long runs of tied grid values, so
+    # the k-th multistart falls inside a tie
+    return FunctionOracle.from_batch(
+        lambda x: np.floor(4.0 * sum(x[:, j] ** 2 for j in range(d))) / 4.0, f"terraces{d}"
+    )
+
+
+def _constant(d):
+    return FunctionOracle.from_batch(lambda x: np.full(len(x), 0.5), "constant")
+
+
+def _half_plane(d):
+    # +inf off the half-plane x_0 + x_1 <= 0.3
+    return FunctionOracle.from_batch(
+        lambda x: np.where(x[:, 0] + x[:, 1] > 0.3, math.inf, (x[:, 0] - 1.0) ** 2 + x[:, 1] ** 2),
+        "halfplane",
+    )
+
+
+def _nowhere(d):
+    return FunctionOracle.from_batch(lambda x: np.full(len(x), math.inf), "nowhere")
+
+
+def _bad_on_grid(bad):
+    def make(d):
+        return FunctionOracle.from_batch(
+            lambda x: np.where(x[:, 0] > 0.4, bad, x[:, 0] ** 2), f"grid-{bad}"
+        )
+
+    return make
+
+
+def _bad_off_grid(bad):
+    # finite on the grid of the ball around 0 of radius 1 with 11 points per
+    # axis (spacing 0.2), ``bad`` where the polish halves its step
+    def make(d):
+        def value(x):
+            on_grid = np.all(np.abs(x * 5.0 - np.round(x * 5.0)) <= 1e-9, axis=1)
+            return np.where(on_grid, sum(x[:, j] ** 2 for j in range(d)), bad)
+
+        return FunctionOracle.from_batch(value, f"offgrid-{bad}")
+
+    return make
+
+
+# name -> (oracle factory, dimensions it runs in)
+DIFFERENTIAL_ORACLES = {
+    "bowl": (_bowl, (1, 2, 3)),
+    "terraces": (_terraces, (1, 2, 3)),
+    "constant": (_constant, (1, 2, 3)),
+    "power1.5": (lambda d: power_oracle(1.5), (1,)),
+    "halfpower3": (lambda d: halfpower_oracle(3.0), (1,)),
+    "boxquad0.8": (lambda d: boxquad_oracle(0.8), (1,)),
+    "maxsq2d": (lambda d: maxsq2d_oracle(), (2,)),
+    "halfplane": (_half_plane, (2,)),
+    "nowhere": (_nowhere, (1, 2)),
+    "nan-on-grid": (_bad_on_grid(math.nan), (1, 2)),
+    "-inf-on-grid": (_bad_on_grid(-math.inf), (1, 2)),
+    "nan-off-grid": (_bad_off_grid(math.nan), (1, 2)),
+    "-inf-off-grid": (_bad_off_grid(-math.inf), (1, 2)),
+}
+DIFFERENTIAL_GRIDS = {1: (11, 41, 101), 2: (5, 11, 21), 3: (5, 7, 9)}
+
+
+def _evaluate_only(f):
+    return FunctionOracle(lambda x: float(f.evaluate_batch(x[None, :])[0]), f.descriptor)
+
+
+@st.composite
+def solve_cases(draw):
+    """(oracle, tilt stack or None, region, config): a stack holds 1-6
+    tilts, among them a zero tilt and a repeated tilt."""
+    name = draw(st.sampled_from(sorted(DIFFERENTIAL_ORACLES)))
+    make, dims = DIFFERENTIAL_ORACLES[name]
+    d = draw(st.sampled_from(dims))
+    f = make(d)
+    if draw(st.booleans()):
+        f = _evaluate_only(f)
+    tilts = None
+    if draw(st.integers(0, 3)):
+        tilt = st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=d, max_size=d)
+        rows = draw(st.lists(tilt, min_size=0, max_size=4))
+        rows.insert(draw(st.integers(0, len(rows))), [0.0] * d)
+        rows.insert(draw(st.integers(0, len(rows))), rows[draw(st.integers(0, len(rows) - 1))])
+        tilts = np.array(rows)
+    if name.endswith("off-grid"):
+        region, grid = BallRegion(np.zeros(d), 1.0), 11
+    else:
+        center = draw(st.sampled_from((np.zeros(d), np.linspace(0.3, -0.3, d))))
+        region = BallRegion(center, draw(st.sampled_from((0.75, 1.0, 2.5))))
+        grid = draw(st.sampled_from(DIFFERENTIAL_GRIDS[d]))
+    cfg = SolverConfig(
+        grid_points_per_axis=grid,
+        multistart_count=draw(st.sampled_from((0, 1, 3, 8))),
+        minimizer_value_tolerance=draw(st.sampled_from((1e-9, 0.5, 0.75, 2.0))),
+    )
+    return f, tilts, region, cfg
+
+
+def _outcome(solve, case):
+    """A solve's results as bytes, or its exception's type and message."""
+    f, tilts, region, cfg = case
+    try:
+        results = solve(f, tilts, region, cfg, "f - <xi,.>")
+    except Exception as exc:  # the reference's error is part of the contract
+        return type(exc), str(exc)
+    return [
+        ([m.tobytes() for m in r.minimizers], np.float64(r.min_value).tobytes(), r.evaluations)
+        for r in results
+    ]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(solve_cases())
+def test_solve_matches_frozen_reference_bitwise(case):
+    assert _outcome(minimize._solve, case) == _outcome(reference.solve, case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from((0.0, 0.25, 1.0, 2.0, math.inf)), min_size=1, max_size=40),
+    st.integers(0, 40),
+)
+def test_smallest_is_the_stable_argsort_prefix(values, k):
+    values = np.array(values)
+    k = min(k, len(values))
+    expected = np.argsort(values, kind="stable")[:k]
+    np.testing.assert_array_equal(minimize._smallest(values, k), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_project_rows_matches_frozen_reference_bitwise(d, m, seed):
+    rng = np.random.default_rng(seed)
+    region = BallRegion(rng.uniform(-1.0, 1.0, d), float(rng.uniform(0.1, 2.0)))
+    points = region.center + rng.uniform(-2.5, 2.5, (m, d)) * region.radius
+    points[::3] = region.project_rows(points[::3])  # some rows on the sphere
+    out, moved = _project_rows(region, points)
+    ref_out, ref_moved = reference.project_rows(region, points)
+    assert out.tobytes() == ref_out.tobytes()
+    np.testing.assert_array_equal(moved, ref_moved)
