@@ -14,14 +14,18 @@ A tilt sample is solved as one stacked ``argmin_tilted`` call (one grid
 scan, one lockstep polish) and becomes ``(minimizer, tilt)`` pairs in tilt
 order, then minimizer order; ``run_diagnostics`` solves its sample once.
 The tilt estimators and the subdifferential-graph checks reduce such pairs
-through one rule: the first pair with the strictly largest ratio wins.
+through one rule: the first pair with the strictly largest ratio wins.  Each
+reduction is one whole-array pass over the stacked pairs: row norms, one
+``evaluate_rows`` call where values of f are needed, and the norms' powers
+taken as Python floats, so every ratio is the one a loop over the pairs
+would compute.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from .core import (
     FunctionOracle,
     GrowthLabError,
     _norm,
+    _row_norms,
     as_vector,
 )
 from .minimize import (
@@ -243,20 +248,14 @@ def _base_value(f: FunctionOracle, xbar: np.ndarray) -> float:
     return fbar
 
 
-def _worst_pair(
-    pairs: Sequence[Pair],
-    ratio: Callable[[np.ndarray, np.ndarray], Optional[float]],
-    start: Optional[Tuple[float, np.ndarray, np.ndarray]] = None,
-) -> Optional[Tuple[float, np.ndarray, np.ndarray]]:
-    """``(ratio, x, xi)`` of the first pair with the strictly largest
-    ``ratio(x, xi)``, or ``start`` if no pair beats it.  A ratio of ``None``
-    skips its pair."""
-    worst = start
-    for x, xi in pairs:
-        r = ratio(x, xi)
-        if r is not None and (worst is None or r > worst[0]):
-            worst = (r, x, xi)
-    return worst
+def _first_largest(ratios: np.ndarray, floor: float) -> Optional[int]:
+    """Index of the first largest of the ``ratios`` strictly above
+    ``floor``, or None if none is: the pair a loop keeps when it replaces
+    its best pair only by a strictly larger ratio.  NaN never wins."""
+    above = ratios > floor
+    if not above.any():
+        return None
+    return int(np.argmax(np.where(above, ratios, -math.inf)))
 
 
 def estimate_growth(
@@ -322,40 +321,55 @@ def _tilt_samples(
 
 def _tilted_pairs(
     f: FunctionOracle, tilts: np.ndarray, region: BallRegion, cfg: SolverConfig
-) -> Tuple[Pair, ...]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """``(minimizer, tilt)`` pairs of one stacked solve of a checked
-    ``(T, d)`` tilt stack, in tilt order, then minimizer order."""
+    ``(T, d)`` tilt stack, in tilt order, then minimizer order, as an
+    array of points and an array of their tilts."""
     results = argmin_tilted(f, tilts, region, cfg)
-    return tuple((x, xi) for xi, result in zip(tilts, results) for x in result.minimizers)
+    points = np.reshape([x for result in results for x in result.minimizers], (-1, region.dim))
+    counts = [len(result.minimizers) for result in results]
+    return points, np.repeat(tilts, counts, axis=0)
 
 
-def _tilt_ratio(dist: float, tilt_norm: float, pq: ExponentPair) -> float:
-    """``|x - xbar| / |xi|^(q/p)`` from the two norms; ``inf`` at ``xi = 0``."""
-    return dist / tilt_norm ** (pq.q / pq.p) if tilt_norm > 0.0 else math.inf
+def _powers(norms: np.ndarray, e: float) -> np.ndarray:
+    """``norms ** e`` by Python's float power, which numpy's array power
+    need not match bitwise."""
+    return np.array([t**e for t in norms.tolist()], dtype=float)
 
 
-def _loja_ratio(gap: float, tilt_norm: float, pq: ExponentPair) -> float:
-    return gap / tilt_norm**pq.q
+def _tilt_ratios(dist: np.ndarray, tilt_norms: np.ndarray, pq: ExponentPair) -> np.ndarray:
+    """``|x - xbar| / |xi|^(q/p)`` per pair from the two norms; ``inf`` at
+    ``xi = 0``."""
+    power = _powers(tilt_norms, pq.q / pq.p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(power > 0.0, dist / power, math.inf)
 
 
-def _tilt_estimate(pairs: Sequence[Pair], xbar: np.ndarray, pq: ExponentPair) -> TiltEstimate:
-    kappa_hat, x, xi = _worst_pair(
-        pairs,
-        lambda x, xi: _tilt_ratio(_norm(x - xbar), _norm(xi), pq),
-        start=(0.0, xbar.copy(), np.zeros(xbar.size)),
-    )
-    return TiltEstimate(kappa_hat, xi, x)
+def _loja_ratios(gap: np.ndarray, tilt_norms: np.ndarray, pq: ExponentPair) -> np.ndarray:
+    """``(f(x) - f(xbar)) / |xi|^q`` per pair from the gap and the tilt norm."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return gap / _powers(tilt_norms, pq.q)
+
+
+def _tilt_estimate(
+    points: np.ndarray, tilts: np.ndarray, xbar: np.ndarray, pq: ExponentPair
+) -> TiltEstimate:
+    ratios = _tilt_ratios(_row_norms(points - xbar), _row_norms(tilts), pq)
+    i = _first_largest(ratios, 0.0)
+    if i is None:
+        return TiltEstimate(0.0, np.zeros(xbar.size), xbar.copy())
+    return TiltEstimate(float(ratios[i]), tilts[i], points[i])
 
 
 def _loja_estimate(
-    pairs: Sequence[Pair], f: FunctionOracle, fbar: float, xbar: np.ndarray, pq: ExponentPair
+    points: np.ndarray, tilts: np.ndarray, f: FunctionOracle, fbar: float,
+    xbar: np.ndarray, pq: ExponentPair,
 ) -> LojaEstimate:
-    mu_hat, _, xi = _worst_pair(
-        pairs,
-        lambda x, xi: _loja_ratio(f(x) - fbar, _norm(xi), pq),
-        start=(0.0, xbar, np.zeros(xbar.size)),
-    )
-    return LojaEstimate(mu_hat, xi)
+    ratios = _loja_ratios(f.evaluate_rows(points) - fbar, _row_norms(tilts), pq)
+    i = _first_largest(ratios, 0.0)
+    if i is None:
+        return LojaEstimate(0.0, np.zeros(xbar.size))
+    return LojaEstimate(float(ratios[i]), tilts[i])
 
 
 def estimate_tilt_constant(
@@ -375,7 +389,7 @@ def estimate_tilt_constant(
     """
     xbar = _require_centered(xbar, region)
     tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
-    return _tilt_estimate(_tilted_pairs(f, tilts, region, cfg), xbar, pq)
+    return _tilt_estimate(*_tilted_pairs(f, tilts, region, cfg), xbar, pq)
 
 
 def estimate_loja_constant(
@@ -392,7 +406,7 @@ def estimate_loja_constant(
     xbar = _require_centered(xbar, region)
     fbar = _base_value(f, xbar)
     tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
-    return _loja_estimate(_tilted_pairs(f, tilts, region, cfg), f, fbar, xbar, pq)
+    return _loja_estimate(*_tilted_pairs(f, tilts, region, cfg), f, fbar, xbar, pq)
 
 
 def _check_tau(tau: float) -> None:
@@ -463,9 +477,9 @@ def run_diagnostics(
     xbar = region.center
     growth = estimate_growth(f, xbar, region, pq, cfg)
     fbar = _base_value(f, xbar)
-    pairs = _tilted_pairs(f, tilts, region, cfg)
-    tilt = _tilt_estimate(pairs, xbar, pq)
-    loja = _loja_estimate(pairs, f, fbar, xbar, pq)
+    points, tilts = _tilted_pairs(f, tilts, region, cfg)
+    tilt = _tilt_estimate(points, tilts, xbar, pq)
+    loja = _loja_estimate(points, tilts, f, fbar, xbar, pq)
     audit = check_equivalence(growth.gamma_hat, tilt.kappa_hat, loja.mu_hat, pq, tau=tau)
     return DiagnosticsReport(growth, tilt, loja, audit, pq, region)
 
@@ -594,7 +608,7 @@ def sample_subdifferential_graph(
     tilts = np.reshape(
         [as_vector(xi, domain_region.dim) for xi in tilt_grid], (-1, domain_region.dim)
     )
-    return _tilted_pairs(f, tilts, domain_region, cfg)
+    return tuple(zip(*_tilted_pairs(f, tilts, domain_region, cfg)))
 
 
 @dataclass(frozen=True)
@@ -611,18 +625,30 @@ class GraphCheck:
     witness_tilt_norm: Optional[float]
 
 
-def _graph_pairs(pairs: Sequence[Pair], dim: int) -> List[Pair]:
-    pairs = [(np.asarray(x, dtype=float), np.asarray(xi, dtype=float)) for x, xi in pairs]
-    if any(v.shape != (dim,) for pair in pairs for v in pair):
+def _graph_pairs(pairs: Sequence[Pair], dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The points and the tilts of ``pairs`` as two ``(n, dim)`` arrays."""
+    try:
+        stack = np.array(list(pairs), dtype=float)
+    except ValueError:  # points or tilts of unequal shapes
+        stack = None
+    if stack is None or (len(stack) and stack.shape[1:] != (2, dim)):
         raise ValueError(f"graph pairs must hold points and tilts of shape ({dim},)")
-    return pairs
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("graph pairs must be finite (no NaN/inf)")
+    stack = stack.reshape(-1, 2, dim)
+    return stack[:, 0], stack[:, 1]
 
 
-def _graph_check(worst: Optional[Tuple[float, np.ndarray, np.ndarray]], bound: float) -> GraphCheck:
-    if worst is None:
+def _graph_check(
+    ratios: np.ndarray, points: np.ndarray, tilt_norms: np.ndarray, bound: float
+) -> GraphCheck:
+    """The verdict on the first pair with the strictly largest ratio; a
+    NaN ratio of the first pair is never beaten."""
+    if ratios.size == 0:
         return GraphCheck(True, True, None, None, None)
-    ratio, x, xi = worst
-    return GraphCheck(ratio <= bound, False, ratio, x, _norm(xi))
+    i = _first_largest(ratios, ratios[0]) or 0
+    ratio = float(ratios[i])
+    return GraphCheck(ratio <= bound, False, ratio, points[i], float(tilt_norms[i]))
 
 
 def check_subregularity(
@@ -634,15 +660,14 @@ def check_subregularity(
     """Check ``|x - xbar| <= kappa * |xi|^(q/p)`` over sampled graph pairs
     ``(x, xi)``; a point's worst pair has its smallest sampled tilt norm,
     which approximates the distance from zero to its subdifferential.
-    Pairs at the base point carry no evidence and are skipped."""
+    Pairs at the base point carry no evidence and are skipped.  A NaN or
+    infinite entry in a point or a tilt raises ``ValueError``."""
     xbar = as_vector(xbar)
-    pairs = _graph_pairs(pairs, xbar.size)
-
-    def ratio(x, xi):
-        lhs = _norm(x - xbar)
-        return None if lhs <= BASE_POINT_EXCLUSION else _tilt_ratio(lhs, _norm(xi), pq)
-
-    return _graph_check(_worst_pair(pairs, ratio), kappa)
+    points, tilts = _graph_pairs(pairs, xbar.size)
+    dist = _row_norms(points - xbar)
+    keep = dist > BASE_POINT_EXCLUSION
+    tilt_norms = _row_norms(tilts[keep])
+    return _graph_check(_tilt_ratios(dist[keep], tilt_norms, pq), points[keep], tilt_norms, kappa)
 
 
 def check_global_loja(
@@ -656,15 +681,14 @@ def check_global_loja(
 
     Pairs whose tilt norm is zero, or at rounding level next to the largest
     tilt norm sampled, carry no evidence and are skipped; the other pairs of
-    the same point still count.
+    the same point still count.  A NaN or infinite entry in a point or a
+    tilt raises ``ValueError``.
     """
     xbar = as_vector(xbar)
-    pairs = _graph_pairs(pairs, xbar.size)
+    points, tilts = _graph_pairs(pairs, xbar.size)
     fbar = _base_value(f, xbar)
-    zero_norm = TILT_ROUNDING_RTOL * max((_norm(xi) for _, xi in pairs), default=0.0)
-
-    def ratio(x, xi):
-        d = _norm(xi)
-        return _loja_ratio(f(x) - fbar, d, pq) if d > zero_norm else None
-
-    return _graph_check(_worst_pair(pairs, ratio), mu)
+    tilt_norms = _row_norms(tilts)
+    keep = tilt_norms > TILT_ROUNDING_RTOL * np.max(tilt_norms, initial=0.0)
+    points, tilt_norms = points[keep], tilt_norms[keep]
+    gap = f.evaluate_rows(points) - fbar if len(points) else np.empty(0)
+    return _graph_check(_loja_ratios(gap, tilt_norms, pq), points, tilt_norms, mu)

@@ -155,18 +155,23 @@ def compose_oracle(
 
     ``term`` maps an ``(m, d)`` array of points to ``(m,)`` values.  It is
     evaluated only on the points where ``f`` is below ``+inf``, and a
-    ``+inf`` term value is kept whatever ``f`` is.  The perturbed and
-    proximal objectives are built here; tilted objectives subtract the same
-    way inside the solver, so that a stack of tilts shares one scan of
-    ``f``.
+    ``+inf`` term value is kept whatever ``f`` is.  When no value of ``f``
+    is ``+inf``, the sum is one whole-array pass with no gather or scatter
+    of the points.  The perturbed and proximal objectives are built here;
+    tilted objectives subtract the same way inside the solver, so that a
+    stack of tilts shares one scan of ``f``.
     """
 
     def batch(points: np.ndarray) -> np.ndarray:
         values = f.evaluate_rows(points)
         live = values != math.inf
-        if live.any():
-            extra = term(points[live])
-            values[live] = np.where(extra == math.inf, extra, values[live] + extra)
+        if not live.any():
+            return values
+        if live.all():
+            extra = term(points)
+            return np.where(extra == math.inf, extra, values + extra)
+        extra = term(points[live])
+        values[live] = np.where(extra == math.inf, extra, values[live] + extra)
         return values
 
     return FunctionOracle.from_batch(batch, descriptor)

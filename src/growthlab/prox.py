@@ -15,7 +15,15 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .core import BallRegion, ExponentPair, FunctionOracle, GrowthLabError, _norm, as_vector
+from .core import (
+    BallRegion,
+    ExponentPair,
+    FunctionOracle,
+    GrowthLabError,
+    _norm,
+    _row_norms,
+    as_vector,
+)
 from .minimize import SolverConfig, TiltedSolveResult, argmin_ball, compose_oracle
 
 __all__ = [
@@ -75,7 +83,7 @@ def prox_step(f: FunctionOracle, anchor, cfg: ProxConfig) -> TiltedSolveResult:
     weight, p = cfg.epsilon / cfg.exponents.p, cfg.exponents.p
     oracle = compose_oracle(
         f,
-        lambda y: weight * np.linalg.norm(y - anchor, axis=1) ** p,
+        lambda y: weight * _row_norms(y - anchor) ** p,
         f"{f.descriptor} + prox",
     )
     return argmin_ball(oracle, cfg.region, cfg.solver)

@@ -22,17 +22,43 @@ grid values are formed twice, the multistarts come from a full stable
 argsort, and the polish gathers and scatters every array every sweep.
 ``project_rows``, ``check_values`` and ``sphere_axis`` are the helpers they
 called, as they were.
+
+``worst_pair`` is a frozen copy of the pair reduction from before it ran as
+whole-array passes: a loop over ``(point, tilt)`` pairs that takes two
+scalar norms per pair and, for the value-gap ratios, calls the oracle on
+one point at a time.  ``tilt_estimate``, ``loja_estimate``,
+``check_subregularity`` and ``check_global_loja`` are its four callers, as
+they were; the graph checks did not yet refuse non-finite pairs.
+
+``compose_oracle`` is a frozen copy of the ``f + term`` wrapper from before
+it skipped the gather and scatter when every value of ``f`` is finite.
 """
 
 import math
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from growthlab import minimize
 from growthlab import tracking as trk
-from growthlab.core import BallRegion, FunctionOracle, _pair_rows, pairing
+from growthlab.core import (
+    BallRegion,
+    ExponentPair,
+    FunctionOracle,
+    _norm,
+    _pair_rows,
+    as_vector,
+    pairing,
+)
+from growthlab.diagnostics import (
+    BASE_POINT_EXCLUSION,
+    TILT_ROUNDING_RTOL,
+    GraphCheck,
+    LojaEstimate,
+    TiltEstimate,
+    _base_value,
+)
 from growthlab.minimize import AllInfinite, NonFiniteValue, SolverConfig, TiltedSolveResult
 from growthlab.tracking import (
     DescentConfig,
@@ -325,3 +351,107 @@ def solve(
         evaluations = len(pts) + int(used[mine].sum())
         results.append(TiltedSolveResult(tuple(minimizers), min_value, evaluations))
     return tuple(results)
+
+
+Pair = Tuple[np.ndarray, np.ndarray]
+
+
+def worst_pair(
+    pairs: Sequence[Pair],
+    ratio: Callable[[np.ndarray, np.ndarray], Optional[float]],
+    start: Optional[Tuple[float, np.ndarray, np.ndarray]] = None,
+) -> Optional[Tuple[float, np.ndarray, np.ndarray]]:
+    """``(ratio, x, xi)`` of the first pair with the strictly largest
+    ``ratio(x, xi)``, or ``start`` if no pair beats it.  A ratio of ``None``
+    skips its pair."""
+    worst = start
+    for x, xi in pairs:
+        r = ratio(x, xi)
+        if r is not None and (worst is None or r > worst[0]):
+            worst = (r, x, xi)
+    return worst
+
+
+def tilt_ratio(dist: float, tilt_norm: float, pq: ExponentPair) -> float:
+    return dist / tilt_norm ** (pq.q / pq.p) if tilt_norm > 0.0 else math.inf
+
+
+def loja_ratio(gap: float, tilt_norm: float, pq: ExponentPair) -> float:
+    return gap / tilt_norm**pq.q
+
+
+def tilt_estimate(pairs: Sequence[Pair], xbar: np.ndarray, pq: ExponentPair) -> TiltEstimate:
+    kappa_hat, x, xi = worst_pair(
+        pairs,
+        lambda x, xi: tilt_ratio(_norm(x - xbar), _norm(xi), pq),
+        start=(0.0, xbar.copy(), np.zeros(xbar.size)),
+    )
+    return TiltEstimate(kappa_hat, xi, x)
+
+
+def loja_estimate(
+    pairs: Sequence[Pair], f: FunctionOracle, fbar: float, xbar: np.ndarray, pq: ExponentPair
+) -> LojaEstimate:
+    mu_hat, _, xi = worst_pair(
+        pairs,
+        lambda x, xi: loja_ratio(f(x) - fbar, _norm(xi), pq),
+        start=(0.0, xbar, np.zeros(xbar.size)),
+    )
+    return LojaEstimate(mu_hat, xi)
+
+
+def graph_pairs(pairs: Sequence[Pair], dim: int) -> List[Pair]:
+    pairs = [(np.asarray(x, dtype=float), np.asarray(xi, dtype=float)) for x, xi in pairs]
+    if any(v.shape != (dim,) for pair in pairs for v in pair):
+        raise ValueError(f"graph pairs must hold points and tilts of shape ({dim},)")
+    return pairs
+
+
+def graph_check(worst: Optional[Tuple[float, np.ndarray, np.ndarray]], bound: float) -> GraphCheck:
+    if worst is None:
+        return GraphCheck(True, True, None, None, None)
+    ratio, x, xi = worst
+    return GraphCheck(ratio <= bound, False, ratio, x, _norm(xi))
+
+
+def check_subregularity(pairs: Sequence[Pair], xbar, pq: ExponentPair, kappa: float) -> GraphCheck:
+    xbar = as_vector(xbar)
+    pairs = graph_pairs(pairs, xbar.size)
+
+    def ratio(x, xi):
+        lhs = _norm(x - xbar)
+        return None if lhs <= BASE_POINT_EXCLUSION else tilt_ratio(lhs, _norm(xi), pq)
+
+    return graph_check(worst_pair(pairs, ratio), kappa)
+
+
+def check_global_loja(
+    pairs: Sequence[Pair], f: FunctionOracle, xbar, pq: ExponentPair, mu: float
+) -> GraphCheck:
+    xbar = as_vector(xbar)
+    pairs = graph_pairs(pairs, xbar.size)
+    fbar = _base_value(f, xbar)
+    zero_norm = TILT_ROUNDING_RTOL * max((_norm(xi) for _, xi in pairs), default=0.0)
+
+    def ratio(x, xi):
+        d = _norm(xi)
+        return loja_ratio(f(x) - fbar, d, pq) if d > zero_norm else None
+
+    return graph_check(worst_pair(pairs, ratio), mu)
+
+
+def compose_oracle(
+    f: FunctionOracle, term: Callable[[np.ndarray], np.ndarray], descriptor: str
+) -> FunctionOracle:
+    """``f + term`` with ``+inf`` absorbing; ``term`` sees only the rows
+    where ``f`` is below ``+inf``, gathered on every call."""
+
+    def batch(points: np.ndarray) -> np.ndarray:
+        values = f.evaluate_rows(points)
+        live = values != math.inf
+        if live.any():
+            extra = term(points[live])
+            values[live] = np.where(extra == math.inf, extra, values[live] + extra)
+        return values
+
+    return FunctionOracle.from_batch(batch, descriptor)

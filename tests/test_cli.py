@@ -52,7 +52,9 @@ def _subprocess_outputs(cwd, argv, **env_vars):
 class TestImport:
     def test_cold_import_loads_no_scipy(self):
         # -I ignores PYTHONPATH and the user site; the package is found
-        # through its absolute root only
+        # through its absolute root only.  -I also ignores
+        # PYTHONDONTWRITEBYTECODE, so -B keeps the import from writing
+        # bytecode into the source tree
         code = (
             "import json, sys\n"
             f"sys.path.insert(0, {PACKAGE_ROOT!r})\n"
@@ -61,7 +63,7 @@ class TestImport:
             "    if m == 'scipy' or m.startswith('scipy.'))]))\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=120
+            [sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
         where, scipy_modules = json.loads(proc.stdout)

@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import _reference as reference
 from growthlab import diagnostics
 from growthlab.catalog import boxquad_oracle, halfpower_oracle, maxsq2d_oracle, power_oracle
 from growthlab.core import BallRegion, ExponentPair, FunctionOracle, _norm, indicator, pairing
 from growthlab.diagnostics import (
+    BASE_POINT_EXCLUSION,
+    TILT_ROUNDING_RTOL,
     NegativeGap,
     NoFiniteSamples,
     SlopeInfinite,
@@ -234,6 +238,141 @@ class TestSharedPairReduction:
         assert loja.mu_hat > 0.0
         assert glo.passed and glo.worst_ratio == loja.mu_hat
         assert glo.witness_tilt_norm == _norm(loja.worst_tilt)
+
+
+def _assert_same(new, old):
+    """Equal values of the same type, arrays and floats bit for bit."""
+    assert type(new) is type(old)
+    if isinstance(old, np.ndarray):
+        assert (new.dtype, new.shape) == (old.dtype, old.shape)
+        assert new.tobytes() == old.tobytes()
+    elif isinstance(old, float):
+        assert np.float64(new).tobytes() == np.float64(old).tobytes()
+    else:
+        assert new == old
+
+
+def _assert_same_fields(new, old):
+    for name in new.__dataclass_fields__:
+        _assert_same(getattr(new, name), getattr(old, name))
+
+
+# Pools that repeat pairs (ties at the maximum) and hold base-point,
+# zero and rounding-level entries; other coordinates are drawn uniformly.
+POINT_POOL = (0.0, 1e-10, -0.5, 0.5, 1.0, -1.25, 2.0)
+TILT_POOL = (0.0, 2.220446049250313e-16, -1e-17, 0.5, -0.5, 1.0, 2.0)
+
+
+def _bowl(pts):
+    return np.sum(np.abs(pts) ** 3, axis=1) + pts[:, -1]
+
+
+def _walled(pts):
+    # +inf beyond x_0 = 1.5 and NaN below x_0 = -1.75: both reach the ratios
+    v = np.sum(pts * pts, axis=1) - 0.25 * pts[:, 0]
+    v = np.where(pts[:, 0] > 1.5, math.inf, v)
+    return np.where(pts[:, 0] < -1.75, math.nan, v)
+
+
+LOJA_ORACLES = {
+    "batch-bowl": FunctionOracle.from_batch(_bowl, "bowl"),
+    "evaluate-bowl": FunctionOracle(lambda x: float(_bowl(x[None, :])[0]), "bowl"),
+    "batch-walled": FunctionOracle.from_batch(_walled, "walled"),
+    "evaluate-walled": FunctionOracle(lambda x: float(_walled(x[None, :])[0]), "walled"),
+    "constant": FunctionOracle(lambda x: 1.0, "constant"),
+    "linear": FunctionOracle.from_batch(lambda pts: pts[:, 0], "linear"),
+}
+
+
+@st.composite
+def pair_samples(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    pq = ExponentPair.from_p(draw(st.floats(1.5, 4.0)))
+    n = draw(st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(pool, share):
+        pooled = rng.choice(pool, size=(n, dim))
+        drawn = rng.uniform(-2.0, 2.0, size=(n, dim))
+        return np.where(rng.random((n, 1)) < share, pooled, drawn)
+
+    xbar = np.zeros(dim) if draw(st.booleans()) else np.full(dim, 0.5)
+    points = entries(POINT_POOL, draw(st.sampled_from((0.0, 0.5, 1.0))))
+    tilts = entries(TILT_POOL, draw(st.sampled_from((0.0, 0.5, 1.0))))
+    if n and draw(st.booleans()):
+        # pairs at the base point and just inside its exclusion radius
+        points[rng.random(n) < 0.2] = xbar
+        points[rng.random(n) < 0.1] = xbar + BASE_POINT_EXCLUSION / 2
+    if n and draw(st.booleans()):
+        # rounding-level tilts beside the sample's largest one
+        tilts[rng.random(n) < 0.2] *= TILT_ROUNDING_RTOL
+    f = LOJA_ORACLES[draw(st.sampled_from(sorted(LOJA_ORACLES)))]
+    return xbar, pq, f, points, tilts, draw(st.sampled_from(("worst", 0.5, 2.0)))
+
+
+class TestPairReductionMatchesLoop:
+    """The whole-array reductions equal the frozen per-pair loop bitwise."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(pair_samples())
+    def test_graph_checks(self, sample):
+        xbar, pq, f, points, tilts, bound = sample
+        pairs = tuple(zip(points, tilts))
+        for check, old_check, args in (
+            (check_subregularity, reference.check_subregularity, (xbar, pq)),
+            (check_global_loja, reference.check_global_loja, (f, xbar, pq)),
+        ):
+            b = bound
+            if b == "worst":  # the ratio ties its bound
+                b = old_check(pairs, *args, 1.0).worst_ratio
+                b = 1.0 if b is None else b
+            _assert_same_fields(check(pairs, *args, b), old_check(pairs, *args, b))
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(pair_samples())
+    def test_estimators(self, sample):
+        xbar, pq, f, points, tilts, _ = sample
+        pairs = tuple(zip(points, tilts))
+        _assert_same_fields(
+            diagnostics._tilt_estimate(points, tilts, xbar, pq),
+            reference.tilt_estimate(pairs, xbar, pq),
+        )
+        # a tilt sample holds no zero tilt, at which the loop divided by zero
+        nonzero = np.any(tilts != 0.0, axis=1)
+        if not nonzero.any():
+            return
+        points, tilts = points[nonzero], tilts[nonzero]
+        fbar = f(xbar)
+        _assert_same_fields(
+            diagnostics._loja_estimate(points, tilts, f, fbar, xbar, pq),
+            reference.loja_estimate(tuple(zip(points, tilts)), f, fbar, xbar, pq),
+        )
+
+    def test_skips_ties_and_non_finite_values(self):
+        pq, xbar = P2, np.zeros(1)
+        points = np.array([[0.0], [0.5], [-0.5], [0.5], [1.6], [-1.8]])
+        tilts = np.array([[1.0], [2.220446049250313e-16], [1.0], [-1.0], [0.5], [2.0]])
+        pairs = tuple(zip(points, tilts))
+        # the base-point pair is skipped; the rounding-level tilt wins
+        sub = check_subregularity(pairs, xbar, pq, 1.0)
+        assert sub.witness_tilt_norm == tilts[1, 0]
+        _assert_same_fields(sub, reference.check_subregularity(pairs, xbar, pq, 1.0))
+        # the rounding-level tilt is skipped; f = +inf at x = 1.6 wins
+        f = LOJA_ORACLES["batch-walled"]
+        glo = check_global_loja(pairs, f, xbar, pq, 1.0)
+        assert glo.worst_ratio == math.inf and glo.witness_point[0] == 1.6
+        _assert_same_fields(glo, reference.check_global_loja(pairs, f, xbar, pq, 1.0))
+        # of two equal ratios the first pair wins
+        tied = check_subregularity(pairs[2:4], xbar, pq, 1.0)
+        assert tied.worst_ratio == 0.5 and tied.witness_point[0] == -0.5
+        # a NaN ratio (f = NaN at x = -1.8) never wins, nor is it beaten when first
+        nan_last = check_global_loja(pairs[2:], f, xbar, pq, 1.0)
+        assert nan_last.worst_ratio == math.inf
+        nan_first = check_global_loja(pairs[5:] + pairs[:4], f, xbar, pq, 1.0)
+        assert math.isnan(nan_first.worst_ratio) and not nan_first.passed
+        _assert_same_fields(
+            nan_first, reference.check_global_loja(pairs[5:] + pairs[:4], f, xbar, pq, 1.0)
+        )
 
 
 class TestCheckEquivalence:
@@ -560,6 +699,19 @@ class TestSubdifferentialGraph:
             check_subregularity(short_tilt, np.zeros(2), P2, 0.55)
         with pytest.raises(ValueError):
             check_global_loja(short_tilt, maxsq2d_oracle(), np.zeros(2), P2, 0.275)
+
+    @pytest.mark.parametrize("where", ("point", "tilt"))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_graph_checks_refuse_non_finite_pairs(self, where, bad):
+        f = boxquad_oracle(1.0)
+        good = (np.array([0.5]), np.array([1.0]))
+        broken = (np.array([bad]), good[1]) if where == "point" else (good[0], np.array([bad]))
+        # whatever its place in the sample, and however few good pairs surround it
+        for pairs in ((broken, good), (good, broken), (good, broken, good)):
+            with pytest.raises(ValueError, match="finite"):
+                check_subregularity(pairs, ORIGIN, P2, 0.55)
+            with pytest.raises(ValueError, match="finite"):
+                check_global_loja(pairs, f, ORIGIN, P2, 0.275)
 
     def test_global_loja_on_linspace_tilts(self):
         # the middle tilt of this linspace is 2.2e-16, not 0

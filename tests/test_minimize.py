@@ -538,3 +538,52 @@ def test_project_rows_matches_frozen_reference_bitwise(d, m, seed):
     ref_out, ref_moved = reference.project_rows(region, points)
     assert out.tobytes() == ref_out.tobytes()
     np.testing.assert_array_equal(moved, ref_moved)
+
+
+class TestComposeOracle:
+    """``f + term`` equals the frozen gather-and-scatter wrapper bitwise,
+    whether or not some value of ``f`` is ``+inf``."""
+
+    @staticmethod
+    def _f(kind):
+        def values(pts):
+            v = np.sum(pts * pts, axis=1) - pts[:, 0]
+            if kind == "inf":  # +inf outside the half-plane x_0 <= 0.5
+                v = np.where(pts[:, 0] > 0.5, math.inf, v)
+            if kind == "nan":  # NaN where x_0 < -0.5
+                v = np.where(pts[:, 0] < -0.5, math.nan, v)
+            return v
+
+        return FunctionOracle.from_batch(values, kind)
+
+    @staticmethod
+    def _term(kind, seen):
+        def term(pts):
+            seen.append(np.array(pts))
+            t = np.sqrt(np.add.reduce(pts * pts, axis=1)) ** 1.5
+            if kind == "inf":  # +inf where x_0 < -0.5
+                t = np.where(pts[:, 0] < -0.5, math.inf, t)
+            return t
+
+        return term
+
+    @pytest.mark.parametrize("f_kind", ("finite", "inf", "nan"))
+    @pytest.mark.parametrize("term_kind", ("finite", "inf"))
+    @pytest.mark.parametrize("m", (0, 1, 7, 50))
+    def test_matches_frozen_wrapper(self, f_kind, term_kind, m):
+        pts = np.random.default_rng(m).uniform(-1.0, 1.0, (m, 2))
+        f, seen, ref_seen = self._f(f_kind), [], []
+        new = minimize.compose_oracle(f, self._term(term_kind, seen), "sum").evaluate_rows(pts)
+        old = reference.compose_oracle(f, self._term(term_kind, ref_seen), "sum").evaluate_rows(pts)
+        assert new.tobytes() == old.tobytes()
+        assert [s.tobytes() for s in seen] == [s.tobytes() for s in ref_seen]
+        if f_kind == "inf":  # the term never sees a point where f is +inf
+            assert not any(np.any(s[:, 0] > 0.5) for s in seen)
+            assert np.all(new[pts[:, 0] > 0.5] == math.inf)
+
+    def test_nan_value_with_infinite_term_is_infinite(self):
+        pts = np.array([[-0.75, 0.0], [-0.25, 0.0], [0.75, 0.0]])
+        values = minimize.compose_oracle(self._f("nan"), self._term("inf", []), "sum")
+        out = values.evaluate_rows(pts)
+        assert out[0] == math.inf
+        assert np.isfinite(out[1:]).all()
