@@ -37,7 +37,6 @@ from .diagnostics import (
     NegativeGap,
     NoFiniteSamples,
     ProbeResult,
-    SlopeEstimate,
     SlopeInfinite,
     TiltEstimate,
     check_equivalence,

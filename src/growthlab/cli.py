@@ -7,10 +7,13 @@ Subcommands: ``diagnose`` (constant estimators plus relation audit),
 sweep), ``catalog`` (list the built-in test functions).
 
 Settings resolve as defaults < config file (``key = value`` lines, ``#``
-comments) < command-line flags.  Every output file embeds the fully
-resolved configuration and seed, so a run can be reproduced bit-identically
-from any of its outputs.  Exit codes: 0 success, 2 an audited relation
-failed, 1 usage or solver error (in which case no report file is written).
+comments) < command-line flags.  Only settings that define the problem,
+its sampling and its grids are keys; solver and audit settings are the
+library's defaults.  Every output file embeds the fully resolved
+configuration and any sampling seed, so a run can be reproduced
+bit-identically from any of its outputs.  Exit codes: 0 success, 2 an
+audited relation failed, 1 usage or solver error (in which case no report
+file is written).
 """
 
 from __future__ import annotations
@@ -42,10 +45,8 @@ _SCHEMAS: Dict[str, Dict[str, Tuple[str, object]]] = {
         "bound": ("float", 1.0),
         "delta": ("float", 10.0),
         "grid_points": ("int", 0),
-        "multistart": ("int", 8),
         "tilt_norms": ("floats", (0.5, 1.0, 2.0, 4.0)),
         "directions": ("int", 0),
-        "tau": ("float", 1.10),
         "seed": ("int", 0),
         "out": ("str", "growthlab-out"),
     },
@@ -58,8 +59,6 @@ _SCHEMAS: Dict[str, Dict[str, Tuple[str, object]]] = {
         "iterations": ("int", 10),
         "delta": ("float", 10.0),
         "grid_points": ("int", 0),
-        "multistart": ("int", 8),
-        "seed": ("int", 0),
         "out": ("str", "growthlab-out"),
     },
     "tracking": {
@@ -67,9 +66,7 @@ _SCHEMAS: Dict[str, Dict[str, Tuple[str, object]]] = {
         "alpha": ("float", 0.0),
         "beta": ("float", 8.0),
         "amplitude": ("float", 0.6),
-        "tol": ("float", 1e-8),
-        "max_iters": ("int", 5000),
-        "ssc_delta": ("float", 0.1),
+        "tol": ("float", trk.DescentConfig.tol),
         "ssc_samples": ("int", 16),
         "eta_norms": ("floats", (1e-3, 1e-2, 1e-1)),
         "etas_per_norm": ("int", 8),
@@ -78,6 +75,10 @@ _SCHEMAS: Dict[str, Dict[str, Tuple[str, object]]] = {
     },
     "catalog": {},
 }
+
+# Radius of the shell ``|z_v| <= delta`` that ``tracking``'s curvature
+# estimate samples; a fixed setting of the estimate, not of the problem.
+_SSC_DELTA = 0.1
 
 
 @dataclass(frozen=True)
@@ -205,10 +206,7 @@ def _solver_config(config: RunConfig, dim: int) -> SolverConfig:
     pts = int(config.values["grid_points"])
     if pts == 0:
         pts = 2001 if dim == 1 else (101 if dim == 2 else 31)
-    return SolverConfig(
-        grid_points_per_axis=pts,
-        multistart_count=int(config.values["multistart"]),
-    )
+    return SolverConfig(grid_points_per_axis=pts)
 
 
 def cmd_diagnose(config: RunConfig) -> int:
@@ -233,7 +231,6 @@ def cmd_diagnose(config: RunConfig) -> int:
         tilt_norms=tuple(config.values["tilt_norms"]),
         directions_per_norm=directions,
         seed=config.seed,
-        tau=float(config.values["tau"]),
     )
 
     payload = {"config": config.flat(), "function": oracle.descriptor}
@@ -327,19 +324,16 @@ def cmd_tracking(config: RunConfig) -> int:
     alpha = float(config.values["alpha"])
     beta = float(config.values["beta"])
     y_d = float(config.values["amplitude"]) * trk.default_target(grid)
-    descent = trk.DescentConfig(
-        tol=float(config.values["tol"]), max_iters=int(config.values["max_iters"])
-    )
-    ssc_delta = float(config.values["ssc_delta"])
+    descent = trk.DescentConfig(tol=float(config.values["tol"]))
     ssc_samples = int(config.values["ssc_samples"])
     eta_norms = tuple(config.values["eta_norms"])
     etas_per_norm = int(config.values["etas_per_norm"])
     # refuse bad sampling settings before the control solve
-    trk._check_ssc_settings(ssc_delta, ssc_samples)
+    trk._check_ssc_settings(_SSC_DELTA, ssc_samples)
     trk._check_sweep_settings(eta_norms, etas_per_norm)
 
     result = trk.solve_tracking(y_d, grid, alpha, beta, descent)
-    ssc = trk.ssc_estimate(result, ssc_delta, ssc_samples, seed=config.seed)
+    ssc = trk.ssc_estimate(result, _SSC_DELTA, ssc_samples, seed=config.seed)
     sweep = trk.perturbation_sweep(result, eta_norms, etas_per_norm, seed=config.seed)
     consistent = sweep.consistent(ssc)
 

@@ -56,7 +56,6 @@ __all__ = [
     "RelationCheck",
     "EquivalenceAudit",
     "DiagnosticsReport",
-    "SlopeEstimate",
     "ProbeResult",
     "GraphCheck",
     "unit_directions",
@@ -83,9 +82,9 @@ NEGATIVE_GAP_TOLERANCE = 1e-10
 
 DEFAULT_SLACK_FACTOR = 1.10
 
-DEFAULT_SLOPE_RADII = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+# Probe radius and directions of ``metric_slope``, and the directions' seed.
+SLOPE_RADIUS = 1e-6
 DEFAULT_SLOPE_DIRECTIONS = 64
-# Seed of the probe directions of ``metric_slope``.
 SLOPE_SEED = 0
 
 # Probe inequalities are quantified over exact minimizers; numerical ones
@@ -484,38 +483,28 @@ def run_diagnostics(
     return DiagnosticsReport(growth, tilt, loja, audit, pq, region)
 
 
-@dataclass(frozen=True)
-class SlopeEstimate:
-    """Local descent slope with its per-radius refinement sequence."""
+def metric_slope(phi: FunctionOracle, x) -> float:
+    """Normalized maximal descent of ``phi`` near ``x``: the largest
+    ``max(0, phi(x) - phi(y)) / r`` over ``DEFAULT_SLOPE_DIRECTIONS`` probes
+    ``y`` on the sphere of radius ``SLOPE_RADIUS`` around ``x``.
 
-    value: float
-    per_radius: Tuple[Tuple[float, float], ...]
-
-
-def metric_slope(phi: FunctionOracle, x) -> SlopeEstimate:
-    """Normalized maximal descent of ``phi`` near ``x``, probed along
-    ``DEFAULT_SLOPE_DIRECTIONS`` directions on the shrinking spheres of
-    ``DEFAULT_SLOPE_RADII``.
-
-    Returns the estimate at the smallest radius together with the whole
-    per-radius sequence so callers can inspect convergence.  If ``x`` is
-    outside the domain of ``phi`` the slope is ``+inf``.
+    The local slope is this quantity's limit as ``r -> 0``; one small
+    radius stands in for it.  ``+inf`` means "outside the domain": the
+    slope is ``+inf`` if ``phi(x)`` is, and ``+inf`` probes are skipped.
+    A NaN or ``-inf`` value at ``x`` or at any probe raises ``ValueError``.
     """
     x = as_vector(x)
     phix = phi(x)
-    if math.isinf(phix):
-        return SlopeEstimate(math.inf, ())
+    if phix == math.inf:
+        return math.inf
     dirs = unit_directions(x.size, DEFAULT_SLOPE_DIRECTIONS, seed=SLOPE_SEED)
-    per_radius: List[Tuple[float, float]] = []
-    for r in DEFAULT_SLOPE_RADII:
-        values = phi.evaluate_rows(x + r * dirs)
-        if np.isnan(values).any():
-            raise ValueError(f"oracle '{phi.descriptor}' returned NaN")
-        # division by r > 0 is monotone, so the largest gain gives the max
-        gains = phix - values[np.isfinite(values)]
-        best = max(0.0, float(gains.max())) / r if gains.size else 0.0
-        per_radius.append((r, best))
-    return SlopeEstimate(per_radius[-1][1], tuple(per_radius))
+    values = phi.evaluate_rows(x + SLOPE_RADIUS * dirs)
+    for value in (phix, values.min()):
+        if not value > -math.inf:
+            raise ValueError(f"oracle '{phi.descriptor}' returned {value}")
+    # division by r > 0 is monotone, so the largest gain gives the max
+    gains = phix - values[values != math.inf]
+    return max(0.0, float(gains.max())) / SLOPE_RADIUS if gains.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -583,7 +572,7 @@ def convex_probe(
     stay within ``kappa * slope^lam`` of the base point, where ``slope`` is
     the local descent slope of ``phi`` there."""
     xbar = _require_centered(xbar, region)
-    slope = metric_slope(phi, xbar).value
+    slope = metric_slope(phi, xbar)
     if math.isinf(slope):
         raise SlopeInfinite(
             f"base point is outside the domain of '{phi.descriptor}'"
@@ -603,11 +592,12 @@ def sample_subdifferential_graph(
     over ``domain_region`` and emits one ``(point, tilt)`` pair per reported
     minimizer.  Requires ``f`` to be ``+inf`` outside a bounded set inside
     the region, so the ball constraint is never active and each pair is a
-    genuine graph sample.
+    genuine graph sample.  ``tilt_grid`` holds ``(d,)`` tilts, or scalars
+    when ``d = 1``; ``argmin_tilted`` checks them once, as one stack.
     """
-    tilts = np.reshape(
-        [as_vector(xi, domain_region.dim) for xi in tilt_grid], (-1, domain_region.dim)
-    )
+    tilts = np.array(tilt_grid, dtype=float)
+    if tilts.ndim < 2:  # scalar tilts of a 1-D problem, or no tilts
+        tilts = tilts.reshape(-1, 1 if tilts.size else domain_region.dim)
     return tuple(zip(*_tilted_pairs(f, tilts, domain_region, cfg)))
 
 

@@ -84,10 +84,8 @@ class SolverConfig:
         if self.multistart_count < 0:
             raise ValueError("multistart_count must be >= 0")
         tol = self.minimizer_value_tolerance
-        if not (tol > 0.0 and math.isfinite(tol)):
-            raise ValueError(
-                f"minimizer_value_tolerance must be positive and finite, got {tol}"
-            )
+        if not 0.0 < tol <= 0.5:
+            raise ValueError(f"minimizer_value_tolerance must lie in (0, 0.5], got {tol}")
 
 
 @dataclass(frozen=True)
@@ -327,11 +325,10 @@ def _solve(
     problem.
 
     The pool holds every grid point the final cut can keep: the polished
-    minimum is at most the grid minimum, and for a tolerance below 1 the
-    cut ``m + tol * (1 + |m|)`` grows with the minimum ``m``.  The pool is
-    the points within the grid minimum's cut widened by ``POOL_SLACK``,
-    which covers the cut's rounding while the tolerance is at most 1/2;
-    above that it is the whole finite grid.
+    minimum is at most the grid minimum, and for a tolerance of at most
+    1/2 the cut ``m + tol * (1 + |m|)`` grows with the minimum ``m``.  The
+    pool is the points within the grid minimum's cut widened by
+    ``POOL_SLACK``, which covers the cut's rounding.
     """
     pts = _ball_grid(tuple(region.center), region.radius, cfg.grid_points_per_axis)
     base = f.evaluate_rows(pts)
@@ -365,9 +362,7 @@ def _solve(
         starts.append(pts[order])
         start_values.append(values[order])
         offsets.append(offsets[-1] + order.size)
-        if tol <= 0.5:
-            finite &= values <= low + (tol + POOL_SLACK) * (1.0 + abs(low))
-        pool = np.flatnonzero(finite)
+        pool = np.flatnonzero(finite & (values <= low + (tol + POOL_SLACK) * (1.0 + abs(low))))
         pools.append((pool, values[pool]))
     spacing = 2.0 * region.radius / (cfg.grid_points_per_axis - 1)
     start_tilts = None if tilts is None else np.repeat(tilts, np.diff(offsets), axis=0)

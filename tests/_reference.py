@@ -32,6 +32,11 @@ they were; the graph checks did not yet refuse non-finite pairs.
 
 ``compose_oracle`` is a frozen copy of the ``f + term`` wrapper from before
 it skipped the gather and scatter when every value of ``f`` is finite.
+
+``metric_slope`` is a frozen copy of the local-slope probe from before it
+probed one radius: it returns the estimate at the smallest of five radii
+together with the whole per-radius sequence, and it read a ``-inf`` base
+value as outside the domain and skipped ``-inf`` probes.
 """
 
 import math
@@ -58,6 +63,7 @@ from growthlab.diagnostics import (
     LojaEstimate,
     TiltEstimate,
     _base_value,
+    unit_directions,
 )
 from growthlab.minimize import AllInfinite, NonFiniteValue, SolverConfig, TiltedSolveResult
 from growthlab.tracking import (
@@ -455,3 +461,21 @@ def compose_oracle(
         return values
 
     return FunctionOracle.from_batch(batch, descriptor)
+
+
+def metric_slope(phi: FunctionOracle, x) -> Tuple[float, Tuple[Tuple[float, float], ...]]:
+    """The slope at the smallest radius, and ``(radius, slope)`` at each radius."""
+    x = as_vector(x)
+    phix = phi(x)
+    if math.isinf(phix):
+        return math.inf, ()
+    dirs = unit_directions(x.size, 64, seed=0)
+    per_radius: List[Tuple[float, float]] = []
+    for r in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        values = phi.evaluate_rows(x + r * dirs)
+        if np.isnan(values).any():
+            raise ValueError(f"oracle '{phi.descriptor}' returned NaN")
+        gains = phix - values[np.isfinite(values)]
+        best = max(0.0, float(gains.max())) / r if gains.size else 0.0
+        per_radius.append((r, best))
+    return per_radius[-1][1], tuple(per_radius)

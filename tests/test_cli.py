@@ -16,7 +16,7 @@ from growthlab import cli, diagnostics
 from growthlab import tracking as trk
 from growthlab.cli import main
 
-FAST_DIAGNOSE = ["--grid-points", "301", "--multistart", "4"]
+FAST_DIAGNOSE = ["--grid-points", "301"]
 # The subprocess runs in a temporary directory, where a relative PYTHONPATH
 # no longer points at the package under test.
 PACKAGE_ROOT = str(Path(growthlab.__file__).resolve().parents[1])
@@ -181,22 +181,6 @@ class TestTracking:
         assert (manifest["ssc_estimate"], manifest["sweep"]["kappa_hat"]) == (ssc, sweep.kappa_hat)
         assert manifest["sweep"]["consistent"] is sweep.consistent(ssc) is (code == 0)
 
-    @pytest.mark.parametrize("via_config", (False, True))
-    def test_consistency_factor_is_refused(self, via_config, tmp_path, capsys):
-        # the factor is fixed in the library; no setting widens it
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("consistency_factor = 4\n")
-        setting, message = (
-            (["--config", str(cfg)], "error: unknown config key 'consistency_factor' for 'tracking'\n")
-            if via_config
-            else (["--consistency-factor", "4"], "unrecognized arguments: --consistency-factor 4\n")
-        )
-        out = tmp_path / "t"
-        code, _, err = run(["tracking", "--n", "8"] + setting + ["--out", str(out)], capsys)
-        assert code == 1
-        assert err.endswith(message)
-        assert not out.exists()
-
     def test_ssc_is_computed_at_the_written_fields(self, tmp_path, capsys):
         # the control solve and ssc do not depend on the sweep settings, so
         # a one-sample sweep keeps the run short
@@ -222,11 +206,9 @@ class TestTracking:
             solve["objective"], solve["first_order_residual"], solve["iterations"],
             solve["converged"], (), field("target.txt"), trk.Grid2D(config["n"]),
             config["alpha"], config["beta"],
-            trk.DescentConfig(config["tol"], config["max_iters"]),
+            trk.DescentConfig(config["tol"]),
         )
-        ssc = trk.ssc_estimate(
-            result, config["ssc_delta"], config["ssc_samples"], seed=config["seed"]
-        )
+        ssc = trk.ssc_estimate(result, cli._SSC_DELTA, config["ssc_samples"], seed=config["seed"])
         assert np.float64(ssc).tobytes() == np.float64(manifest["ssc_estimate"]).tobytes()
 
     def test_capped_linear_solve_exits_one_without_files(self, tmp_path, capsys, monkeypatch):
@@ -297,8 +279,6 @@ class TestConfigResolution:
 INVALID_SETTINGS = (
     (["tracking", "--tol", "0"], "tol must be positive and finite"),
     (["tracking", "--tol", "nan"], "tol must be positive and finite"),
-    (["tracking", "--max-iters", "0"], "max_iters must be >= 1"),
-    (["diagnose", "--multistart", "-1"], "multistart_count must be >= 0"),
     (["diagnose", "--grid-points", "41", "--tilt-norms", ","],
      "tilt_norms must not be empty"),
     (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", ","],
@@ -318,18 +298,12 @@ INVALID_SETTINGS = (
     (["prox", "--fn", "power", "--x0=1,2"],
      "x0 has length 2, but 'power' has dimension 1"),
     (["tracking", "--n", "3"], "grid needs at least 4 interior nodes per axis, got 3"),
-    (["tracking", "--n", "8", "--ssc-delta", "nan"], "delta must be positive and finite"),
-    (["tracking", "--n", "8", "--ssc-delta", "inf"], "delta must be positive and finite"),
     (["tracking", "--n", "8", "--etas-per-norm", "-1"], "etas_per_norm must be >= 1"),
     (["tracking", "--tol", "inf"], "tol must be positive and finite"),
     (["tracking", "--n", "8", "--ssc-samples", "-1"], "sample_count must be >= 0, got -1"),
-    (["tracking", "--n", "8", "--ssc-delta", "0"], "delta must be positive and finite"),
     (["tracking", "--n", "8", "--etas-per-norm", "0"], "etas_per_norm must be >= 1"),
     (["tracking", "--n", "8", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["diagnose", "--seed", "-1"], "seed must be >= 0, got -1"),
-    (["prox", "--seed", "-1"], "seed must be >= 0, got -1"),
-    (["diagnose", "--fn", "maxsq2d", "--delta", "1", "--tau", "0.5"],
-     "slack factor tau must be finite and >= 1, got 0.5"),
     (["diagnose", "--directions", "-1"], "directions_per_norm must be >= 1"),
     (["prox", "--fn", "power", "--epsilon", "2"],
      "epsilon=2.0 must lie strictly below the growth modulus gamma=1.0 of 'power(p=2.0)'"),
@@ -344,7 +318,42 @@ INVALID_SETTINGS = (
 )
 
 
+# (subcommand, key, value): settings that are library constants or defaults,
+# not settings of a run; the CLI refuses them like any unknown key
+RETIRED_SETTINGS = (
+    ("diagnose", "multistart", "4"),
+    ("diagnose", "tau", "1.2"),
+    ("prox", "multistart", "4"),
+    ("prox", "seed", "1"),
+    ("tracking", "max_iters", "100"),
+    ("tracking", "ssc_delta", "0.2"),
+    ("tracking", "consistency_factor", "4"),
+)
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("via_config", (False, True), ids=("flag", "config"))
+    @pytest.mark.parametrize(
+        "subcommand, key, value",
+        [pytest.param(*setting, id=f"{setting[0]}-{setting[1]}") for setting in RETIRED_SETTINGS],
+    )
+    def test_retired_setting_exits_one_without_files(
+        self, subcommand, key, value, via_config, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        flag = "--" + key.replace("_", "-")
+        setting, message = (
+            (["--config", str(cfg)], f"error: unknown config key {key!r} for {subcommand!r}\n")
+            if via_config
+            else ([flag, value], f"unrecognized arguments: {flag} {value}\n")
+        )
+        out = tmp_path / "r"
+        code, _, err = run([subcommand] + setting + ["--out", str(out)], capsys)
+        assert code == 1
+        assert err.endswith(message)
+        assert not out.exists()
+
     # each case is named by its command line, so adding a row or rewording
     # a message renames no test
     @pytest.mark.parametrize(

@@ -422,58 +422,90 @@ class TestCheckEquivalence:
 class TestMetricSlope:
     def test_linear_slope_is_coefficient_norm(self):
         phi = FunctionOracle(lambda y: float(1.3 * y[0]), "linear")
-        est = metric_slope(phi, [0.7])
         # accuracy limited by cancellation in phi(x) - phi(y) at radius 1e-6
-        assert est.value == pytest.approx(1.3, rel=1e-6)
+        assert metric_slope(phi, [0.7]) == pytest.approx(1.3, rel=1e-6)
 
     def test_linear_slope_2d_with_equispaced_directions(self):
         c = np.array([0.6, -0.8])
         phi = FunctionOracle(lambda y: float(c @ y), "linear2")
-        est = metric_slope(phi, np.zeros(2))
-        assert est.value == pytest.approx(1.0, rel=5e-3)
+        assert metric_slope(phi, np.zeros(2)) == pytest.approx(1.0, rel=5e-3)
 
     def test_no_descent_at_minimum(self):
         phi = FunctionOracle(lambda y: float(abs(y[0])), "abs")
-        assert metric_slope(phi, [0.0]).value == 0.0
+        assert metric_slope(phi, [0.0]) == 0.0
 
     def test_quadratic_slope_at_one(self):
         phi = FunctionOracle(lambda y: float(y[0] ** 2), "sq")
-        est = metric_slope(phi, [1.0])
-        assert est.value == pytest.approx(2.0, abs=1e-5)
-        # the per-radius sequence approaches the limit from below
-        values = [s for _, s in est.per_radius]
-        assert values == sorted(values)
+        assert metric_slope(phi, [1.0]) == pytest.approx(2.0, abs=1e-5)
 
     def test_outside_domain_is_infinite(self):
         phi = FunctionOracle(indicator(lambda y: y[0] >= 1.0), "shifted")
-        est = metric_slope(phi, [0.0])
-        assert math.isinf(est.value)
-        assert est.per_radius == ()
+        assert math.isinf(metric_slope(phi, [0.0]))
 
     def test_matches_direction_by_direction_probe(self):
         # a hinge cut off by an indicator: some probes are +inf and skipped
         phi = FunctionOracle(
-            lambda y: float(0.7 * max(y[0], 0.0) - 0.2 * y[1]) if y[1] < 1.00005 else math.inf,
+            lambda y: float(0.7 * max(y[0], 0.0) - 0.2 * y[1]) if y[1] < 1.0000005 else math.inf,
             "hinge-slab",
         )
         x = np.array([0.0, 1.0])
-        est = metric_slope(phi, x)
+        r = diagnostics.SLOPE_RADIUS
         dirs = unit_directions(2, diagnostics.DEFAULT_SLOPE_DIRECTIONS)
-        expected = []
-        for r in diagnostics.DEFAULT_SLOPE_RADII:
-            best = 0.0
-            for u in dirs:
-                val = phi(x + r * u)
-                if math.isfinite(val):
-                    best = max(best, max(0.0, phi(x) - val) / r)
-            expected.append((r, best))
-        assert est.per_radius == tuple(expected)
-        assert any(math.isinf(phi(x + 1e-2 * u)) for u in dirs)
+        expected = 0.0
+        for u in dirs:
+            val = phi(x + r * u)
+            if math.isfinite(val):
+                expected = max(expected, max(0.0, phi(x) - val) / r)
+        assert metric_slope(phi, x) == expected
+        assert any(math.isinf(phi(x + r * u)) for u in dirs)
 
-    def test_nan_probe_is_an_error(self):
-        phi = FunctionOracle(lambda y: math.nan if y[0] > 0.0 else 0.0, "nan-right")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "value",
+        (
+            # NaN or -inf at a probe right of 0
+            lambda y: math.nan if y[0] > 0.0 else 0.0,
+            lambda y: -math.inf if y[0] > 0.0 else 0.0,
+            # NaN or -inf at the base point, |y| elsewhere
+            lambda y: math.nan if y[0] == 0.0 else abs(y[0]),
+            lambda y: -math.inf if y[0] == 0.0 else abs(y[0]),
+        ),
+        ids=("nan-probe", "neginf-probe", "nan-base", "neginf-base"),
+    )
+    def test_nan_or_negative_infinity_is_an_error(self, value):
+        # only +inf means "outside the domain"; no slope is read off the rest
+        phi = FunctionOracle(value, "improper")
+        with pytest.raises(ValueError, match="improper"):
             metric_slope(phi, [0.0])
+
+    def test_negative_infinity_at_base_is_not_outside_the_domain(self):
+        phi = FunctionOracle(lambda y: -math.inf if y[0] == 0.0 else 0.0, "improper")
+        with pytest.raises(ValueError, match="returned -inf"):
+            convex_probe(power_oracle(2.0), ORIGIN, region(1.0), phi, 2.0, 1.0, CFG_SMALL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((1, 2)),
+    st.sampled_from(("finite", "walled", "hinge")),
+    st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=5, max_size=5),
+)
+def test_metric_slope_matches_frozen_reference_bitwise(dim, kind, coefs):
+    """The slope probes only the radius whose estimate the frozen
+    per-radius sequence reported, and equals that estimate bitwise."""
+    a, b, c = coefs[:3]
+
+    def finite(y):
+        return float(a * abs(y[0]) + b * y[-1] + c * y[0] ** 2)
+
+    value = {
+        # the wall cuts the probe sphere, or leaves the base point outside
+        "walled": lambda y: finite(y) if y[0] <= 1e-6 * c else math.inf,
+        "hinge": lambda y: float(a * max(y[0], 0.0) - b * y[-1]),
+    }.get(kind, finite)
+    phi = FunctionOracle(value, kind)
+    x = 1e-6 * np.array(coefs[3:3 + dim])
+    old, _ = reference.metric_slope(phi, x)
+    assert np.float64(metric_slope(phi, x)).tobytes() == np.float64(old).tobytes()
 
 
 class TestProbes:
@@ -596,7 +628,7 @@ class TestProbeMatchesLoop:
     def test_convex_probe(self, case):
         f, phi, reg, kappa, cfg = CONVEX_CASES[case]
         xbar = np.zeros(reg.dim)
-        slope = metric_slope(phi, xbar).value
+        slope = metric_slope(phi, xbar)
         expected, _ = _probe_by_loop(f, phi, xbar, reg, slope, 2.0, kappa, cfg)
         self.assert_same(convex_probe(f, xbar, reg, phi, 2.0, kappa, cfg), expected)
 
@@ -631,6 +663,41 @@ class TestSubdifferentialGraph:
         pairs = sample_subdifferential_graph(f, region(1.5), [np.array([0.5])], CFG_SMALL)
         for x, xi in pairs:
             assert abs(x[0]) <= 1e-9
+
+    @pytest.mark.parametrize("dim", (1, 2))
+    def test_tilt_forms_give_the_pairs_of_one_checked_stack(self, dim):
+        f = boxquad_oracle(1.0) if dim == 1 else maxsq2d_oracle()
+        reg, cfg = region(1.5, dim), SolverConfig(grid_points_per_axis=101 if dim == 1 else 21)
+        rows = [np.array(t[:dim]) for t in ((-1.0, 0.5), (0.0, 0.0), (0.5, -0.25), (0.0, 0.0))]
+        stack = np.array(rows)
+        expected = diagnostics._tilted_pairs(f, stack, reg, cfg)
+        forms = [rows, stack, [list(row) for row in rows]]
+        if dim == 1:
+            forms.append([float(row[0]) for row in rows])
+        for form in forms:
+            pairs = sample_subdifferential_graph(f, reg, form, cfg)
+            assert np.array([x for x, _ in pairs]).tobytes() == expected[0].tobytes()
+            assert np.array([xi for _, xi in pairs]).tobytes() == expected[1].tobytes()
+        assert sample_subdifferential_graph(f, reg, [], cfg) == ()
+
+    @pytest.mark.parametrize(
+        "tilts",
+        (
+            [np.array([1.0, 2.0])],  # wrong length
+            [np.array([1.0]), np.array([1.0, 2.0])],  # ragged
+            [np.array([math.nan])],
+            [0.5, math.inf],
+        ),
+        ids=("wrong-length", "ragged", "nan", "inf"),
+    )
+    def test_bad_tilts_are_refused_before_any_evaluation(self, tilts):
+        def never(x):
+            raise AssertionError("the oracle was evaluated")
+
+        with pytest.raises(ValueError):
+            sample_subdifferential_graph(
+                FunctionOracle(never, "never"), region(1.5), tilts, CFG_SMALL
+            )
 
     def test_zero_tilt_returns_minimizers(self):
         f = boxquad_oracle(1.0)

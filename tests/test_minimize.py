@@ -198,6 +198,13 @@ class TestBallGrid:
         with pytest.raises(ValueError):
             SolverConfig(minimizer_value_tolerance=0.0)
 
+    @pytest.mark.parametrize("tol", (0.75, 2.0, math.inf, math.nan))
+    def test_minimizer_value_tolerance_above_half_is_refused(self, tol):
+        # a relative cut that wide does not describe a minimizer set
+        assert SolverConfig(minimizer_value_tolerance=0.5).minimizer_value_tolerance == 0.5
+        with pytest.raises(ValueError, match=r"must lie in \(0, 0.5\]"):
+            SolverConfig(minimizer_value_tolerance=tol)
+
 
 # ---------------------------------------------------------------------------
 # Polish on the sphere
@@ -491,7 +498,7 @@ def solve_cases(draw):
     cfg = SolverConfig(
         grid_points_per_axis=grid,
         multistart_count=draw(st.sampled_from((0, 1, 3, 8))),
-        minimizer_value_tolerance=draw(st.sampled_from((1e-9, 0.5, 0.75, 2.0))),
+        minimizer_value_tolerance=draw(st.sampled_from((1e-9, 0.25, 0.5))),
     )
     return f, tilts, region, cfg
 

@@ -253,6 +253,10 @@ class TestSolveTracking:
         assert not res.converged
         assert res.first_order_residual > 1e-8
 
+    def test_iteration_cap_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            DescentConfig(max_iters=0)
+
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             solve_tracking(np.zeros((16, 16)), GRID, 1.0, 1.0)
@@ -292,6 +296,12 @@ class TestCurvatureEstimate:
         monkeypatch.setattr(trk, "_pcg_solve", counting("cg", trk._pcg_solve))
         ssc_estimate(res, delta=0.1, sample_count=8, seed=0)
         assert calls == {"newton": 0, "cg": 2 + 8}
+
+    @pytest.mark.parametrize("delta", (0.0, math.nan, math.inf))
+    def test_non_positive_or_non_finite_shell_rejected(self, delta, default_solution):
+        _, res = default_solution
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            ssc_estimate(res, delta=delta, sample_count=4)
 
     def test_scaling_down_never_decreases_quotient(self, default_solution):
         # quotient(a v) = <p, v>/(a |z|^2) + half weighted ratio, a in (0, 1]
