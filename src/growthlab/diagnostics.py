@@ -40,10 +40,10 @@ from .core import (
 )
 from .minimize import (
     SolverConfig,
+    _ball_grid,
     _check_values,
     argmin_perturbed,
     argmin_tilted,
-    ball_grid,
 )
 
 __all__ = [
@@ -273,8 +273,8 @@ def estimate_growth(
     xbar = _require_centered(xbar, region)
     fbar = _base_value(f, xbar)
 
-    pts = ball_grid(region, cfg.grid_points_per_axis)
-    dist = np.linalg.norm(pts - xbar, axis=1)
+    pts = _ball_grid(tuple(region.center), region.radius, cfg.grid_points_per_axis)
+    dist = _row_norms(pts - xbar)
     keep = dist > BASE_POINT_EXCLUSION
     pts, dist = pts[keep], dist[keep]
 

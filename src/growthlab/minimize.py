@@ -12,7 +12,10 @@ call, then the candidates of all polish starts at each step direction in
 one call.  A stack of tilted problems shares that grid scan and that polish
 loop.  Each problem's grid values are formed once, to pick its starts and
 to keep the pool of grid points near its grid minimum; its minimizer set is
-cut from that pool and its polished points.
+cut from that pool and its polished points.  A tilt term ``-<xi, y>`` is
+finite and is subtracted with no mask (``+inf`` minus a finite number stays
+``+inf``); terms that can be ``+inf`` are added by ``compose_oracle``, the
+one home of the ``+inf``-absorbing sum.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .core import (
     _pair_rows,
     _project_rows,
     _row_norms,
-    as_vector,
     pairing,
 )
 
@@ -155,9 +157,9 @@ def compose_oracle(
     evaluated only on the points where ``f`` is below ``+inf``, and a
     ``+inf`` term value is kept whatever ``f`` is.  When no value of ``f``
     is ``+inf``, the sum is one whole-array pass with no gather or scatter
-    of the points.  The perturbed and proximal objectives are built here;
-    tilted objectives subtract the same way inside the solver, so that a
-    stack of tilts shares one scan of ``f``.
+    of the points.  The perturbed and proximal objectives, whose terms can
+    be ``+inf``, are built here; tilt terms are finite, and the solver
+    subtracts them without this rule, so a stack of tilts shares one scan.
     """
 
     def batch(points: np.ndarray) -> np.ndarray:
@@ -264,7 +266,7 @@ def _polish(
             cand, moved = _project_rows(region, cand)
             vals = f.evaluate_rows(cand)
             if cand_tilts is not None:
-                np.subtract(vals, _pair_rows(cand, cand_tilts), out=vals, where=vals != math.inf)
+                vals -= _pair_rows(cand, cand_tilts)
             if not vals.min() > -math.inf:  # a NaN or -inf, named by the full check
                 _check_values(vals, cand, descriptor)
             plus, minus = vals[0::2], vals[1::2]
@@ -327,36 +329,35 @@ def _solve(
     The pool holds every grid point the final cut can keep: the polished
     minimum is at most the grid minimum, and for a tolerance of at most
     1/2 the cut ``m + tol * (1 + |m|)`` grows with the minimum ``m``.  The
-    pool is the points within the grid minimum's cut widened by
-    ``POOL_SLACK``, which covers the cut's rounding.
+    pool is the cells where ``f`` is finite (a cut near the largest float
+    can overflow) within the grid minimum's cut widened by ``POOL_SLACK``,
+    which covers the cut's rounding.
+
+    Tilts are finite (``argmin_tilted`` checks them), so a tilt's grid values
+    are ``base - pairing(xi, pts)``, one ``pairing`` call per tilt, which the
+    benchmark's self-check counts, and ``AllInfinite`` is checked on ``base``
+    once per stack.  Only a pairing that overflows (``|x| |xi|`` above about
+    1.8e308) at a ``+inf`` cell differs from a masked subtraction: it gives
+    NaN, and the solve raises ``NonFiniteValue``.  ``argmin_ball`` passes no
+    tilt: a zero tilt is slower and turns a ``-0.0`` minimum into ``+0.0``.
     """
     pts = _ball_grid(tuple(region.center), region.radius, cfg.grid_points_per_axis)
     base = f.evaluate_rows(pts)
-    problems = [None] if tilts is None else tilts
-    live = base != math.inf
-    all_live = bool(live.all())
-    live_pts = pts if all_live else pts[live]
+    finite = base != math.inf
+    n_finite = int(np.count_nonzero(finite))
+    if n_finite == 0:
+        raise AllInfinite(
+            f"oracle '{descriptor}' is +inf at all {len(pts)} sampled points "
+            f"of the ball around {region.center}"
+        )
     tol = cfg.minimizer_value_tolerance
 
     starts, start_values, offsets, pools = [], [], [0], []
-    for xi in problems:
-        if xi is None:
-            values = base
-        elif all_live:
-            values = base - pairing(xi, live_pts)
-        else:
-            values = base.copy()
-            values[live] -= pairing(xi, live_pts)
+    for xi in [None] if tilts is None else tilts:
+        values = base if xi is None else base - pairing(xi, pts)
         low = values.min()
         if not low > -math.inf:  # a NaN or -inf, named by the full check
             _check_values(values, pts, descriptor)
-        finite = values != math.inf
-        n_finite = int(np.count_nonzero(finite))
-        if n_finite == 0:
-            raise AllInfinite(
-                f"oracle '{descriptor}' is +inf at all {len(pts)} sampled points "
-                f"of the ball around {region.center}"
-            )
         # +inf sorts last: the best finite cells, ties in grid order
         order = _smallest(values, min(cfg.multistart_count, n_finite))
         starts.append(pts[order])
@@ -415,21 +416,22 @@ def argmin_tilted(
     evaluated on the grid once for the whole stack, and every tilt's
     multistarts are polished in one lockstep loop.  Each result's
     ``evaluations`` counts the grid points plus that tilt's own polish
-    candidates.
+    candidates.  One rule checks every form, a single tilt as a stack of
+    one, before ``f`` is evaluated: each tilt needs ``d`` finite entries.
     """
-    descriptor = f"{f.descriptor} - <xi,.>"
-    if np.ndim(xi) < 2:
-        return _solve(f, as_vector(xi, region.dim)[None, :], region, cfg, descriptor)[0]
     tilts = np.array(xi, dtype=float)
+    single = tilts.ndim < 2
+    tilts = np.atleast_2d(tilts)
     if tilts.ndim != 2 or tilts.shape[1] != region.dim:
         raise ValueError(
-            f"expected a (T, {region.dim}) stack of tilts, got shape {tilts.shape}"
+            f"expected a tilt of shape ({region.dim},) or (T, {region.dim}), got {np.shape(xi)}"
         )
     if not np.all(np.isfinite(tilts)):
         raise ValueError("tilt entries must be finite (no NaN/inf)")
     if len(tilts) == 0:
         return ()
-    return _solve(f, tilts, region, cfg, descriptor)
+    results = _solve(f, tilts, region, cfg, f"{f.descriptor} - <xi,.>")
+    return results[0] if single else results
 
 
 def argmin_perturbed(

@@ -423,8 +423,8 @@ class TrackingResult:
     problem it solves (the validated ``target``, ``grid`` and box
     ``[alpha, beta]``), and the descent ``config`` it was solved with.
 
-    ``converged`` is False when the iteration cap was reached; the result
-    is still returned with its measured first-order residual.
+    ``converged`` is ``first_order_residual <= config.tol``; a solve stopped
+    by the iteration cap or a failed line search still returns its residual.
     ``objective_history`` holds the objective at every accepted iterate,
     which the monotone line search keeps non-increasing.
     """
@@ -457,8 +457,8 @@ def solve_tracking(
     The update is ``u+ = clip(u - s * p_u, [alpha, beta])`` with a spectral
     (Barzilai-Borwein) step length and monotone Armijo backtracking on the
     objective.  Terminates when the projected-gradient norm
-    ``|u - clip(u - p_u)|_{L2}`` falls below ``cfg.tol`` or at the
-    iteration cap, whichever comes first.
+    ``|u - clip(u - p_u)|_{L2}`` falls to ``cfg.tol``, at the iteration
+    cap, or when a line search finds no step, whichever comes first.
     """
     if not (alpha < beta and math.isfinite(alpha) and math.isfinite(beta)):
         raise ValueError(f"need finite alpha < beta, got [{alpha}, {beta}]")
@@ -501,13 +501,11 @@ def solve_tracking(
     prev_p: Optional[np.ndarray] = None
 
     iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
+    while True:
         residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
-        if residual <= cfg.tol:
-            return TrackingResult(
-                u, y, p, jval, residual, iterations - 1, True, tuple(history),
-                y_d, grid, alpha, beta, cfg,
-            )
+        if residual <= cfg.tol or iterations == cfg.max_iters:
+            break
+        iterations += 1
 
         if prev_u is not None:
             du = u - prev_u
@@ -544,7 +542,6 @@ def solve_tracking(
         p = solve_adjoint(y, y_d, grid)
         history.append(jval)
 
-    residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
     return TrackingResult(
         u, y, p, jval, residual, iterations, residual <= cfg.tol, tuple(history),
         y_d, grid, alpha, beta, cfg,

@@ -394,6 +394,37 @@ class TestErrorContract:
         with pytest.raises(ValueError):
             argmin_tilted(power_oracle(2.0), tilts, BallRegion(np.zeros(1), 1.0), SolverConfig(grid_points_per_axis=11))
 
+    # each bad tilt as (single-tilt form, stacked form) on a 2-D ball
+    BAD_TILTS = {
+        "nan": ([math.nan, 0.0], [[0.5, 0.5], [math.nan, 0.0]]),
+        "+inf": ([math.inf, 0.0], [[0.5, 0.5], [math.inf, 0.0]]),
+        "-inf": ([0.0, -math.inf], [[0.5, 0.5], [0.0, -math.inf]]),
+        "wrong length": ([0.1, 0.2, 0.3], [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+        "empty": ([], [[]]),
+        "3-D": (np.zeros((1, 1, 2)), np.zeros((2, 1, 2))),
+        "ragged": ([0.1, [0.2, 0.3]], [[0.1, 0.2], [0.3]]),
+    }
+
+    @pytest.mark.parametrize("form", ("single", "stacked"))
+    @pytest.mark.parametrize("case", sorted(BAD_TILTS))
+    def test_every_tilt_form_checked_before_evaluation(self, case, form):
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return np.add.reduce(x * x, axis=1)
+
+        f = FunctionOracle.from_batch(counted, "counted")
+        xi = self.BAD_TILTS[case][form == "stacked"]
+        with pytest.raises(ValueError):
+            argmin_tilted(f, xi, BallRegion(np.zeros(2), 1.0), SolverConfig(grid_points_per_axis=11))
+        assert calls == []
+
+    def test_zero_d_tilt_is_one_tilt(self):
+        f, region = power_oracle(2.0), BallRegion(np.zeros(1), 1.0)
+        cfg = SolverConfig(grid_points_per_axis=11)
+        _assert_same(argmin_tilted(f, 0.3, region, cfg), argmin_tilted(f, [0.3], region, cfg))
+
     def test_empty_stack(self):
         def never(x):
             raise AssertionError("an empty stack evaluates nothing")

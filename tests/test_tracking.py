@@ -516,6 +516,26 @@ class TestEarlyRejectMatchesFullSolve:
             reference.solve_tracking(y_d, grid, ALPHA, BETA, cfg),
         )
 
+    def test_stall_exit_matches(self):
+        # the line search finds no step long before the tolerance is met:
+        # one attempted step more than accepted ones (121 and 120 under the
+        # default OpenBLAS kernel; the count moves with the BLAS kernel)
+        grid = Grid2D(8)
+        y_d = 0.6 * default_target(grid)
+        cfg = DescentConfig(tol=1e-14)
+        new = solve_tracking(y_d, grid, ALPHA, BETA, cfg)
+        _assert_same_result(new, reference.solve_tracking(y_d, grid, ALPHA, BETA, cfg))
+        assert not new.converged
+        assert new.iterations == len(new.objective_history) < cfg.max_iters
+
+    def test_iteration_cap_exit_matches(self):
+        y_d = 0.64 * default_target(GRID)
+        cfg = DescentConfig(tol=1e-8, max_iters=3)
+        new = solve_tracking(y_d, GRID, ALPHA, BETA, cfg)
+        _assert_same_result(new, reference.solve_tracking(y_d, GRID, ALPHA, BETA, cfg))
+        assert not new.converged
+        assert new.iterations == 3 and len(new.objective_history) == 4
+
     def test_rejected_trials_skip_linear_solves(self, monkeypatch):
         calls = []
         pcg = trk._pcg_solve
