@@ -35,7 +35,6 @@ from .diagnostics import (
     GrowthEstimate,
     LojaEstimate,
     NegativeGap,
-    NoFiniteSamples,
     ProbeResult,
     SlopeInfinite,
     TiltEstimate,

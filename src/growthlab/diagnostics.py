@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,15 +39,16 @@ from .core import (
     as_vector,
 )
 from .minimize import (
+    AllInfinite,
     SolverConfig,
     _ball_grid,
     _check_values,
+    _checked_value,
     argmin_perturbed,
     argmin_tilted,
 )
 
 __all__ = [
-    "NoFiniteSamples",
     "NegativeGap",
     "SlopeInfinite",
     "GrowthEstimate",
@@ -98,10 +99,6 @@ TILT_ROUNDING_RTOL = 64 * np.finfo(float).eps
 
 # A sampled ``(point, tilt)`` pair of the subdifferential graph.
 Pair = Tuple[np.ndarray, np.ndarray]
-
-
-class NoFiniteSamples(GrowthLabError):
-    """No sampled point of the region had a finite objective value."""
 
 
 class NegativeGap(GrowthLabError):
@@ -223,14 +220,8 @@ def unit_directions(dim: int, count: int, seed=0) -> np.ndarray:
     if dim == 2:
         angles = 2.0 * np.pi * np.arange(count) / count
         return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    rng = np.random.default_rng(seed)
-    out = np.empty((count, dim))
-    for i in range(count):
-        v = rng.standard_normal(dim)
-        while _norm(v) < 1e-12:
-            v = rng.standard_normal(dim)
-        out[i] = v / _norm(v)
-    return out
+    draws = np.random.default_rng(seed).standard_normal((count, dim))
+    return draws / _row_norms(draws)[:, None]
 
 
 def _require_centered(xbar: np.ndarray, region: BallRegion) -> np.ndarray:
@@ -241,8 +232,8 @@ def _require_centered(xbar: np.ndarray, region: BallRegion) -> np.ndarray:
 
 
 def _base_value(f: FunctionOracle, xbar: np.ndarray) -> float:
-    fbar = f(xbar)
-    if not math.isfinite(fbar):
+    fbar = _checked_value(f, xbar)
+    if fbar == math.inf:  # the base point is outside the domain
         raise ValueError("objective must be finite at the base point")
     return fbar
 
@@ -268,7 +259,8 @@ def estimate_growth(
 
     Over-estimates the true growth modulus: a finite grid can only miss
     bad points.  Raises ``NegativeGap`` if a sample lies strictly below
-    the base value, which means ``xbar`` is not a minimizer on the region.
+    the base value, which means ``xbar`` is not a minimizer on the region,
+    and ``AllInfinite`` if no sample other than ``xbar`` has a finite value.
     """
     xbar = _require_centered(xbar, region)
     fbar = _base_value(f, xbar)
@@ -282,8 +274,9 @@ def estimate_growth(
     _check_values(values, pts, f.descriptor)
     finite = np.isfinite(values)
     if not np.any(finite):
-        raise NoFiniteSamples(
-            f"oracle '{f.descriptor}' has no finite samples on the region"
+        raise AllInfinite(
+            f"oracle '{f.descriptor}' is +inf at all {len(pts)} sampled points "
+            f"of the ball around {region.center} other than the base point"
         )
     ratios = (values[finite] - fbar) / dist[finite] ** pq.p
     witnesses = pts[finite]
@@ -428,32 +421,27 @@ def check_equivalence(
     """
     _check_tau(tau)
     g, k, m = gamma_hat, kappa_hat, mu_hat
+
+    def relation(defined: bool, slack: Callable[[], float]) -> RelationCheck:
+        # the slack is computed only where defined: no zero divisor
+        if not defined:
+            return RelationCheck(False, None, None)
+        value = slack()
+        return RelationCheck(True, value <= tau, value)
+
     degenerate: List[str] = []
-
-    if g > 0.0:
-        slack_a = k * g ** (pq.q / pq.p)
-        rel_a = RelationCheck(True, slack_a <= tau, slack_a)
-    else:
+    if not g > 0.0:
         degenerate.append("gamma_hat=0: kappa_vs_gamma and gamma_vs_mu undefined")
-        rel_a = RelationCheck(False, None, None)
-
-    if g > 0.0 and k > 0.0:
-        slack_b = m / k
-        rel_b = RelationCheck(True, slack_b <= tau, slack_b)
-    else:
-        if g > 0.0:
-            degenerate.append("kappa_hat=0: mu_vs_kappa undefined")
-        rel_b = RelationCheck(False, None, None)
-
-    if g > 0.0 and m > 0.0:
-        slack_c = pq.p ** (-pq.q) / (m * g)
-        rel_c = RelationCheck(True, slack_c <= tau, slack_c)
-    else:
-        if m <= 0.0:
-            degenerate.append("mu_hat=0: gamma_vs_mu undefined")
-        rel_c = RelationCheck(False, None, None)
-
-    return EquivalenceAudit(rel_a, rel_b, rel_c, tau, tuple(degenerate))
+    elif not k > 0.0:
+        degenerate.append("kappa_hat=0: mu_vs_kappa undefined")
+    if m <= 0.0:
+        degenerate.append("mu_hat=0: gamma_vs_mu undefined")
+    return EquivalenceAudit(
+        relation(g > 0.0, lambda: k * g ** (pq.q / pq.p)),
+        relation(g > 0.0 and k > 0.0, lambda: m / k),
+        relation(g > 0.0 and m > 0.0, lambda: pq.p ** (-pq.q) / (m * g)),
+        tau, tuple(degenerate),
+    )
 
 
 def run_diagnostics(
@@ -491,17 +479,16 @@ def metric_slope(phi: FunctionOracle, x) -> float:
     The local slope is this quantity's limit as ``r -> 0``; one small
     radius stands in for it.  ``+inf`` means "outside the domain": the
     slope is ``+inf`` if ``phi(x)`` is, and ``+inf`` probes are skipped.
-    A NaN or ``-inf`` value at ``x`` or at any probe raises ``ValueError``.
+    A NaN or ``-inf`` value at ``x`` or at any probe raises
+    ``NonFiniteValue``, a ``ValueError``.
     """
     x = as_vector(x)
-    phix = phi(x)
+    phix = _checked_value(phi, x)
     if phix == math.inf:
         return math.inf
-    dirs = unit_directions(x.size, DEFAULT_SLOPE_DIRECTIONS, seed=SLOPE_SEED)
-    values = phi.evaluate_rows(x + SLOPE_RADIUS * dirs)
-    for value in (phix, values.min()):
-        if not value > -math.inf:
-            raise ValueError(f"oracle '{phi.descriptor}' returned {value}")
+    probes = x + SLOPE_RADIUS * unit_directions(x.size, DEFAULT_SLOPE_DIRECTIONS, seed=SLOPE_SEED)
+    values = phi.evaluate_rows(probes)
+    _check_values(values, probes, phi.descriptor)
     # division by r > 0 is monotone, so the largest gain gives the max
     gains = phix - values[values != math.inf]
     return max(0.0, float(gains.max())) / SLOPE_RADIUS if gains.size else 0.0
@@ -672,7 +659,9 @@ def check_global_loja(
     Pairs whose tilt norm is zero, or at rounding level next to the largest
     tilt norm sampled, carry no evidence and are skipped; the other pairs of
     the same point still count.  A NaN or infinite entry in a point or a
-    tilt raises ``ValueError``.
+    tilt raises ``ValueError``, and a NaN or ``-inf`` value of ``f`` at a
+    pair that counts, or at ``xbar``, raises ``NonFiniteValue``.  A ``+inf``
+    value gives a ratio of ``+inf``, which fails the check.
     """
     xbar = as_vector(xbar)
     points, tilts = _graph_pairs(pairs, xbar.size)
@@ -680,5 +669,6 @@ def check_global_loja(
     tilt_norms = _row_norms(tilts)
     keep = tilt_norms > TILT_ROUNDING_RTOL * np.max(tilt_norms, initial=0.0)
     points, tilt_norms = points[keep], tilt_norms[keep]
-    gap = f.evaluate_rows(points) - fbar if len(points) else np.empty(0)
-    return _graph_check(_loja_ratios(gap, tilt_norms, pq), points, tilt_norms, mu)
+    values = f.evaluate_rows(points) if len(points) else np.empty(0)
+    _check_values(values, points, f.descriptor)
+    return _graph_check(_loja_ratios(values - fbar, tilt_norms, pq), points, tilt_norms, mu)

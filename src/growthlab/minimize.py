@@ -65,11 +65,14 @@ POOL_SLACK = 16.0 * np.finfo(float).eps
 
 
 class AllInfinite(GrowthLabError):
-    """The oracle returned +inf at every sampled point of the region."""
+    """The oracle returned +inf at every sampled point of the region; with
+    ``NonFiniteValue``, the library's only error for improper oracle values."""
 
 
-class NonFiniteValue(GrowthLabError):
-    """The oracle returned NaN or -inf, which no proper objective may do."""
+class NonFiniteValue(GrowthLabError, ValueError):
+    """The oracle returned NaN or -inf, which no proper objective may do;
+    with ``AllInfinite``, the library's only error for improper oracle
+    values.  Raised by ``_check_values`` alone, and also a ``ValueError``."""
 
 
 @dataclass(frozen=True)
@@ -140,12 +143,19 @@ def _ball_grid(center: Tuple[float, ...], radius: float, points_per_axis: int) -
 
 
 def _check_values(values: np.ndarray, points: np.ndarray, descriptor: str) -> None:
-    bad = np.isnan(values) | np.isneginf(values)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise NonFiniteValue(
-            f"oracle '{descriptor}' returned {values[i]} at {points[i]}"
-        )
+    """Raise ``NonFiniteValue`` naming the first NaN or ``-inf`` of ``values``
+    and its row of ``points``; one ``min`` pass when there is none."""
+    if values.size == 0 or values.min() > -math.inf:
+        return
+    i = int(np.flatnonzero(np.isnan(values) | np.isneginf(values))[0])
+    raise NonFiniteValue(f"oracle '{descriptor}' returned {values[i]} at {points[i]}")
+
+
+def _checked_value(f: FunctionOracle, x: np.ndarray) -> float:
+    """``f(x)``, refused by ``_check_values`` if NaN or ``-inf``."""
+    value = f(x)
+    _check_values(np.array([value]), x[None], f.descriptor)
+    return value
 
 
 def compose_oracle(
@@ -267,8 +277,7 @@ def _polish(
             vals = f.evaluate_rows(cand)
             if cand_tilts is not None:
                 vals -= _pair_rows(cand, cand_tilts)
-            if not vals.min() > -math.inf:  # a NaN or -inf, named by the full check
-                _check_values(vals, cand, descriptor)
+            _check_values(vals, cand, descriptor)
             plus, minus = vals[0::2], vals[1::2]
             take_plus = plus < fs
             take_minus = minus < np.minimum(plus, fs)

@@ -24,7 +24,7 @@ from .core import (
     _row_norms,
     as_vector,
 )
-from .minimize import SolverConfig, TiltedSolveResult, argmin_ball, compose_oracle
+from .minimize import SolverConfig, TiltedSolveResult, _checked_value, argmin_ball, compose_oracle
 
 __all__ = [
     "EpsilonNotBelowGamma",
@@ -96,13 +96,14 @@ def run_prox(f: FunctionOracle, x0, cfg: ProxConfig) -> ProxTrajectory:
     value gaps fall below ``cfg.solver.minimizer_value_tolerance`` the
     near-optimal collection absorbs neighboring points and the lexicographic
     representative may jump.  Tighten that tolerance when late iterates must
-    be resolved accurately.
+    be resolved accurately.  A NaN or ``-inf`` value of ``f`` at ``x0``
+    raises ``NonFiniteValue``, as one anywhere a step samples ``f`` does.
     """
     x = as_vector(x0, cfg.region.dim)
     if not cfg.region.contains(x):
         raise ValueError("x0 must lie in the working ball")
     points: List[np.ndarray] = [x]
-    values: List[float] = [f(x)]
+    values: List[float] = [_checked_value(f, x)]
     steps: List[TiltedSolveResult] = []
     for _ in range(cfg.iterations):
         result = prox_step(f, x, cfg)

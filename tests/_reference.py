@@ -37,6 +37,11 @@ it skipped the gather and scatter when every value of ``f`` is finite.
 probed one radius: it returns the estimate at the smallest of five radii
 together with the whole per-radius sequence, and it read a ``-inf`` base
 value as outside the domain and skipped ``-inf`` probes.
+
+``check_equivalence`` is a frozen copy of the relation audit from before
+one local helper built its three relations, and ``unit_directions`` of the
+direction sampler from before it drew the directions of dimension 3 and up
+as one block, re-drawing any draw of norm below 1e-12 one vector at a time.
 """
 
 import math
@@ -59,11 +64,13 @@ from growthlab.core import (
 from growthlab.diagnostics import (
     BASE_POINT_EXCLUSION,
     TILT_ROUNDING_RTOL,
+    EquivalenceAudit,
     GraphCheck,
     LojaEstimate,
+    RelationCheck,
     TiltEstimate,
     _base_value,
-    unit_directions,
+    _check_tau,
 )
 from growthlab.minimize import AllInfinite, NonFiniteValue, SolverConfig, TiltedSolveResult
 from growthlab.tracking import (
@@ -479,3 +486,54 @@ def metric_slope(phi: FunctionOracle, x) -> Tuple[float, Tuple[Tuple[float, floa
         best = max(0.0, float(gains.max())) / r if gains.size else 0.0
         per_radius.append((r, best))
     return per_radius[-1][1], tuple(per_radius)
+
+
+def check_equivalence(
+    gamma_hat: float, kappa_hat: float, mu_hat: float, pq: ExponentPair, tau: float = 1.10
+) -> EquivalenceAudit:
+    _check_tau(tau)
+    g, k, m = gamma_hat, kappa_hat, mu_hat
+    degenerate: List[str] = []
+
+    if g > 0.0:
+        slack_a = k * g ** (pq.q / pq.p)
+        rel_a = RelationCheck(True, slack_a <= tau, slack_a)
+    else:
+        degenerate.append("gamma_hat=0: kappa_vs_gamma and gamma_vs_mu undefined")
+        rel_a = RelationCheck(False, None, None)
+
+    if g > 0.0 and k > 0.0:
+        slack_b = m / k
+        rel_b = RelationCheck(True, slack_b <= tau, slack_b)
+    else:
+        if g > 0.0:
+            degenerate.append("kappa_hat=0: mu_vs_kappa undefined")
+        rel_b = RelationCheck(False, None, None)
+
+    if g > 0.0 and m > 0.0:
+        slack_c = pq.p ** (-pq.q) / (m * g)
+        rel_c = RelationCheck(True, slack_c <= tau, slack_c)
+    else:
+        if m <= 0.0:
+            degenerate.append("mu_hat=0: gamma_vs_mu undefined")
+        rel_c = RelationCheck(False, None, None)
+
+    return EquivalenceAudit(rel_a, rel_b, rel_c, tau, tuple(degenerate))
+
+
+def unit_directions(dim: int, count: int, seed=0) -> np.ndarray:
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if dim == 1:
+        return np.array([[1.0] if i % 2 == 0 else [-1.0] for i in range(count)])
+    if dim == 2:
+        angles = 2.0 * np.pi * np.arange(count) / count
+        return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, dim))
+    for i in range(count):
+        v = rng.standard_normal(dim)
+        while _norm(v) < 1e-12:
+            v = rng.standard_normal(dim)
+        out[i] = v / _norm(v)
+    return out

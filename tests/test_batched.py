@@ -26,17 +26,30 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from growthlab.catalog import boxquad_oracle, halfpower_oracle, maxsq2d_oracle, power_oracle
 from growthlab.core import BallRegion, ExponentPair, FunctionOracle, pairing
-from growthlab.diagnostics import _tilt_samples, run_diagnostics, sample_subdifferential_graph
+from growthlab.diagnostics import (
+    _tilt_samples,
+    check_global_loja,
+    convex_probe,
+    estimate_growth,
+    estimate_loja_constant,
+    estimate_tilt_constant,
+    lipschitz_probe,
+    metric_slope,
+    run_diagnostics,
+    sample_subdifferential_graph,
+)
 from growthlab.minimize import (
     POLISH_MAX_ITERS,
     POLISH_STEP_TOLERANCE,
     AllInfinite,
     NonFiniteValue,
     SolverConfig,
+    argmin_ball,
     argmin_perturbed,
     argmin_tilted,
     ball_grid,
 )
+from growthlab.prox import ProxConfig, prox_step, run_prox
 
 # ---------------------------------------------------------------------------
 # Frozen scalar reference
@@ -327,8 +340,114 @@ def test_power_family_constants_agree(p):
         assert a == pytest.approx(b, rel=1e-6)
 
 
+# Improper oracles on the ball of radius 1 around the base point 0, as (the
+# improper value, the batch formula).  41-point grids hold the base point.
+IMPROPER = {
+    "nan": (math.nan, lambda x: np.where(x[:, 0] > 0.0, math.nan, x[:, 0] ** 2)),
+    "-inf": (-math.inf, lambda x: np.where(x[:, 0] > 0.0, -math.inf, x[:, 0] ** 2)),
+    "nan-at-base": (math.nan, lambda x: np.where(x[:, 0] == 0.0, math.nan, x[:, 0] ** 2)),
+    "inf-off-base": (math.inf, lambda x: np.where(x[:, 0] == 0.0, 0.0, math.inf)),
+}
+BASE, BALL = np.zeros(1), BallRegion(np.zeros(1), 1.0)
+CFG41 = SolverConfig(grid_points_per_axis=41)
+P2 = ExponentPair.from_p(2.0)
+PROX41 = ProxConfig(0.5, P2, 2, BALL, CFG41)
+SQUARE = power_oracle(2.0)
+HALF_ABS = FunctionOracle.from_batch(
+    lambda x: 0.5 * np.abs(x[:, 0]), "half-abs", known_constants={"lip": 0.5}
+)
+LOJA_PAIRS = ((np.array([0.75]), np.array([1.0])), (np.array([-0.5]), np.array([1.0])))
+
+
+def _base_only(result):
+    return [x.tolist() for x in result.minimizers] == [[0.0]] and result.min_value == 0.0
+
+
+def _probe_passes(result):
+    return result.passed and result.worst_distance == 0.0
+
+
+# Each public entry point that reads an oracle, as (call with the improper
+# oracle, what it gives when the oracle is +inf everywhere but at the base
+# point: an error class or a check of its result).
+ORACLE_READERS = {
+    "argmin_ball": (lambda f: argmin_ball(f, BALL, CFG41), _base_only),
+    "argmin_tilted": (lambda f: argmin_tilted(f, [0.3], BALL, CFG41), _base_only),
+    "argmin_tilted-stack": (
+        lambda f: argmin_tilted(f, [[0.3], [-0.2]], BALL, CFG41),
+        lambda results: all(map(_base_only, results)),
+    ),
+    "argmin_perturbed-f": (lambda f: argmin_perturbed(f, SQUARE, BALL, CFG41), _base_only),
+    "argmin_perturbed-g": (lambda g: argmin_perturbed(SQUARE, g, BALL, CFG41), _base_only),
+    "prox_step": (lambda f: prox_step(f, BASE, PROX41), _base_only),
+    "run_prox": (lambda f: run_prox(f, BASE, PROX41), lambda t: t.values == (0.0, 0.0, 0.0)),
+    "estimate_growth": (lambda f: estimate_growth(f, BASE, BALL, P2, CFG41), AllInfinite),
+    "estimate_tilt_constant": (
+        lambda f: estimate_tilt_constant(f, BASE, BALL, P2, (0.5, 1.0), 2, CFG41),
+        lambda est: est.kappa_hat == 0.0,
+    ),
+    "estimate_loja_constant": (
+        lambda f: estimate_loja_constant(f, BASE, BALL, P2, (0.5, 1.0), 2, CFG41),
+        lambda est: est.mu_hat == 0.0,
+    ),
+    "run_diagnostics": (lambda f: run_diagnostics(f, BALL, P2, CFG41, (0.5, 1.0), 2), AllInfinite),
+    "metric_slope": (lambda phi: metric_slope(phi, BASE), lambda slope: slope == 0.0),
+    "lipschitz_probe-f": (
+        lambda f: lipschitz_probe(f, BASE, BALL, HALF_ABS, 1.0, 1.0, CFG41), _probe_passes
+    ),
+    "lipschitz_probe-zeta": (
+        lambda zeta: lipschitz_probe(SQUARE, BASE, BALL, zeta, 1.0, 1.0, CFG41), _probe_passes
+    ),
+    "convex_probe-f": (
+        lambda f: convex_probe(f, BASE, BALL, HALF_ABS, 1.0, 1.0, CFG41), _probe_passes
+    ),
+    "convex_probe-phi": (
+        lambda phi: convex_probe(SQUARE, BASE, BALL, phi, 1.0, 1.0, CFG41), _probe_passes
+    ),
+    "sample_subdifferential_graph": (
+        lambda f: sample_subdifferential_graph(f, BALL, [-0.5, 0.5], CFG41),
+        lambda pairs: [x.tolist() for x, _ in pairs] == [[0.0], [0.0]],
+    ),
+    "check_global_loja": (
+        lambda f: check_global_loja(LOJA_PAIRS, f, BASE, P2, 1.0),
+        lambda check: not check.passed and check.worst_ratio == math.inf,
+    ),
+}
+
+
 class TestErrorContract:
-    """NaN and -inf are refused on the lockstep polish as on the scan."""
+    """NaN and -inf are refused wherever an oracle is read, on the lockstep
+    polish as on the scan."""
+
+    @pytest.mark.parametrize("kind", sorted(IMPROPER))
+    @pytest.mark.parametrize("entry", sorted(ORACLE_READERS))
+    def test_every_oracle_reader_keeps_the_rule(self, entry, kind):
+        """NaN or -inf raises NonFiniteValue naming the value and the
+        oracle; +inf at every sample that counts raises AllInfinite, and
+        +inf elsewhere gives the result the docstring promises."""
+        value, batch = IMPROPER[kind]
+        # the Lipschitz constant lets the oracle serve as lipschitz_probe's zeta
+        f = FunctionOracle.from_batch(batch, kind, known_constants={"lip": 1.0})
+        call, when_inf = ORACLE_READERS[entry]
+        if value != math.inf:
+            with pytest.raises(NonFiniteValue, match=f"returned {value} at") as info:
+                call(f)
+            descriptor = str(info.value).split("'")[1]  # the oracle's, or its sum's
+            assert kind in descriptor.split()
+        elif isinstance(when_inf, type):
+            with pytest.raises(when_inf):
+                call(f)
+        else:
+            assert when_inf(call(f))
+
+    def test_run_prox_checks_its_start(self):
+        # NaN only at x0 = 0.01, which no grid point or polish candidate hits
+        f = FunctionOracle.from_batch(
+            lambda x: np.where(x[:, 0] == 0.01, math.nan, x[:, 0] ** 2), "hole"
+        )
+        prox_step(f, [0.01], PROX41)
+        with pytest.raises(NonFiniteValue, match=r"'hole' returned nan at \[0\.01\]"):
+            run_prox(f, [0.01], PROX41)
 
     @staticmethod
     def _off_grid(bad):

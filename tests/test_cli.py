@@ -227,6 +227,16 @@ class TestTracking:
         assert "stalled" in err
         assert not out.exists()
 
+    def test_no_samples_in_shell_exits_one_without_files(self, tmp_path, capsys):
+        # valid settings: the run reaches the solve, and ssc finds no sample
+        out = tmp_path / "t"
+        code, _, err = run(
+            ["tracking", "--n", "8", "--alpha", "0", "--beta", "1e-20", "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert err == "error: no feasible direction produced a nonzero state move\n"
+        assert not out.exists()
+
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
         # the preconditioner runs dense matrix products through BLAS
         argv = ["tracking", "--n", "32", "--eta-norms", "1e-2", "--etas-per-norm", "1",

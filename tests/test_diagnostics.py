@@ -10,12 +10,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import _reference as reference
 from growthlab import diagnostics
 from growthlab.catalog import boxquad_oracle, halfpower_oracle, maxsq2d_oracle, power_oracle
-from growthlab.core import BallRegion, ExponentPair, FunctionOracle, _norm, indicator, pairing
+from growthlab.core import (
+    BallRegion,
+    ExponentPair,
+    FunctionOracle,
+    _norm,
+    _row_norms,
+    indicator,
+    pairing,
+)
 from growthlab.diagnostics import (
     BASE_POINT_EXCLUSION,
     TILT_ROUNDING_RTOL,
     NegativeGap,
-    NoFiniteSamples,
     SlopeInfinite,
     check_equivalence,
     check_global_loja,
@@ -31,6 +38,7 @@ from growthlab.diagnostics import (
     unit_directions,
 )
 from growthlab.minimize import (
+    AllInfinite,
     NonFiniteValue,
     SolverConfig,
     argmin_ball,
@@ -86,7 +94,7 @@ class TestEstimateGrowth:
         f = FunctionOracle(
             lambda x: 0.0 if abs(x[0]) <= 1e-10 else math.inf, "point"
         )
-        with pytest.raises(NoFiniteSamples):
+        with pytest.raises(AllInfinite, match="other than the base point"):
             estimate_growth(f, ORIGIN, region(1.0), P2, CFG_SMALL)
 
     def test_minus_infinity_is_refused_not_skipped(self):
@@ -318,10 +326,18 @@ class TestPairReductionMatchesLoop:
     def test_graph_checks(self, sample):
         xbar, pq, f, points, tilts, bound = sample
         pairs = tuple(zip(points, tilts))
+        # the value-gap check refuses f = NaN at a pair it keeps
+        norms = _row_norms(tilts)
+        kept = points[norms > TILT_ROUNDING_RTOL * np.max(norms, initial=0.0)]
+        nan_kept = len(kept) and np.isnan(f.evaluate_rows(kept)).any()
         for check, old_check, args in (
             (check_subregularity, reference.check_subregularity, (xbar, pq)),
             (check_global_loja, reference.check_global_loja, (f, xbar, pq)),
         ):
+            if check is check_global_loja and nan_kept:
+                with pytest.raises(NonFiniteValue, match="nan"):
+                    check(pairs, *args, 1.0)
+                continue
             b = bound
             if b == "worst":  # the ratio ties its bound
                 b = old_check(pairs, *args, 1.0).worst_ratio
@@ -359,23 +375,43 @@ class TestPairReductionMatchesLoop:
         _assert_same_fields(sub, reference.check_subregularity(pairs, xbar, pq, 1.0))
         # the rounding-level tilt is skipped; f = +inf at x = 1.6 wins
         f = LOJA_ORACLES["batch-walled"]
-        glo = check_global_loja(pairs, f, xbar, pq, 1.0)
+        glo = check_global_loja(pairs[:5], f, xbar, pq, 1.0)
         assert glo.worst_ratio == math.inf and glo.witness_point[0] == 1.6
-        _assert_same_fields(glo, reference.check_global_loja(pairs, f, xbar, pq, 1.0))
+        _assert_same_fields(glo, reference.check_global_loja(pairs[:5], f, xbar, pq, 1.0))
         # of two equal ratios the first pair wins
         tied = check_subregularity(pairs[2:4], xbar, pq, 1.0)
         assert tied.worst_ratio == 0.5 and tied.witness_point[0] == -0.5
-        # a NaN ratio (f = NaN at x = -1.8) never wins, nor is it beaten when first
-        nan_last = check_global_loja(pairs[2:], f, xbar, pq, 1.0)
-        assert nan_last.worst_ratio == math.inf
-        nan_first = check_global_loja(pairs[5:] + pairs[:4], f, xbar, pq, 1.0)
-        assert math.isnan(nan_first.worst_ratio) and not nan_first.passed
-        _assert_same_fields(
-            nan_first, reference.check_global_loja(pairs[5:] + pairs[:4], f, xbar, pq, 1.0)
-        )
+        # f = NaN at x = -1.8 is refused whatever the pair order
+        for nan_pairs in (pairs[2:], pairs[5:] + pairs[:4]):
+            with pytest.raises(NonFiniteValue, match=r"nan at \[-1\.8\]"):
+                check_global_loja(nan_pairs, f, xbar, pq, 1.0)
+
+
+ESTIMATE = st.one_of(st.just(0.0), st.floats(0.0, 10.0, exclude_min=True))
+
+
+def _outcome(check, *args):
+    """The audit ``check`` returns, or the type of the error it raises."""
+    try:
+        return check(*args)
+    except ZeroDivisionError as error:  # mu_hat * gamma_hat underflows to 0
+        return type(error)
 
 
 class TestCheckEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(ESTIMATE, ESTIMATE, ESTIMATE, st.floats(1.5, 4.0), st.floats(1.0, 2.0))
+    def test_matches_frozen_reference(self, g, k, m, p, tau):
+        pq = ExponentPair.from_p(p)
+        new = _outcome(check_equivalence, g, k, m, pq, tau)
+        old = _outcome(reference.check_equivalence, g, k, m, pq, tau)
+        if isinstance(old, type):
+            assert new is old
+            return
+        _assert_same_fields(new, old)
+        for name in ("kappa_vs_gamma", "mu_vs_kappa", "gamma_vs_mu"):
+            _assert_same_fields(getattr(new, name), getattr(old, name))
+
     def test_quadratic_chain_is_tight(self):
         audit = check_equivalence(1.0, 0.5, 0.25, P2)
         assert audit.all_pass
@@ -808,3 +844,11 @@ class TestUnitDirections:
         a = unit_directions(3, 4, seed=7)
         b = unit_directions(3, 8, seed=7)
         np.testing.assert_array_equal(a, b[:4])
+
+    def test_one_block_draw_matches_frozen_loop_bitwise(self):
+        for dim in range(3, 17):
+            for count in (1, 2, 5, 64):
+                for seed in (0, 1, 7, [3, 2], 2**32 - 1):
+                    new = unit_directions(dim, count, seed=seed)
+                    old = reference.unit_directions(dim, count, seed=seed)
+                    assert new.shape == old.shape and new.tobytes() == old.tobytes()

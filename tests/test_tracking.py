@@ -16,6 +16,7 @@ from growthlab.tracking import (
     Grid2D,
     LinearSolveFailure,
     NewtonDivergence,
+    NoSamplesInShell,
     TrackingResult,
     default_target,
     l2_inner,
@@ -657,6 +658,15 @@ class TestErrorContract:
         monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d: 1)
         with pytest.raises(LinearSolveFailure):
             solve_state(np.full((16, 16), 2.0), GRID)
+
+    def test_box_too_narrow_for_the_shell_raises(self):
+        # every control in a box of width 1e-20 moves the state by less
+        # than the shell's cut-off, so no direction sample survives
+        grid = Grid2D(8)
+        result = solve_tracking(0.6 * default_target(grid), grid, 0.0, 1e-20)
+        assert result.iterations == 0 and result.converged
+        with pytest.raises(NoSamplesInShell, match="no feasible direction"):
+            ssc_estimate(result, 0.1, 4)
 
     def test_non_finite_linear_solve_raises(self):
         y = solve_state(np.full((16, 16), 2.0), GRID)
