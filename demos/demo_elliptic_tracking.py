@@ -39,7 +39,7 @@ print(f"nodes at lower bound: {(u <= 1e-10).sum()}, "
       f"free: {((u > 1e-10) & (u < 8 - 1e-10)).sum()}")
 print(f"tracking error |y - y_d| = {l2_norm(result.state - y_d, grid):.4e}")
 
-c = ssc_estimate(result, delta=0.1, sample_count=16, seed=0)
+c = ssc_estimate(result, sample_count=16, seed=0)
 print(f"\nsampled curvature constant: c = {c:.4f} (positive: growth holds)")
 
 print("\ntarget-perturbation sweep (state shift / perturbation size):")

@@ -76,11 +76,6 @@ _SCHEMAS: Dict[str, Dict[str, Tuple[str, object]]] = {
     "catalog": {},
 }
 
-# Radius of the shell ``|z_v| <= delta`` that ``tracking``'s curvature
-# estimate samples; a fixed setting of the estimate, not of the problem.
-_SSC_DELTA = 0.1
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved settings for one subcommand invocation."""
@@ -139,7 +134,7 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
     for key, (kind, _) in schema.items():
         flag_val = getattr(args, key, None)
         if flag_val is not None:
-            values[key] = _parse_value(kind, flag_val) if isinstance(flag_val, str) else flag_val
+            values[key] = _parse_value(kind, flag_val)
     if values.get("seed", 0) < 0:
         raise ValueError(f"seed must be >= 0, got {values['seed']}")
     return RunConfig(subcommand, values)
@@ -329,11 +324,11 @@ def cmd_tracking(config: RunConfig) -> int:
     eta_norms = tuple(config.values["eta_norms"])
     etas_per_norm = int(config.values["etas_per_norm"])
     # refuse bad sampling settings before the control solve
-    trk._check_ssc_settings(_SSC_DELTA, ssc_samples)
+    trk._check_ssc_settings(ssc_samples)
     trk._check_sweep_settings(eta_norms, etas_per_norm)
 
     result = trk.solve_tracking(y_d, grid, alpha, beta, descent)
-    ssc = trk.ssc_estimate(result, _SSC_DELTA, ssc_samples, seed=config.seed)
+    ssc = trk.ssc_estimate(result, ssc_samples, seed=config.seed)
     sweep = trk.perturbation_sweep(result, eta_norms, etas_per_norm, seed=config.seed)
     consistent = sweep.consistent(ssc)
 

@@ -14,8 +14,8 @@ depend on the BLAS kernel or on the rows that share its batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,27 +51,38 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     return v
 
 
+def _check_norm_sample(kind: str, norms: Sequence[float], count_name: str, count: int) -> None:
+    """Refuse ``count < 1`` draws per norm, no ``norms``, or a norm not
+    positive and finite; ``kind`` and ``count_name`` name them in messages."""
+    if count < 1:
+        raise ValueError(f"{count_name} must be >= 1")
+    if len(norms) == 0:
+        raise ValueError(f"{kind}_norms must not be empty")
+    for nrm in norms:
+        if not (nrm > 0.0 and math.isfinite(nrm)):
+            raise ValueError(f"{kind} norms must be positive and finite, got {nrm}")
+
+
 @dataclass(frozen=True)
 class ExponentPair:
-    """Conjugate exponents ``p, q > 1`` with ``1/p + 1/q = 1``."""
+    """Conjugate exponents ``p > 1`` and ``q = p / (p - 1)``: ``1/p + 1/q = 1``."""
 
     p: float
-    q: float
+    q: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (self.p > 1.0 and math.isfinite(self.p)):
             raise ValueError(f"p must be finite and > 1, got {self.p}")
-        if not (self.q > 1.0 and math.isfinite(self.q)):
-            raise ValueError(f"q must be finite and > 1, got {self.q}")
-        if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-12:
-            raise ValueError(f"exponents are not conjugate: 1/{self.p} + 1/{self.q} != 1")
+        q = self.p / (self.p - 1.0)
+        # p / (p - 1) rounds to 1.0 for p above about 2**53
+        if not q > 1.0:
+            raise ValueError(f"q = p / (p - 1) must be > 1, got {q} at p = {self.p}")
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def from_p(cls, p: float) -> "ExponentPair":
-        """Build the pair from ``p`` alone, with ``q = p / (p - 1)``."""
-        if not (p > 1.0 and math.isfinite(p)):
-            raise ValueError(f"p must be finite and > 1, got {p}")
-        return cls(p, p / (p - 1.0))
+        """The pair of ``p``: the same as ``ExponentPair(p)``."""
+        return cls(p)
 
 
 @dataclass(frozen=True)

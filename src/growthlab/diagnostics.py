@@ -8,7 +8,7 @@ runs the nonlinear-perturbation and subdifferential-graph checks.
 All estimators are sampling-based and one-sided: the growth modulus is
 over-estimated (a finite grid can only miss bad points), the other two are
 under-estimated (a finite tilt sample can only miss bad witnesses).  Audits
-therefore carry a configurable multiplicative slack factor.
+therefore carry the multiplicative slack factor ``SLACK_FACTOR``.
 
 A tilt sample is solved as one stacked ``argmin_tilted`` call (one grid
 scan, one lockstep polish) and becomes ``(minimizer, tilt)`` pairs in tilt
@@ -34,6 +34,7 @@ from .core import (
     ExponentPair,
     FunctionOracle,
     GrowthLabError,
+    _check_norm_sample,
     _norm,
     _row_norms,
     as_vector,
@@ -81,7 +82,8 @@ BASE_POINT_EXCLUSION = 1e-9
 # to zero.
 NEGATIVE_GAP_TOLERANCE = 1e-10
 
-DEFAULT_SLACK_FACTOR = 1.10
+# Multiplicative slack of every relation ``check_equivalence`` audits.
+SLACK_FACTOR = 1.10
 
 # Probe radius and directions of ``metric_slope``, and the directions' seed.
 SLOPE_RADIUS = 1e-6
@@ -153,7 +155,7 @@ class RelationCheck:
 class EquivalenceAudit:
     """Consistency relations among the three estimated constants.
 
-    Relations, each up to the multiplicative slack factor ``tau``:
+    Relations, each up to the multiplicative slack factor ``tau = SLACK_FACTOR``:
     ``kappa_vs_gamma``: kappa_hat <= tau * gamma_hat^(-q/p);
     ``mu_vs_kappa``:    mu_hat <= tau * kappa_hat (only when gamma_hat > 0);
     ``gamma_vs_mu``:    gamma_hat >= p^(-q) * mu_hat^(-1) / tau.
@@ -299,16 +301,11 @@ def _tilt_samples(
     seed: int,
 ) -> np.ndarray:
     """Deterministic ``(T, dim)`` tilt sample: each norm times fresh directions."""
-    if directions_per_norm < 1:
-        raise ValueError("directions_per_norm must be >= 1")
-    if len(tilt_norms) == 0:
-        raise ValueError("tilt_norms must not be empty")
-    blocks = []
-    for j, nrm in enumerate(tilt_norms):
-        if not (nrm > 0.0 and math.isfinite(nrm)):
-            raise ValueError(f"tilt norms must be positive and finite, got {nrm}")
-        blocks.append(nrm * unit_directions(dim, directions_per_norm, seed=[seed, j]))
-    return np.concatenate(blocks)
+    _check_norm_sample("tilt", tilt_norms, "directions_per_norm", directions_per_norm)
+    return np.concatenate([
+        nrm * unit_directions(dim, directions_per_norm, seed=[seed, j])
+        for j, nrm in enumerate(tilt_norms)
+    ])
 
 
 def _tilted_pairs(
@@ -323,10 +320,18 @@ def _tilted_pairs(
     return points, np.repeat(tilts, counts, axis=0)
 
 
+def _power(base: float, e: float) -> float:
+    """``base ** e`` by Python's float power, ``inf`` where it overflows."""
+    try:
+        return base**e
+    except OverflowError:
+        return math.inf
+
+
 def _powers(norms: np.ndarray, e: float) -> np.ndarray:
     """``norms ** e`` by Python's float power, which numpy's array power
-    need not match bitwise."""
-    return np.array([t**e for t in norms.tolist()], dtype=float)
+    need not match bitwise; ``inf`` where it overflows."""
+    return np.array([_power(t, e) for t in norms.tolist()], dtype=float)
 
 
 def _tilt_ratios(dist: np.ndarray, tilt_norms: np.ndarray, pq: ExponentPair) -> np.ndarray:
@@ -401,25 +406,20 @@ def estimate_loja_constant(
     return _loja_estimate(*_tilted_pairs(f, tilts, region, cfg), f, fbar, xbar, pq)
 
 
-def _check_tau(tau: float) -> None:
-    if not (tau >= 1.0 and math.isfinite(tau)):
-        raise ValueError(f"slack factor tau must be finite and >= 1, got {tau}")
-
-
 def check_equivalence(
     gamma_hat: float,
     kappa_hat: float,
     mu_hat: float,
     pq: ExponentPair,
-    tau: float = DEFAULT_SLACK_FACTOR,
 ) -> EquivalenceAudit:
     """Audit the relations among the growth, tilt and value-gap constants
-    with multiplicative slack ``tau``.
+    with multiplicative slack ``SLACK_FACTOR``.
 
     All three constants must come from the same objective, base point,
-    region, and exponents.
+    region, and exponents.  A slack that overflows, or divides by a product
+    that underflows to 0, is ``inf`` and fails; ``kappa_hat = 0`` gives
+    ``kappa_vs_gamma`` a slack of 0.
     """
-    _check_tau(tau)
     g, k, m = gamma_hat, kappa_hat, mu_hat
 
     def relation(defined: bool, slack: Callable[[], float]) -> RelationCheck:
@@ -427,7 +427,7 @@ def check_equivalence(
         if not defined:
             return RelationCheck(False, None, None)
         value = slack()
-        return RelationCheck(True, value <= tau, value)
+        return RelationCheck(True, value <= SLACK_FACTOR, value)
 
     degenerate: List[str] = []
     if not g > 0.0:
@@ -437,10 +437,11 @@ def check_equivalence(
     if m <= 0.0:
         degenerate.append("mu_hat=0: gamma_vs_mu undefined")
     return EquivalenceAudit(
-        relation(g > 0.0, lambda: k * g ** (pq.q / pq.p)),
+        relation(g > 0.0, lambda: k * _power(g, pq.q / pq.p) if k > 0.0 else 0.0),
         relation(g > 0.0 and k > 0.0, lambda: m / k),
-        relation(g > 0.0 and m > 0.0, lambda: pq.p ** (-pq.q) / (m * g)),
-        tau, tuple(degenerate),
+        relation(g > 0.0 and m > 0.0,
+                 lambda: pq.p ** (-pq.q) / (m * g) if m * g > 0.0 else math.inf),
+        SLACK_FACTOR, tuple(degenerate),
     )
 
 
@@ -452,14 +453,12 @@ def run_diagnostics(
     tilt_norms: Sequence[float],
     directions_per_norm: int,
     seed: int = 0,
-    tau: float = DEFAULT_SLACK_FACTOR,
 ) -> DiagnosticsReport:
     """Run the three estimators at the region center and audit the relations.
 
     Each sampled tilt is solved once; both tilt-based estimators reduce
     the same ``(minimizer, tilt)`` pairs.
     """
-    _check_tau(tau)
     tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
     xbar = region.center
     growth = estimate_growth(f, xbar, region, pq, cfg)
@@ -467,7 +466,7 @@ def run_diagnostics(
     points, tilts = _tilted_pairs(f, tilts, region, cfg)
     tilt = _tilt_estimate(points, tilts, xbar, pq)
     loja = _loja_estimate(points, tilts, f, fbar, xbar, pq)
-    audit = check_equivalence(growth.gamma_hat, tilt.kappa_hat, loja.mu_hat, pq, tau=tau)
+    audit = check_equivalence(growth.gamma_hat, tilt.kappa_hat, loja.mu_hat, pq)
     return DiagnosticsReport(growth, tilt, loja, audit, pq, region)
 
 

@@ -55,7 +55,9 @@ MAX_GRID_DIM = 4
 # Closed-ball membership slack, absorbs rounding at the boundary.
 BALL_SLACK = 1e-12
 
-# Polish: sweep cap per start, and the step length below which a start stops.
+# Polish: starts per problem (its best finite grid cells), sweep cap per
+# start, and the step length below which a start stops.
+MULTISTART_COUNT = 8
 POLISH_MAX_ITERS = 200
 POLISH_STEP_TOLERANCE = 1e-10
 
@@ -80,14 +82,11 @@ class SolverConfig:
     """Knobs for the grid scan and the direct-search polish."""
 
     grid_points_per_axis: int = 201
-    multistart_count: int = 8
     minimizer_value_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.grid_points_per_axis < 3:
             raise ValueError("grid_points_per_axis must be >= 3")
-        if self.multistart_count < 0:
-            raise ValueError("multistart_count must be >= 0")
         tol = self.minimizer_value_tolerance
         if not 0.0 < tol <= 0.5:
             raise ValueError(f"minimizer_value_tolerance must lie in (0, 0.5], got {tol}")
@@ -368,7 +367,7 @@ def _solve(
         if not low > -math.inf:  # a NaN or -inf, named by the full check
             _check_values(values, pts, descriptor)
         # +inf sorts last: the best finite cells, ties in grid order
-        order = _smallest(values, min(cfg.multistart_count, n_finite))
+        order = _smallest(values, min(MULTISTART_COUNT, n_finite))
         starts.append(pts[order])
         start_values.append(values[order])
         offsets.append(offsets[-1] + order.size)
@@ -407,7 +406,7 @@ def argmin_ball(
     """Global minimization of ``f`` over the closed ball.
 
     Dense grid scan, then direct-search polish from the
-    ``multistart_count`` best grid cells.  All near-optimal points found
+    ``MULTISTART_COUNT`` best grid cells.  All near-optimal points found
     are reported, not just one: downstream estimators quantify over every
     minimizer and must see the worst witness.
     """

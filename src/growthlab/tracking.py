@@ -51,7 +51,7 @@ from typing import Callable, ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import GrowthLabError
+from .core import GrowthLabError, _check_norm_sample
 
 __all__ = [
     "NewtonDivergence",
@@ -88,12 +88,15 @@ TRIAL_STATE_FRACTION = 1e-3
 TRIAL_ARMIJO_FRACTION = 0.1
 SPD_FRACTION = 1e-2
 # Control solve: Armijo sufficient-decrease factor, first step length,
-# bounds on the Barzilai-Borwein step length, and backtracking cap.
+# bounds on the Barzilai-Borwein step length, and backtracking and iteration caps.
 SPG_ARMIJO = 1e-4
 SPG_STEP_INIT = 1.0
 SPG_STEP_MIN = 1e-3
 SPG_STEP_MAX = 1e12
 SPG_MAX_HALVINGS = 60
+SPG_MAX_ITERS = 5000
+# ssc_estimate scales each direction into the shell |z_v| <= SSC_SHELL_RADIUS.
+SSC_SHELL_RADIUS = 0.1
 # Sweep perturbations combine SWEEP_MODES x SWEEP_MODES low-frequency sines.
 SWEEP_MODES = 4
 # A consistent sweep keeps every ratio within this factor of their median.
@@ -408,13 +411,10 @@ class DescentConfig:
     """Spectral projected-gradient settings for the control solve."""
 
     tol: float = 1e-8
-    max_iters: int = 5000
 
     def __post_init__(self) -> None:
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -503,7 +503,7 @@ def solve_tracking(
     iterations = 0
     while True:
         residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
-        if residual <= cfg.tol or iterations == cfg.max_iters:
+        if residual <= cfg.tol or iterations == SPG_MAX_ITERS:
             break
         iterations += 1
 
@@ -548,16 +548,13 @@ def solve_tracking(
     )
 
 
-def _check_ssc_settings(delta: float, sample_count: int) -> None:
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ValueError("delta must be positive and finite")
+def _check_ssc_settings(sample_count: int) -> None:
     if sample_count < 0:
         raise ValueError(f"sample_count must be >= 0, got {sample_count}")
 
 
 def ssc_estimate(
     result: TrackingResult,
-    delta: float,
     sample_count: int,
     seed: int = 0,
 ) -> float:
@@ -566,7 +563,7 @@ def ssc_estimate(
 
     Over feasible directions ``v = u - ubar`` (random box controls plus the
     two box-vertex controls), scaled so the linearized state stays within
-    the shell ``|z_v| <= delta``, returns the minimum of
+    the shell ``|z_v| <= SSC_SHELL_RADIUS``, returns the minimum of
 
         (<p, v> + 0.5 * sum (1 - 6 y p) z_v^2) / |z_v|^2.
 
@@ -577,7 +574,7 @@ def ssc_estimate(
     is numerical evidence of quadratic growth of the objective in the
     state distance, not a certified bound.
     """
-    _check_ssc_settings(delta, sample_count)
+    _check_ssc_settings(sample_count)
     ubar, y, p, grid = result.control, result.state, result.adjoint, result.grid
     alpha, beta = result.alpha, result.beta
     weight = 1.0 - 6.0 * y * p
@@ -598,7 +595,7 @@ def ssc_estimate(
         nz = l2_norm(z, grid)
         if nz < 1e-14:
             continue
-        scale = min(1.0, delta / nz)
+        scale = min(1.0, SSC_SHELL_RADIUS / nz)
         v = scale * v
         z = scale * z
         nz = scale * nz
@@ -678,13 +675,7 @@ def _median(values: Sequence[float]) -> float:
 
 
 def _check_sweep_settings(eta_norms: Sequence[float], etas_per_norm: int) -> None:
-    if etas_per_norm < 1:
-        raise ValueError("etas_per_norm must be >= 1")
-    if len(eta_norms) == 0:
-        raise ValueError("eta_norms must not be empty")
-    for target in eta_norms:
-        if not (target > 0.0 and math.isfinite(target)):
-            raise ValueError(f"eta norms must be positive and finite, got {target}")
+    _check_norm_sample("eta", eta_norms, "etas_per_norm", etas_per_norm)
 
 
 def perturbation_sweep(

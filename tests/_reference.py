@@ -70,7 +70,6 @@ from growthlab.diagnostics import (
     RelationCheck,
     TiltEstimate,
     _base_value,
-    _check_tau,
 )
 from growthlab.minimize import AllInfinite, NonFiniteValue, SolverConfig, TiltedSolveResult
 from growthlab.tracking import (
@@ -153,7 +152,7 @@ def solve_tracking(
     prev_p: Optional[np.ndarray] = None
 
     iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, trk.SPG_MAX_ITERS + 1):
         residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
         if residual <= cfg.tol:
             return TrackingResult(
@@ -334,7 +333,7 @@ def solve(
                 f"oracle '{descriptor}' is +inf at all {len(pts)} sampled points "
                 f"of the ball around {region.center}"
             )
-        order = np.argsort(values, kind="stable")[: min(cfg.multistart_count, n_finite)]
+        order = np.argsort(values, kind="stable")[: min(minimize.MULTISTART_COUNT, n_finite)]
         starts.append(pts[order])
         start_values.append(values[order])
         offsets.append(offsets[-1] + order.size)
@@ -491,7 +490,6 @@ def metric_slope(phi: FunctionOracle, x) -> Tuple[float, Tuple[Tuple[float, floa
 def check_equivalence(
     gamma_hat: float, kappa_hat: float, mu_hat: float, pq: ExponentPair, tau: float = 1.10
 ) -> EquivalenceAudit:
-    _check_tau(tau)
     g, k, m = gamma_hat, kappa_hat, mu_hat
     degenerate: List[str] = []
 

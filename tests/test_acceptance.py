@@ -52,7 +52,7 @@ def power_reports():
         region = BallRegion(ORIGIN, 10.0)
         start = time.monotonic()
         rep = run_diagnostics(
-            power_oracle(p), region, pq, CFG_1D, NORMS, 2, seed=0, tau=TAU
+            power_oracle(p), region, pq, CFG_1D, NORMS, 2, seed=0
         )
         out[p] = (rep, time.monotonic() - start)
     return out
@@ -96,7 +96,8 @@ def test_c02_constant_relation_audit(power_reports):
         pq = ExponentPair.from_p(float(oracle.known_constants["p"]))
         cfg = CFG_1D if entry.dimension == 1 else SolverConfig(grid_points_per_axis=101)
         dirs = 2 if entry.dimension == 1 else 8
-        rep = run_diagnostics(oracle, region, pq, cfg, NORMS, dirs, seed=0, tau=TAU)
+        rep = run_diagnostics(oracle, region, pq, cfg, NORMS, dirs, seed=0)
+        assert rep.audit.tau == TAU
         if rep.growth.gamma_hat > 0.0:
             assert rep.audit.all_pass
             assert rep.audit.kappa_vs_gamma.checked
@@ -253,7 +254,7 @@ def test_c09_perturbation_consistency(tracking_instance):
     grid, y_d, result = tracking_instance
     assert result.converged
 
-    c = trk.ssc_estimate(result, delta=0.1, sample_count=16, seed=0)
+    c = trk.ssc_estimate(result, sample_count=16, seed=0)
     assert c > 0.0
 
     sweep = trk.perturbation_sweep(result, (1e-3, 1e-2, 1e-1), 8, seed=0)

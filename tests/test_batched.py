@@ -19,11 +19,13 @@ in the polish, is an elementwise pairing, which rounds a row alike wherever
 it sits in the batch."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from growthlab import minimize
 from growthlab.catalog import boxquad_oracle, halfpower_oracle, maxsq2d_oracle, power_oracle
 from growthlab.core import BallRegion, ExponentPair, FunctionOracle, pairing
 from growthlab.diagnostics import (
@@ -102,7 +104,7 @@ def ref_argmin_ball(evaluate, region, cfg):
     finite = np.isfinite(values)
     pool_pts = [p for p in pts[finite]]
     pool_vals = [float(v) for v in values[finite]]
-    n_starts = min(cfg.multistart_count, len(pool_pts))
+    n_starts = min(minimize.MULTISTART_COUNT, len(pool_pts))
     if n_starts > 0:
         order = np.argsort(pool_vals, kind="stable")[:n_starts]
         spacing = 2.0 * region.radius / (cfg.grid_points_per_axis - 1)
@@ -178,9 +180,10 @@ PERTURBATIONS_1D = {
     "penalty": _scalar_only(lambda y: float(0.25 * (y[0] - 1.0) ** 2), "penalty"),
 }
 
+# (radius, solver config, multistart count)
 CONFIGS = {
-    "r1-g101": (1.0, SolverConfig(grid_points_per_axis=101)),
-    "r2-g201-s3": (2.0, SolverConfig(grid_points_per_axis=201, multistart_count=3)),
+    "r1-g101": (1.0, SolverConfig(grid_points_per_axis=101), minimize.MULTISTART_COUNT),
+    "r2-g201-s3": (2.0, SolverConfig(grid_points_per_axis=201), 3),
 }
 
 TILTS_1D = (-2.0, -0.7, 0.0, 0.45, 1.5)
@@ -212,9 +215,10 @@ class TestScalarOracles1D:
 
     @pytest.mark.parametrize("cfg_id", sorted(CONFIGS))
     @pytest.mark.parametrize("name", sorted(SCALAR_1D))
-    def test_tilted_bitwise(self, name, cfg_id):
+    def test_tilted_bitwise(self, name, cfg_id, monkeypatch):
         f = SCALAR_1D[name]
-        radius, cfg = CONFIGS[cfg_id]
+        radius, cfg, starts = CONFIGS[cfg_id]
+        monkeypatch.setattr(minimize, "MULTISTART_COUNT", starts)
         region = BallRegion(np.zeros(1), radius)
         stacked = argmin_tilted(f, [[t] for t in TILTS_1D], region, cfg)
         assert len(stacked) == len(TILTS_1D)
@@ -226,9 +230,10 @@ class TestScalarOracles1D:
     @pytest.mark.parametrize("cfg_id", sorted(CONFIGS))
     @pytest.mark.parametrize("gname", sorted(PERTURBATIONS_1D))
     @pytest.mark.parametrize("fname", ("square", "wiggle", "box"))
-    def test_perturbed_bitwise(self, fname, gname, cfg_id):
+    def test_perturbed_bitwise(self, fname, gname, cfg_id, monkeypatch):
         f, g = SCALAR_1D[fname], PERTURBATIONS_1D[gname]
-        radius, cfg = CONFIGS[cfg_id]
+        radius, cfg, starts = CONFIGS[cfg_id]
+        monkeypatch.setattr(minimize, "MULTISTART_COUNT", starts)
         region = BallRegion(np.zeros(1), radius)
         new = argmin_perturbed(f, g, region, cfg)
         _assert_bitwise(new, ref_argmin_ball(ref_perturbed(f, g), region, cfg))
@@ -553,9 +558,10 @@ class TestErrorContract:
         assert argmin_tilted(f, np.zeros((0, 1)), region, cfg) == ()
         assert sample_subdifferential_graph(f, region, [], cfg) == ()
 
-    def test_no_multistarts(self):
+    def test_no_multistarts(self, monkeypatch):
+        monkeypatch.setattr(minimize, "MULTISTART_COUNT", 0)
         f, region = maxsq2d_oracle(), BallRegion(np.zeros(2), 1.0)
-        cfg = SolverConfig(grid_points_per_axis=21, multistart_count=0)
+        cfg = SolverConfig(grid_points_per_axis=21)
         tilts = np.array([[0.5, 0.0], [0.0, -1.0], [0.3, 0.3]])
         for xi, new in zip(tilts, argmin_tilted(f, tilts, region, cfg)):
             _assert_same(new, argmin_tilted(f, xi, region, cfg))
@@ -580,8 +586,8 @@ STACK_ORACLES = {
     2: {"maxsq2d": maxsq2d_oracle(), "bowl": ORACLES_2D["bowl"]},
 }
 STACK_CFG = {
-    1: SolverConfig(grid_points_per_axis=101, multistart_count=3),
-    2: SolverConfig(grid_points_per_axis=21, multistart_count=3),
+    1: SolverConfig(grid_points_per_axis=101),
+    2: SolverConfig(grid_points_per_axis=21),
 }
 
 
@@ -605,14 +611,15 @@ def test_stack_equals_one_tilt_at_a_time(case):
     dim, name, tilts, order = case
     f, cfg = STACK_ORACLES[dim][name], STACK_CFG[dim]
     region = BallRegion(np.zeros(dim), 1.0)
-    alone = [argmin_tilted(f, xi, region, cfg) for xi in tilts]
-    stacked = argmin_tilted(f, tilts, region, cfg)
-    assert len(stacked) == len(tilts)
-    for a, b in zip(stacked, alone):
-        _assert_same(a, b)
-    # another order, and the stack split in two: other company, same results
-    for k, a in zip(order, argmin_tilted(f, tilts[order], region, cfg)):
-        _assert_same(a, alone[k])
-    half = len(tilts) // 2
-    for a, b in zip(argmin_tilted(f, tilts[order[:half]], region, cfg), order[:half]):
-        _assert_same(a, alone[b])
+    with patch.object(minimize, "MULTISTART_COUNT", 3):
+        alone = [argmin_tilted(f, xi, region, cfg) for xi in tilts]
+        stacked = argmin_tilted(f, tilts, region, cfg)
+        assert len(stacked) == len(tilts)
+        for a, b in zip(stacked, alone):
+            _assert_same(a, b)
+        # another order, and the stack split in two: other company, same results
+        for k, a in zip(order, argmin_tilted(f, tilts[order], region, cfg)):
+            _assert_same(a, alone[k])
+        half = len(tilts) // 2
+        for a, b in zip(argmin_tilted(f, tilts[order[:half]], region, cfg), order[:half]):
+            _assert_same(a, alone[b])

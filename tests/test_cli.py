@@ -14,7 +14,9 @@ import pytest
 import growthlab
 from growthlab import cli, diagnostics
 from growthlab import tracking as trk
+from growthlab.catalog import CatalogEntry
 from growthlab.cli import main
+from growthlab.core import FunctionOracle
 
 FAST_DIAGNOSE = ["--grid-points", "301"]
 # The subprocess runs in a temporary directory, where a relative PYTHONPATH
@@ -115,6 +117,49 @@ class TestDiagnose:
         assert "unknown function" in err
         assert not out.exists()
 
+    def test_overflowing_tilt_powers_near_p_one_exit_two_with_files(self, tmp_path, capsys):
+        # at p = 1.001 the tilt powers |xi|^(q/p) and |xi|^q overflow at
+        # |xi| = 4; their ratios take the limit 0 and the audit runs
+        out = tmp_path / "d"
+        code, stdout, err = run(
+            ["diagnose", "--fn", "power", "--p", "1.001", "--out", str(out)], capsys
+        )
+        assert (code, err) == (2, "")
+        assert "audit=FAIL" in stdout
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["diagnose_report.json", "diagnose_report.csv"]
+        report = json.loads((out / "diagnose_report.json").read_text())
+        assert report["audit"]["all_pass"] is False
+
+
+# Oracles that break the error contract somewhere on the unit ball: NaN or
+# -inf on the part x > 0.5, or +inf everywhere.
+BAD_ORACLES = {
+    "nan-on-part": lambda x: np.where(x[:, 0] > 0.5, np.nan, x[:, 0] ** 2),
+    "-inf-on-part": lambda x: np.where(x[:, 0] > 0.5, -np.inf, x[:, 0] ** 2),
+    "+inf-everywhere": lambda x: np.full(len(x), np.inf),
+}
+
+
+class TestImproperOracleValues:
+    @pytest.mark.parametrize("subcommand", ("diagnose", "prox"))
+    @pytest.mark.parametrize("name", sorted(BAD_ORACLES))
+    def test_exits_one_with_one_error_line_and_no_files(
+        self, name, subcommand, tmp_path, capsys, monkeypatch
+    ):
+        def build():
+            return FunctionOracle.from_batch(BAD_ORACLES[name], name)
+
+        monkeypatch.setitem(cli.CATALOG, "bad", CatalogEntry("bad", name, 1, build, {}))
+        out = tmp_path / "b"
+        code, stdout, err = run(
+            [subcommand, "--fn", "bad", "--delta", "1", "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in stdout + err
+        assert not out.exists()
+
 
 class TestProx:
     def test_rate_audit_pass(self, tmp_path, capsys):
@@ -173,9 +218,9 @@ class TestTracking:
         assert run(["tracking", "--out", str(out)] + MINI_TRACKING, capsys)[0] == code
         grid = trk.Grid2D(8)
         result = trk.solve_tracking(
-            0.6 * trk.default_target(grid), grid, 0.0, 8.0, trk.DescentConfig(1e-8, 5000)
+            0.6 * trk.default_target(grid), grid, 0.0, 8.0, trk.DescentConfig(1e-8)
         )
-        ssc = trk.ssc_estimate(result, 0.1, 4, seed=0)
+        ssc = trk.ssc_estimate(result, 4, seed=0)
         sweep = trk.perturbation_sweep(result, (1e-2, 1e-1), 1, seed=0)
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["ssc_estimate"], manifest["sweep"]["kappa_hat"]) == (ssc, sweep.kappa_hat)
@@ -208,7 +253,7 @@ class TestTracking:
             config["alpha"], config["beta"],
             trk.DescentConfig(config["tol"]),
         )
-        ssc = trk.ssc_estimate(result, cli._SSC_DELTA, config["ssc_samples"], seed=config["seed"])
+        ssc = trk.ssc_estimate(result, config["ssc_samples"], seed=config["seed"])
         assert np.float64(ssc).tobytes() == np.float64(manifest["ssc_estimate"]).tobytes()
 
     def test_capped_linear_solve_exits_one_without_files(self, tmp_path, capsys, monkeypatch):

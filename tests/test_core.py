@@ -109,9 +109,9 @@ class TestTypes:
         pq = ExponentPair.from_p(3.0)
         assert pq.q == pytest.approx(1.5)
         with pytest.raises(ValueError):
-            ExponentPair(2.0, 3.0)
-        with pytest.raises(ValueError):
             ExponentPair.from_p(1.0)
+        with pytest.raises(ValueError, match="q = p / \\(p - 1\\) must be > 1"):
+            ExponentPair(2.0**54)
 
     def test_ball_region_validation(self):
         with pytest.raises(ValueError):

@@ -139,6 +139,15 @@ class TestTiltAndLojaEstimates:
         assert tilt.kappa_hat == pytest.approx(3.0 ** (-0.5), rel=1e-6)
         assert loja.mu_hat == pytest.approx(3.0 ** (-1.5), rel=1e-6)
 
+    def test_overflowing_tilt_power_gives_zero_ratios(self):
+        # at p = 1.001, q = 1001 and 4 ** 1000 overflow a float: each
+        # ratio takes its limit, 0
+        pq = ExponentPair.from_p(1.001)
+        f = power_oracle(1.001)
+        tilt = estimate_tilt_constant(f, ORIGIN, region(10.0), pq, (4.0,), 2, CFG_SMALL)
+        loja = estimate_loja_constant(f, ORIGIN, region(10.0), pq, (4.0,), 2, CFG_SMALL)
+        assert (tilt.kappa_hat, loja.mu_hat) == (0.0, 0.0)
+
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_one_sided_bounds_against_growth(self, p):
         pq = ExponentPair.from_p(p)
@@ -390,27 +399,59 @@ class TestPairReductionMatchesLoop:
 ESTIMATE = st.one_of(st.just(0.0), st.floats(0.0, 10.0, exclude_min=True))
 
 
-def _outcome(check, *args):
-    """The audit ``check`` returns, or the type of the error it raises."""
+# Estimates from 0 and the smallest subnormal up to 1e300, so that
+# slacks underflow and overflow.
+EXTREME_ESTIMATE = st.one_of(
+    st.just(0.0), st.just(5e-324), st.just(1e300), st.floats(5e-324, 1e300),
+    st.builds(lambda e: 10.0**e, st.floats(-323.0, 300.0)),
+)
+
+
+def _assert_matches_frozen_audit(g, k, m, pq):
+    """``check_equivalence`` equals the frozen copy bitwise where the copy
+    returns.  Where the copy raises, that relation takes the IEEE limit:
+    ``gamma_vs_mu`` fails at slack ``inf`` when ``mu_hat * gamma_hat``
+    underflows to 0; ``kappa_vs_gamma`` fails at ``inf`` when
+    ``gamma_hat ** (q/p)`` overflows, or passes at 0 when ``kappa_hat = 0``."""
+    new = check_equivalence(g, k, m, pq)
+    assert new.tau == diagnostics.SLACK_FACTOR
     try:
-        return check(*args)
-    except ZeroDivisionError as error:  # mu_hat * gamma_hat underflows to 0
-        return type(error)
+        old = reference.check_equivalence(g, k, m, pq)
+    except ZeroDivisionError:
+        assert g > 0.0 and m > 0.0 and m * g == 0.0
+        assert (new.gamma_vs_mu.slack, new.gamma_vs_mu.passed) == (math.inf, False)
+        return
+    except OverflowError:
+        expected = (0.0, True) if k == 0.0 else (math.inf, False)
+        assert (new.kappa_vs_gamma.slack, new.kappa_vs_gamma.passed) == expected
+        return
+    _assert_same_fields(new, old)
+    for name in ("kappa_vs_gamma", "mu_vs_kappa", "gamma_vs_mu"):
+        _assert_same_fields(getattr(new, name), getattr(old, name))
 
 
 class TestCheckEquivalence:
     @settings(max_examples=300, deadline=None)
-    @given(ESTIMATE, ESTIMATE, ESTIMATE, st.floats(1.5, 4.0), st.floats(1.0, 2.0))
-    def test_matches_frozen_reference(self, g, k, m, p, tau):
-        pq = ExponentPair.from_p(p)
-        new = _outcome(check_equivalence, g, k, m, pq, tau)
-        old = _outcome(reference.check_equivalence, g, k, m, pq, tau)
-        if isinstance(old, type):
-            assert new is old
-            return
-        _assert_same_fields(new, old)
-        for name in ("kappa_vs_gamma", "mu_vs_kappa", "gamma_vs_mu"):
-            _assert_same_fields(getattr(new, name), getattr(old, name))
+    @given(ESTIMATE, ESTIMATE, ESTIMATE, st.floats(1.5, 4.0))
+    def test_matches_frozen_reference(self, g, k, m, p):
+        _assert_matches_frozen_audit(g, k, m, ExponentPair.from_p(p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(EXTREME_ESTIMATE, EXTREME_ESTIMATE, EXTREME_ESTIMATE, st.floats(1.001, 4.0))
+    def test_total_on_extreme_magnitudes(self, g, k, m, p):
+        _assert_matches_frozen_audit(g, k, m, ExponentPair.from_p(p))
+
+    @pytest.mark.parametrize(
+        "estimates, p, slacks, passed",
+        [((5e-324, 1.0, 5e-324), 2.0, (5e-324, 5e-324, math.inf), False),
+         ((1e300, 1.0, 1.0), 1.5, (math.inf, 1.0, 2.9629629629629625e-301), False),
+         ((1e300, 0.0, 1.0), 1.5, (0.0, None, 2.9629629629629625e-301), True)],
+    )
+    def test_underflow_and_overflow_take_the_ieee_limits(self, estimates, p, slacks, passed):
+        audit = check_equivalence(*estimates, ExponentPair.from_p(p))
+        checks = (audit.kappa_vs_gamma, audit.mu_vs_kappa, audit.gamma_vs_mu)
+        assert tuple(c.slack for c in checks) == slacks
+        assert audit.all_pass is passed
 
     def test_quadratic_chain_is_tight(self):
         audit = check_equivalence(1.0, 0.5, 0.25, P2)
@@ -437,22 +478,17 @@ class TestCheckEquivalence:
         assert not audit.all_pass
         assert audit.kappa_vs_gamma.passed is False
 
-    def test_tau_validation(self):
-        with pytest.raises(ValueError):
-            check_equivalence(1.0, 0.5, 0.25, P2, tau=0.9)
-
     @pytest.mark.parametrize(
-        "tau, norms, dirs, match",
-        [(0.9, NORMS, 2, "slack factor tau"), (1.1, (), 2, "tilt_norms"),
-         (1.1, (0.0,), 2, "tilt norms"), (1.1, NORMS, 0, "directions_per_norm")],
+        "norms, dirs, match",
+        [((), 2, "tilt_norms"), ((0.0,), 2, "tilt norms"), (NORMS, 0, "directions_per_norm")],
     )
-    def test_run_diagnostics_refuses_before_any_evaluation(self, tau, norms, dirs, match):
+    def test_run_diagnostics_refuses_before_any_evaluation(self, norms, dirs, match):
         def untouchable(y):
             raise AssertionError("the oracle was evaluated")
 
         f = FunctionOracle(untouchable, "untouchable")
         with pytest.raises(ValueError, match=match):
-            run_diagnostics(f, region(1.0), P2, CFG_SMALL, norms, dirs, tau=tau)
+            run_diagnostics(f, region(1.0), P2, CFG_SMALL, norms, dirs)
 
 
 class TestMetricSlope:

@@ -1,6 +1,7 @@
 """Tests for the ball-constrained global solver."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -193,8 +194,6 @@ class TestBallGrid:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(grid_points_per_axis=2)
-        with pytest.raises(ValueError):
-            SolverConfig(multistart_count=-1)
         with pytest.raises(ValueError):
             SolverConfig(minimizer_value_tolerance=0.0)
 
@@ -474,8 +473,8 @@ def _evaluate_only(f):
 
 @st.composite
 def solve_cases(draw):
-    """(oracle, tilt stack or None, region, config): a stack holds 1-6
-    tilts, among them a zero tilt and a repeated tilt."""
+    """(oracle, tilt stack or None, region, config, multistart count): a
+    stack holds 1-6 tilts, among them a zero tilt and a repeated tilt."""
     name = draw(st.sampled_from(sorted(DIFFERENTIAL_ORACLES)))
     make, dims = DIFFERENTIAL_ORACLES[name]
     d = draw(st.sampled_from(dims))
@@ -497,10 +496,9 @@ def solve_cases(draw):
         grid = draw(st.sampled_from(DIFFERENTIAL_GRIDS[d]))
     cfg = SolverConfig(
         grid_points_per_axis=grid,
-        multistart_count=draw(st.sampled_from((0, 1, 3, 8))),
         minimizer_value_tolerance=draw(st.sampled_from((1e-9, 0.25, 0.5))),
     )
-    return f, tilts, region, cfg
+    return f, tilts, region, cfg, draw(st.sampled_from((0, 1, 3, 8)))
 
 
 def _outcome(solve, case):
@@ -519,7 +517,9 @@ def _outcome(solve, case):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(solve_cases())
 def test_solve_matches_frozen_reference_bitwise(case):
-    assert _outcome(minimize._solve, case) == _outcome(reference.solve, case)
+    *case, multistarts = case
+    with patch.object(minimize, "MULTISTART_COUNT", multistarts):
+        assert _outcome(minimize._solve, case) == _outcome(reference.solve, case)
 
 
 @settings(max_examples=100, deadline=None)
