@@ -56,5 +56,5 @@ base = halfpower_oracle(3.0)
 restricted = FunctionOracle(
     lambda x: float(base.evaluate(x)) if x[0] >= 0.0 else math.inf, "right side"
 )
-est = estimate_growth(restricted, np.zeros(1), small, pq, cfg)
+est = estimate_growth(restricted, small, pq, cfg)
 print(f"  one-sided growth modulus: {est.gamma_hat:.6f}")

@@ -141,12 +141,6 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
 
 
 def _jsonify(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -226,11 +226,9 @@ def unit_directions(dim: int, count: int, seed=0) -> np.ndarray:
     return draws / _row_norms(draws)[:, None]
 
 
-def _require_centered(xbar: np.ndarray, region: BallRegion) -> np.ndarray:
-    xbar = as_vector(xbar, region.dim)
-    if np.max(np.abs(xbar - region.center)) > 1e-12:
+def _require_centered(xbar, region: BallRegion) -> None:
+    if np.max(np.abs(as_vector(xbar, region.dim) - region.center)) > 1e-12:
         raise ValueError("base point must coincide with the region center")
-    return xbar
 
 
 def _base_value(f: FunctionOracle, xbar: np.ndarray) -> float:
@@ -252,24 +250,31 @@ def _first_largest(ratios: np.ndarray, floor: float) -> Optional[int]:
 
 def estimate_growth(
     f: FunctionOracle,
-    xbar,
     region: BallRegion,
     pq: ExponentPair,
     cfg: SolverConfig,
 ) -> GrowthEstimate:
-    """Infimum of ``(f(x) - f(xbar)) / |x - xbar|^p`` over grid samples.
+    """Infimum of ``(f(x) - f(xbar)) / |x - xbar|^p`` over grid samples,
+    where the base point ``xbar`` is the center of ``region``.
 
     Over-estimates the true growth modulus: a finite grid can only miss
-    bad points.  Raises ``NegativeGap`` if a sample lies strictly below
-    the base value, which means ``xbar`` is not a minimizer on the region,
-    and ``AllInfinite`` if no sample other than ``xbar`` has a finite value.
+    bad points.  Raises ``ValueError`` if no grid point lies farther than
+    ``BASE_POINT_EXCLUSION`` from ``xbar``, ``NegativeGap`` if a sample lies
+    strictly below the base value, which means ``xbar`` is not a minimizer
+    on the region, and ``AllInfinite`` if no sample other than ``xbar`` has
+    a finite value.
     """
-    xbar = _require_centered(xbar, region)
+    xbar = region.center
     fbar = _base_value(f, xbar)
 
-    pts = _ball_grid(tuple(region.center), region.radius, cfg.grid_points_per_axis)
+    pts = _ball_grid(tuple(xbar), region.radius, cfg.grid_points_per_axis)
     dist = _row_norms(pts - xbar)
     keep = dist > BASE_POINT_EXCLUSION
+    if not keep.any():
+        raise ValueError(
+            f"no grid point of the ball of radius {region.radius} lies farther "
+            f"than {BASE_POINT_EXCLUSION} from its center"
+        )
     pts, dist = pts[keep], dist[keep]
 
     values = f.evaluate_rows(pts)
@@ -371,7 +376,6 @@ def _loja_estimate(
 
 def estimate_tilt_constant(
     f: FunctionOracle,
-    xbar,
     region: BallRegion,
     pq: ExponentPair,
     tilt_norms: Sequence[float],
@@ -379,19 +383,18 @@ def estimate_tilt_constant(
     cfg: SolverConfig,
     seed: int = 0,
 ) -> TiltEstimate:
-    """Worst ``|x - xbar| / |xi|^(q/p)`` over sampled tilted problems.
+    """Worst ``|x - xbar| / |xi|^(q/p)`` over sampled tilted problems,
+    where the base point ``xbar`` is the center of ``region``.
 
     Every reported minimizer of every tilted problem contributes; the
     estimate is a lower bound on the true constant.
     """
-    xbar = _require_centered(xbar, region)
     tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
-    return _tilt_estimate(*_tilted_pairs(f, tilts, region, cfg), xbar, pq)
+    return _tilt_estimate(*_tilted_pairs(f, tilts, region, cfg), region.center, pq)
 
 
 def estimate_loja_constant(
     f: FunctionOracle,
-    xbar,
     region: BallRegion,
     pq: ExponentPair,
     tilt_norms: Sequence[float],
@@ -399,8 +402,9 @@ def estimate_loja_constant(
     cfg: SolverConfig,
     seed: int = 0,
 ) -> LojaEstimate:
-    """Worst ``(f(x) - f(xbar)) / |xi|^q`` over sampled tilted problems."""
-    xbar = _require_centered(xbar, region)
+    """Worst ``(f(x) - f(xbar)) / |xi|^q`` over sampled tilted problems,
+    where the base point ``xbar`` is the center of ``region``."""
+    xbar = region.center
     fbar = _base_value(f, xbar)
     tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
     return _loja_estimate(*_tilted_pairs(f, tilts, region, cfg), f, fbar, xbar, pq)
@@ -461,7 +465,7 @@ def run_diagnostics(
     """
     tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
     xbar = region.center
-    growth = estimate_growth(f, xbar, region, pq, cfg)
+    growth = estimate_growth(f, region, pq, cfg)
     fbar = _base_value(f, xbar)
     points, tilts = _tilted_pairs(f, tilts, region, cfg)
     tilt = _tilt_estimate(points, tilts, xbar, pq)
@@ -507,18 +511,17 @@ class ProbeResult:
 def _probe(
     f: FunctionOracle,
     perturbation: FunctionOracle,
-    xbar: np.ndarray,
     region: BallRegion,
     size: float,
     lam: float,
     kappa: float,
     cfg: SolverConfig,
 ) -> ProbeResult:
-    """Solve ``f + perturbation`` and check its farthest minimizer (the
-    first, on ties) against ``kappa * size**lam``."""
+    """Solve ``f + perturbation`` and check its minimizer farthest from the
+    center of ``region`` (the first, on ties) against ``kappa * size**lam``."""
     result = argmin_perturbed(f, perturbation, region, cfg)
-    witness = max(result.minimizers, key=lambda x: _norm(x - xbar))
-    worst = _norm(witness - xbar)
+    witness = max(result.minimizers, key=lambda x: _norm(x - region.center))
+    worst = _norm(witness - region.center)
     bound = kappa * size**lam
     return ProbeResult(worst <= bound + PROBE_DISTANCE_SLACK, bound, worst, witness, size)
 
@@ -538,11 +541,11 @@ def lipschitz_probe(
     The Lipschitz constant is analytic metadata carried by ``zeta`` under
     ``known_constants["lip"]``; it is not estimated here.
     """
-    xbar = _require_centered(xbar, region)
+    _require_centered(xbar, region)
     if zeta.known_constants is None or "lip" not in zeta.known_constants:
         raise ValueError("zeta must carry known_constants['lip']")
     lip = float(zeta.known_constants["lip"])
-    return _probe(f, zeta, xbar, region, lip, lam, kappa, cfg)
+    return _probe(f, zeta, region, lip, lam, kappa, cfg)
 
 
 def convex_probe(
@@ -557,13 +560,13 @@ def convex_probe(
     """Check that minimizers of ``f + phi`` (``phi`` convex by declaration)
     stay within ``kappa * slope^lam`` of the base point, where ``slope`` is
     the local descent slope of ``phi`` there."""
-    xbar = _require_centered(xbar, region)
-    slope = metric_slope(phi, xbar)
+    _require_centered(xbar, region)
+    slope = metric_slope(phi, region.center)
     if math.isinf(slope):
         raise SlopeInfinite(
             f"base point is outside the domain of '{phi.descriptor}'"
         )
-    return _probe(f, phi, xbar, region, slope, lam, kappa, cfg)
+    return _probe(f, phi, region, slope, lam, kappa, cfg)
 
 
 def sample_subdifferential_graph(

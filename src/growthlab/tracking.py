@@ -288,9 +288,12 @@ def _newton(
     res = residual(y)
     rnorm = l2_norm(res, grid)
     history = [rnorm]
-    for _ in range(NEWTON_MAX_ITERS):
-        if rnorm <= STATE_RESIDUAL_TOL:
-            return y
+    while rnorm > STATE_RESIDUAL_TOL:
+        if len(history) > NEWTON_MAX_ITERS:  # the start, then one entry per step
+            raise NewtonDivergence(
+                f"no convergence after {NEWTON_MAX_ITERS} iterations, residual {rnorm:.3e}",
+                history,
+            )
         step = _pcg_solve(3.0 * y**2, -res, cg_atol)
         t = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
@@ -308,11 +311,7 @@ def _newton(
         history.append(rnorm)
         if give_up is not None and give_up(y, rnorm):
             return None
-    if rnorm <= STATE_RESIDUAL_TOL:
-        return y
-    raise NewtonDivergence(
-        f"no convergence after {NEWTON_MAX_ITERS} iterations, residual {rnorm:.3e}", history
-    )
+    return y
 
 
 def _state_error_bound(rnorm: float, n: int) -> float:
@@ -697,24 +696,17 @@ def perturbation_sweep(
     y_d, grid, ybar = ubar_result.target, ubar_result.grid, ubar_result.state
     alpha, beta, cfg = ubar_result.alpha, ubar_result.beta, ubar_result.config
 
-    def run_sample(j: int, i: int, target: float) -> SweepSample:
-        rng = np.random.default_rng([seed, j, i])
-        eta = sine_combination(grid, rng.standard_normal((SWEEP_MODES, SWEEP_MODES)))
-        eta = eta * (target / l2_norm(eta, grid))
-        try:
-            res = solve_tracking(
-                y_d + eta, grid, alpha, beta, cfg, u0=ubar_result.control
-            )
-            ratio = l2_norm(res.state - ybar, grid) / target
-            return SweepSample(float(target), i, ratio, res.converged, res.iterations)
-        except GrowthLabError as exc:
-            return SweepSample(float(target), i, math.nan, False, 0, error=str(exc))
-
-    # each sample owns its solver state and rng stream
-    samples = [
-        run_sample(j, i, float(target))
-        for j, target in enumerate(eta_norms)
-        for i in range(etas_per_norm)
-    ]
+    samples: List[SweepSample] = []
+    for j, target in enumerate(map(float, eta_norms)):
+        for i in range(etas_per_norm):
+            rng = np.random.default_rng([seed, j, i])
+            eta = sine_combination(grid, rng.standard_normal((SWEEP_MODES, SWEEP_MODES)))
+            eta = eta * (target / l2_norm(eta, grid))
+            try:
+                res = solve_tracking(y_d + eta, grid, alpha, beta, cfg, u0=ubar_result.control)
+                ratio = l2_norm(res.state - ybar, grid) / target
+                samples.append(SweepSample(target, i, ratio, res.converged, res.iterations))
+            except GrowthLabError as exc:
+                samples.append(SweepSample(target, i, math.nan, False, 0, error=str(exc)))
     finite = [s.ratio for s in samples if math.isfinite(s.ratio)]
     return SweepReport(tuple(samples), max(finite, default=math.nan))

@@ -111,14 +111,14 @@ def test_c03_partial_growth_detection():
         pq = ExponentPair.from_p(p)
         region = BallRegion(ORIGIN, 1.0)
         fn = halfpower_oracle(p)
-        est = estimate_growth(fn, ORIGIN, region, pq, CFG_1D)
+        est = estimate_growth(fn, region, pq, CFG_1D)
         assert est.gamma_hat == 0.0
         assert est.witness[0] < 0.0
         restricted = FunctionOracle(
             lambda x, fn=fn: float(fn.evaluate(x)) if x[0] >= 0.0 else math.inf,
             "restricted",
         )
-        right = estimate_growth(restricted, ORIGIN, region, pq, CFG_1D)
+        right = estimate_growth(restricted, region, pq, CFG_1D)
         assert right.gamma_hat == pytest.approx(1.0, rel=0.05)
     report("C3 partial growth: zero modulus with left witness, ~1 on the right: PASS")
 

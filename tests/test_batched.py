@@ -386,13 +386,13 @@ ORACLE_READERS = {
     "argmin_perturbed-g": (lambda g: argmin_perturbed(SQUARE, g, BALL, CFG41), _base_only),
     "prox_step": (lambda f: prox_step(f, BASE, PROX41), _base_only),
     "run_prox": (lambda f: run_prox(f, BASE, PROX41), lambda t: t.values == (0.0, 0.0, 0.0)),
-    "estimate_growth": (lambda f: estimate_growth(f, BASE, BALL, P2, CFG41), AllInfinite),
+    "estimate_growth": (lambda f: estimate_growth(f, BALL, P2, CFG41), AllInfinite),
     "estimate_tilt_constant": (
-        lambda f: estimate_tilt_constant(f, BASE, BALL, P2, (0.5, 1.0), 2, CFG41),
+        lambda f: estimate_tilt_constant(f, BALL, P2, (0.5, 1.0), 2, CFG41),
         lambda est: est.kappa_hat == 0.0,
     ),
     "estimate_loja_constant": (
-        lambda f: estimate_loja_constant(f, BASE, BALL, P2, (0.5, 1.0), 2, CFG41),
+        lambda f: estimate_loja_constant(f, BALL, P2, (0.5, 1.0), 2, CFG41),
         lambda est: est.mu_hat == 0.0,
     ),
     "run_diagnostics": (lambda f: run_diagnostics(f, BALL, P2, CFG41, (0.5, 1.0), 2), AllInfinite),

@@ -16,7 +16,7 @@ from growthlab import cli, diagnostics
 from growthlab import tracking as trk
 from growthlab.catalog import CatalogEntry
 from growthlab.cli import main
-from growthlab.core import FunctionOracle
+from growthlab.core import FunctionOracle, GrowthLabError
 
 FAST_DIAGNOSE = ["--grid-points", "301"]
 # The subprocess runs in a temporary directory, where a relative PYTHONPATH
@@ -115,6 +115,18 @@ class TestDiagnose:
         code, _, err = run(["diagnose", "--fn", "nosuch", "--out", str(out)], capsys)
         assert code == 1
         assert "unknown function" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fn, delta", (("power", "1e-10"), ("power", "1e-9"), ("maxsq2d", "1e-10"))
+    )
+    def test_ball_inside_the_base_point_exclusion_exits_one_without_files(
+        self, fn, delta, tmp_path, capsys
+    ):
+        out = tmp_path / "d"
+        code, _, err = run(["diagnose", "--fn", fn, "--delta", delta, "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error: no grid point") and err.count("\n") == 1
         assert not out.exists()
 
     def test_overflowing_tilt_powers_near_p_one_exit_two_with_files(self, tmp_path, capsys):
@@ -256,6 +268,32 @@ class TestTracking:
         ssc = trk.ssc_estimate(result, config["ssc_samples"], seed=config["seed"])
         assert np.float64(ssc).tobytes() == np.float64(manifest["ssc_estimate"]).tobytes()
 
+    def test_failed_sweep_samples_exit_two_with_files(self, tmp_path, capsys, monkeypatch):
+        solve = trk.solve_tracking
+
+        def failing_when_warm_started(*args, u0=None, **kwargs):
+            if u0 is not None:
+                raise GrowthLabError("sample failed, on purpose")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(trk, "solve_tracking", failing_when_warm_started)
+        out = tmp_path / "t"
+        code, _, err = run(
+            ["tracking", "--n", "8", "--etas-per-norm", "1", "--ssc-samples", "2",
+             "--out", str(out)],
+            capsys,
+        )
+        assert (code, err) == (2, "")
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted(manifest["outputs"] + ["manifest.json"])
+        assert len(written) == 6
+        rows = [l for l in (out / "sweep.csv").read_text().splitlines() if not l.startswith("#")]
+        assert rows[0].endswith(",error") and len(rows) > 1
+        for row in rows[1:]:
+            assert row.endswith(",nan,False,0,sample failed; on purpose")
+        assert manifest["sweep"]["consistent"] is False
+
     def test_capped_linear_solve_exits_one_without_files(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d: 1)
         out = tmp_path / "t"
@@ -318,6 +356,30 @@ class TestConfigResolution:
         report = json.loads((out / "diagnose_report.json").read_text())
         assert report["config"]["delta"] == 1.0  # from file
         assert report["config"]["p"] == 2.0  # flag wins over file
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# settings of a short run\n\n  \ndelta = 0.5\n")
+        out = tmp_path / "d"
+        code, _, err = run(
+            ["diagnose", "--fn", "power", "--config", str(cfg), "--out", str(out)]
+            + FAST_DIAGNOSE,
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        report = json.loads((out / "diagnose_report.json").read_text())
+        assert report["config"]["delta"] == 0.5
+
+    def test_line_without_equals_exits_one_without_files(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = 0.5\n# comment\np 3\n")
+        out = tmp_path / "d"
+        code, _, err = run(
+            ["diagnose", "--fn", "power", "--config", str(cfg), "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert err == f"error: {cfg}:3: expected 'key = value', got 'p 3'\n"
+        assert not out.exists()
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

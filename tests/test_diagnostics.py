@@ -60,18 +60,18 @@ def region(radius, dim=1):
 
 class TestEstimateGrowth:
     def test_pure_quadratic_ratio_is_one(self):
-        est = estimate_growth(power_oracle(2.0), ORIGIN, region(1.0), P2, CFG)
+        est = estimate_growth(power_oracle(2.0), region(1.0), P2, CFG)
         assert est.gamma_hat == pytest.approx(1.0, rel=1e-12)
         assert est.samples_used > 1000
 
     def test_one_sided_flat_function_gives_zero(self):
-        est = estimate_growth(halfpower_oracle(3.0), ORIGIN, region(1.0), P3, CFG)
+        est = estimate_growth(halfpower_oracle(3.0), region(1.0), P3, CFG)
         assert est.gamma_hat == 0.0
         assert est.witness[0] < 0.0
 
     def test_infimum_approached_at_base_point(self):
         f = FunctionOracle(lambda x: float(x[0] ** 2 + abs(x[0]) ** 3), "mix")
-        est = estimate_growth(f, ORIGIN, region(1.0), P2, CFG)
+        est = estimate_growth(f, region(1.0), P2, CFG)
         assert 1.0 <= est.gamma_hat <= 1.05
 
     def test_restricted_oracle_recovers_one_sided_growth(self):
@@ -80,13 +80,13 @@ class TestEstimateGrowth:
             lambda x: float(base.evaluate(x)) if x[0] >= 0.0 else math.inf,
             "halfpower|x>=0",
         )
-        est = estimate_growth(restricted, ORIGIN, region(1.0), P3, CFG)
+        est = estimate_growth(restricted, region(1.0), P3, CFG)
         assert est.gamma_hat == pytest.approx(1.0, rel=0.05)
 
     def test_negative_gap_raises(self):
         f = FunctionOracle(lambda x: float((x[0] - 0.5) ** 2), "offcenter")
         with pytest.raises(NegativeGap) as info:
-            estimate_growth(f, ORIGIN, region(1.0), P2, CFG_SMALL)
+            estimate_growth(f, region(1.0), P2, CFG_SMALL)
         # the reported witness indeed lies below the base value
         assert f(info.value.point) < f(ORIGIN)
 
@@ -95,7 +95,23 @@ class TestEstimateGrowth:
             lambda x: 0.0 if abs(x[0]) <= 1e-10 else math.inf, "point"
         )
         with pytest.raises(AllInfinite, match="other than the base point"):
-            estimate_growth(f, ORIGIN, region(1.0), P2, CFG_SMALL)
+            estimate_growth(f, region(1.0), P2, CFG_SMALL)
+
+    @pytest.mark.parametrize("radius, dim", ((1e-10, 1), (1e-9, 1), (1e-10, 2)))
+    def test_ball_inside_the_exclusion_is_refused_before_the_scan(self, radius, dim):
+        # every grid point lies within BASE_POINT_EXCLUSION of the base
+        # point, so no sample is left; the oracle is finite there, so this
+        # is no AllInfinite, and only the base value is read
+        seen = []
+
+        def square(x):
+            seen.append(x)
+            return float(np.sum(x * x))
+
+        f = FunctionOracle(square, "square")
+        with pytest.raises(ValueError, match=f"radius {radius} .* than {BASE_POINT_EXCLUSION}"):
+            estimate_growth(f, region(radius, dim), P2, CFG_SMALL)
+        assert len(seen) == 1
 
     def test_minus_infinity_is_refused_not_skipped(self):
         # -inf is not "outside the domain": argmin_ball refuses it, and so
@@ -104,38 +120,34 @@ class TestEstimateGrowth:
             lambda pts: np.where(pts[:, 0] < -0.5, -math.inf, pts[:, 0] ** 2), "sink"
         )
         with pytest.raises(NonFiniteValue, match="-inf"):
-            estimate_growth(f, ORIGIN, region(1.0), P2, CFG_SMALL)
+            estimate_growth(f, region(1.0), P2, CFG_SMALL)
         with pytest.raises(NonFiniteValue):
             argmin_ball(f, region(1.0), CFG_SMALL)
 
     def test_nan_is_refused(self):
         f = FunctionOracle(lambda x: math.nan if x[0] > 0.5 else float(x[0] ** 2), "hole")
         with pytest.raises(NonFiniteValue, match="nan"):
-            estimate_growth(f, ORIGIN, region(1.0), P2, CFG_SMALL)
-
-    def test_base_point_must_be_center(self):
-        with pytest.raises(ValueError):
-            estimate_growth(power_oracle(2.0), np.array([0.5]), region(1.0), P2, CFG_SMALL)
+            estimate_growth(f, region(1.0), P2, CFG_SMALL)
 
     def test_refined_grid_never_increases_estimate(self):
         f = FunctionOracle(lambda x: float(x[0] ** 2 + abs(x[0]) ** 3), "mix")
-        coarse = estimate_growth(f, ORIGIN, region(1.0), P2, SolverConfig(grid_points_per_axis=101))
-        fine = estimate_growth(f, ORIGIN, region(1.0), P2, SolverConfig(grid_points_per_axis=201))
+        coarse = estimate_growth(f, region(1.0), P2, SolverConfig(grid_points_per_axis=101))
+        fine = estimate_growth(f, region(1.0), P2, SolverConfig(grid_points_per_axis=201))
         assert fine.gamma_hat <= coarse.gamma_hat + 1e-12
 
 
 class TestTiltAndLojaEstimates:
     def test_quadratic_constants(self):
         f = power_oracle(2.0)
-        tilt = estimate_tilt_constant(f, ORIGIN, region(10.0), P2, NORMS, 2, CFG)
-        loja = estimate_loja_constant(f, ORIGIN, region(10.0), P2, NORMS, 2, CFG)
+        tilt = estimate_tilt_constant(f, region(10.0), P2, NORMS, 2, CFG)
+        loja = estimate_loja_constant(f, region(10.0), P2, NORMS, 2, CFG)
         assert tilt.kappa_hat == pytest.approx(0.5, rel=1e-6)
         assert loja.mu_hat == pytest.approx(0.25, rel=1e-6)
 
     def test_cubic_constants(self):
         f = power_oracle(3.0)
-        tilt = estimate_tilt_constant(f, ORIGIN, region(10.0), P3, NORMS, 2, CFG)
-        loja = estimate_loja_constant(f, ORIGIN, region(10.0), P3, NORMS, 2, CFG)
+        tilt = estimate_tilt_constant(f, region(10.0), P3, NORMS, 2, CFG)
+        loja = estimate_loja_constant(f, region(10.0), P3, NORMS, 2, CFG)
         assert tilt.kappa_hat == pytest.approx(3.0 ** (-0.5), rel=1e-6)
         assert loja.mu_hat == pytest.approx(3.0 ** (-1.5), rel=1e-6)
 
@@ -144,30 +156,30 @@ class TestTiltAndLojaEstimates:
         # ratio takes its limit, 0
         pq = ExponentPair.from_p(1.001)
         f = power_oracle(1.001)
-        tilt = estimate_tilt_constant(f, ORIGIN, region(10.0), pq, (4.0,), 2, CFG_SMALL)
-        loja = estimate_loja_constant(f, ORIGIN, region(10.0), pq, (4.0,), 2, CFG_SMALL)
+        tilt = estimate_tilt_constant(f, region(10.0), pq, (4.0,), 2, CFG_SMALL)
+        loja = estimate_loja_constant(f, region(10.0), pq, (4.0,), 2, CFG_SMALL)
         assert (tilt.kappa_hat, loja.mu_hat) == (0.0, 0.0)
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_one_sided_bounds_against_growth(self, p):
         pq = ExponentPair.from_p(p)
         f = power_oracle(p)
-        growth = estimate_growth(f, ORIGIN, region(10.0), pq, CFG)
-        tilt = estimate_tilt_constant(f, ORIGIN, region(10.0), pq, NORMS, 2, CFG)
-        loja = estimate_loja_constant(f, ORIGIN, region(10.0), pq, NORMS, 2, CFG)
+        growth = estimate_growth(f, region(10.0), pq, CFG)
+        tilt = estimate_tilt_constant(f, region(10.0), pq, NORMS, 2, CFG)
+        loja = estimate_loja_constant(f, region(10.0), pq, NORMS, 2, CFG)
         assert tilt.kappa_hat <= growth.gamma_hat ** (-pq.q / pq.p) * (1 + 1e-9)
         assert loja.mu_hat <= tilt.kappa_hat * (1 + 1e-9)
 
     def test_enlarging_samples_never_decreases_estimates(self):
         f = FunctionOracle(lambda x: float(x[0] ** 2 + 0.3 * np.sin(x[0]) ** 2), "bumpy")
         kw = dict(cfg=CFG_SMALL)
-        base_t = estimate_tilt_constant(f, ORIGIN, region(5.0), P2, NORMS, 2, **kw)
-        more_dirs = estimate_tilt_constant(f, ORIGIN, region(5.0), P2, NORMS, 4, **kw)
-        more_norms = estimate_tilt_constant(f, ORIGIN, region(5.0), P2, NORMS + (8.0,), 2, **kw)
+        base_t = estimate_tilt_constant(f, region(5.0), P2, NORMS, 2, **kw)
+        more_dirs = estimate_tilt_constant(f, region(5.0), P2, NORMS, 4, **kw)
+        more_norms = estimate_tilt_constant(f, region(5.0), P2, NORMS + (8.0,), 2, **kw)
         assert more_dirs.kappa_hat >= base_t.kappa_hat
         assert more_norms.kappa_hat >= base_t.kappa_hat
-        base_l = estimate_loja_constant(f, ORIGIN, region(5.0), P2, NORMS, 2, **kw)
-        more_l = estimate_loja_constant(f, ORIGIN, region(5.0), P2, NORMS + (8.0,), 2, **kw)
+        base_l = estimate_loja_constant(f, region(5.0), P2, NORMS, 2, **kw)
+        more_l = estimate_loja_constant(f, region(5.0), P2, NORMS + (8.0,), 2, **kw)
         assert more_l.mu_hat >= base_l.mu_hat
 
     def test_minimizer_value_inequality_along_probes(self):
@@ -181,9 +193,9 @@ class TestTiltAndLojaEstimates:
     def test_rejects_bad_sampling_parameters(self):
         f = power_oracle(2.0)
         with pytest.raises(ValueError):
-            estimate_tilt_constant(f, ORIGIN, region(1.0), P2, (0.0,), 2, CFG_SMALL)
+            estimate_tilt_constant(f, region(1.0), P2, (0.0,), 2, CFG_SMALL)
         with pytest.raises(ValueError):
-            estimate_tilt_constant(f, ORIGIN, region(1.0), P2, NORMS, 0, CFG_SMALL)
+            estimate_tilt_constant(f, region(1.0), P2, NORMS, 0, CFG_SMALL)
 
 
 class TestSharedTiltedSolves:
@@ -194,10 +206,9 @@ class TestSharedTiltedSolves:
         else:
             f, pq, cfg, dirs = maxsq2d_oracle(), P2, SolverConfig(grid_points_per_axis=41), 8
         reg = region(2.0, dim)
-        xbar = reg.center
-        growth = estimate_growth(f, xbar, reg, pq, cfg)
-        tilt = estimate_tilt_constant(f, xbar, reg, pq, NORMS, dirs, cfg, seed=3)
-        loja = estimate_loja_constant(f, xbar, reg, pq, NORMS, dirs, cfg, seed=3)
+        growth = estimate_growth(f, reg, pq, cfg)
+        tilt = estimate_tilt_constant(f, reg, pq, NORMS, dirs, cfg, seed=3)
+        loja = estimate_loja_constant(f, reg, pq, NORMS, dirs, cfg, seed=3)
 
         calls = []
 
@@ -243,14 +254,14 @@ class TestSharedPairReduction:
         tilts = diagnostics._tilt_samples(dim, NORMS, dirs, 0)
         pairs = sample_subdifferential_graph(f, reg, tilts, cfg)
 
-        tilt = estimate_tilt_constant(f, xbar, reg, pq, NORMS, dirs, cfg)
+        tilt = estimate_tilt_constant(f, reg, pq, NORMS, dirs, cfg)
         sub = check_subregularity(pairs, xbar, pq, tilt.kappa_hat)
         assert tilt.kappa_hat > 0.0
         assert sub.passed and sub.worst_ratio == tilt.kappa_hat
         np.testing.assert_array_equal(sub.witness_point, tilt.worst_minimizer)
         assert sub.witness_tilt_norm == _norm(tilt.worst_tilt)
 
-        loja = estimate_loja_constant(f, xbar, reg, pq, NORMS, dirs, cfg)
+        loja = estimate_loja_constant(f, reg, pq, NORMS, dirs, cfg)
         glo = check_global_loja(pairs, f, xbar, pq, loja.mu_hat)
         assert loja.mu_hat > 0.0
         assert glo.passed and glo.worst_ratio == loja.mu_hat
@@ -628,6 +639,12 @@ class TestProbes:
         probe = convex_probe(f, ORIGIN, region(1.0), phi, 1.0, 0.0, CFG_SMALL)
         assert probe.perturbation_size == 0.0
         assert probe.passed
+
+    @pytest.mark.parametrize("probe", (lipschitz_probe, convex_probe))
+    def test_base_point_must_be_center(self, probe):
+        zeta = FunctionOracle(lambda y: 3.0, "const", known_constants={"lip": 0.0})
+        with pytest.raises(ValueError, match="^base point must coincide with the region center$"):
+            probe(power_oracle(2.0), np.array([0.5]), region(1.0), zeta, 1.0, 1.0, CFG_SMALL)
 
 
 def _probe_by_loop(f, perturbation, xbar, region, size, lam, kappa, cfg):

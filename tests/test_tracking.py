@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import _reference as reference
 from _reference import neg_laplacian as _neg_laplacian
 from growthlab import tracking as trk
+from growthlab.core import GrowthLabError
 from growthlab.tracking import (
     DescentConfig,
     Grid2D,
@@ -39,6 +40,18 @@ ALPHA, BETA = 0.0, 8.0
 def sinbump(grid):
     x1, x2 = grid.nodes()
     return np.sin(np.pi * x1) * np.sin(np.pi * x2)
+
+
+def _count_cg_passes(monkeypatch):
+    """A list that gains one entry per ``_pcg_solve`` call from now on."""
+    passes, pcg = [], trk._pcg_solve
+
+    def counting(*args):
+        passes.append(args)
+        return pcg(*args)
+
+    monkeypatch.setattr(trk, "_pcg_solve", counting)
+    return passes
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +175,22 @@ class TestAdjointAndLinearized:
         assert _bits(solve_state(f(u), grid)) == _bits(y)
         assert _bits(solve_linearized(f(v), f(y), grid)) == _bits(solve_linearized(v, y, grid))
         assert _bits(solve_adjoint(f(y), f(y_d), grid)) == _bits(solve_adjoint(y, y_d, grid))
+
+    def test_refinement_passes_reach_the_default_solve(self, monkeypatch):
+        y = solve_state(np.full((16, 16), 50.0), GRID)
+        v = np.random.default_rng(0).standard_normal((16, 16))
+        default = solve_linearized(v, y, GRID)
+        # CG stops at 1000x the residual check, so refinement passes must
+        # close the gap
+        monkeypatch.setattr(trk, "SPD_FRACTION", 1e3)
+        passes = _count_cg_passes(monkeypatch)
+        refined = solve_linearized(v, y, GRID)
+        assert len(passes) > 1
+        residual = v - trk._spd_matvec(3.0 * y**2, refined)
+        assert l2_norm(residual, GRID) <= trk.LINEAR_RESIDUAL_TOL
+        # both residuals are at most LINEAR_RESIDUAL_TOL, and the operator's
+        # least eigenvalue is above that of -lap, 19.66 at n = 16
+        assert l2_norm(refined - default, GRID) <= 2.0 * trk.LINEAR_RESIDUAL_TOL / 19.0
 
 
 class TestObjectiveAndCurvature:
@@ -374,6 +403,29 @@ class TestPerturbationSweep:
             assert direct.first_order_residual <= 1e-11
             assert _bits(sample.ratio) == _bits(ratio)
             assert (sample.converged, sample.iterations) == (direct.converged, direct.iterations)
+
+    def test_failed_samples_are_recorded_and_fail_the_verdict(self, default_solution, monkeypatch):
+        _, res = default_solution
+        message = "solve failed, on purpose"
+
+        def failing_at_the_larger_norm(y_d, grid, alpha, beta, cfg, u0=None):
+            # only the warm-started sweep solves at eta norm 1e-1 fail
+            if u0 is not None and l2_norm(y_d - res.target, grid) > 5e-2:
+                raise GrowthLabError(message)
+            return solve_tracking(y_d, grid, alpha, beta, cfg, u0=u0)
+
+        monkeypatch.setattr(trk, "solve_tracking", failing_at_the_larger_norm)
+        report = perturbation_sweep(res, (1e-2, 1e-1), 2, seed=0)
+        failed = [s for s in report.samples if s.eta_norm == 1e-1]
+        solved = [s for s in report.samples if s.eta_norm == 1e-2]
+        assert len(failed) == len(solved) == 2
+        for s in failed:
+            assert math.isnan(s.ratio)
+            assert (s.converged, s.iterations, s.error) == (False, 0, message)
+        assert all(math.isfinite(s.ratio) and s.error == "" for s in solved)
+        assert report.kappa_hat == max(s.ratio for s in solved)
+        assert not report.consistent(0.5)
+        assert report.consistent(0.0)
 
     def test_perturbing_toward_achieved_state_decreases_objective(self, default_solution):
         y_d, res = default_solution
@@ -645,6 +697,15 @@ class TestErrorContract:
             solve_linearized(v, y, GRID)
         with pytest.raises(LinearSolveFailure):
             solve_adjoint(y, np.zeros((16, 16)), GRID)
+
+    def test_linear_residual_above_the_check_after_every_pass_raises(self, monkeypatch):
+        y = solve_state(np.full((16, 16), 2.0), GRID)
+        v = np.random.default_rng(0).standard_normal((16, 16))
+        monkeypatch.setattr(trk, "LINEAR_RESIDUAL_TOL", 1e-300)
+        passes = _count_cg_passes(monkeypatch)
+        with pytest.raises(LinearSolveFailure, match=r"^linear residual .* above 1\.0e-300$"):
+            solve_linearized(v, y, GRID)
+        assert len(passes) == 4
 
     def test_capped_newton_step_raises(self, monkeypatch):
         monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d: 1)
