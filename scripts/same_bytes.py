@@ -13,7 +13,9 @@ with each differing line, and exits 1 if any run differs, 0 if none does.
 README's sizes; every ``diagnose`` and ``prox`` job of block 0 of seeds 0-2
 of the ``catalog-1d`` and ``maxsq-2d`` benchmark workloads
 (``bench/jobs.py``); ``tracking`` at n = 16 and 32; the ``pde-tracking``
-job shape; and one bang-bang ``tracking`` run, which exits 2.
+job shape; one bang-bang ``tracking`` run, which exits 2; and every
+``tracking`` job of block 0 of seeds 0-2 of the ``pde-tracking`` workload,
+with the arguments the benchmark passes.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ from typing import Dict, List, NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 OUT = "out"
 
+sys.path.insert(0, str(ROOT / "bench"))
+import jobs  # noqa: E402  (bench/jobs.py, found through the path above)
+
 
 def _bench_runs() -> List[List[str]]:
     """The CLI jobs of block 0 of seeds 0-2 of the two minimize workloads,
     each setting given as ``--key=value``."""
-    sys.path.insert(0, str(ROOT / "bench"))
-    import jobs
-
     runs = []
     for workload in ("catalog-1d", "maxsq-2d"):
         for seed in range(3):
@@ -50,6 +52,18 @@ def _bench_runs() -> List[List[str]]:
                         argv.append(f"--{key.replace('_', '-')}={text}")
                 runs.append(argv)
     return runs
+
+
+def _bench_tracking_runs() -> List[List[str]]:
+    """The tracking jobs of block 0 of seeds 0-2 of ``pde-tracking``, with
+    the arguments of ``bench/jobs.py``'s ``_run_tracking``."""
+    return [
+        ["tracking", "--n", str(job["n"]), "--amplitude", jobs._num(job["amplitude"]),
+         "--eta-norms", "1e-3,1e-2", "--etas-per-norm", "1", "--ssc-samples", "4",
+         "--seed", str(job["seed"])]
+        for seed in range(3)
+        for job in jobs.make_block("pde-tracking", seed, 0)
+    ]
 
 
 RUNS: List[List[str]] = [
@@ -67,6 +81,7 @@ RUNS: List[List[str]] = [
     ["tracking", "--n", "24", "--amplitude", "0.64", "--eta-norms", "1e-3,1e-2",
      "--etas-per-norm", "1", "--ssc-samples", "4"],
     ["tracking", "--n", "32", "--amplitude", "0.8"],
+    *_bench_tracking_runs(),
 ]
 
 

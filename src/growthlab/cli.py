@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -146,8 +147,27 @@ def _jsonify(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _finite_or_none(obj):
+    """``obj`` with every non-finite float, also inside arrays, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_none(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(val) for val in obj]
+    if isinstance(obj, np.ndarray):
+        return _finite_or_none(obj.tolist())
+    return obj
+
+
 def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True, default=_jsonify) + "\n").encode()
+    """Strict JSON (RFC 8259 has no NaN or Infinity): a payload holding a
+    non-finite float is written with ``null`` in its place."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonify, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_or_none(payload), indent=2, sort_keys=True, allow_nan=False)
+    return (text + "\n").encode()
 
 
 def _config_comment_lines(config: RunConfig) -> List[str]:
@@ -168,8 +188,9 @@ def _csv_bytes(config: RunConfig, header: Sequence[str], rows: Sequence[Sequence
 
 def _matrix_bytes(config: RunConfig, values: np.ndarray) -> bytes:
     lines = [f"# {line}" for line in _config_comment_lines(config)]
-    for row in np.asarray(values, dtype=float):
-        lines.append(" ".join(repr(float(v)) for v in row))
+    # ``tolist`` gives Python floats, whose repr is ``repr(float(v))``
+    for row in np.asarray(values, dtype=float).tolist():
+        lines.append(" ".join(map(repr, row)))
     return ("\n".join(lines) + "\n").encode()
 
 

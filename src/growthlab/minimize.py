@@ -131,10 +131,18 @@ def _ball_grid(center: Tuple[float, ...], radius: float, points_per_axis: int) -
     d = len(center)
     if d > MAX_GRID_DIM:
         raise ValueError(f"grid scan supports dimension <= {MAX_GRID_DIM}, got {d}")
-    axes = [np.linspace(c - radius, c + radius, points_per_axis) for c in center]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    dist = np.linalg.norm(pts - np.array(center), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        axes = [np.linspace(c - radius, c + radius, points_per_axis) for c in center]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        dist = np.linalg.norm(pts - np.array(center), axis=1)
+    if not np.isfinite(dist).all():
+        # dropping the points whose distance overflowed would leave the
+        # center alone
+        raise ValueError(
+            f"the ball of radius {radius} is too large for a grid scan: "
+            f"its grid distances overflow"
+        )
     keep = dist <= radius + BALL_SLACK * max(1.0, radius)
     pts = pts[keep]
     pts.flags.writeable = False

@@ -12,7 +12,9 @@ symmetric positive definite operator ``-lap + diag(d)`` with ``d >= 0`` and
 goes through one conjugate-gradient solver preconditioned by the exact
 inverse of ``-lap`` (matrix-diagonalization fast Poisson solver).  The
 operator ``-lap`` itself is applied as a 5-point stencil; no matrix is
-assembled.
+assembled.  Each CG solve allocates its workspace once per call and
+updates it in place, so an iteration makes no temporary (n, n) arrays;
+no buffer outlives the call.
 
 States, adjoints, controls, and targets are all (n, n) arrays of interior
 nodal values, and so is every field the Newton, CG and stencil layers
@@ -149,11 +151,12 @@ def _neg_lap_stencil(x: np.ndarray) -> np.ndarray:
     h = 1.0 / (x.shape[0] + 1)
     off = -1.0 / h**2
     ox = off * x
-    out = np.zeros(x.shape)
+    out = np.empty(x.shape)
+    out[0] = 0.0
     out[1:] = ox[:-1]
     out[:, 1:] += ox[:, :-1]
     # the centre coefficient 4/h^2 is -4 * off exactly (a power-of-two scale)
-    out -= 4.0 * ox
+    out -= np.multiply(ox, 4.0)
     out[:, :-1] += ox[:, 1:]
     out[:-1] += ox[1:]
     return out
@@ -179,7 +182,7 @@ def _cg_iteration_cap(d: np.ndarray) -> int:
     # classic CG bound needs 0.5 sqrt(cond) ln(2 / CG_RTOL) steps; allow
     # twice that.
     lam_min = _poisson_eigen(d.shape[0])[1][0, 0]
-    cond = 1.0 + float(np.max(d)) / lam_min
+    cond = 1.0 + float(d.max()) / lam_min
     if not math.isfinite(cond):
         raise LinearSolveFailure("operator diagonal is not finite")
     return 10 + int(math.sqrt(cond) * math.log(2.0 / CG_RTOL))
@@ -201,39 +204,60 @@ def _pcg_solve(d: np.ndarray, b: np.ndarray, atol: float = 0.0) -> np.ndarray:
     below ``CG_RTOL`` relative to ``b`` or below ``atol`` in the discrete
     L2 norm, whichever is larger; a non-finite iterate or reaching the
     iteration cap raises ``LinearSolveFailure``.
+
+    Each call allocates its (n, n) workspace once and updates it in place:
+    every product keeps its operands, and only the order of a two-term
+    sum changes, which IEEE addition does not see, so the iterates are
+    bitwise those of the allocating form ``x = x + step * direction``.
+    The returned ``x`` is a fresh array.
     """
     s, lam = _poisson_eigen(b.shape[0])
+    t1 = np.empty(b.shape)
+    t2 = np.empty(b.shape)
 
-    def precondition(r: np.ndarray) -> np.ndarray:
-        return s @ ((s @ r @ s) / lam) @ s
+    def precondition(r: np.ndarray, out: np.ndarray) -> None:
+        # out = s @ ((s @ r @ s) / lam) @ s
+        np.matmul(s, r, out=t1)
+        np.matmul(t1, s, out=t2)
+        np.divide(t2, lam, out=t2)
+        np.matmul(s, t2, out=t1)
+        np.matmul(t1, s, out=out)
 
-    x = np.zeros_like(b)
+    x = np.zeros(b.shape)
     bnorm = math.sqrt(float(np.vdot(b, b)))
     if bnorm == 0.0:
         return x
     # ``atol`` over the mesh width h = 1 / (n + 1), in the Euclidean norm
     stop = max(CG_RTOL * bnorm, atol * (b.shape[0] + 1))
     r = b.copy()
-    z = precondition(r)
-    direction = z
-    w = r
+    z = np.empty(b.shape)
+    precondition(r, z)
+    direction = z.copy()
+    w = r.copy()
+    q = np.empty(b.shape)
+    tmp = np.empty(b.shape)
     rz = float(np.vdot(r, z))
     cap = _cg_iteration_cap(d)
     for _ in range(cap):
-        q = w + d * direction
+        np.multiply(d, direction, out=q)
+        q += w
         step = rz / float(np.vdot(direction, q))
-        x = x + step * direction
-        r = r - step * q
+        np.multiply(step, direction, out=tmp)
+        x += tmp
+        np.multiply(step, q, out=tmp)
+        r -= tmp
         rnorm = math.sqrt(float(np.vdot(r, r)))
         if not math.isfinite(rnorm):
             raise LinearSolveFailure("conjugate gradients produced a non-finite residual")
         if rnorm <= stop:
             return x
-        z = precondition(r)
+        precondition(r, z)
         rz_next = float(np.vdot(r, z))
         beta = rz_next / rz
-        direction = z + beta * direction
-        w = r + beta * w
+        direction *= beta
+        direction += z
+        w *= beta
+        w += r
         rz = rz_next
     raise LinearSolveFailure(
         f"conjugate gradients reached its cap of {cap} iterations at relative "
@@ -250,14 +274,14 @@ def l2_norm(values: np.ndarray, grid: Grid2D) -> float:
 
 def l2_inner(a: np.ndarray, b: np.ndarray, grid: Grid2D) -> float:
     """Discrete L2 inner product: ``h^2 * sum(a * b)``."""
-    return grid.h**2 * float(np.sum(np.asarray(a) * np.asarray(b)))
+    return grid.h**2 * float((np.asarray(a) * np.asarray(b)).sum())
 
 
 def _as_field(values, grid: Grid2D, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (grid.n, grid.n):
         raise ValueError(f"{name} must have shape {(grid.n, grid.n)}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     # row-major, so the preconditioner's matrix products and the inner
     # products see every field in one memory layout

@@ -5,8 +5,13 @@ library applies it as a matrix-free stencil, and the tests compare the
 stencil, and every solve built on it, against the matrix.
 
 ``pcg_solve`` is a frozen copy of the preconditioned CG solver from before
-it took an absolute residual target: it stops at ``CG_RTOL`` relative to
-the right-hand side alone.
+it updated a per-call workspace in place: every iteration allocates its
+temporaries.  At ``atol = 0`` it is the solver from before it took an
+absolute residual target, which stopped at ``CG_RTOL`` relative to the
+right-hand side alone.
+
+``matrix_bytes`` is a frozen copy of the CLI's matrix writer from before it
+wrote rows from ``tolist``: it converts one element at a time.
 
 ``solve_tracking`` is a frozen copy of the spectral projected-gradient
 loop before line-search trials could stop early: every trial's state is
@@ -50,7 +55,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from growthlab import minimize
+from growthlab import cli, minimize
 from growthlab import tracking as trk
 from growthlab.core import (
     BallRegion,
@@ -93,8 +98,8 @@ def neg_laplacian(n: int) -> sp.csr_matrix:
     return ((sp.kron(eye, t) + sp.kron(t, eye)) / h**2).tocsr()
 
 
-def pcg_solve(d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(-lap + diag(d)) x = b`` by CG to ``CG_RTOL`` relative to ``b``."""
+def pcg_solve(d: np.ndarray, b: np.ndarray, atol: float = 0.0) -> np.ndarray:
+    """``(-lap + diag(d)) x = b`` by CG to ``max(CG_RTOL * |b|, atol)``."""
     s, lam = trk._poisson_eigen(b.shape[0])
 
     def precondition(r: np.ndarray) -> np.ndarray:
@@ -104,17 +109,22 @@ def pcg_solve(d: np.ndarray, b: np.ndarray) -> np.ndarray:
     bnorm = math.sqrt(float(np.vdot(b, b)))
     if bnorm == 0.0:
         return x
+    stop = max(trk.CG_RTOL * bnorm, atol * (b.shape[0] + 1))
     r = b.copy()
     z = precondition(r)
     direction = z
     w = r
     rz = float(np.vdot(r, z))
-    for _ in range(trk._cg_iteration_cap(d)):
+    cap = trk._cg_iteration_cap(d)
+    for _ in range(cap):
         q = w + d * direction
         step = rz / float(np.vdot(direction, q))
         x = x + step * direction
         r = r - step * q
-        if math.sqrt(float(np.vdot(r, r))) <= trk.CG_RTOL * bnorm:
+        rnorm = math.sqrt(float(np.vdot(r, r)))
+        if not math.isfinite(rnorm):
+            raise trk.LinearSolveFailure("conjugate gradients produced a non-finite residual")
+        if rnorm <= stop:
             return x
         z = precondition(r)
         rz_next = float(np.vdot(r, z))
@@ -122,7 +132,17 @@ def pcg_solve(d: np.ndarray, b: np.ndarray) -> np.ndarray:
         direction = z + beta * direction
         w = r + beta * w
         rz = rz_next
-    raise trk.LinearSolveFailure("conjugate gradients reached its cap")
+    raise trk.LinearSolveFailure(
+        f"conjugate gradients reached its cap of {cap} iterations at relative "
+        f"residual {rnorm / bnorm:.3e} (target {stop / bnorm:.1e})"
+    )
+
+
+def matrix_bytes(config: cli.RunConfig, values: np.ndarray) -> bytes:
+    lines = [f"# {line}" for line in cli._config_comment_lines(config)]
+    for row in np.asarray(values, dtype=float):
+        lines.append(" ".join(repr(float(v)) for v in row))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def solve_tracking(

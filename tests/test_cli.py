@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _reference as reference
 import growthlab
 from growthlab import cli, diagnostics
 from growthlab import tracking as trk
@@ -26,6 +27,16 @@ MINI_TRACKING = [
     "--n", "8", "--eta-norms", "1e-2,1e-1", "--etas-per-norm", "1",
     "--ssc-samples", "4",
 ]
+
+
+def strict_json(text):
+    """``json.loads`` that refuses ``NaN``, ``Infinity`` and ``-Infinity``,
+    which RFC 8259 does not allow."""
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def run(argv, capsys):
@@ -127,6 +138,22 @@ class TestDiagnose:
         code, _, err = run(["diagnose", "--fn", fn, "--delta", delta, "--out", str(out)], capsys)
         assert code == 1
         assert err.startswith("error: no grid point") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("subcommand", ("diagnose", "prox"))
+    def test_radius_whose_grid_distances_overflow_exits_one_without_files(
+        self, subcommand, tmp_path, capsys
+    ):
+        out = tmp_path / "d"
+        code, stdout, err = run(
+            [subcommand, "--fn", "power", "--delta", "1e200", "--out", str(out)], capsys
+        )
+        assert (code, stdout) == (1, "")
+        assert err == (
+            "error: the ball of radius 1e+200 is too large for a grid scan: "
+            "its grid distances overflow\n"
+        )
         assert not out.exists()
 
     def test_overflowing_tilt_powers_near_p_one_exit_two_with_files(self, tmp_path, capsys):
@@ -284,7 +311,8 @@ class TestTracking:
             capsys,
         )
         assert (code, err) == (2, "")
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = strict_json((out / "manifest.json").read_text())
+        assert manifest["sweep"]["kappa_hat"] is None
         written = sorted(p.name for p in out.iterdir())
         assert written == sorted(manifest["outputs"] + ["manifest.json"])
         assert len(written) == 6
@@ -580,6 +608,61 @@ class TestMedian:
             values = list(rng.lognormal(0.0, 2.0, length))
             expected = np.float64(np.median(values))
             assert np.float64(trk._median(values)).tobytes() == expected.tobytes()
+
+
+class TestStrictJson:
+    def test_infinite_audit_slack_is_written_as_null(self, tmp_path, capsys, monkeypatch):
+        # gamma_hat * mu_hat underflows to 0, so the gamma_vs_mu slack is inf
+        check = diagnostics.check_equivalence
+        monkeypatch.setattr(
+            diagnostics, "check_equivalence", lambda g, k, m, pq: check(5e-324, 1.0, 5e-324, pq)
+        )
+        out = tmp_path / "d"
+        code, _, err = run(
+            ["diagnose", "--fn", "power", "--delta", "1", "--out", str(out)] + FAST_DIAGNOSE,
+            capsys,
+        )
+        assert (code, err) == (2, "")
+        report = strict_json((out / "diagnose_report.json").read_text())
+        assert report["audit"]["gamma_vs_mu"] == {"checked": True, "passed": False, "slack": None}
+        assert report["audit"]["kappa_vs_gamma"]["slack"] == 5e-324
+        strict_json((out / "manifest.json").read_text())
+
+    def test_non_finite_floats_anywhere_become_null(self):
+        payload = {
+            "a": np.array([[1.0, np.nan], [np.inf, -0.0]]),
+            "b": (-np.inf, 2, "x"),
+            "c": {"d": np.float64("nan"), "e": [1.5, None, True]},
+        }
+        assert strict_json(cli._json_bytes(payload).decode()) == {
+            "a": [[1.0, None], [None, -0.0]],
+            "b": [None, 2, "x"],
+            "c": {"d": None, "e": [1.5, None, True]},
+        }
+
+    def test_finite_payload_is_one_plain_dump(self):
+        payload = {"z": np.arange(3.0), "a": [5e-324, -0.0, 1e300], "m": {"k": 5, "s": "t"}}
+        plain = json.dumps(payload, indent=2, sort_keys=True, default=cli._jsonify)
+        assert cli._json_bytes(payload) == (plain + "\n").encode()
+
+
+class TestMatrixWriter:
+    @pytest.mark.parametrize(
+        "values",
+        (
+            np.array([[-0.0, 0.0, 5e-324], [1e-310, 1e300, -1e-300], [-1e300, 0.1, 2.0**-1074]]),
+            np.arange(9).reshape(3, 3),
+            [[1, -2], [3, 4]],
+            np.array([[np.nan, np.inf, -np.inf]]),
+            np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(2, 3),
+            np.arange(12.0).reshape(3, 4).T,
+        ),
+        ids=("signed-zeros-subnormals-extremes", "int-array", "int-list", "non-finite",
+             "float32", "transposed"),
+    )
+    def test_rows_equal_the_per_element_writer(self, values):
+        config = cli.RunConfig("tracking", {"n": 3, "eta_norms": (1e-3, 1e-2)})
+        assert cli._matrix_bytes(config, values) == reference.matrix_bytes(config, values)
 
 
 class TestManifest:

@@ -1,6 +1,7 @@
 """Tests for the ball-constrained global solver."""
 
 import math
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -176,6 +177,22 @@ class TestBallGrid:
         assert not cached.flags.writeable
         np.testing.assert_array_equal(cached, pts[keep])
         np.testing.assert_array_equal(ball_grid(region, 41), pts[keep])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dim, radius", ((1, 1e200), (2, 1e155), (1, 1e308), (3, 1.7e308)))
+    def test_radius_whose_grid_distances_overflow_is_refused(self, dim, radius):
+        # the squared distances overflow: dropping those points would leave
+        # the center alone
+        region = BallRegion(np.zeros(dim), radius)
+        with pytest.raises(ValueError, match=re.escape(f"ball of radius {radius} is too large")):
+            ball_grid(region, 11)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    def test_large_finite_radius_keeps_every_grid_point(self, dim):
+        unit = ball_grid(BallRegion(np.zeros(dim), 1.0), 11)
+        pts = ball_grid(BallRegion(np.zeros(dim), 2.0**500), 11)
+        np.testing.assert_array_equal(pts, 2.0**500 * unit)
 
     def test_argmin_ball_unchanged_by_cached_grid(self):
         f = FunctionOracle(lambda x: float(np.cos(4 * x[0]) + x[1] ** 2), "wave")

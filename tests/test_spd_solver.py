@@ -165,3 +165,80 @@ def test_cg_stops_at_the_absolute_or_relative_target(n, seed, d_max, b_scale, at
     assert residual <= max(atol, trk.CG_RTOL * bnorm) + 1e-13 * bnorm
     if atol == 0.0:
         assert x.tobytes() == reference.pcg_solve(d, b).tobytes()
+
+
+def _solve_outcome(solve, d, b, atol=0.0):
+    """The bytes ``solve`` returns, or the message of the
+    ``LinearSolveFailure`` it raises."""
+    try:
+        return solve(d, b, atol).tobytes()
+    except trk.LinearSolveFailure as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from((4, 8, 16, 24, 32)),
+    seed=st.integers(0, 2**32 - 1),
+    d_max=st.sampled_from((0.0, 1.0, 30.0, 1e3)),
+    b_scale=st.floats(1e-8, 1e8),
+    atol_rel=st.one_of(st.just(0.0), st.floats(1e-18, 1.0)),
+)
+def test_in_place_cg_equals_the_allocating_copy_bitwise(n, seed, d_max, b_scale, atol_rel):
+    """The per-call workspace and in-place updates change no bit of the
+    iterates: every solve equals the frozen allocating solver's."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.0, d_max, (n, n))
+    b = b_scale * rng.standard_normal((n, n))
+    atol = atol_rel * np.linalg.norm(b) / (n + 1)
+    x = trk._pcg_solve(d, b, atol)
+    assert x.tobytes() == reference.pcg_solve(d, b, atol).tobytes()
+
+
+@pytest.mark.parametrize("cap", (1, 3))
+def test_capped_cg_fails_as_the_allocating_copy_does(cap, monkeypatch):
+    grid = Grid2D(16)
+    d = 3.0 * base_state("saturated", grid) ** 2
+    b = np.random.default_rng(cap).standard_normal((16, 16))
+    monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d: cap)
+    message = _solve_outcome(trk._pcg_solve, d, b)
+    assert message.startswith(f"conjugate gradients reached its cap of {cap} iterations")
+    assert message == _solve_outcome(reference.pcg_solve, d, b)
+
+
+@pytest.mark.parametrize(
+    "d_fill, b_scale, message",
+    (
+        (np.nan, 1.0, "operator diagonal is not finite"),
+        (np.inf, 1.0, "operator diagonal is not finite"),
+        (0.0, 1e300, "conjugate gradients produced a non-finite residual"),
+    ),
+)
+def test_non_finite_cg_fails_as_the_allocating_copy_does(d_fill, b_scale, message):
+    n = 8
+    d = np.full((n, n), d_fill)
+    b = b_scale * np.random.default_rng(n).standard_normal((n, n))
+    with np.errstate(all="ignore"):
+        outcomes = [_solve_outcome(solve, d, b) for solve in (trk._pcg_solve, reference.pcg_solve)]
+    assert outcomes == [message, message]
+
+
+@pytest.mark.parametrize("n", (8, 24))
+def test_back_to_back_solves_return_fresh_arrays(n):
+    """No buffer outlives a call: two solves at one n return arrays that
+    share no memory with each other or with the inputs, and each equals
+    a solve of its right-hand side alone."""
+    grid = Grid2D(n)
+    d = 3.0 * base_state("target", grid) ** 2
+    rng = np.random.default_rng(n)
+    b1, b2 = rng.standard_normal((2, n, n))
+    x1 = trk._pcg_solve(d, b1)
+    x2 = trk._pcg_solve(d, b2)
+    zero = trk._pcg_solve(d, np.zeros((n, n)))
+    arrays = (x1, x2, zero, d, b1, b2)
+    for i, a in enumerate(arrays):
+        for other in arrays[i + 1:]:
+            assert not np.shares_memory(a, other)
+    assert x1.tobytes() == trk._pcg_solve(d, b1).tobytes()
+    assert x2.tobytes() == reference.pcg_solve(d, b2).tobytes()
+    assert not zero.any()
