@@ -12,9 +12,8 @@ with each differing line, and exits 1 if any run differs, 0 if none does.
 ``RUNS`` is one fixed list: five ``diagnose`` and three ``prox`` runs at the
 README's sizes; every ``diagnose`` and ``prox`` job of block 0 of seeds 0-2
 of the ``catalog-1d`` and ``maxsq-2d`` benchmark workloads
-(``bench/jobs.py``); ``tracking`` at n = 16 and 32; the ``pde-tracking``
-job shape; one bang-bang ``tracking`` run, which exits 2; and every
-``tracking`` job of block 0 of seeds 0-2 of the ``pde-tracking`` workload,
+(``bench/jobs.py``); ``tracking`` at n = 16 and 32; one bang-bang
+``tracking`` run, which exits 2; and every ``tracking`` job of block 0 of seeds 0-2 of the ``pde-tracking`` workload,
 with the arguments the benchmark passes.
 """
 
@@ -78,8 +77,6 @@ RUNS: List[List[str]] = [
     *_bench_runs(),
     ["tracking", "--n", "16"],
     ["tracking", "--n", "32"],
-    ["tracking", "--n", "24", "--amplitude", "0.64", "--eta-norms", "1e-3,1e-2",
-     "--etas-per-norm", "1", "--ssc-samples", "4"],
     ["tracking", "--n", "32", "--amplitude", "0.8"],
     *_bench_tracking_runs(),
 ]

@@ -141,14 +141,8 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
     return RunConfig(subcommand, values)
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _finite_or_none(obj):
-    """``obj`` with every non-finite float, also inside arrays, as None."""
+    """``obj`` with arrays as lists and every non-finite float as None."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
@@ -161,12 +155,9 @@ def _finite_or_none(obj):
 
 
 def _json_bytes(payload: dict) -> bytes:
-    """Strict JSON (RFC 8259 has no NaN or Infinity): a payload holding a
-    non-finite float is written with ``null`` in its place."""
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonify, allow_nan=False)
-    except ValueError:
-        text = json.dumps(_finite_or_none(payload), indent=2, sort_keys=True, allow_nan=False)
+    """Strict JSON (RFC 8259 has no NaN or Infinity): a non-finite float is
+    written as ``null``."""
+    text = json.dumps(_finite_or_none(payload), indent=2, sort_keys=True, allow_nan=False)
     return (text + "\n").encode()
 
 

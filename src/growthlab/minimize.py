@@ -55,6 +55,9 @@ MAX_GRID_DIM = 4
 # Closed-ball membership slack, absorbs rounding at the boundary.
 BALL_SLACK = 1e-12
 
+# Largest grid-scan keep bound whose square is finite (about 1.34e154).
+GRID_BOUND_LIMIT = math.sqrt(np.finfo(float).max)
+
 # Polish: starts per problem (its best finite grid cells), sweep cap per
 # start, and the step length below which a start stops.
 MULTISTART_COUNT = 8
@@ -131,19 +134,21 @@ def _ball_grid(center: Tuple[float, ...], radius: float, points_per_axis: int) -
     d = len(center)
     if d > MAX_GRID_DIM:
         raise ValueError(f"grid scan supports dimension <= {MAX_GRID_DIM}, got {d}")
-    with np.errstate(over="ignore", invalid="ignore"):
+    bound = radius + BALL_SLACK * max(1.0, radius)
+    if bound > GRID_BOUND_LIMIT:
+        # a point of the ball could overflow its distance and be dropped
+        raise ValueError(
+            f"the ball of radius {radius} is too large for a grid scan: "
+            f"its squared radius overflows"
+        )
+    # only a distance above the radius can overflow here: its cube corner
+    # is dropped as an inf
+    with np.errstate(over="ignore"):
         axes = [np.linspace(c - radius, c + radius, points_per_axis) for c in center]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         dist = np.linalg.norm(pts - np.array(center), axis=1)
-    if not np.isfinite(dist).all():
-        # dropping the points whose distance overflowed would leave the
-        # center alone
-        raise ValueError(
-            f"the ball of radius {radius} is too large for a grid scan: "
-            f"its grid distances overflow"
-        )
-    keep = dist <= radius + BALL_SLACK * max(1.0, radius)
+    keep = dist <= bound
     pts = pts[keep]
     pts.flags.writeable = False
     return pts

@@ -152,7 +152,7 @@ class TestDiagnose:
         assert (code, stdout) == (1, "")
         assert err == (
             "error: the ball of radius 1e+200 is too large for a grid scan: "
-            "its grid distances overflow\n"
+            "its squared radius overflows\n"
         )
         assert not out.exists()
 
@@ -642,7 +642,7 @@ class TestStrictJson:
 
     def test_finite_payload_is_one_plain_dump(self):
         payload = {"z": np.arange(3.0), "a": [5e-324, -0.0, 1e300], "m": {"k": 5, "s": "t"}}
-        plain = json.dumps(payload, indent=2, sort_keys=True, default=cli._jsonify)
+        plain = json.dumps(payload, indent=2, sort_keys=True, default=lambda a: a.tolist())
         assert cli._json_bytes(payload) == (plain + "\n").encode()
 
 

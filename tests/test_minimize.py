@@ -179,10 +179,12 @@ class TestBallGrid:
         np.testing.assert_array_equal(ball_grid(region, 41), pts[keep])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("dim, radius", ((1, 1e200), (2, 1e155), (1, 1e308), (3, 1.7e308)))
+    @pytest.mark.parametrize(
+        "dim, radius", ((1, 1e200), (2, 1.35e154), (2, 1e155), (1, 1e308), (3, 1.7e308))
+    )
     def test_radius_whose_grid_distances_overflow_is_refused(self, dim, radius):
-        # the squared distances overflow: dropping those points would leave
-        # the center alone
+        # the squared radius overflows: dropping the points whose distance
+        # overflows would drop points of the ball
         region = BallRegion(np.zeros(dim), radius)
         with pytest.raises(ValueError, match=re.escape(f"ball of radius {radius} is too large")):
             ball_grid(region, 11)
@@ -193,6 +195,18 @@ class TestBallGrid:
         unit = ball_grid(BallRegion(np.zeros(dim), 1.0), 11)
         pts = ball_grid(BallRegion(np.zeros(dim), 2.0**500), 11)
         np.testing.assert_array_equal(pts, 2.0**500 * unit)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    def test_radius_below_the_limit_drops_only_overflowing_corners(self, dim):
+        # in 2-D and 3-D the cube corners' squared distances overflow; they
+        # lie outside the ball, and every point of the ball is kept
+        radius = 1.3e154
+        assert radius * (1.0 + minimize.BALL_SLACK) <= minimize.GRID_BOUND_LIMIT
+        unit = ball_grid(BallRegion(np.zeros(dim), 1.0), 11)
+        pts = ball_grid(BallRegion(np.zeros(dim), radius), 11)
+        assert pts.shape == unit.shape
+        np.testing.assert_allclose(pts / radius, unit, rtol=0.0, atol=1e-15)
 
     def test_argmin_ball_unchanged_by_cached_grid(self):
         f = FunctionOracle(lambda x: float(np.cos(4 * x[0]) + x[1] ** 2), "wave")

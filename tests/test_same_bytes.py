@@ -76,19 +76,21 @@ def test_every_difference_is_named_with_its_lines(tmp_path, monkeypatch, capsys)
     assert out.splitlines()[-1] == "2 runs: 0 identical, 2 differ"
 
 
-def test_run_list_holds_the_fixed_runs_and_each_parses():
+def test_run_list_holds_the_fixed_runs_and_each_parses(tmp_path, monkeypatch):
     runs = same_bytes.RUNS
-    # README runs, catalog-1d and maxsq-2d jobs, four tracking runs, and
+    # README runs, catalog-1d and maxsq-2d jobs, three tracking runs, and
     # the 8 tracking jobs of a pde-tracking block for each of 3 seeds
-    assert len(runs) == 8 + 3 * 7 + 3 * 4 + 4 + 3 * 8
-    assert [run[0] for run in runs].count("tracking") == 4 + 3 * 8
+    assert len(runs) == 8 + 3 * 7 + 3 * 4 + 3 + 3 * 8
+    assert [run[0] for run in runs].count("tracking") == 3 + 3 * 8
     assert runs[-25] == ["tracking", "--n", "32", "--amplitude", "0.8"]
+    # the arguments the benchmark's tracking runner passes to the CLI
     jobs = same_bytes.jobs
-    bench = [job for seed in range(3) for job in jobs.make_block("pde-tracking", seed, 0)]
-    for run, job in zip(runs[-24:], bench):
-        assert run[:5] == ["tracking", "--n", str(job["n"]), "--amplitude", jobs._num(job["amplitude"])]
-        assert run[5:] == ["--eta-norms", "1e-3,1e-2", "--etas-per-norm", "1", "--ssc-samples", "4",
-                           "--seed", str(job["seed"])]
+    passed = []
+    monkeypatch.setattr(jobs, "_cli", lambda args, out: (passed.append(args), (0, ""))[1])
+    for seed in range(3):
+        for job in jobs.make_block("pde-tracking", seed, 0):
+            jobs.start_job(job, tmp_path)
+    assert runs[-24:] == passed
     parser = cli.build_parser()
     for run in runs:
         config = cli.resolve_config(run[0], parser.parse_args(run))
