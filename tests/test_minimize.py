@@ -191,17 +191,10 @@ class TestBallGrid:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("dim", (1, 2, 3))
-    def test_large_finite_radius_keeps_every_grid_point(self, dim):
-        unit = ball_grid(BallRegion(np.zeros(dim), 1.0), 11)
-        pts = ball_grid(BallRegion(np.zeros(dim), 2.0**500), 11)
-        np.testing.assert_array_equal(pts, 2.0**500 * unit)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("dim", (1, 2, 3))
-    def test_radius_below_the_limit_drops_only_overflowing_corners(self, dim):
-        # in 2-D and 3-D the cube corners' squared distances overflow; they
-        # lie outside the ball, and every point of the ball is kept
-        radius = 1.3e154
+    @pytest.mark.parametrize("radius", (2.0**500, 1.3e154))
+    def test_large_finite_radius_keeps_every_grid_point(self, dim, radius):
+        # at 1.3e154 the cube corners' squared distances overflow in 2-D and
+        # 3-D; they lie outside the ball and are dropped
         assert radius * (1.0 + minimize.BALL_SLACK) <= minimize.GRID_BOUND_LIMIT
         unit = ball_grid(BallRegion(np.zeros(dim), 1.0), 11)
         pts = ball_grid(BallRegion(np.zeros(dim), radius), 11)
