@@ -11,11 +11,11 @@ Oracles are evaluated a batch of points at a time: the whole grid in one
 call, then the candidates of all polish starts at each step direction in
 one call.  A stack of tilted problems shares that grid scan and that polish
 loop.  Each problem's grid values are formed once, to pick its starts and
-to keep the pool of grid points near its grid minimum; its minimizer set is
-cut from that pool and its polished points.  A tilt term ``-<xi, y>`` is
-finite and is subtracted with no mask (``+inf`` minus a finite number stays
-``+inf``); terms that can be ``+inf`` are added by ``compose_oracle``, the
-one home of the ``+inf``-absorbing sum.
+to keep the pool of grid points near its grid minimum; one pass over the
+stack then cuts and deduplicates every minimizer set.  A tilt term
+``-<xi, y>`` is finite and is subtracted with no mask (``+inf`` minus a
+finite number stays ``+inf``); terms that can be ``+inf`` are added by
+``compose_oracle``, the one home of the ``+inf``-absorbing sum.
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ POLISH_STEP_TOLERANCE = 1e-10
 # units of 1 + |m|: many times the rounding error of the minimizer cut.
 POOL_SLACK = 16.0 * np.finfo(float).eps
 
+# Near-optimal points closer than this in every coordinate are one minimizer.
+MINIMIZER_SPACING = 1e-12
+
 
 class AllInfinite(GrowthLabError):
     """The oracle returned +inf at every sampled point of the region; with
@@ -100,8 +103,10 @@ class TiltedSolveResult:
     """Every near-optimal point found, the best value, and the work done.
 
     ``minimizers`` holds all points whose value is within the configured
-    relative tolerance of ``min_value``, sorted lexicographically; callers
-    that need a single point take ``representative``.
+    relative tolerance of ``min_value``, sorted lexicographically, less each
+    point within ``MINIMIZER_SPACING`` in every coordinate of the last *kept*
+    point: a chain of closer points keeps both of its ends.  Callers that
+    need a single point take ``representative``.
     """
 
     minimizers: Tuple[np.ndarray, ...]
@@ -343,9 +348,11 @@ def _solve(
     ``f`` is evaluated on the grid once.  Each problem's grid values are
     formed once, on their own: they give its multistarts and a pool of the
     grid points near its grid minimum.  All starts are polished in one
-    loop, and each minimizer set is cut from the problem's pool and its
-    polished points.  No array holds the grid values of more than one
-    problem.
+    loop.  One pass over the stack of all pools and polished points takes
+    each problem's minimum by a segmented reduction, cuts, sorts by problem
+    and then lexicographically, and drops near-duplicates (``_kept_rows``),
+    bitwise as a pass over each problem alone.  No array holds the grid
+    values of more than one problem.
 
     The pool holds every grid point the final cut can keep: the polished
     minimum is at most the grid minimum, and for a tolerance of at most
@@ -373,7 +380,7 @@ def _solve(
         )
     tol = cfg.minimizer_value_tolerance
 
-    starts, start_values, offsets, pools = [], [], [0], []
+    starts, start_values, counts, pools = [], [], [], []
     for xi in [None] if tilts is None else tilts:
         values = base if xi is None else base - pairing(xi, pts)
         low = values.min()
@@ -383,34 +390,52 @@ def _solve(
         order = _smallest(values, min(MULTISTART_COUNT, n_finite))
         starts.append(pts[order])
         start_values.append(values[order])
-        offsets.append(offsets[-1] + order.size)
+        counts.append(order.size)
         pool = np.flatnonzero(finite & (values <= low + (tol + POOL_SLACK) * (1.0 + abs(low))))
         pools.append((pool, values[pool]))
     spacing = 2.0 * region.radius / (cfg.grid_points_per_axis - 1)
-    start_tilts = None if tilts is None else np.repeat(tilts, np.diff(offsets), axis=0)
+    problems = np.arange(len(pools))
+    start_problem = np.repeat(problems, counts)
+    start_tilts = None if tilts is None else tilts[start_problem]
     x, fx, used = _polish(
         f, np.concatenate(starts), np.concatenate(start_values), start_tilts,
         region, spacing, descriptor,
     )
 
-    results = []
-    for t, (pool, pool_values) in enumerate(pools):
-        mine = slice(offsets[t], offsets[t + 1])
-        # polished points join the pool in start order
-        pool_pts = np.concatenate([pts[pool], x[mine]])
-        pool_vals = np.concatenate([pool_values, fx[mine]])
-        min_value = float(pool_vals.min())
-        cut = min_value + tol * (1.0 + abs(min_value))
-        near = pool_pts[pool_vals <= cut]
+    # every pool, then every polished point: a problem's rows in the order of its own pass
+    problem = np.concatenate([np.repeat(problems, [len(p) for p, _ in pools]), start_problem])
+    stack_pts = np.concatenate([pts[np.concatenate([p for p, _ in pools])], x])
+    stack_vals = np.concatenate([v for _, v in pools] + [fx])
+    sizes = np.bincount(problem, minlength=len(problems))
+    by_problem = stack_vals[np.argsort(problem, kind="stable")]
+    min_values = np.minimum.reduceat(by_problem, np.cumsum(sizes) - sizes)
+    near = np.flatnonzero(stack_vals <= (min_values + tol * (1.0 + np.abs(min_values)))[problem])
+    near = near[np.lexsort((*stack_pts[near].T[::-1], problem[near]))]
+    kept = near[_kept_rows(problem[near].tolist(), stack_pts[near].tolist())]
+    minimizers = stack_pts[kept]
+    ends = np.searchsorted(problem[kept], problems, side="right").tolist()
+    evaluations = np.bincount(start_problem, used, len(problems)).tolist()
+    return tuple(
+        TiltedSolveResult(tuple(minimizers[start:end]), value, len(pts) + int(n))
+        for start, end, value, n in zip([0] + ends, ends, min_values.tolist(), evaluations)
+    )
 
-        minimizers: List[np.ndarray] = []
-        for i in np.lexsort(near.T[::-1]):
-            if minimizers and np.max(np.abs(near[i] - minimizers[-1])) <= 1e-12:
+
+def _kept_rows(problems: List[int], rows: List[List[float]]) -> List[int]:
+    """Indices of the sorted rows each farther than ``MINIMIZER_SPACING``, in some
+    coordinate, from its problem's last kept row."""
+    kept: List[int] = []
+    last_problem, last = -1, None
+    for i, (t, row) in enumerate(zip(problems, rows)):
+        if t == last_problem:
+            for a, b in zip(row, last):
+                if abs(a - b) > MINIMIZER_SPACING:
+                    break
+            else:  # within the spacing in every coordinate
                 continue
-            minimizers.append(near[i])
-        evaluations = len(pts) + int(used[mine].sum())
-        results.append(TiltedSolveResult(tuple(minimizers), min_value, evaluations))
-    return tuple(results)
+        kept.append(i)
+        last_problem, last = t, row
+    return kept
 
 
 def argmin_ball(

@@ -6,13 +6,13 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import _reference as reference
 from growthlab import minimize
 from growthlab.catalog import boxquad_oracle, halfpower_oracle, maxsq2d_oracle, power_oracle
 from growthlab.core import BallRegion, FunctionOracle, _pair_rows, _project_rows, indicator, pairing
-from growthlab.diagnostics import _tilt_samples
+from growthlab.diagnostics import _tilt_samples, sample_subdifferential_graph
 from growthlab.minimize import (
     AllInfinite,
     NonFiniteValue,
@@ -498,7 +498,9 @@ def _evaluate_only(f):
 @st.composite
 def solve_cases(draw):
     """(oracle, tilt stack or None, region, config, multistart count): a
-    stack holds 1-6 tilts, among them a zero tilt and a repeated tilt."""
+    stack holds 2-16 tilts, among them a zero tilt and a repeated tilt;
+    tilts drawn from a few small multiples of one axis give stacks whose
+    minimizer sets coincide or overlap."""
     name = draw(st.sampled_from(sorted(DIFFERENTIAL_ORACLES)))
     make, dims = DIFFERENTIAL_ORACLES[name]
     d = draw(st.sampled_from(dims))
@@ -507,8 +509,12 @@ def solve_cases(draw):
         f = _evaluate_only(f)
     tilts = None
     if draw(st.integers(0, 3)):
-        tilt = st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=d, max_size=d)
-        rows = draw(st.lists(tilt, min_size=0, max_size=4))
+        axis = [0.0] * (d - 1) + [1.0]
+        tilt = st.one_of(
+            st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=d, max_size=d),
+            st.sampled_from((-1.0, -0.5, 0.5, 1.0)).map(lambda c: [c * a for a in axis]),
+        )
+        rows = draw(st.lists(tilt, min_size=0, max_size=14))
         rows.insert(draw(st.integers(0, len(rows))), [0.0] * d)
         rows.insert(draw(st.integers(0, len(rows))), rows[draw(st.integers(0, len(rows) - 1))])
         tilts = np.array(rows)
@@ -526,24 +532,70 @@ def solve_cases(draw):
 
 
 def _outcome(solve, case):
-    """A solve's results as bytes, or its exception's type and message."""
+    """A solve's results as shapes, types and bytes, or its exception's type
+    and message."""
     f, tilts, region, cfg = case
     try:
         results = solve(f, tilts, region, cfg, "f - <xi,.>")
     except Exception as exc:  # the reference's error is part of the contract
         return type(exc), str(exc)
     return [
-        ([m.tobytes() for m in r.minimizers], np.float64(r.min_value).tobytes(), r.evaluations)
+        (
+            [(m.shape, m.tobytes()) for m in r.minimizers],
+            type(r.min_value), np.float64(r.min_value).tobytes(),
+            type(r.evaluations), r.evaluations,
+        )
         for r in results
     ]
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(solve_cases())
+# maxsq2d at xi = (0, 1): its minimizers are the segment x_2 = 1/2, x_1 <= 0,
+# 44 grid points of the unit ball at 101 points per axis; stacked with its
+# repeats, the zero tilt (the segment x_2 = 0, 51 points) and tilts with
+# another segment or a single minimizer
+@example((
+    maxsq2d_oracle(),
+    np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.5], [0.5, 1.0], [0.0, 1.0]]),
+    unit_ball(2),
+    SolverConfig(grid_points_per_axis=101),
+    8,
+))
 def test_solve_matches_frozen_reference_bitwise(case):
     *case, multistarts = case
     with patch.object(minimize, "MULTISTART_COUNT", multistarts):
         assert _outcome(minimize._solve, case) == _outcome(reference.solve, case)
+
+
+@pytest.mark.parametrize("bound, count", [(0.8, 31), (1.0, 41), (1.2, 51)])
+def test_graph_sample_matches_frozen_reference_bitwise(bound, count):
+    # the benchmark's graph job: boxquad, tilts at integer multiples of one
+    # step with an exact zero in the middle, 301 grid points
+    f = boxquad_oracle(bound)
+    region = BallRegion(np.zeros(1), 1.5 * bound)
+    half = count // 2
+    tilts = [np.array([2.0 * bound * i / half]) for i in range(-half, half + 1)]
+    cfg = SolverConfig(grid_points_per_axis=301)
+    pairs = sample_subdifferential_graph(f, region, tilts, cfg)
+    results = reference.solve(f, np.array(tilts), region, cfg, "f - <xi,.>")
+    expected = [(x, xi) for xi, r in zip(tilts, results) for x in r.minimizers]
+    assert len(pairs) > count  # some tilts have more than one minimizer
+    assert [(x.shape, x.tobytes(), xi.tobytes()) for x, xi in pairs] == [
+        (x.shape, x.tobytes(), xi.tobytes()) for x, xi in expected
+    ]
+
+
+def test_kept_rows_compares_with_the_last_kept_row():
+    # b is within the spacing of a and c of b, but c is not of a: a pass
+    # over consecutive differences would drop c too
+    a, b, c = 0.0, 0.75 * minimize.MINIMIZER_SPACING, 1.5 * minimize.MINIMIZER_SPACING
+    assert b - a <= minimize.MINIMIZER_SPACING and c - b <= minimize.MINIMIZER_SPACING
+    assert minimize._kept_rows([0, 0, 0], [[a], [b], [c]]) == [0, 2]
+    # every coordinate must be within the spacing, and each problem starts afresh
+    assert minimize._kept_rows([0, 0], [[0.0, 0.0], [0.0, 2e-12]]) == [0, 1]
+    assert minimize._kept_rows([0, 0, 1, 1], [[a], [b], [a], [b]]) == [0, 2]
+    assert minimize._kept_rows([], []) == []
 
 
 @settings(max_examples=100, deadline=None)
