@@ -590,7 +590,7 @@ def test_kept_rows_compares_with_the_last_kept_row():
     # b is within the spacing of a and c of b, but c is not of a: a pass
     # over consecutive differences would drop c too
     a, b, c = 0.0, 0.75 * minimize.MINIMIZER_SPACING, 1.5 * minimize.MINIMIZER_SPACING
-    assert b - a <= minimize.MINIMIZER_SPACING and c - b <= minimize.MINIMIZER_SPACING
+    assert b - a <= minimize.MINIMIZER_SPACING and c - b <= minimize.MINIMIZER_SPACING < c - a
     assert minimize._kept_rows([0, 0, 0], [[a], [b], [c]]) == [0, 2]
     # every coordinate must be within the spacing, and each problem starts afresh
     assert minimize._kept_rows([0, 0], [[0.0, 0.0], [0.0, 2e-12]]) == [0, 1]
