@@ -1,6 +1,7 @@
 """Tests for the command-line driver: exit codes, file contract,
 configuration precedence, and reproducibility."""
 
+import importlib
 import json
 import os
 import shutil
@@ -13,7 +14,7 @@ import pytest
 
 import _reference as reference
 import growthlab
-from growthlab import cli, diagnostics
+from growthlab import catalog, cli, diagnostics, prox
 from growthlab import tracking as trk
 from growthlab.catalog import CatalogEntry
 from growthlab.cli import main
@@ -62,6 +63,12 @@ def _subprocess_outputs(cwd, argv, **env_vars):
     return proc.stdout, {f.name: f.read_bytes() for f in sorted((cwd / "out").iterdir())}
 
 
+def _loaded(prefix):
+    """Source of an expression: the sorted names of the loaded modules of
+    package ``prefix``."""
+    return f"sorted(m for m in sys.modules if m == {prefix!r} or m.startswith({prefix + '.'!r}))"
+
+
 class TestImport:
     def test_cold_import_loads_no_scipy(self):
         # -I ignores PYTHONPATH and the user site; the package is found
@@ -72,16 +79,122 @@ class TestImport:
             "import json, sys\n"
             f"sys.path.insert(0, {PACKAGE_ROOT!r})\n"
             "import growthlab, growthlab.cli\n"
-            "print(json.dumps([growthlab.__file__, sorted(m for m in sys.modules\n"
-            "    if m == 'scipy' or m.startswith('scipy.'))]))\n"
+            f"print(json.dumps([growthlab.__file__, {_loaded('scipy')}, {_loaded('growthlab')}]))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        where, scipy_modules = json.loads(proc.stdout)
+        where, scipy_modules, growthlab_modules = json.loads(proc.stdout)
         assert Path(where).resolve().parents[1] == Path(PACKAGE_ROOT)
         assert scipy_modules == []
+        assert growthlab_modules == ["growthlab", "growthlab.cli", "growthlab.core"]
+
+    # In-process tests cannot see a subcommand that works only after another
+    # one's modules are loaded, since by then pytest has loaded them all.
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            pytest.param(argv, modules, id=" ".join(argv))
+            for argv, modules in (
+                (["catalog"], ["catalog"]),
+                (["tracking", "--n", "8"], ["tracking"]),
+                (["diagnose", "--fn", "power", "--grid-points", "201"],
+                 ["catalog", "diagnostics", "minimize"]),
+                (["prox"], ["catalog", "minimize", "prox"]),
+            )
+        ],
+    )
+    def test_each_subcommand_loads_only_its_own_modules(self, argv, modules, tmp_path):
+        # -I leaves the package off sys.path, so the code puts its root
+        # there and then runs growthlab.cli as ``-m`` does, as __main__
+        # (so not also as growthlab.cli); the list is printed at exit,
+        # after the subcommand's own output.  Files go to the default
+        # --out under tmp_path.
+        code = (
+            "import atexit, json, runpy, sys\n"
+            f"sys.path.insert(0, {PACKAGE_ROOT!r})\n"
+            f"sys.argv[1:] = {argv!r}\n"
+            f"atexit.register(lambda: print(json.dumps({_loaded('growthlab')})))\n"
+            "runpy.run_module('growthlab.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-B", "-c", code],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == ["growthlab"] + sorted(f"growthlab.{m}" for m in ["core", *modules])
+
+
+# The names ``growthlab`` re-exports, by defining module, written out so
+# that a name dropped from or added to the package's table shows here.
+PACKAGE_EXPORTS = {
+    "core": (
+        "BallRegion", "ExponentPair", "FunctionOracle", "GrowthLabError", "as_vector",
+        "duality_map", "indicator", "pairing",
+    ),
+    "minimize": (
+        "AllInfinite", "NonFiniteValue", "SolverConfig", "TiltedSolveResult", "argmin_ball",
+        "argmin_perturbed", "argmin_tilted", "ball_grid",
+    ),
+    "diagnostics": (
+        "DiagnosticsReport", "EquivalenceAudit", "GraphCheck", "GrowthEstimate",
+        "LojaEstimate", "NegativeGap", "ProbeResult", "SlopeInfinite", "TiltEstimate",
+        "check_equivalence", "check_global_loja", "check_subregularity", "convex_probe",
+        "estimate_growth", "estimate_loja_constant", "estimate_tilt_constant",
+        "lipschitz_probe", "metric_slope", "run_diagnostics", "sample_subdifferential_graph",
+        "unit_directions",
+    ),
+    "prox": (
+        "EpsilonNotBelowGamma", "ProxConfig", "ProxTrajectory", "RateAudit", "audit_rates",
+        "prox_step", "run_prox",
+    ),
+    "tracking": (
+        "DescentConfig", "Grid2D", "NewtonDivergence", "NoSamplesInShell", "SweepReport",
+        "TrackingResult", "default_target", "l2_inner", "l2_norm", "objective",
+        "perturbation_sweep", "second_order_form", "sine_combination", "solve_adjoint",
+        "solve_linearized", "solve_state", "solve_tracking", "ssc_estimate",
+    ),
+    "catalog": ("CATALOG", "CatalogEntry", "get_entry"),
+}
+
+
+class TestPackageNamespace:
+    def test_all_holds_exactly_the_exported_names(self):
+        names = [name for names in PACKAGE_EXPORTS.values() for name in names]
+        assert len(names) == 65
+        assert sorted(growthlab.__all__) == sorted(names)
+
+    @pytest.mark.parametrize("module", sorted(PACKAGE_EXPORTS))
+    def test_each_name_is_the_defining_modules_object(self, module):
+        home = importlib.import_module(f"growthlab.{module}")
+        listed = dir(growthlab)
+        for name in PACKAGE_EXPORTS[module]:
+            assert getattr(growthlab, name) is getattr(home, name), name
+            assert name in listed
+
+    def test_a_replaced_name_resolves_to_the_current_object(self, monkeypatch):
+        # the benchmark's tracer replaces functions in their modules and
+        # restores them; neither name may keep a replaced object
+        original = diagnostics.run_diagnostics
+        monkeypatch.setattr(diagnostics, "run_diagnostics", lambda *args: None)
+        assert growthlab.run_diagnostics is diagnostics.run_diagnostics
+        assert cli.run_diagnostics is diagnostics.run_diagnostics
+        monkeypatch.undo()
+        assert growthlab.run_diagnostics is original
+        assert cli.run_diagnostics is original
+
+    @pytest.mark.parametrize("module", (growthlab, cli))
+    def test_unknown_name_raises_attribute_error_naming_it(self, module):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+
+    def test_from_import_binds_submodules(self):
+        from growthlab import catalog, diagnostics
+
+        assert catalog is sys.modules["growthlab.catalog"]
+        assert diagnostics is sys.modules["growthlab.diagnostics"]
 
 
 class TestCatalog:
@@ -189,7 +302,7 @@ class TestImproperOracleValues:
         def build():
             return FunctionOracle.from_batch(BAD_ORACLES[name], name)
 
-        monkeypatch.setitem(cli.CATALOG, "bad", CatalogEntry("bad", name, 1, build, {}))
+        monkeypatch.setitem(catalog.CATALOG, "bad", CatalogEntry("bad", name, 1, build, {}))
         out = tmp_path / "b"
         code, stdout, err = run(
             [subcommand, "--fn", "bad", "--delta", "1", "--out", str(out)], capsys
@@ -521,7 +634,7 @@ class TestConfigValidation:
         monkeypatch.setattr(trk, "solve_tracking", no_solve)
         monkeypatch.setattr(diagnostics, "estimate_growth", no_solve)
         monkeypatch.setattr(diagnostics, "argmin_tilted", no_solve)
-        monkeypatch.setattr(cli, "run_prox", no_solve)
+        monkeypatch.setattr(prox, "run_prox", no_solve)
         for i, (argv, message) in enumerate(INVALID_SETTINGS):
             out = tmp_path / str(i)
             code, _, err = run(argv + ["--out", str(out)], capsys)
