@@ -13,8 +13,9 @@ with each differing line, and exits 1 if any run differs, 0 if none does.
 README's sizes; every ``diagnose`` and ``prox`` job of block 0 of seeds 0-2
 of the ``catalog-1d`` and ``maxsq-2d`` benchmark workloads
 (``bench/jobs.py``); ``tracking`` at n = 16 and 32; one bang-bang
-``tracking`` run, which exits 2; and every ``tracking`` job of block 0 of seeds 0-2 of the ``pde-tracking`` workload,
-with the arguments the benchmark passes.
+``tracking`` run, which exits 2; and every ``tracking`` job of block 0 of
+seeds 0-2 of the ``pde-tracking`` workload.  Each benchmark run holds the
+arguments the benchmark's own job runner passes to the CLI.
 """
 
 from __future__ import annotations
@@ -35,34 +36,21 @@ sys.path.insert(0, str(ROOT / "bench"))
 import jobs  # noqa: E402  (bench/jobs.py, found through the path above)
 
 
-def _bench_runs() -> List[List[str]]:
-    """The CLI jobs of block 0 of seeds 0-2 of the two minimize workloads,
-    each setting given as ``--key=value``."""
-    runs = []
-    for workload in ("catalog-1d", "maxsq-2d"):
+def _bench_runs(workload: str) -> List[List[str]]:
+    """The arguments ``bench/jobs.py``'s runners pass to the CLI for the
+    CLI jobs of block 0 of seeds 0-2 of ``workload``, recorded by running
+    each job with ``jobs._cli`` replaced by a recorder."""
+    runs: List[List[str]] = []
+    cli = jobs._cli
+    jobs._cli = lambda args, out: (runs.append(args), (0, ""))[1]
+    try:
         for seed in range(3):
             for job in jobs.make_block(workload, seed, 0):
-                if job["kind"] not in ("diagnose", "prox"):
-                    continue
-                argv = [job["kind"]]
-                for key, val in job.items():
-                    if key != "kind":
-                        text = ",".join(map(str, val)) if isinstance(val, list) else str(val)
-                        argv.append(f"--{key.replace('_', '-')}={text}")
-                runs.append(argv)
+                if job["kind"] in ("diagnose", "prox", "tracking"):
+                    jobs.start_job(job, Path(OUT))
+    finally:
+        jobs._cli = cli
     return runs
-
-
-def _bench_tracking_runs() -> List[List[str]]:
-    """The tracking jobs of block 0 of seeds 0-2 of ``pde-tracking``, with
-    the arguments of ``bench/jobs.py``'s ``_run_tracking``."""
-    return [
-        ["tracking", "--n", str(job["n"]), "--amplitude", jobs._num(job["amplitude"]),
-         "--eta-norms", "1e-3,1e-2", "--etas-per-norm", "1", "--ssc-samples", "4",
-         "--seed", str(job["seed"])]
-        for seed in range(3)
-        for job in jobs.make_block("pde-tracking", seed, 0)
-    ]
 
 
 RUNS: List[List[str]] = [
@@ -74,11 +62,12 @@ RUNS: List[List[str]] = [
     ["prox", "--fn", "power", "--iterations", "10"],
     ["prox", "--fn", "maxsq2d", "--x0=1.5,0.7"],
     ["prox", "--fn", "boxquad"],
-    *_bench_runs(),
+    *_bench_runs("catalog-1d"),
+    *_bench_runs("maxsq-2d"),
     ["tracking", "--n", "16"],
     ["tracking", "--n", "32"],
     ["tracking", "--n", "32", "--amplitude", "0.8"],
-    *_bench_tracking_runs(),
+    *_bench_runs("pde-tracking"),
 ]
 
 

@@ -31,8 +31,10 @@ __all__ = [
 ]
 
 
-# Absolute slack on the radius in closed-ball membership tests.
-CONTAINS_SLACK = 1e-12
+# Slack on the radius in closed-ball membership, relative above radius 1.
+BALL_SLACK = 1e-12
+# Largest membership bound whose square is finite (about 1.34e154).
+GRID_BOUND_LIMIT = math.sqrt(np.finfo(float).max)
 
 
 class GrowthLabError(Exception):
@@ -85,9 +87,15 @@ class ExponentPair:
         return cls(p)
 
 
+def _ball_bound(radius: float) -> float:
+    """The largest distance from the center that membership admits."""
+    return radius + BALL_SLACK * max(1.0, radius)
+
+
 @dataclass(frozen=True)
 class BallRegion:
-    """Closed Euclidean ball of positive finite radius around ``center``."""
+    """Closed Euclidean ball of positive finite radius around ``center``; the
+    one home of the membership slack and of the overflowing-radius refusal."""
 
     center: np.ndarray
     radius: float
@@ -96,16 +104,19 @@ class BallRegion:
         object.__setattr__(self, "center", as_vector(self.center))
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
+        if _ball_bound(self.radius) > GRID_BOUND_LIMIT:  # a distance could overflow
+            msg = f"the ball of radius {self.radius} is too large for a grid scan"
+            raise ValueError(msg + ": its squared radius overflows")
 
     @property
     def dim(self) -> int:
         return self.center.size
 
     def contains(self, x) -> bool:
-        """Closed-ball membership with absolute ``CONTAINS_SLACK`` on the
-        radius."""
+        """Closed-ball membership, with ``BALL_SLACK * max(1, radius)`` on
+        the radius."""
         x = as_vector(x, self.dim)
-        return bool(_norm(x - self.center) <= self.radius + CONTAINS_SLACK)
+        return bool(_norm(x - self.center) <= _ball_bound(self.radius))
 
     def project_rows(self, points: np.ndarray) -> np.ndarray:
         """Radial projection of each row of a finite ``(m, d)`` array onto

@@ -31,6 +31,7 @@ from .core import (
     BallRegion,
     FunctionOracle,
     GrowthLabError,
+    _ball_bound,
     _pair_rows,
     _project_rows,
     _row_norms,
@@ -51,12 +52,6 @@ __all__ = [
 ]
 
 MAX_GRID_DIM = 4
-
-# Closed-ball membership slack, absorbs rounding at the boundary.
-BALL_SLACK = 1e-12
-
-# Largest grid-scan keep bound whose square is finite (about 1.34e154).
-GRID_BOUND_LIMIT = math.sqrt(np.finfo(float).max)
 
 # Polish: starts per problem (its best finite grid cells), sweep cap per
 # start, and the step length below which a start stops.
@@ -139,21 +134,14 @@ def _ball_grid(center: Tuple[float, ...], radius: float, points_per_axis: int) -
     d = len(center)
     if d > MAX_GRID_DIM:
         raise ValueError(f"grid scan supports dimension <= {MAX_GRID_DIM}, got {d}")
-    bound = radius + BALL_SLACK * max(1.0, radius)
-    if bound > GRID_BOUND_LIMIT:
-        # a point of the ball could overflow its distance and be dropped
-        raise ValueError(
-            f"the ball of radius {radius} is too large for a grid scan: "
-            f"its squared radius overflows"
-        )
-    # only a distance above the radius can overflow here: its cube corner
-    # is dropped as an inf
+    # BallRegion refuses a radius whose bound squares to inf, so only a
+    # distance above the radius can overflow: its cube corner is dropped
     with np.errstate(over="ignore"):
         axes = [np.linspace(c - radius, c + radius, points_per_axis) for c in center]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         dist = np.linalg.norm(pts - np.array(center), axis=1)
-    keep = dist <= bound
+    keep = dist <= _ball_bound(radius)
     pts = pts[keep]
     pts.flags.writeable = False
     return pts

@@ -92,6 +92,11 @@ class TestDualityMap:
     def test_zero_maps_to_zero(self, p):
         np.testing.assert_array_equal(duality_map([0.0, 0.0], p), [0.0, 0.0])
 
+    @pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+    def test_p_below_one_or_not_finite_is_refused(self, p):
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            duality_map([1.0, 2.0], p)
+
     @given(finite_vectors(), st.floats(1.01, 4.0))
     def test_norm_and_alignment_identities(self, coords, p):
         x = np.asarray(coords)
@@ -121,6 +126,11 @@ class TestTypes:
         region = BallRegion(np.zeros(2), 2.0)
         assert region.contains([2.0, 0.0])
         assert not region.contains([2.0, 1.0])
+        # the slack on the radius is 1e-12, times the radius above 1
+        assert BallRegion(np.zeros(1), 0.5).contains([0.5 + 1e-12])
+        assert not BallRegion(np.zeros(1), 0.5).contains([0.5 + 2e-12])
+        assert BallRegion(np.zeros(1), 1e6).contains([1e6 + 1e-6])
+        assert not BallRegion(np.zeros(1), 1e6).contains([1e6 + 2e-6])
         np.testing.assert_allclose(region.project_rows(np.array([[4.0, 0.0]])), [[2.0, 0.0]])
 
     def test_vector_validation(self):

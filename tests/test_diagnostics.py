@@ -893,6 +893,10 @@ class TestUnitDirections:
         np.testing.assert_allclose(np.linalg.norm(large, axis=1), 1.0, rtol=1e-12)
         np.testing.assert_allclose(small, large[::2], atol=1e-15)
 
+    def test_count_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            unit_directions(2, 0)
+
     def test_seeded_high_dimensional_prefix(self):
         a = unit_directions(3, 4, seed=7)
         b = unit_directions(3, 8, seed=7)

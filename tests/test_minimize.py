@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import _reference as reference
-from growthlab import minimize
+from growthlab import core, minimize
 from growthlab.catalog import boxquad_oracle, halfpower_oracle, maxsq2d_oracle, power_oracle
 from growthlab.core import BallRegion, FunctionOracle, _pair_rows, _project_rows, indicator, pairing
 from growthlab.diagnostics import _tilt_samples, sample_subdifferential_graph
@@ -184,10 +184,9 @@ class TestBallGrid:
     )
     def test_radius_whose_grid_distances_overflow_is_refused(self, dim, radius):
         # the squared radius overflows: dropping the points whose distance
-        # overflows would drop points of the ball
-        region = BallRegion(np.zeros(dim), radius)
+        # overflows would drop points of the ball; the ball itself refuses it
         with pytest.raises(ValueError, match=re.escape(f"ball of radius {radius} is too large")):
-            ball_grid(region, 11)
+            ball_grid(BallRegion(np.zeros(dim), radius), 11)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("dim", (1, 2, 3))
@@ -195,7 +194,7 @@ class TestBallGrid:
     def test_large_finite_radius_keeps_every_grid_point(self, dim, radius):
         # at 1.3e154 the cube corners' squared distances overflow in 2-D and
         # 3-D; they lie outside the ball and are dropped
-        assert radius * (1.0 + minimize.BALL_SLACK) <= minimize.GRID_BOUND_LIMIT
+        assert radius * (1.0 + core.BALL_SLACK) <= core.GRID_BOUND_LIMIT
         unit = ball_grid(BallRegion(np.zeros(dim), 1.0), 11)
         pts = ball_grid(BallRegion(np.zeros(dim), radius), 11)
         assert pts.shape == unit.shape
@@ -218,6 +217,8 @@ class TestBallGrid:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(grid_points_per_axis=2)
+        with pytest.raises(ValueError, match="points_per_axis must be >= 3"):
+            ball_grid(unit_ball(dim=2), 2)
         with pytest.raises(ValueError):
             SolverConfig(minimizer_value_tolerance=0.0)
 

@@ -93,6 +93,23 @@ class TestRunProx:
         for k, pt in enumerate(traj.points):
             assert pt[0] == pytest.approx(0.2**k, rel=1e-4, abs=1e-12)
 
+    @pytest.mark.parametrize("radius", (1e5, 1e6))
+    def test_iterates_on_a_large_sphere_stay_in_the_ball(self, radius):
+        # every step lands on the sphere, up to a rounding beyond it: the
+        # grid and the anchor check must admit it by the same slack
+        f = FunctionOracle.from_batch(lambda x: -(x[:, 0] + x[:, 1]), "linear")
+        cfg = ProxConfig(
+            epsilon=0.5,
+            exponents=P2,
+            iterations=3,
+            region=BallRegion(np.zeros(2), radius),
+            solver=SolverConfig(grid_points_per_axis=41),
+        )
+        corner = radius * np.ones(2) / np.sqrt(2.0)
+        traj = run_prox(f, (1.0 - 1e-6) * corner, cfg)
+        assert all(cfg.region.contains(x) for x in traj.points)
+        np.testing.assert_allclose(traj.points[-1], corner, rtol=1e-9)
+
     def test_records_per_step_metadata(self):
         traj = run_prox(power_oracle(2.0), [1.0], make_config(iterations=2))
         assert len(traj.steps) == 2

@@ -83,14 +83,18 @@ def test_run_list_holds_the_fixed_runs_and_each_parses(tmp_path, monkeypatch):
     assert len(runs) == 8 + 3 * 7 + 3 * 4 + 3 + 3 * 8
     assert [run[0] for run in runs].count("tracking") == 3 + 3 * 8
     assert runs[-25] == ["tracking", "--n", "32", "--amplitude", "0.8"]
-    # the arguments the benchmark's tracking runner passes to the CLI
+    # the recorder is gone once the list is built
     jobs = same_bytes.jobs
+    assert jobs._cli.__module__ == "jobs"
+    # the arguments the benchmark's runners pass to the CLI
     passed = []
     monkeypatch.setattr(jobs, "_cli", lambda args, out: (passed.append(args), (0, ""))[1])
-    for seed in range(3):
-        for job in jobs.make_block("pde-tracking", seed, 0):
-            jobs.start_job(job, tmp_path)
-    assert runs[-24:] == passed
+    for workload in ("catalog-1d", "maxsq-2d", "pde-tracking"):
+        for seed in range(3):
+            for job in jobs.make_block(workload, seed, 0):
+                if job["kind"] in ("diagnose", "prox", "tracking"):
+                    jobs.start_job(job, tmp_path)
+    assert runs[8:-27] + runs[-24:] == passed
     parser = cli.build_parser()
     for run in runs:
         config = cli.resolve_config(run[0], parser.parse_args(run))

@@ -102,6 +102,10 @@ class TestStateSolver:
             Grid2D(3)
         with pytest.raises(ValueError):
             solve_state(np.zeros((4, 4)), GRID)
+        u = np.zeros((16, 16))
+        u[3, 5] = np.nan
+        with pytest.raises(ValueError, match="u has non-finite entries"):
+            solve_state(u, GRID)
 
 
 class TestAdjointAndLinearized:
