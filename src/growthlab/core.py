@@ -75,10 +75,13 @@ class ExponentPair:
     def __post_init__(self) -> None:
         if not (self.p > 1.0 and math.isfinite(self.p)):
             raise ValueError(f"p must be finite and > 1, got {self.p}")
-        q = self.p / (self.p - 1.0)
+        # a Python float, so that powers of p and q overflow as OverflowError
+        p = float(self.p)
+        q = p / (p - 1.0)
         # p / (p - 1) rounds to 1.0 for p above about 2**53
         if not q > 1.0:
-            raise ValueError(f"q = p / (p - 1) must be > 1, got {q} at p = {self.p}")
+            raise ValueError(f"q = p / (p - 1) must be > 1, got {q} at p = {p}")
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
     @classmethod

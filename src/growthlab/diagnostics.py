@@ -13,12 +13,13 @@ therefore carry the multiplicative slack factor ``SLACK_FACTOR``.
 A tilt sample is solved as one stacked ``argmin_tilted`` call (one grid
 scan, one lockstep polish) and becomes ``(minimizer, tilt)`` pairs in tilt
 order, then minimizer order; ``run_diagnostics`` solves its sample once.
-The tilt estimators and the subdifferential-graph checks reduce such pairs
-through one rule: the first pair with the strictly largest ratio wins.  Each
-reduction is one whole-array pass over the stacked pairs: row norms, one
-``evaluate_rows`` call where values of f are needed, and the norms' powers
-taken as Python floats, so every ratio is the one a loop over the pairs
-would compute.
+Each tilt inequality has one evidence rule, which its estimator and its
+graph check share: pairs within ``BASE_POINT_EXCLUSION`` of the base point,
+and for the value gap also rounding-level tilts, are skipped, and of the
+rest the first pair with the strictly largest ratio wins.  The ratios come
+from one whole-array pass: row norms, one ``evaluate_rows`` call where values
+of f are needed, and the norms' powers taken as Python floats, so every
+ratio is the one a loop over the pairs would compute.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ SLOPE_SEED = 0
 # carry solver wobble, absorbed by this absolute distance allowance.
 PROBE_DISTANCE_SLACK = 1e-9
 
-# Graph checks treat a tilt norm at or below this fraction of the sample's
-# largest tilt norm as zero: it is rounding left in a tilt meant to be zero,
-# such as the middle point of np.linspace(-a, a, 2k + 1).
+# The value-gap inequality treats a tilt norm at or below this fraction of
+# the sample's largest tilt norm as zero: it is rounding left in a tilt meant
+# to be zero, such as the middle point of np.linspace(-a, a, 2k + 1).
 TILT_ROUNDING_RTOL = 64 * np.finfo(float).eps
 
 # A sampled ``(point, tilt)`` pair of the subdifferential graph.
@@ -127,8 +128,8 @@ class GrowthEstimate:
 
 @dataclass(frozen=True)
 class TiltEstimate:
-    """Worst distance-to-tilt-norm ratio over all sampled tilted problems
-    and all of their reported minimizers (under-estimate)."""
+    """Worst distance-to-tilt-norm ratio over the ``(minimizer, tilt)`` pairs
+    of sampled tilted problems that carry evidence (under-estimate)."""
 
     kappa_hat: float
     worst_tilt: np.ndarray
@@ -137,8 +138,8 @@ class TiltEstimate:
 
 @dataclass(frozen=True)
 class LojaEstimate:
-    """Worst value-gap-to-tilt-norm ratio over all sampled tilted problems
-    (under-estimate)."""
+    """Worst value-gap-to-tilt-norm ratio over the ``(minimizer, tilt)``
+    pairs of sampled tilted problems that carry evidence (under-estimate)."""
 
     mu_hat: float
     worst_tilt: np.ndarray
@@ -339,39 +340,56 @@ def _powers(norms: np.ndarray, e: float) -> np.ndarray:
     return np.array([_power(t, e) for t in norms.tolist()], dtype=float)
 
 
-def _tilt_ratios(dist: np.ndarray, tilt_norms: np.ndarray, pq: ExponentPair) -> np.ndarray:
-    """``|x - xbar| / |xi|^(q/p)`` per pair from the two norms; ``inf`` at
-    ``xi = 0``."""
+def _distance_ratios(
+    points: np.ndarray, tilts: np.ndarray, xbar: np.ndarray, pq: ExponentPair
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evidence for ``|x - xbar| <= kappa |xi|^(q/p)``: the mask of the pairs
+    ``(x, xi)`` farther than ``BASE_POINT_EXCLUSION`` from ``xbar``, their
+    ratios ``|x - xbar| / |xi|^(q/p)`` (``inf`` at ``xi = 0``), tilt norms."""
+    dist = _row_norms(points - xbar)
+    keep = dist > BASE_POINT_EXCLUSION
+    tilt_norms = _row_norms(tilts[keep])
     power = _powers(tilt_norms, pq.q / pq.p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(power > 0.0, dist / power, math.inf)
+        return keep, np.where(power > 0.0, dist[keep] / power, math.inf), tilt_norms
 
 
-def _loja_ratios(gap: np.ndarray, tilt_norms: np.ndarray, pq: ExponentPair) -> np.ndarray:
-    """``(f(x) - f(xbar)) / |xi|^q`` per pair from the gap and the tilt norm."""
+def _gap_ratios(
+    points: np.ndarray, tilts: np.ndarray, f: FunctionOracle, xbar: np.ndarray, pq: ExponentPair
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evidence for ``f(x) - f(xbar) <= mu |xi|^q``: the mask of the pairs
+    ``_distance_ratios`` keeps whose tilt norm is above rounding level next
+    to the largest one sampled, their ratios ``(f(x) - f(xbar)) / |xi|^q``
+    and tilt norms.  ``f(xbar)`` is checked before the pairs' values."""
+    fbar = _base_value(f, xbar)
+    tilt_norms = _row_norms(tilts)
+    keep = _row_norms(points - xbar) > BASE_POINT_EXCLUSION
+    keep &= tilt_norms > TILT_ROUNDING_RTOL * np.max(tilt_norms, initial=0.0)
+    points, tilt_norms = points[keep], tilt_norms[keep]
+    values = f.evaluate_rows(points) if len(points) else np.empty(0)
+    _check_values(values, points, f.descriptor)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return gap / _powers(tilt_norms, pq.q)
+        return keep, (values - fbar) / _powers(tilt_norms, pq.q), tilt_norms
 
 
 def _tilt_estimate(
     points: np.ndarray, tilts: np.ndarray, xbar: np.ndarray, pq: ExponentPair
 ) -> TiltEstimate:
-    ratios = _tilt_ratios(_row_norms(points - xbar), _row_norms(tilts), pq)
+    keep, ratios, _ = _distance_ratios(points, tilts, xbar, pq)
     i = _first_largest(ratios, 0.0)
     if i is None:
         return TiltEstimate(0.0, np.zeros(xbar.size), xbar.copy())
-    return TiltEstimate(float(ratios[i]), tilts[i], points[i])
+    return TiltEstimate(float(ratios[i]), tilts[keep][i], points[keep][i])
 
 
 def _loja_estimate(
-    points: np.ndarray, tilts: np.ndarray, f: FunctionOracle, fbar: float,
-    xbar: np.ndarray, pq: ExponentPair,
+    points: np.ndarray, tilts: np.ndarray, f: FunctionOracle, xbar: np.ndarray, pq: ExponentPair
 ) -> LojaEstimate:
-    ratios = _loja_ratios(f.evaluate_rows(points) - fbar, _row_norms(tilts), pq)
+    keep, ratios, _ = _gap_ratios(points, tilts, f, xbar, pq)
     i = _first_largest(ratios, 0.0)
     if i is None:
         return LojaEstimate(0.0, np.zeros(xbar.size))
-    return LojaEstimate(float(ratios[i]), tilts[i])
+    return LojaEstimate(float(ratios[i]), tilts[keep][i])
 
 
 def estimate_tilt_constant(
@@ -386,8 +404,8 @@ def estimate_tilt_constant(
     """Worst ``|x - xbar| / |xi|^(q/p)`` over sampled tilted problems,
     where the base point ``xbar`` is the center of ``region``.
 
-    Every reported minimizer of every tilted problem contributes; the
-    estimate is a lower bound on the true constant.
+    Every reported minimizer farther than ``BASE_POINT_EXCLUSION`` from
+    ``xbar`` contributes; the estimate is a lower bound on the true constant.
     """
     tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
     return _tilt_estimate(*_tilted_pairs(f, tilts, region, cfg), region.center, pq)
@@ -402,12 +420,10 @@ def estimate_loja_constant(
     cfg: SolverConfig,
     seed: int = 0,
 ) -> LojaEstimate:
-    """Worst ``(f(x) - f(xbar)) / |xi|^q`` over sampled tilted problems,
-    where the base point ``xbar`` is the center of ``region``."""
-    xbar = region.center
-    fbar = _base_value(f, xbar)
+    """Worst ``(f(x) - f(xbar)) / |xi|^q`` over the pairs of sampled tilted
+    problems that ``check_global_loja`` counts; ``xbar`` is the center of ``region``."""
     tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
-    return _loja_estimate(*_tilted_pairs(f, tilts, region, cfg), f, fbar, xbar, pq)
+    return _loja_estimate(*_tilted_pairs(f, tilts, region, cfg), f, region.center, pq)
 
 
 def check_equivalence(
@@ -464,12 +480,10 @@ def run_diagnostics(
     the same ``(minimizer, tilt)`` pairs.
     """
     tilts = _tilt_samples(region.dim, tilt_norms, directions_per_norm, seed)
-    xbar = region.center
     growth = estimate_growth(f, region, pq, cfg)
-    fbar = _base_value(f, xbar)
     points, tilts = _tilted_pairs(f, tilts, region, cfg)
-    tilt = _tilt_estimate(points, tilts, xbar, pq)
-    loja = _loja_estimate(points, tilts, f, fbar, xbar, pq)
+    tilt = _tilt_estimate(points, tilts, region.center, pq)
+    loja = _loja_estimate(points, tilts, f, region.center, pq)
     audit = check_equivalence(growth.gamma_hat, tilt.kappa_hat, loja.mu_hat, pq)
     return DiagnosticsReport(growth, tilt, loja, audit, pq, region)
 
@@ -619,58 +633,44 @@ def _graph_pairs(pairs: Sequence[Pair], dim: int) -> Tuple[np.ndarray, np.ndarra
 
 
 def _graph_check(
-    ratios: np.ndarray, points: np.ndarray, tilt_norms: np.ndarray, bound: float
+    keep: np.ndarray, ratios: np.ndarray, tilt_norms: np.ndarray, points: np.ndarray, bound: float
 ) -> GraphCheck:
-    """The verdict on the first pair with the strictly largest ratio; a
-    NaN ratio of the first pair is never beaten."""
+    """The verdict on the first pair in ``keep`` with the strictly largest
+    ratio; a NaN ratio of the first such pair is never beaten."""
     if ratios.size == 0:
         return GraphCheck(True, True, None, None, None)
     i = _first_largest(ratios, ratios[0]) or 0
     ratio = float(ratios[i])
-    return GraphCheck(ratio <= bound, False, ratio, points[i], float(tilt_norms[i]))
+    return GraphCheck(ratio <= bound, False, ratio, points[keep][i], float(tilt_norms[i]))
 
 
 def check_subregularity(
-    pairs: Sequence[Pair],
-    xbar,
-    pq: ExponentPair,
-    kappa: float,
+    pairs: Sequence[Pair], xbar, pq: ExponentPair, kappa: float
 ) -> GraphCheck:
     """Check ``|x - xbar| <= kappa * |xi|^(q/p)`` over sampled graph pairs
     ``(x, xi)``; a point's worst pair has its smallest sampled tilt norm,
     which approximates the distance from zero to its subdifferential.
-    Pairs at the base point carry no evidence and are skipped.  A NaN or
-    infinite entry in a point or a tilt raises ``ValueError``."""
+    Pairs within ``BASE_POINT_EXCLUSION`` of ``xbar`` carry no evidence
+    and are skipped.  A NaN or infinite entry in a point or a tilt raises
+    ``ValueError``."""
     xbar = as_vector(xbar)
     points, tilts = _graph_pairs(pairs, xbar.size)
-    dist = _row_norms(points - xbar)
-    keep = dist > BASE_POINT_EXCLUSION
-    tilt_norms = _row_norms(tilts[keep])
-    return _graph_check(_tilt_ratios(dist[keep], tilt_norms, pq), points[keep], tilt_norms, kappa)
+    return _graph_check(*_distance_ratios(points, tilts, xbar, pq), points, kappa)
 
 
 def check_global_loja(
-    pairs: Sequence[Pair],
-    f: FunctionOracle,
-    xbar,
-    pq: ExponentPair,
-    mu: float,
+    pairs: Sequence[Pair], f: FunctionOracle, xbar, pq: ExponentPair, mu: float
 ) -> GraphCheck:
     """Check ``f(x) - f(xbar) <= mu * |xi|^q`` over sampled graph pairs ``(x, xi)``.
 
-    Pairs whose tilt norm is zero, or at rounding level next to the largest
-    tilt norm sampled, carry no evidence and are skipped; the other pairs of
-    the same point still count.  A NaN or infinite entry in a point or a
-    tilt raises ``ValueError``, and a NaN or ``-inf`` value of ``f`` at a
-    pair that counts, or at ``xbar``, raises ``NonFiniteValue``.  A ``+inf``
-    value gives a ratio of ``+inf``, which fails the check.
+    Pairs within ``BASE_POINT_EXCLUSION`` of ``xbar``, and pairs whose tilt
+    norm is zero or at rounding level next to the largest tilt norm sampled,
+    carry no evidence and are skipped; the other pairs of the same point
+    still count.  A NaN or infinite entry in a point or a tilt raises
+    ``ValueError``, and a NaN or ``-inf`` value of ``f`` at ``xbar``, or at
+    a pair that counts, raises ``NonFiniteValue``.  A ``+inf`` value gives a
+    ratio of ``+inf``, which fails the check.
     """
     xbar = as_vector(xbar)
     points, tilts = _graph_pairs(pairs, xbar.size)
-    fbar = _base_value(f, xbar)
-    tilt_norms = _row_norms(tilts)
-    keep = tilt_norms > TILT_ROUNDING_RTOL * np.max(tilt_norms, initial=0.0)
-    points, tilt_norms = points[keep], tilt_norms[keep]
-    values = f.evaluate_rows(points) if len(points) else np.empty(0)
-    _check_values(values, points, f.descriptor)
-    return _graph_check(_loja_ratios(values - fbar, tilt_norms, pq), points, tilt_norms, mu)
+    return _graph_check(*_gap_ratios(points, tilts, f, xbar, pq), points, mu)

@@ -33,7 +33,13 @@ whole-array passes: a loop over ``(point, tilt)`` pairs that takes two
 scalar norms per pair and, for the value-gap ratios, calls the oracle on
 one point at a time.  ``tilt_estimate``, ``loja_estimate``,
 ``check_subregularity`` and ``check_global_loja`` are its four callers, as
-they were; the graph checks did not yet refuse non-finite pairs.
+they were; the graph checks did not yet refuse non-finite pairs.  The
+estimators counted every pair, and the value-gap check every pair at the
+base point.  ``tilt_estimate_skipping``, ``loja_estimate_skipping`` and
+``check_global_loja_skipping`` are the same loops under the evidence rule
+that each estimator now shares with its graph check: a pair within
+``BASE_POINT_EXCLUSION`` of the base point carries no evidence, and for the
+value gap neither does a tilt at rounding level next to the largest tilt.
 
 ``compose_oracle`` is a frozen copy of the ``f + term`` wrapper from before
 it skipped the gather and scatter when every value of ``f`` is finite.
@@ -432,6 +438,41 @@ def loja_estimate(
     return LojaEstimate(mu_hat, xi)
 
 
+def gap_ratio_skipping(
+    pairs: Sequence[Pair], f: FunctionOracle, xbar: np.ndarray, pq: ExponentPair
+):
+    fbar = _base_value(f, xbar)
+    zero_norm = TILT_ROUNDING_RTOL * max((_norm(xi) for _, xi in pairs), default=0.0)
+
+    def ratio(x, xi):
+        d = _norm(xi)
+        if _norm(x - xbar) <= BASE_POINT_EXCLUSION or d <= zero_norm:
+            return None
+        return loja_ratio(f(x) - fbar, d, pq)
+
+    return ratio
+
+
+def tilt_estimate_skipping(
+    pairs: Sequence[Pair], xbar: np.ndarray, pq: ExponentPair
+) -> TiltEstimate:
+    def ratio(x, xi):
+        lhs = _norm(x - xbar)
+        return None if lhs <= BASE_POINT_EXCLUSION else tilt_ratio(lhs, _norm(xi), pq)
+
+    kappa_hat, x, xi = worst_pair(pairs, ratio, start=(0.0, xbar.copy(), np.zeros(xbar.size)))
+    return TiltEstimate(kappa_hat, xi, x)
+
+
+def loja_estimate_skipping(
+    pairs: Sequence[Pair], f: FunctionOracle, xbar: np.ndarray, pq: ExponentPair
+) -> LojaEstimate:
+    mu_hat, _, xi = worst_pair(
+        pairs, gap_ratio_skipping(pairs, f, xbar, pq), start=(0.0, xbar, np.zeros(xbar.size))
+    )
+    return LojaEstimate(mu_hat, xi)
+
+
 def graph_pairs(pairs: Sequence[Pair], dim: int) -> List[Pair]:
     pairs = [(np.asarray(x, dtype=float), np.asarray(xi, dtype=float)) for x, xi in pairs]
     if any(v.shape != (dim,) for pair in pairs for v in pair):
@@ -470,6 +511,14 @@ def check_global_loja(
         return loja_ratio(f(x) - fbar, d, pq) if d > zero_norm else None
 
     return graph_check(worst_pair(pairs, ratio), mu)
+
+
+def check_global_loja_skipping(
+    pairs: Sequence[Pair], f: FunctionOracle, xbar, pq: ExponentPair, mu: float
+) -> GraphCheck:
+    xbar = as_vector(xbar)
+    pairs = graph_pairs(pairs, xbar.size)
+    return graph_check(worst_pair(pairs, gap_ratio_skipping(pairs, f, xbar, pq)), mu)
 
 
 def compose_oracle(

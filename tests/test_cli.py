@@ -269,19 +269,23 @@ class TestDiagnose:
         )
         assert not out.exists()
 
-    def test_overflowing_tilt_powers_near_p_one_exit_two_with_files(self, tmp_path, capsys):
+    def test_overflowing_tilt_powers_near_p_one_pass_at_the_closed_forms(self, tmp_path, capsys):
         # at p = 1.001 the tilt powers |xi|^(q/p) and |xi|^q overflow at
         # |xi| = 4; their ratios take the limit 0 and the audit runs
         out = tmp_path / "d"
         code, stdout, err = run(
             ["diagnose", "--fn", "power", "--p", "1.001", "--out", str(out)], capsys
         )
-        assert (code, err) == (2, "")
-        assert "audit=FAIL" in stdout
+        assert (code, err) == (0, "")
+        assert "audit=pass" in stdout
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == ["diagnose_report.json", "diagnose_report.csv"]
         report = json.loads((out / "diagnose_report.json").read_text())
-        assert report["audit"]["all_pass"] is False
+        assert report["audit"]["all_pass"] is True
+        p = 1.001
+        q = p / (p - 1.0)
+        assert report["tilt"]["kappa_hat"] == pytest.approx(p ** (-q / p), rel=1e-6)
+        assert report["loja"]["mu_hat"] == pytest.approx(p ** (-q), rel=1e-6)
 
 
 # Oracles that break the error contract somewhere on the unit ball: NaN or

@@ -118,6 +118,13 @@ class TestTypes:
         with pytest.raises(ValueError, match="q = p / \\(p - 1\\) must be > 1"):
             ExponentPair(2.0**54)
 
+    @pytest.mark.parametrize("p", (np.float64(1.001), np.float32(1.5), 2, 3.0))
+    def test_exponents_are_python_floats(self, p):
+        # Python's float power raises OverflowError where numpy's warns
+        pq = ExponentPair(p)
+        assert (type(pq.p), type(pq.q)) == (float, float)
+        assert pq.p == float(p) and pq.q == pq.p / (pq.p - 1.0)
+
     def test_ball_region_validation(self):
         with pytest.raises(ValueError):
             BallRegion(np.zeros(2), -1.0)

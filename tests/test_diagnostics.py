@@ -160,6 +160,31 @@ class TestTiltAndLojaEstimates:
         loja = estimate_loja_constant(f, region(10.0), pq, (4.0,), 2, CFG_SMALL)
         assert (tilt.kappa_hat, loja.mu_hat) == (0.0, 0.0)
 
+    def test_numpy_exponent_overflows_to_inf(self):
+        # the pair holds Python floats, so the power overflows as the
+        # OverflowError it catches, not as numpy's RuntimeWarning
+        pq = ExponentPair(np.float64(1.001))
+        assert diagnostics._power(4.0, pq.q) == math.inf
+        assert diagnostics._powers(np.array([0.5, 4.0]), pq.q / pq.p)[1] == math.inf
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(-5.0, -1.0),
+        st.sampled_from((1.0, 10.0)),
+        st.sampled_from((201, 2001)),
+    )
+    def test_one_sided_near_p_one(self, log_excess, radius, points):
+        # p - 1 from 1e-5 to 0.1, log-uniform.  Below p = 1 + 2e-6 the tilted
+        # objective is flatter than the minimizer value tolerance over a
+        # segment, and the farthest minimizer of that segment overshoots kappa.
+        pq = ExponentPair(1.0 + 10.0**log_excess)
+        report = run_diagnostics(
+            power_oracle(pq.p), region(radius), pq,
+            SolverConfig(grid_points_per_axis=points), NORMS, 2,
+        )
+        assert report.tilt.kappa_hat / pq.p ** (-pq.q / pq.p) == pytest.approx(1.0, rel=0.05)
+        assert report.loja.mu_hat / pq.p ** (-pq.q) == pytest.approx(1.0, rel=0.05)
+
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_one_sided_bounds_against_growth(self, p):
         pq = ExponentPair.from_p(p)
@@ -237,6 +262,7 @@ class TestSharedPairReduction:
     over the pairs of one tilt sample."""
 
     CASES = {
+        "power-1.01": (power_oracle(1.01), ExponentPair.from_p(1.01), 1),
         "power-1.5": (power_oracle(1.5), ExponentPair.from_p(1.5), 1),
         "power-2": (power_oracle(2.0), P2, 1),
         "power-3": (power_oracle(3.0), P3, 1),
@@ -338,22 +364,35 @@ def pair_samples(draw):
     return xbar, pq, f, points, tilts, draw(st.sampled_from(("worst", 0.5, 2.0)))
 
 
+def _evidence_masks(xbar, points, tilts):
+    """The pairs farther than the exclusion from ``xbar``, and the pairs
+    whose tilt is at rounding level next to the sample's largest tilt."""
+    norms = _row_norms(tilts)
+    far = _row_norms(points - xbar) > BASE_POINT_EXCLUSION
+    return far, norms <= TILT_ROUNDING_RTOL * np.max(norms, initial=0.0)
+
+
 class TestPairReductionMatchesLoop:
-    """The whole-array reductions equal the frozen per-pair loop bitwise."""
+    """The whole-array reductions equal the frozen per-pair loops bitwise:
+    the loops under the evidence rule on every sample, and the loops from
+    before it wherever the rule skips no pair they count."""
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(pair_samples())
     def test_graph_checks(self, sample):
         xbar, pq, f, points, tilts, bound = sample
         pairs = tuple(zip(points, tilts))
+        far, rounding = _evidence_masks(xbar, points, tilts)
         # the value-gap check refuses f = NaN at a pair it keeps
-        norms = _row_norms(tilts)
-        kept = points[norms > TILT_ROUNDING_RTOL * np.max(norms, initial=0.0)]
+        kept = points[far & ~rounding]
         nan_kept = len(kept) and np.isnan(f.evaluate_rows(kept)).any()
-        for check, old_check, args in (
+        cases = [
             (check_subregularity, reference.check_subregularity, (xbar, pq)),
-            (check_global_loja, reference.check_global_loja, (f, xbar, pq)),
-        ):
+            (check_global_loja, reference.check_global_loja_skipping, (f, xbar, pq)),
+        ]
+        if far.all():  # the old loop skipped rounding-level tilts too
+            cases.append((check_global_loja, reference.check_global_loja, (f, xbar, pq)))
+        for check, old_check, args in cases:
             if check is check_global_loja and nan_kept:
                 with pytest.raises(NonFiniteValue, match="nan"):
                     check(pairs, *args, 1.0)
@@ -369,20 +408,22 @@ class TestPairReductionMatchesLoop:
     def test_estimators(self, sample):
         xbar, pq, f, points, tilts, _ = sample
         pairs = tuple(zip(points, tilts))
-        _assert_same_fields(
-            diagnostics._tilt_estimate(points, tilts, xbar, pq),
-            reference.tilt_estimate(pairs, xbar, pq),
-        )
-        # a tilt sample holds no zero tilt, at which the loop divided by zero
-        nonzero = np.any(tilts != 0.0, axis=1)
-        if not nonzero.any():
+        far, rounding = _evidence_masks(xbar, points, tilts)
+        tilt = diagnostics._tilt_estimate(points, tilts, xbar, pq)
+        _assert_same_fields(tilt, reference.tilt_estimate_skipping(pairs, xbar, pq))
+        if far.all():
+            _assert_same_fields(tilt, reference.tilt_estimate(pairs, xbar, pq))
+
+        kept = points[far & ~rounding]
+        if len(kept) and np.isnan(f.evaluate_rows(kept)).any():
+            with pytest.raises(NonFiniteValue, match="nan"):
+                diagnostics._loja_estimate(points, tilts, f, xbar, pq)
             return
-        points, tilts = points[nonzero], tilts[nonzero]
-        fbar = f(xbar)
-        _assert_same_fields(
-            diagnostics._loja_estimate(points, tilts, f, fbar, xbar, pq),
-            reference.loja_estimate(tuple(zip(points, tilts)), f, fbar, xbar, pq),
-        )
+        loja = diagnostics._loja_estimate(points, tilts, f, xbar, pq)
+        _assert_same_fields(loja, reference.loja_estimate_skipping(pairs, f, xbar, pq))
+        # the old loop divided by every tilt, zero tilts included
+        if far.all() and not rounding.any():
+            _assert_same_fields(loja, reference.loja_estimate(pairs, f, f(xbar), xbar, pq))
 
     def test_skips_ties_and_non_finite_values(self):
         pq, xbar = P2, np.zeros(1)
@@ -822,18 +863,19 @@ class TestSubdifferentialGraph:
 
     def test_global_loja_skips_rounding_level_tilt(self):
         f = boxquad_oracle(1.0)
-        tiny = np.array([2.220446049250313e-16])
+        # x = -2^-25 lies outside the base-point exclusion; 2^-50 is a
+        # rounding-level tilt next to 1.5
         pairs = (
-            (-tiny, tiny),
+            (np.array([-(2.0**-25)]), np.array([2.0**-50])),
             (np.array([0.5]), np.array([1.0])),
             (np.array([-0.75]), np.array([-1.5])),
         )
         check = check_global_loja(pairs, f, ORIGIN, P2, mu=0.275)
         assert check.passed and not check.vacuous
         assert check.worst_ratio == pytest.approx(0.25, rel=1e-12)
-        # with no larger tilt beside it, the same norm is evidence (ratio 1)
+        # with no larger tilt beside it, the same norm is evidence: 2^-50 / 2^-100
         alone = check_global_loja(pairs[:1], f, ORIGIN, P2, mu=0.275)
-        assert not alone.passed and alone.worst_ratio == pytest.approx(1.0)
+        assert not alone.passed and alone.worst_ratio == 2.0**50
 
     def test_global_loja_skips_only_the_rounding_level_pair(self):
         f = boxquad_oracle(1.0)
