@@ -22,8 +22,6 @@ _EXPORTS = {
         "FunctionOracle",
         "GrowthLabError",
         "as_vector",
-        "duality_map",
-        "indicator",
         "pairing",
     ),
     "minimize": (
@@ -80,7 +78,6 @@ _EXPORTS = {
         "l2_norm",
         "objective",
         "perturbation_sweep",
-        "second_order_form",
         "sine_combination",
         "solve_adjoint",
         "solve_linearized",

@@ -26,8 +26,6 @@ __all__ = [
     "FunctionOracle",
     "as_vector",
     "pairing",
-    "duality_map",
-    "indicator",
 ]
 
 
@@ -121,11 +119,6 @@ class BallRegion:
         x = as_vector(x, self.dim)
         return bool(_norm(x - self.center) <= _ball_bound(self.radius))
 
-    def project_rows(self, points: np.ndarray) -> np.ndarray:
-        """Radial projection of each row of a finite ``(m, d)`` array onto
-        the closed ball; rows already inside are returned unchanged."""
-        return _project_rows(self, points)[0]
-
 
 @dataclass(frozen=True)
 class FunctionOracle:
@@ -199,8 +192,9 @@ def _pair_rows(points: np.ndarray, tilts: np.ndarray) -> np.ndarray:
 
 
 def _project_rows(region: BallRegion, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``region.project_rows(points)`` and the ``(m,)`` mask of the rows it
-    moved, which land on the sphere."""
+    """Radial projection of each row of a finite ``(m, d)`` array onto the
+    closed ball of ``region``, as a new array, and the ``(m,)`` mask of the
+    rows it moved, which land on the sphere; rows inside are unchanged."""
     out = np.array(points, dtype=float)
     offset = out - region.center
     nrm = _row_norms(offset)
@@ -243,27 +237,3 @@ def pairing(xi, x) -> Union[float, np.ndarray]:
         return _pair_rows(rows, xi)
     x = as_vector(x, xi.size)
     return float(_pair_rows(x[None, :], xi)[0])
-
-
-def duality_map(x, p: float) -> np.ndarray:
-    """Normalized gauge map: ``|x|^(p-2) * x``, the zero form at ``x = 0``.
-
-    The result is aligned with ``x`` and has norm ``|x|^(p-1)``; at ``p = 2``
-    it is the identity.
-    """
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise ValueError(f"p must be finite and >= 1, got {p}")
-    x = as_vector(x)
-    nrm = _norm(x)
-    if nrm == 0.0:
-        return np.zeros_like(x)
-    return nrm ** (p - 2.0) * x
-
-
-def indicator(predicate: Callable[[np.ndarray], bool]) -> Callable[[np.ndarray], float]:
-    """Extended-real indicator of the set where ``predicate`` holds."""
-
-    def value(x: np.ndarray) -> float:
-        return 0.0 if predicate(x) else math.inf
-
-    return value

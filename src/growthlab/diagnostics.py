@@ -532,11 +532,12 @@ def _probe(
     cfg: SolverConfig,
 ) -> ProbeResult:
     """Solve ``f + perturbation`` and check its minimizer farthest from the
-    center of ``region`` (the first, on ties) against ``kappa * size**lam``."""
+    center of ``region`` (the first, on ties) against ``kappa * size**lam``,
+    which is ``inf`` where the power overflows and 0 at ``kappa = 0``."""
     result = argmin_perturbed(f, perturbation, region, cfg)
     witness = max(result.minimizers, key=lambda x: _norm(x - region.center))
     worst = _norm(witness - region.center)
-    bound = kappa * size**lam
+    bound = kappa * _power(size, lam) if kappa else 0.0
     return ProbeResult(worst <= bound + PROBE_DISTANCE_SLACK, bound, worst, witness, size)
 
 

@@ -39,9 +39,8 @@ margin ``margin = -SPG_ARMIJO * <p, move>`` and the current state ``y``:
 the trial's objective is then known to a tenth of the margin its Armijo
 test asks for.  Newton's own stop, ``|residual| <= STATE_RESIDUAL_TOL``,
 is unchanged.  The adjoint and linearized solves, also those of
-``second_order_form`` and ``ssc_estimate``, stop their CG at
-``SPD_FRACTION * LINEAR_RESIDUAL_TOL`` and keep their true-residual check
-and refinement.  ``solve_state`` and ``objective`` solve to ``CG_RTOL``.
+``ssc_estimate``, stop their CG at ``SPD_FRACTION * LINEAR_RESIDUAL_TOL``
+and keep their true-residual check and refinement.  ``solve_state`` and ``objective`` solve to ``CG_RTOL``.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ __all__ = [
     "solve_adjoint",
     "solve_linearized",
     "objective",
-    "second_order_form",
     "solve_tracking",
     "ssc_estimate",
     "sine_combination",
@@ -417,16 +415,6 @@ def objective(u, y_d, grid: Grid2D) -> float:
     y = solve_state(u, grid)
     y_d = _as_field(y_d, grid, "y_d")
     return 0.5 * l2_norm(y - y_d, grid) ** 2
-
-
-def second_order_form(ubar, v, y_d, grid: Grid2D) -> float:
-    """Second-order value ``sum (1 - 6 y p) z_v^2`` of the objective at
-    ``ubar`` in direction ``v`` (discrete quadrature)."""
-    y = solve_state(ubar, grid)
-    p = solve_adjoint(y, y_d, grid)
-    z = solve_linearized(v, y, grid)
-    weight = 1.0 - 6.0 * y * p
-    return l2_inner(weight * z, z, grid)
 
 
 @dataclass(frozen=True)

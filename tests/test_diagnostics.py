@@ -16,7 +16,6 @@ from growthlab.core import (
     FunctionOracle,
     _norm,
     _row_norms,
-    indicator,
     pairing,
 )
 from growthlab.diagnostics import (
@@ -563,7 +562,7 @@ class TestMetricSlope:
         assert metric_slope(phi, [1.0]) == pytest.approx(2.0, abs=1e-5)
 
     def test_outside_domain_is_infinite(self):
-        phi = FunctionOracle(indicator(lambda y: y[0] >= 1.0), "shifted")
+        phi = FunctionOracle(lambda y: 0.0 if y[0] >= 1.0 else math.inf, "shifted")
         assert math.isinf(metric_slope(phi, [0.0]))
 
     def test_matches_direction_by_direction_probe(self):
@@ -670,7 +669,7 @@ class TestProbes:
 
     def test_indicator_excluding_base_point(self):
         f = power_oracle(2.0)
-        phi = FunctionOracle(indicator(lambda y: -1.0 <= y[0] <= -0.3), "slab")
+        phi = FunctionOracle(lambda y: 0.0 if -1.0 <= y[0] <= -0.3 else math.inf, "slab")
         with pytest.raises(SlopeInfinite):
             convex_probe(f, ORIGIN, region(1.0), phi, 1.0, 1.0, CFG_SMALL)
 
@@ -680,6 +679,22 @@ class TestProbes:
         probe = convex_probe(f, ORIGIN, region(1.0), phi, 1.0, 0.0, CFG_SMALL)
         assert probe.perturbation_size == 0.0
         assert probe.passed
+
+    @pytest.mark.parametrize("kappa", (1.0, 0.0))
+    def test_overflowing_power_bound(self, kappa):
+        # 1e200**2 and 1e300**2 overflow a float: the bound is inf, which
+        # every minimizer lies within, except at kappa = 0, where it is 0
+        f = power_oracle(2.0)
+        zeta = FunctionOracle(lambda y: 3.0, "const", known_constants={"lip": 1e200})
+        phi = FunctionOracle(lambda y: float(1e300 * y[0]), "steep")
+        lip = lipschitz_probe(f, ORIGIN, region(1.0), zeta, 2.0, kappa, CFG_SMALL)
+        cvx = convex_probe(f, ORIGIN, region(1.0), phi, 2.0, kappa, CFG_SMALL)
+        bound = math.inf if kappa else 0.0
+        assert (lip.bound, cvx.bound) == (bound, bound)
+        # the constant leaves the minimizer at the center, the slope pushes
+        # it to the sphere
+        assert lip.passed and cvx.worst_distance == 1.0
+        assert cvx.passed is (bound == math.inf)
 
     @pytest.mark.parametrize("probe", (lipschitz_probe, convex_probe))
     def test_base_point_must_be_center(self, probe):
