@@ -111,6 +111,19 @@ class TestTypes:
         assert not BallRegion(np.zeros(1), 1e6).contains([1e6 + 2e-6])
         np.testing.assert_allclose(_project_rows(region, np.array([[4.0, 0.0]]))[0], [[2.0, 0.0]])
 
+    def test_project_rows_moves_only_outside_rows(self):
+        region = BallRegion(np.array([1.0, -1.0]), 2.0)
+        points = np.array([[1.0, -1.0], [2.0, 0.0], [1.0, 3.0], [-5.0, 7.0]])
+        before = points.copy()
+        out, moved = _project_rows(region, points)
+        np.testing.assert_array_equal(points, before)
+        np.testing.assert_array_equal(moved, [False, False, True, True])
+        np.testing.assert_array_equal(out[:2], points[:2])
+        np.testing.assert_allclose(out[2], [1.0, 1.0])
+        np.testing.assert_allclose(np.linalg.norm(out[moved] - region.center, axis=1), 2.0)
+        # each moved row stays on its ray from the center
+        np.testing.assert_allclose(out[3] - region.center, 0.2 * (points[3] - region.center))
+
     def test_vector_validation(self):
         with pytest.raises(ValueError):
             as_vector([1.0, math.inf])

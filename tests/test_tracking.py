@@ -208,6 +208,24 @@ class TestObjectiveAndCurvature:
         assert val == pytest.approx(0.5 * c**2 * (16 * GRID.h) ** 2, rel=1e-12)
         assert val == pytest.approx(0.5 * c**2, rel=0.15)
 
+    def test_weight_collapses_when_target_is_achieved(self):
+        # y = y_d gives a zero adjoint, so the second-order weight
+        # 1 - 6 y p is 1 and the form is |z|^2
+        u = np.full((16, 16), 1.5)
+        y = solve_state(u, GRID)
+        p = solve_adjoint(y, y, GRID)
+        assert not p.any()
+        z = solve_linearized(sinbump(GRID), y, GRID)
+        form = l2_inner((1 - 6 * y * p) * z, z, GRID)
+        assert form == pytest.approx(l2_norm(z, GRID) ** 2, rel=1e-12)
+        assert form > 0.0
+
+    def test_zero_direction_gives_zero_form(self):
+        y = solve_state(np.full((16, 16), 1.5), GRID)
+        p = solve_adjoint(y, 0.5 * sinbump(GRID), GRID)
+        z = solve_linearized(np.zeros((16, 16)), y, GRID)
+        assert l2_inner((1 - 6 * y * p) * z, z, GRID) == 0.0
+
     def test_second_difference_oracle(self, default_solution):
         # tolerance frozen from the central-difference calibration run
         # (worst observed relative error 2.5e-7 at n=16, 7.6e-7 at n=32)
