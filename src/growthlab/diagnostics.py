@@ -522,6 +522,15 @@ class ProbeResult:
     perturbation_size: float
 
 
+def _check_probe_constants(lam: float, kappa: float) -> None:
+    """Refuse a ``lam`` not finite and positive or a ``kappa`` not finite
+    and nonnegative: the bound ``kappa * size**lam`` needs both."""
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError(f"lam must be finite and positive, got {lam}")
+    if not (kappa >= 0.0 and math.isfinite(kappa)):
+        raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
+
+
 def _probe(
     f: FunctionOracle,
     perturbation: FunctionOracle,
@@ -554,12 +563,17 @@ def lipschitz_probe(
     ``kappa * Lip(zeta)^lam`` of the base point.
 
     The Lipschitz constant is analytic metadata carried by ``zeta`` under
-    ``known_constants["lip"]``; it is not estimated here.
+    ``known_constants["lip"]``; it is not estimated here.  A ``lip`` or
+    ``kappa`` that is negative or not finite, or a ``lam`` that is not
+    finite and positive, raises ``ValueError`` before any solve.
     """
     _require_centered(xbar, region)
     if zeta.known_constants is None or "lip" not in zeta.known_constants:
         raise ValueError("zeta must carry known_constants['lip']")
     lip = float(zeta.known_constants["lip"])
+    if not (lip >= 0.0 and math.isfinite(lip)):
+        raise ValueError(f"known_constants['lip'] must be finite and nonnegative, got {lip}")
+    _check_probe_constants(lam, kappa)
     return _probe(f, zeta, region, lip, lam, kappa, cfg)
 
 
@@ -574,8 +588,11 @@ def convex_probe(
 ) -> ProbeResult:
     """Check that minimizers of ``f + phi`` (``phi`` convex by declaration)
     stay within ``kappa * slope^lam`` of the base point, where ``slope`` is
-    the local descent slope of ``phi`` there."""
+    the local descent slope of ``phi`` there.  A ``kappa`` that is negative
+    or not finite, or a ``lam`` that is not finite and positive, raises
+    ``ValueError`` before ``phi`` is evaluated."""
     _require_centered(xbar, region)
+    _check_probe_constants(lam, kappa)
     slope = metric_slope(phi, region.center)
     if math.isinf(slope):
         raise SlopeInfinite(

@@ -9,10 +9,11 @@ slide along the sphere toward a boundary minimizer.  Correctness of the
 minimizer set is the design goal; the grid dimension is capped at 4.
 Oracles are evaluated a batch of points at a time: the whole grid in one
 call, then the candidates of all polish starts at each step direction in
-one call.  A stack of tilted problems shares that grid scan and that polish
-loop.  Each problem's grid values are formed once, to pick its starts and
-to keep the pool of grid points near its grid minimum; one pass over the
-stack then cuts and deduplicates every minimizer set.  A tilt term
+one call, with the candidates a stalling start would try next at halved
+steps (``_polish``).  A stack of tilted problems shares that grid scan and
+that polish loop.  Each problem's grid values are formed once, to pick its
+starts and to keep the pool of grid points near its grid minimum; one pass
+over the stack then cuts and deduplicates every minimizer set.  A tilt term
 ``-<xi, y>`` is finite and is subtracted with no mask (``+inf`` minus a
 finite number stays ``+inf``); terms that can be ``+inf`` are added by
 ``compose_oracle``, the one home of the ``+inf``-absorbing sum.
@@ -58,6 +59,10 @@ MAX_GRID_DIM = 4
 MULTISTART_COUNT = 8
 POLISH_MAX_ITERS = 200
 POLISH_STEP_TOLERANCE = 1e-10
+
+# Candidate rows per polish batch, and the cap on its levels of halved steps.
+POLISH_ROW_BUDGET = 64
+POLISH_MAX_DEPTH = 4
 
 # Widening of a problem's pool of grid points near its grid minimum m, in
 # units of 1 + |m|: many times the rounding error of the minimizer cut.
@@ -150,7 +155,7 @@ def _ball_grid(center: Tuple[float, ...], radius: float, points_per_axis: int) -
 def _check_values(values: np.ndarray, points: np.ndarray, descriptor: str) -> None:
     """Raise ``NonFiniteValue`` naming the first NaN or ``-inf`` of ``values``
     and its row of ``points``; one ``min`` pass when there is none."""
-    if values.size == 0 or values.min() > -math.inf:
+    if values.size == 0 or np.minimum.reduce(values) > -math.inf:
         return
     i = int(np.flatnonzero(np.isnan(values) | np.isneginf(values))[0])
     raise NonFiniteValue(f"oracle '{descriptor}' returned {values[i]} at {points[i]}")
@@ -180,9 +185,10 @@ def compose_oracle(
     def batch(points: np.ndarray) -> np.ndarray:
         values = f.evaluate_rows(points)
         live = values != math.inf
-        if not live.any():
+        count = np.count_nonzero(live)
+        if not count:
             return values
-        if live.all():
+        if count == len(values):
             extra = term(points)
             return np.where(extra == math.inf, extra, values + extra)
         extra = term(points[live])
@@ -231,8 +237,8 @@ def _polish(
     ``+step`` candidate is tried before the ``-step`` one and a candidate is
     taken only if strictly better; after a sweep without improvement the
     start's step halves, and the start stops once its step falls below
-    ``POLISH_STEP_TOLERANCE``.  Candidates outside the ball are projected
-    radially onto it.
+    ``POLISH_STEP_TOLERANCE`` or after ``POLISH_MAX_ITERS`` sweeps.
+    Candidates outside the ball are projected radially onto it.
 
     The basis is the coordinate axes, except for a start on the sphere in
     dimension ``d >= 2``: there it is the outward normal and ``d - 1``
@@ -249,67 +255,141 @@ def _polish(
     The candidates of all running starts at one basis vector are evaluated
     in one batch, and their tilt terms are subtracted in one elementwise
     pairing, which rounds each candidate alike whatever rows share the
-    batch.  The running starts' points, values, steps, sphere flags and
-    candidate tilts are kept in arrays of their own, compacted when starts
-    stop.  Returns the polished points and values and the number of
-    candidates each start evaluated.
+    batch.  The batch also carries each start's candidates at its step
+    halved 1 to ``depth - 1`` times, from the same point: ``depth`` is
+    ``POLISH_ROW_BUDGET // (2 n)`` for ``n`` running starts, within ``[1,
+    POLISH_MAX_DEPTH]``, so a large stack runs at depth 1.  A start that
+    stalls a whole sweep replays those levels in the sequential order
+    (level, basis vector, ``+step`` first): each level before its first
+    improving candidate is a stalled sweep, and it takes that candidate and
+    finishes that sweep in one more batch per remaining basis vector.
+    Points, values, sweeps and evaluations are the sequential search's,
+    bitwise; values are checked only where that search reads them.  The
+    oracle is called at points the search never uses, so ``evaluate`` must
+    be pure and a row's value must not depend on the other rows of its
+    batch.  Returns the polished points and values and the candidates each
+    start evaluated.
     """
     x = np.array(starts, dtype=float)
     fx = np.array(start_values, dtype=float)
     d = x.shape[1]
     sweeps = np.full(len(x), POLISH_MAX_ITERS)
-    # the running starts: their rows of x, points, values and steps
-    ids = np.arange(len(x))
-    xs, fs = x.copy(), fx.copy()
-    steps = np.full(len(x), float(step0))
-    sphere = None if d == 1 else _row_norms(x - region.center) >= region.radius
-    # rows 2k and 2k+1 are the +step and -step candidates of running start k
-    cand_tilts = None if tilts is None else np.repeat(tilts, 2, axis=0)
+    ahead = np.zeros(len(x), dtype=int)  # the sweeps each start took in replays
+    # the running starts: rows of x, values and tilts; row l * n + k of X,
+    # S, SP is start k's point, step / 2**l and sphere flag
+    ids, fs, run_tilts = np.arange(len(x)), fx.copy(), tilts
+    X, S = x.copy(), np.full(len(x), float(step0))
+    SP = None if d == 1 else _row_norms(x - region.center) >= region.radius
+    n, most_ahead, cand_tilts = 0, 0, None
+
+    def basis_batch(i, X, S, SP, row_tilts, late=None):
+        # rows 2r and 2r+1 are the +step and -step candidates of row r; the
+        # running starts, or those in ``late``, take an improving level-0 one
+        # and are marked in ``improved``
+        cand = X.repeat(2, axis=0)
+        cand[0::2, i] += S
+        cand[1::2, i] -= S
+        if SP is not None and np.count_nonzero(SP):
+            rows = X[SP]
+            move = S[SP, None] * _sphere_axis(rows, region, i)
+            cand[0::2][SP] = rows + move
+            cand[1::2][SP] = rows - move
+        cand, moved = _project_rows(region, cand)
+        vals = f.evaluate_rows(cand)
+        if row_tilts is not None:
+            vals -= _pair_rows(cand, row_tilts)
+        head = 2 * fs.size
+        if late is not None:
+            out = np.ones(fs.size, dtype=bool)
+            out[late] = False
+            vals[:head].reshape(-1, 2)[out] = math.inf
+        _check_values(vals[:head], cand, descriptor)
+        plus, minus = vals[0:head:2], vals[1:head:2]
+        took = (np.minimum(plus, minus) < fs).nonzero()[0]
+        if took.size:  # the better of the two, +step on a tie
+            pick = 2 * took + (minus[took] < plus[took])
+            X[took] = cand[pick]
+            fs[took] = vals[pick]
+            if SP is not None:
+                SP[took] = moved[pick]
+            improved[took] = True
+        return cand, moved, vals
+
     for sweep in range(POLISH_MAX_ITERS):
         if ids.size == 0:
             break
-        improved = np.zeros(ids.size, dtype=bool)
-        for i in range(d):
-            cand = xs.repeat(2, axis=0)
-            cand[0::2, i] += steps
-            cand[1::2, i] -= steps
-            if sphere is not None and np.count_nonzero(sphere):
-                rows = xs[sphere]
-                move = steps[sphere, None] * _sphere_axis(rows, region, i)
-                cand[0::2][sphere] = rows + move
-                cand[1::2][sphere] = rows - move
-            cand, moved = _project_rows(region, cand)
-            vals = f.evaluate_rows(cand)
-            if cand_tilts is not None:
-                vals -= _pair_rows(cand, cand_tilts)
-            _check_values(vals, cand, descriptor)
-            plus, minus = vals[0::2], vals[1::2]
-            take_plus = plus < fs
-            take_minus = minus < np.minimum(plus, fs)
-            took = (take_plus | take_minus).nonzero()[0]
-            if took.size:
-                pick = 2 * took + take_minus[took]
-                xs[took] = cand[pick]
-                fs[took] = vals[pick]
-                if sphere is not None:
-                    sphere[took] = moved[pick]
-                improved[took] = True
+        if ids.size != n:
+            n = ids.size
+            depth = max(1, min(POLISH_MAX_DEPTH, POLISH_ROW_BUDGET // (2 * n)))
+            halves = 0.5 ** np.arange(1, depth)[:, None]
+            if depth > 1:  # room for the levels' rows
+                X, S = np.concatenate([X] * depth), np.concatenate([S] * depth)
+                SP = None if SP is None else np.concatenate([SP] * depth)
+            if run_tilts is not None:  # rows 2k and 2k+1 of each level: start k's tilt
+                cand_tilts = np.concatenate([run_tilts.repeat(2, axis=0)] * depth)
+            steps = S[:n]
+        if depth > 1:
+            X.reshape(depth, n, d)[1:] = X[:n]
+            S.reshape(depth, n)[1:] = steps * halves
+            if SP is not None:
+                SP.reshape(depth, n)[1:] = SP[:n]
+        improved = np.zeros(n, dtype=bool)
+        batches = [basis_batch(i, X, S, SP, cand_tilts) for i in range(d)]
         stalled = ~improved
-        if not np.count_nonzero(stalled):
-            continue
-        steps[stalled] *= 0.5
+        if np.count_nonzero(stalled):
+            steps[stalled] *= 0.5
+            if depth > 1:
+                # replay the levels below in the order the sequential search sweeps them
+                table, took, bad = [b[2].tolist() for b in batches], [], []
+                values, step_list, extra = fs.tolist(), steps.tolist(), ahead[ids].tolist()
+                for k in stalled.nonzero()[0].tolist():
+                    value, step, count = values[k], step_list[k], sweep + 1 + extra[k]
+                    for level in range(1, depth):
+                        if step < POLISH_STEP_TOLERANCE or count >= POLISH_MAX_ITERS:
+                            break
+                        row = 2 * (level * n + k)
+                        for i in range(d):
+                            plus, minus = table[i][row], table[i][row + 1]
+                            if not (plus >= value and minus >= value):
+                                break
+                        else:
+                            step, count = step * 0.5, count + 1
+                            continue
+                        if plus > -math.inf and minus > -math.inf:
+                            pick = row + (minus < plus)
+                            took.append((k, i))
+                            values[k], count = table[i][pick], count + 1
+                            X[k] = batches[i][0][pick]
+                            if SP is not None:
+                                SP[k] = batches[i][1][pick]
+                        else:
+                            bad.append((count, i, k, slice(row, row + 2)))
+                        break
+                    step_list[k], extra[k] = step, count - sweep - 1
+                if bad:  # the first in the sequential order
+                    _, i, _, cells = min(bad)
+                    _check_values(batches[i][2][cells], batches[i][0][cells], descriptor)
+                fs[:], steps[:], ahead[ids] = values, step_list, extra
+                most_ahead = max(most_ahead, max(extra))
+                for j in range(1, d):
+                    late = [k for k, i in took if i < j]
+                    if late:
+                        head_tilts = None if cand_tilts is None else cand_tilts[: 2 * n]
+                        basis_batch(j, X[:n], steps, SP[:n], head_tilts, late)
         done = stalled & (steps < POLISH_STEP_TOLERANCE)
+        if most_ahead and sweep + 1 + most_ahead >= POLISH_MAX_ITERS:
+            done |= ahead[ids] >= POLISH_MAX_ITERS - sweep - 1
         if np.count_nonzero(done):
             gone = ids[done]
-            x[gone], fx[gone], sweeps[gone] = xs[done], fs[done], sweep + 1
+            x[gone], fx[gone], sweeps[gone] = X[:n][done], fs[done], sweep + 1
             keep = ~done
-            ids, xs, fs, steps = ids[keep], xs[keep], fs[keep], steps[keep]
-            if sphere is not None:
-                sphere = sphere[keep]
-            if cand_tilts is not None:
-                cand_tilts = cand_tilts[np.repeat(keep, 2)]
-    x[ids], fx[ids] = xs, fs
-    return x, fx, 2 * d * sweeps
+            ids, fs, X, S = ids[keep], fs[keep], X[:n][keep], steps[keep]
+            if SP is not None:
+                SP = SP[:n][keep]
+            if run_tilts is not None:
+                run_tilts = run_tilts[keep]
+    x[ids], fx[ids] = X[:n], fs
+    return x, fx, 2 * d * (sweeps + ahead)
 
 
 def _smallest(values: np.ndarray, k: int) -> np.ndarray:

@@ -696,6 +696,35 @@ class TestProbes:
         assert lip.passed and cvx.worst_distance == 1.0
         assert cvx.passed is (bound == math.inf)
 
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a refused probe must not solve")
+
+        monkeypatch.setattr(diagnostics, "argmin_perturbed", refuse)
+
+    @pytest.mark.parametrize("lip", (-1.0, math.nan, math.inf))
+    def test_lip_not_finite_and_nonnegative_is_refused(self, lip, no_solve):
+        # at lip = -1 the bound was a complex power, at nan a nan bound
+        zeta = FunctionOracle(lambda y: 3.0, "const", known_constants={"lip": lip})
+        with pytest.raises(ValueError, match="lip"):
+            lipschitz_probe(power_oracle(2.0), ORIGIN, region(1.0), zeta, 0.5, 1.0, CFG_SMALL)
+
+    @pytest.mark.parametrize("probe", (lipschitz_probe, convex_probe))
+    @pytest.mark.parametrize("kappa", (-1.0, math.nan, math.inf))
+    def test_kappa_not_finite_and_nonnegative_is_refused(self, probe, kappa, no_solve):
+        # at kappa = -1 the bound was negative
+        zeta = FunctionOracle(lambda y: 0.2 * y[0], "linear", known_constants={"lip": 0.2})
+        with pytest.raises(ValueError, match="kappa"):
+            probe(power_oracle(2.0), ORIGIN, region(1.0), zeta, 0.5, kappa, CFG_SMALL)
+
+    @pytest.mark.parametrize("probe", (lipschitz_probe, convex_probe))
+    @pytest.mark.parametrize("lam", (0.0, -1.0, math.nan, math.inf))
+    def test_lam_not_finite_and_positive_is_refused(self, probe, lam, no_solve):
+        zeta = FunctionOracle(lambda y: 0.2 * y[0], "linear", known_constants={"lip": 0.2})
+        with pytest.raises(ValueError, match="lam"):
+            probe(power_oracle(2.0), ORIGIN, region(1.0), zeta, lam, 1.0, CFG_SMALL)
+
     @pytest.mark.parametrize("probe", (lipschitz_probe, convex_probe))
     def test_base_point_must_be_center(self, probe):
         zeta = FunctionOracle(lambda y: 3.0, "const", known_constants={"lip": 0.0})

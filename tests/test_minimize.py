@@ -351,11 +351,13 @@ class TestSpherePolish:
         region = BallRegion(np.array([0.5, -0.5]), 1.25)
 
         def polish_batches(objective, start, step):
-            """The candidate batches of one polished start."""
+            """The level-0 rows of each candidate batch of one polished start:
+            its first two, the candidates at the step; the rest of a batch
+            holds the candidates at halved steps."""
             batches = []
 
             def logged(x):
-                batches.append(x.copy())
+                batches.append(x[:2].copy())
                 return objective(x)
 
             f = FunctionOracle.from_batch(logged, "logged")
@@ -623,6 +625,141 @@ def test_project_rows_matches_frozen_reference_bitwise(d, m, seed):
     ref_out, ref_moved = reference.project_rows(region, points)
     assert out.tobytes() == ref_out.tobytes()
     np.testing.assert_array_equal(moved, ref_moved)
+
+
+# ---------------------------------------------------------------------------
+# The speculative polish against the frozen sequential one
+
+
+def _depth(n):
+    """The polish's depth rule for ``n`` running starts."""
+    return max(1, min(minimize.POLISH_MAX_DEPTH, minimize.POLISH_ROW_BUDGET // (2 * n)))
+
+
+# the largest running-start count at which the depth rule picks each depth
+DEPTH_COUNTS = {_depth(n): n for n in range(1, 65)}
+
+
+def _sloped_bowl(d):
+    # +inf beyond a half-space that cuts the off-center ball
+    return FunctionOracle.from_batch(
+        lambda x: np.where(x.sum(axis=1) > 0.3, math.inf, ((x - 0.7) ** 2).sum(axis=1)), "sloped"
+    )
+
+
+def _maxsq(d):
+    return FunctionOracle.from_batch(
+        lambda x: np.maximum(x[:, 0], 0.0) ** 2 + (x[:, 1:] ** 2).sum(axis=1), "maxsq"
+    )
+
+
+POLISH_ORACLES = (_anisotropic_bowl, _terraces, _sloped_bowl, _maxsq)
+
+
+def _polish_case(f, d, n, seed, sphere, tilted):
+    """Starts inside the off-center ball of dimension ``d``, half of them on
+    its sphere if ``sphere``, their values and their tilts or None."""
+    region = _off_center_ball(d)
+    rng = np.random.default_rng(seed)
+    starts = region.center + rng.uniform(-0.6, 0.6, (n, d)) * region.radius
+    if sphere:
+        starts[::2] = _project_rows(region, region.center + 9.0 * (starts[::2] - region.center))[0]
+    tilts = rng.uniform(-8.0, 8.0, (n, d)) if tilted else None
+    values = f.evaluate_rows(starts)
+    if tilted:
+        values -= _pair_rows(starts, tilts)
+    return starts, values, tilts, region
+
+
+def _same_polish(f, starts, values, tilts, region, step):
+    """Run the polish and the frozen sequential one; assert they agree
+    bitwise and return the candidates each start evaluated."""
+    got = minimize._polish(f, starts, values, tilts, region, step, "f")
+    expected = reference.polish(f, starts, values, tilts, region, step, "f")
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+    return got[2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4), st.sampled_from(sorted(DEPTH_COUNTS.values())),
+    st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans(),
+    st.sampled_from(POLISH_ORACLES), st.sampled_from((0.05, 0.3, 1.0)),
+    st.sampled_from((None, 3, 8)),
+)
+def test_polish_matches_frozen_sequential_polish_bitwise(
+    d, n, seed, sphere, tilted, evaluate_only, make, step, cap
+):
+    # a start count per depth of the depth rule; a small sweep cap stops starts there
+    f = make(d)
+    if evaluate_only:
+        f = _evaluate_only(f)
+    case = _polish_case(f, d, n, seed, sphere, tilted)
+    with patch.object(minimize, "POLISH_MAX_ITERS", cap or minimize.POLISH_MAX_ITERS):
+        _same_polish(f, *case, step)
+
+
+def test_depth_rule_picks_every_depth_to_its_cap():
+    assert sorted(DEPTH_COUNTS) == list(range(1, minimize.POLISH_MAX_DEPTH + 1))
+    bowl, sizes = _anisotropic_bowl(2), []
+
+    def logged(x):
+        sizes.append(len(x))
+        return bowl.evaluate_batch(x)
+
+    for depth, n in DEPTH_COUNTS.items():
+        sizes.clear()
+        case = _polish_case(bowl, 2, n, 0, True, True)
+        _same_polish(FunctionOracle.from_batch(logged, "f"), *case, 0.3)
+        assert sizes[0] == 2 * n * depth  # each start's step and its halvings
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_polish_matches_frozen_sequential_polish_at_the_sweep_cap(d):
+    # a cap at the median sweep count: some starts stop there, the rest first
+    f = _anisotropic_bowl(d)
+    case = _polish_case(f, d, 8, d, True, True)
+    cap = int(np.median(_same_polish(f, *case, 0.3))) // (2 * d)
+    with patch.object(minimize, "POLISH_MAX_ITERS", cap):
+        used = _same_polish(f, *case, 0.3)
+    assert 0 < np.count_nonzero(used == 2 * d * cap) < len(used)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_speculative_candidates_never_raise(d):
+    bowl = _anisotropic_bowl(d)
+    starts, values, tilts, region = _polish_case(bowl, d, 6, d, True, True)
+    log = []
+
+    def logged(x):
+        log.extend(row.tobytes() for row in x)
+        return bowl.evaluate_batch(x)
+
+    expected = reference.polish(
+        FunctionOracle.from_batch(logged, "f"), starts, values, tilts, region, 0.3, "f"
+    )
+    evaluated = set(log)
+    unused = []
+
+    def nan_unless_evaluated(x):
+        known = np.array([row.tobytes() in evaluated for row in x])
+        unused.extend(np.flatnonzero(~known))
+        return np.where(known, bowl.evaluate_batch(x), math.nan)
+
+    f = FunctionOracle.from_batch(nan_unless_evaluated, "f")
+    got = minimize._polish(f, starts, values, tilts, region, 0.3, "f")
+    assert unused  # the polish did evaluate points the sequential one never does
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+    # a NaN where the sequential polish evaluates raises, early or late
+    for poisoned in (log[0], log[len(log) // 2], log[-1]):
+        f = FunctionOracle.from_batch(
+            lambda x: np.where(
+                [row.tobytes() == poisoned for row in x], math.nan, bowl.evaluate_batch(x)
+            ),
+            "f",
+        )
+        with pytest.raises(NonFiniteValue):
+            minimize._polish(f, starts, values, tilts, region, 0.3, "f")
 
 
 class TestComposeOracle:
