@@ -9,8 +9,8 @@ slide along the sphere toward a boundary minimizer.  Correctness of the
 minimizer set is the design goal; the grid dimension is capped at 4.
 Oracles are evaluated a batch of points at a time: the whole grid in one
 call, then the candidates of all polish starts at each step direction in
-one call, with the candidates a stalling start would try next at halved
-steps (``_polish``).  A stack of tilted problems shares that grid scan and
+one call, with those of each start's sweeps at its next halved steps
+(``_polish``).  A stack of tilted problems shares that grid scan and
 that polish loop.  Each problem's grid values are formed once, to pick its
 starts and to keep the pool of grid points near its grid minimum; one pass
 over the stack then cuts and deduplicates every minimizer set.  A tilt term
@@ -60,9 +60,8 @@ MULTISTART_COUNT = 8
 POLISH_MAX_ITERS = 200
 POLISH_STEP_TOLERANCE = 1e-10
 
-# Candidate rows per polish batch, and the cap on its levels of halved steps.
+# Candidate rows per polish batch: each start's sweep and its halved sweeps.
 POLISH_ROW_BUDGET = 64
-POLISH_MAX_DEPTH = 4
 
 # Widening of a problem's pool of grid points near its grid minimum m, in
 # units of 1 + |m|: many times the rounding error of the minimizer cut.
@@ -255,127 +254,109 @@ def _polish(
     The candidates of all running starts at one basis vector are evaluated
     in one batch, and their tilt terms are subtracted in one elementwise
     pairing, which rounds each candidate alike whatever rows share the
-    batch.  The batch also carries each start's candidates at its step
-    halved 1 to ``depth - 1`` times, from the same point: ``depth`` is
-    ``POLISH_ROW_BUDGET // (2 n)`` for ``n`` running starts, within ``[1,
-    POLISH_MAX_DEPTH]``, so a large stack runs at depth 1.  A start that
-    stalls a whole sweep replays those levels in the sequential order
-    (level, basis vector, ``+step`` first): each level before its first
-    improving candidate is a stalled sweep, and it takes that candidate and
-    finishes that sweep in one more batch per remaining basis vector.
-    Points, values, sweeps and evaluations are the sequential search's,
-    bitwise; values are checked only where that search reads them.  The
-    oracle is called at points the search never uses, so ``evaluate`` must
-    be pure and a row's value must not depend on the other rows of its
-    batch.  Returns the polished points and values and the candidates each
-    start evaluated.
+    batch.  The batch also carries each start's sweeps at its step halved
+    1 to ``depth - 1`` times: ``depth`` is ``POLISH_ROW_BUDGET // (2 n)``
+    for ``n`` running starts, at least 1, so a stack of more than 16 starts
+    runs at depth 1.  Each halved sweep begins at the start's point and
+    value and takes its own improving candidates, as the start's own sweep
+    does.  A start whose sweep stalls goes on as the sequential search
+    would: each halved sweep before the first that improved is a stalled
+    sweep, and the start moves to the end of that one.  Points, values,
+    sweeps and evaluations are the sequential search's, bitwise.  A NaN or
+    ``-inf`` raises in a start's own sweep, and in a halved sweep only if
+    the start goes on to use it.  The oracle is called at points the search
+    never uses, so ``evaluate`` must be pure and a row's value must not
+    depend on the other rows of its batch.  Returns the polished points and
+    values and the candidates each start evaluated.
     """
     x = np.array(starts, dtype=float)
     fx = np.array(start_values, dtype=float)
     d = x.shape[1]
     sweeps = np.full(len(x), POLISH_MAX_ITERS)
-    ahead = np.zeros(len(x), dtype=int)  # the sweeps each start took in replays
-    # the running starts: rows of x, values and tilts; row l * n + k of X,
-    # S, SP is start k's point, step / 2**l and sphere flag
-    ids, fs, run_tilts = np.arange(len(x)), fx.copy(), tilts
-    X, S = x.copy(), np.full(len(x), float(step0))
+    ahead = np.zeros(len(x), dtype=int)  # the sweeps each start took at halved steps
+    # the running starts: rows of x and tilts; row l * n + k of X, F, S, SP
+    # is start k's sweep at step / 2**l: its point, value, step and sphere flag
+    ids, run_tilts = np.arange(len(x)), tilts
+    X, F, S = x.copy(), fx.copy(), np.full(len(x), float(step0))
     SP = None if d == 1 else _row_norms(x - region.center) >= region.radius
     n, most_ahead, cand_tilts = 0, 0, None
-
-    def basis_batch(i, X, S, SP, row_tilts, late=None):
-        # rows 2r and 2r+1 are the +step and -step candidates of row r; the
-        # running starts, or those in ``late``, take an improving level-0 one
-        # and are marked in ``improved``
-        cand = X.repeat(2, axis=0)
-        cand[0::2, i] += S
-        cand[1::2, i] -= S
-        if SP is not None and np.count_nonzero(SP):
-            rows = X[SP]
-            move = S[SP, None] * _sphere_axis(rows, region, i)
-            cand[0::2][SP] = rows + move
-            cand[1::2][SP] = rows - move
-        cand, moved = _project_rows(region, cand)
-        vals = f.evaluate_rows(cand)
-        if row_tilts is not None:
-            vals -= _pair_rows(cand, row_tilts)
-        head = 2 * fs.size
-        if late is not None:
-            out = np.ones(fs.size, dtype=bool)
-            out[late] = False
-            vals[:head].reshape(-1, 2)[out] = math.inf
-        _check_values(vals[:head], cand, descriptor)
-        plus, minus = vals[0:head:2], vals[1:head:2]
-        took = (np.minimum(plus, minus) < fs).nonzero()[0]
-        if took.size:  # the better of the two, +step on a tie
-            pick = 2 * took + (minus[took] < plus[took])
-            X[took] = cand[pick]
-            fs[took] = vals[pick]
-            if SP is not None:
-                SP[took] = moved[pick]
-            improved[took] = True
-        return cand, moved, vals
 
     for sweep in range(POLISH_MAX_ITERS):
         if ids.size == 0:
             break
         if ids.size != n:
             n = ids.size
-            depth = max(1, min(POLISH_MAX_DEPTH, POLISH_ROW_BUDGET // (2 * n)))
+            depth = max(1, POLISH_ROW_BUDGET // (2 * n))
             halves = 0.5 ** np.arange(1, depth)[:, None]
-            if depth > 1:  # room for the levels' rows
-                X, S = np.concatenate([X] * depth), np.concatenate([S] * depth)
+            if depth > 1:  # room for the halved sweeps' rows
+                X, F, S = [np.concatenate([A] * depth) for A in (X, F, S)]
                 SP = None if SP is None else np.concatenate([SP] * depth)
-            if run_tilts is not None:  # rows 2k and 2k+1 of each level: start k's tilt
+            if run_tilts is not None:  # candidate rows 2r and 2r+1: row r's tilt
                 cand_tilts = np.concatenate([run_tilts.repeat(2, axis=0)] * depth)
-            steps = S[:n]
-        if depth > 1:
+            fs, steps = F[:n], S[:n]
+        if depth > 1:  # every halved sweep begins where its start's sweep does
             X.reshape(depth, n, d)[1:] = X[:n]
+            F.reshape(depth, n)[1:] = fs
             S.reshape(depth, n)[1:] = steps * halves
             if SP is not None:
                 SP.reshape(depth, n)[1:] = SP[:n]
-        improved = np.zeros(n, dtype=bool)
-        batches = [basis_batch(i, X, S, SP, cand_tilts) for i in range(d)]
-        stalled = ~improved
+        improved = np.zeros(depth * n, dtype=bool)
+        bad = {}  # row -> (basis vector, start, values, points) of its first NaN or -inf
+        for i in range(d):
+            # rows 2r and 2r+1 are the +step and -step candidates of row r
+            cand = X.repeat(2, axis=0)
+            cand[0::2, i] += S
+            cand[1::2, i] -= S
+            if SP is not None and np.count_nonzero(SP):
+                rows = X[SP]
+                move = S[SP, None] * _sphere_axis(rows, region, i)
+                cand[0::2][SP] = rows + move
+                cand[1::2][SP] = rows - move
+            cand, moved = _project_rows(region, cand)
+            vals = f.evaluate_rows(cand)
+            if cand_tilts is not None:
+                vals -= _pair_rows(cand, cand_tilts)
+            if not np.minimum.reduce(vals) > -math.inf:
+                _check_values(vals[: 2 * n], cand, descriptor)
+                for r in (np.flatnonzero(np.isnan(vals) | np.isneginf(vals)) // 2).tolist():
+                    bad.setdefault(r, (i, r % n, vals[2 * r : 2 * r + 2], cand[2 * r : 2 * r + 2]))
+            plus, minus = vals[0::2], vals[1::2]
+            took = (np.minimum(plus, minus) < F).nonzero()[0]
+            if took.size:  # the better of the two, +step on a tie
+                pick = 2 * took + (minus[took] < plus[took])
+                X[took] = cand[pick]
+                F[took] = vals[pick]
+                if SP is not None:
+                    SP[took] = moved[pick]
+                improved[took] = True
+        stalled = ~improved[:n]
         if np.count_nonzero(stalled):
             steps[stalled] *= 0.5
             if depth > 1:
-                # replay the levels below in the order the sequential search sweeps them
-                table, took, bad = [b[2].tolist() for b in batches], [], []
-                values, step_list, extra = fs.tolist(), steps.tolist(), ahead[ids].tolist()
+                # a stalled start goes on to its halved sweeps in order: each
+                # that stalled counts as a sweep, the first that improved ends it
+                gains, step_list, extra = improved.tolist(), steps.tolist(), ahead[ids].tolist()
+                raised = []
                 for k in stalled.nonzero()[0].tolist():
-                    value, step, count = values[k], step_list[k], sweep + 1 + extra[k]
-                    for level in range(1, depth):
+                    step, count = step_list[k], sweep + 1 + extra[k]
+                    for row in range(n + k, depth * n, n):
                         if step < POLISH_STEP_TOLERANCE or count >= POLISH_MAX_ITERS:
                             break
-                        row = 2 * (level * n + k)
-                        for i in range(d):
-                            plus, minus = table[i][row], table[i][row + 1]
-                            if not (plus >= value and minus >= value):
-                                break
-                        else:
-                            step, count = step * 0.5, count + 1
-                            continue
-                        if plus > -math.inf and minus > -math.inf:
-                            pick = row + (minus < plus)
-                            took.append((k, i))
-                            values[k], count = table[i][pick], count + 1
-                            X[k] = batches[i][0][pick]
+                        if row in bad:
+                            raised.append((count, *bad[row]))
+                            break
+                        count += 1
+                        if gains[row]:
+                            X[k], fs[k] = X[row], F[row]
                             if SP is not None:
-                                SP[k] = batches[i][1][pick]
-                        else:
-                            bad.append((count, i, k, slice(row, row + 2)))
-                        break
+                                SP[k] = SP[row]
+                            break
+                        step *= 0.5
                     step_list[k], extra[k] = step, count - sweep - 1
-                if bad:  # the first in the sequential order
-                    _, i, _, cells = min(bad)
-                    _check_values(batches[i][2][cells], batches[i][0][cells], descriptor)
-                fs[:], steps[:], ahead[ids] = values, step_list, extra
+                if raised:  # the first in the sequential order
+                    _check_values(*min(raised)[3:], descriptor)
+                steps[:], ahead[ids] = step_list, extra
                 most_ahead = max(most_ahead, max(extra))
-                for j in range(1, d):
-                    late = [k for k, i in took if i < j]
-                    if late:
-                        head_tilts = None if cand_tilts is None else cand_tilts[: 2 * n]
-                        basis_batch(j, X[:n], steps, SP[:n], head_tilts, late)
         done = stalled & (steps < POLISH_STEP_TOLERANCE)
         if most_ahead and sweep + 1 + most_ahead >= POLISH_MAX_ITERS:
             done |= ahead[ids] >= POLISH_MAX_ITERS - sweep - 1
@@ -383,12 +364,12 @@ def _polish(
             gone = ids[done]
             x[gone], fx[gone], sweeps[gone] = X[:n][done], fs[done], sweep + 1
             keep = ~done
-            ids, fs, X, S = ids[keep], fs[keep], X[:n][keep], steps[keep]
+            ids, X, F, S = ids[keep], X[:n][keep], fs[keep], steps[keep]
             if SP is not None:
                 SP = SP[:n][keep]
             if run_tilts is not None:
                 run_tilts = run_tilts[keep]
-    x[ids], fx[ids] = X[:n], fs
+    x[ids], fx[ids] = X[: ids.size], F[: ids.size]
     return x, fx, 2 * d * (sweeps + ahead)
 
 

@@ -633,7 +633,7 @@ def test_project_rows_matches_frozen_reference_bitwise(d, m, seed):
 
 def _depth(n):
     """The polish's depth rule for ``n`` running starts."""
-    return max(1, min(minimize.POLISH_MAX_DEPTH, minimize.POLISH_ROW_BUDGET // (2 * n)))
+    return max(1, minimize.POLISH_ROW_BUDGET // (2 * n))
 
 
 # the largest running-start count at which the depth rule picks each depth
@@ -700,7 +700,7 @@ def test_polish_matches_frozen_sequential_polish_bitwise(
 
 
 def test_depth_rule_picks_every_depth_to_its_cap():
-    assert sorted(DEPTH_COUNTS) == list(range(1, minimize.POLISH_MAX_DEPTH + 1))
+    assert sorted(DEPTH_COUNTS) == [1, 2, 3, 4, 5, 6, 8, 10, 16, 32]
     bowl, sizes = _anisotropic_bowl(2), []
 
     def logged(x):
@@ -725,8 +725,25 @@ def test_polish_matches_frozen_sequential_polish_at_the_sweep_cap(d):
     assert 0 < np.count_nonzero(used == 2 * d * cap) < len(used)
 
 
-@pytest.mark.parametrize("d", (1, 2, 3))
-def test_speculative_candidates_never_raise(d):
+def test_polish_batches_come_in_runs_of_one_size_per_sweep():
+    # each lockstep sweep is one batch per basis vector, all of one size:
+    # a start that stalls needs no extra batch to finish a halved sweep
+    bowl, sizes = _anisotropic_bowl(2), []
+
+    def logged(x):
+        sizes.append(len(x))
+        return bowl.evaluate_batch(x)
+
+    case = _polish_case(bowl, 2, 8, 0, True, True)
+    _same_polish(FunctionOracle.from_batch(logged, "f"), *case, 0.3)
+    assert len(sizes) % 2 == 0
+    assert sizes[0::2] == sizes[1::2]
+
+
+@pytest.mark.parametrize("poison", (math.nan, -math.inf))
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_speculative_candidates_never_raise(d, poison):
+    # a halved row takes its own candidates, so a -inf it meets is taken live
     bowl = _anisotropic_bowl(d)
     starts, values, tilts, region = _polish_case(bowl, d, 6, d, True, True)
     log = []
@@ -741,20 +758,20 @@ def test_speculative_candidates_never_raise(d):
     evaluated = set(log)
     unused = []
 
-    def nan_unless_evaluated(x):
+    def poisoned_unless_evaluated(x):
         known = np.array([row.tobytes() in evaluated for row in x])
         unused.extend(np.flatnonzero(~known))
-        return np.where(known, bowl.evaluate_batch(x), math.nan)
+        return np.where(known, bowl.evaluate_batch(x), poison)
 
-    f = FunctionOracle.from_batch(nan_unless_evaluated, "f")
+    f = FunctionOracle.from_batch(poisoned_unless_evaluated, "f")
     got = minimize._polish(f, starts, values, tilts, region, 0.3, "f")
     assert unused  # the polish did evaluate points the sequential one never does
     assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
-    # a NaN where the sequential polish evaluates raises, early or late
+    # a poisoned value where the sequential polish evaluates raises, early or late
     for poisoned in (log[0], log[len(log) // 2], log[-1]):
         f = FunctionOracle.from_batch(
             lambda x: np.where(
-                [row.tobytes() == poisoned for row in x], math.nan, bowl.evaluate_batch(x)
+                [row.tobytes() == poisoned for row in x], poison, bowl.evaluate_batch(x)
             ),
             "f",
         )
