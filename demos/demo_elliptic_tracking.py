@@ -15,8 +15,6 @@ Run:  python demos/demo_elliptic_tracking.py   (about a second)
 
 from growthlab.tracking import (
     CONSISTENCY_FACTOR,
-    DescentConfig,
-    Grid2D,
     default_target,
     l2_norm,
     perturbation_sweep,
@@ -24,26 +22,25 @@ from growthlab.tracking import (
     ssc_estimate,
 )
 
-grid = Grid2D(16)
-y_d = 0.6 * default_target(grid)
-cfg = DescentConfig(tol=1e-8)
+n = 16
+y_d = 0.6 * default_target(n)  # a 16 x 16 field: every function reads the mesh from it
 
-result = solve_tracking(y_d, grid, 0.0, 8.0, cfg)
+result = solve_tracking(y_d, 0.0, 8.0, tol=1e-8)
 u, p = result.control, result.adjoint
-print(f"grid {grid.n}x{grid.n}, box [0, 8], target 0.6*sin⊗sin")
+print(f"grid {n}x{n}, box [0, 8], target 0.6*sin⊗sin")
 print(f"objective {result.objective_value:.6e}, "
       f"first-order residual {result.first_order_residual:.2e}, "
       f"{result.iterations} iterations")
 print(f"nodes at lower bound: {(u <= 1e-10).sum()}, "
       f"upper bound: {(u >= 8 - 1e-10).sum()}, "
       f"free: {((u > 1e-10) & (u < 8 - 1e-10)).sum()}")
-print(f"tracking error |y - y_d| = {l2_norm(result.state - y_d, grid):.4e}")
+print(f"tracking error |y - y_d| = {l2_norm(result.state - y_d):.4e}")
 
 c = ssc_estimate(result, sample_count=16, seed=0)
 print(f"\nsampled curvature constant: c = {c:.4f} (positive: growth holds)")
 
 print("\ntarget-perturbation sweep (state shift / perturbation size):")
-report = perturbation_sweep(result, (1e-3, 1e-2, 1e-1), 3, seed=0)  # at result.config
+report = perturbation_sweep(result, (1e-3, 1e-2, 1e-1), 3, seed=0)  # at result.tol
 for sample in report.samples:
     print(f"  |eta| = {sample.eta_norm:.0e}  ratio = {sample.ratio:.4f}  "
           f"({sample.iterations} iterations)")

@@ -13,7 +13,9 @@ with each differing line, and exits 1 if any run differs, 0 if none does.
 README's sizes; every ``diagnose`` and ``prox`` job of block 0 of seeds 0-2
 of the ``catalog-1d`` and ``maxsq-2d`` benchmark workloads
 (``bench/jobs.py``); ``tracking`` at n = 16 and 32; one bang-bang
-``tracking`` run, which exits 2; and every ``tracking`` job of block 0 of
+``tracking`` run, which exits 2; ``tracking`` at a tolerance other than
+the default; two refused ``tracking`` runs, one too coarse and one with
+a zero tolerance, which exit 1; and every ``tracking`` job of block 0 of
 seeds 0-2 of the ``pde-tracking`` workload.  Each benchmark run holds the
 arguments the benchmark's own job runner passes to the CLI.
 """
@@ -67,6 +69,9 @@ RUNS: List[List[str]] = [
     ["tracking", "--n", "16"],
     ["tracking", "--n", "32"],
     ["tracking", "--n", "32", "--amplitude", "0.8"],
+    ["tracking", "--n", "8", "--tol", "1e-11"],
+    ["tracking", "--n", "3"],
+    ["tracking", "--n", "8", "--tol", "0"],
     *_bench_runs("pde-tracking"),
 ]
 

@@ -67,8 +67,6 @@ _EXPORTS = {
         "run_prox",
     ),
     "tracking": (
-        "DescentConfig",
-        "Grid2D",
         "NewtonDivergence",
         "NoSamplesInShell",
         "SweepReport",

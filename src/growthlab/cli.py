@@ -347,13 +347,13 @@ def cmd_prox(config: RunConfig) -> int:
 def cmd_tracking(config: RunConfig) -> int:
     from . import tracking as trk
 
-    grid = trk.Grid2D(int(config.values["n"]))
+    n = int(config.values["n"])
     alpha = float(config.values["alpha"])
     beta = float(config.values["beta"])
-    y_d = float(config.values["amplitude"]) * trk.default_target(grid)
-    tol = config.values["tol"]
-    descent = trk.DescentConfig() if tol is None else trk.DescentConfig(tol=float(tol))
-    config = RunConfig(config.subcommand, {**config.values, "tol": descent.tol})
+    y_d = float(config.values["amplitude"]) * trk.default_target(n)
+    tol = float(trk.SPG_TOL if config.values["tol"] is None else config.values["tol"])
+    trk._check_tol(tol)
+    config = RunConfig(config.subcommand, {**config.values, "tol": tol})
     ssc_samples = int(config.values["ssc_samples"])
     eta_norms = tuple(config.values["eta_norms"])
     etas_per_norm = int(config.values["etas_per_norm"])
@@ -361,7 +361,7 @@ def cmd_tracking(config: RunConfig) -> int:
     trk._check_ssc_settings(ssc_samples)
     trk._check_sweep_settings(eta_norms, etas_per_norm)
 
-    result = trk.solve_tracking(y_d, grid, alpha, beta, descent)
+    result = trk.solve_tracking(y_d, alpha, beta, tol)
     ssc = trk.ssc_estimate(result, ssc_samples, seed=config.seed)
     sweep = trk.perturbation_sweep(result, eta_norms, etas_per_norm, seed=config.seed)
     consistent = sweep.consistent(ssc)
@@ -381,7 +381,7 @@ def cmd_tracking(config: RunConfig) -> int:
             "target.txt": _matrix_bytes(config, y_d),
             "sweep.csv": _csv_bytes(config, header, rows),
         },
-        grid={"n": grid.n, "h": grid.h},
+        grid={"n": n, "h": 1.0 / (n + 1)},
         box={"alpha": alpha, "beta": beta},
         solve={
             "objective": result.objective_value,
@@ -394,7 +394,7 @@ def cmd_tracking(config: RunConfig) -> int:
     )
 
     print(
-        f"tracking n={grid.n}: J={result.objective_value!r} "
+        f"tracking n={n}: J={result.objective_value!r} "
         f"residual={result.first_order_residual!r} ssc={ssc!r} "
         f"kappa_hat={sweep.kappa_hat!r} consistency={'pass' if consistent else 'FAIL'}"
     )

@@ -18,8 +18,8 @@ no buffer outlives the call.
 
 States, adjoints, controls, and targets are all (n, n) arrays of interior
 nodal values, and so is every field the Newton, CG and stencil layers
-take and return; the discrete L2 norm of such a field is
-``h * |values|_2``.
+take and return; its shape gives the mesh (``n >= 4`` interior nodes per
+axis, width ``h = 1 / (n + 1)``), and its discrete L2 norm is ``h * |values|_2``.
 
 A line-search trial's Newton solve stops at an iterate ``y_k`` with
 residual ``r`` once ``0.5 * max(|y_k - y_d| - rho, 0)^2``, with
@@ -58,8 +58,6 @@ __all__ = [
     "NewtonDivergence",
     "LinearSolveFailure",
     "NoSamplesInShell",
-    "Grid2D",
-    "DescentConfig",
     "TrackingResult",
     "SweepSample",
     "SweepReport",
@@ -87,8 +85,9 @@ CG_RTOL = 1e-15
 TRIAL_STATE_FRACTION = 1e-3
 TRIAL_ARMIJO_FRACTION = 0.1
 SPD_FRACTION = 1e-2
-# Control solve: Armijo sufficient-decrease factor, first step length,
-# bounds on the Barzilai-Borwein step length, and backtracking and iteration caps.
+# Control solve: default tolerance, Armijo sufficient-decrease factor, first step
+# length, bounds on the Barzilai-Borwein step length, backtracking and iteration caps.
+SPG_TOL = 1e-8
 SPG_ARMIJO = 1e-4
 SPG_STEP_INIT = 1.0
 SPG_STEP_MIN = 1e-3
@@ -120,24 +119,9 @@ class NoSamplesInShell(GrowthLabError):
     """No usable direction sample survived the filtering."""
 
 
-@dataclass(frozen=True)
-class Grid2D:
-    """Interior nodes of a uniform grid on the unit square, Dirichlet data."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 4:
-            raise ValueError(f"grid needs at least 4 interior nodes per axis, got {self.n}")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.n + 1)
-
-    def nodes(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Coordinate arrays ``X1, X2`` of shape (n, n) for interior nodes."""
-        xs = np.arange(1, self.n + 1) * self.h
-        return np.meshgrid(xs, xs, indexing="ij")
+def _check_n(n: int) -> None:
+    if n < 4:
+        raise ValueError(f"grid needs at least 4 interior nodes per axis, got {n}")
 
 
 def _neg_lap_stencil(x: np.ndarray) -> np.ndarray:
@@ -263,22 +247,36 @@ def _pcg_solve(d: np.ndarray, b: np.ndarray, atol: float = 0.0) -> np.ndarray:
     )
 
 
-def l2_norm(values: np.ndarray, grid: Grid2D) -> float:
-    """Discrete L2 norm of an interior nodal field: ``h * |values|_2``."""
+def _side(shape: Tuple[int, ...], name: str) -> int:
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"{name} must have shape (n, n), got {shape}")
+    _check_n(shape[0])
+    return shape[0]
+
+
+def l2_norm(values: np.ndarray) -> float:
+    """Discrete L2 norm of an (n, n) interior nodal field: ``h * |values|_2``."""
+    h = 1.0 / (_side(values.shape, "values") + 1)
     # np.linalg.norm of the row-major values, bitwise: sqrt of their dot
     # product with themselves
-    return grid.h * math.sqrt(float(np.vdot(values, values)))
+    return h * math.sqrt(float(np.vdot(values, values)))
 
 
-def l2_inner(a: np.ndarray, b: np.ndarray, grid: Grid2D) -> float:
-    """Discrete L2 inner product: ``h^2 * sum(a * b)``."""
-    return grid.h**2 * float((np.asarray(a) * np.asarray(b)).sum())
+def l2_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Discrete L2 inner product of two (n, n) fields: ``h^2 * sum(a * b)``."""
+    h = 1.0 / (_side(a.shape, "a") + 1)
+    if b.shape != a.shape:
+        raise ValueError(f"b must have shape {a.shape}, got {b.shape}")
+    return h**2 * float((a * b).sum())
 
 
-def _as_field(values, grid: Grid2D, name: str) -> np.ndarray:
+def _as_field(values, name: str, n: Optional[int] = None) -> np.ndarray:
+    """``values`` as a finite row-major float (n, n) field; ``n`` defaults to its own side."""
     arr = np.asarray(values, dtype=float)
-    if arr.shape != (grid.n, grid.n):
-        raise ValueError(f"{name} must have shape {(grid.n, grid.n)}, got {arr.shape}")
+    if n is None:
+        n = _side(arr.shape, name)
+    elif arr.shape != (n, n):
+        raise ValueError(f"{name} must have shape {(n, n)}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     # row-major, so the preconditioner's matrix products and the inner
@@ -289,7 +287,6 @@ def _as_field(values, grid: Grid2D, name: str) -> np.ndarray:
 def _newton(
     u: np.ndarray,
     y: np.ndarray,
-    grid: Grid2D,
     give_up: Optional[Callable[[np.ndarray, float], bool]] = None,
     cg_atol: float = 0.0,
 ) -> Optional[np.ndarray]:
@@ -308,7 +305,7 @@ def _newton(
         return _neg_lap_stencil(vec) + vec**3 - u
 
     res = residual(y)
-    rnorm = l2_norm(res, grid)
+    rnorm = l2_norm(res)
     history = [rnorm]
     while rnorm > STATE_RESIDUAL_TOL:
         if len(history) > NEWTON_MAX_ITERS:  # the start, then one entry per step
@@ -321,7 +318,7 @@ def _newton(
         for _ in range(NEWTON_MAX_HALVINGS):
             y_try = y + t * step
             res_try = residual(y_try)
-            rnorm_try = l2_norm(res_try, grid)
+            rnorm_try = l2_norm(res_try)
             if rnorm_try < rnorm:
                 break
             t *= 0.5
@@ -361,7 +358,7 @@ def _trial_cg_atol(jval: float, margin: float, n: int) -> float:
     return atol
 
 
-def solve_state(u, grid: Grid2D) -> np.ndarray:
+def solve_state(u) -> np.ndarray:
     """Solve ``-lap(y) + y^3 = u`` with zero Dirichlet data by damped Newton.
 
     The Jacobian ``-lap + 3 diag(y^2)`` is symmetric positive definite and
@@ -370,10 +367,11 @@ def solve_state(u, grid: Grid2D) -> np.ndarray:
     large forcing.  Newton stops once the residual norm is at most
     ``STATE_RESIDUAL_TOL`` and raises after ``NEWTON_MAX_ITERS`` steps.
     """
-    return _newton(_as_field(u, grid, "u"), np.zeros((grid.n, grid.n)), grid)
+    u = _as_field(u, "u")
+    return _newton(u, np.zeros(u.shape))
 
 
-def _solve_spd(y_base: np.ndarray, rhs: np.ndarray, grid: Grid2D) -> np.ndarray:
+def _solve_spd(y_base: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Preconditioned CG solve of ``(-lap + 3 diag(y^2)) x = rhs`` with a
     true-residual check after the solve and each of up to three
     refinement steps.  CG stops at ``SPD_FRACTION * LINEAR_RESIDUAL_TOL``."""
@@ -384,7 +382,7 @@ def _solve_spd(y_base: np.ndarray, rhs: np.ndarray, grid: Grid2D) -> np.ndarray:
     for _ in range(4):
         x = x + _pcg_solve(d, resid, atol)
         resid = rhs - _spd_matvec(d, x)
-        resid_norm = l2_norm(resid, grid)
+        resid_norm = l2_norm(resid)
         if resid_norm <= LINEAR_RESIDUAL_TOL:
             return x
     raise LinearSolveFailure(
@@ -392,49 +390,43 @@ def _solve_spd(y_base: np.ndarray, rhs: np.ndarray, grid: Grid2D) -> np.ndarray:
     )
 
 
-def solve_adjoint(y, y_d, grid: Grid2D) -> np.ndarray:
+def solve_adjoint(y, y_d) -> np.ndarray:
     """Adjoint state: ``(-lap + 3 diag(y^2)) p = y - y_d``.
 
     The adjoint is the L2 gradient of the tracking objective with respect
     to the control.
     """
-    y = _as_field(y, grid, "y")
-    y_d = _as_field(y_d, grid, "y_d")
-    return _solve_spd(y, y - y_d, grid)
+    y = _as_field(y, "y")
+    y_d = _as_field(y_d, "y_d", len(y))
+    return _solve_spd(y, y - y_d)
 
 
-def solve_linearized(v, y_base, grid: Grid2D) -> np.ndarray:
+def solve_linearized(v, y_base) -> np.ndarray:
     """Linearized state: ``(-lap + 3 diag(y_base^2)) z = v``."""
-    v = _as_field(v, grid, "v")
-    y_base = _as_field(y_base, grid, "y_base")
-    return _solve_spd(y_base, v, grid)
+    v = _as_field(v, "v")
+    y_base = _as_field(y_base, "y_base", len(v))
+    return _solve_spd(y_base, v)
 
 
-def objective(u, y_d, grid: Grid2D) -> float:
+def objective(u, y_d) -> float:
     """Tracking objective ``0.5 * |y_u - y_d|_{L2}^2``."""
-    y = solve_state(u, grid)
-    y_d = _as_field(y_d, grid, "y_d")
-    return 0.5 * l2_norm(y - y_d, grid) ** 2
+    u = _as_field(u, "u")
+    y_d = _as_field(y_d, "y_d", len(u))
+    return 0.5 * l2_norm(solve_state(u) - y_d) ** 2
 
 
-@dataclass(frozen=True)
-class DescentConfig:
-    """Spectral projected-gradient settings for the control solve."""
-
-    tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be positive and finite")
+def _check_tol(tol: float) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
 class TrackingResult:
     """Final iterate of the control solve with its state and adjoint, the
-    problem it solves (the validated ``target``, ``grid`` and box
-    ``[alpha, beta]``), and the descent ``config`` it was solved with.
+    problem it solves (a copy of the validated ``target``, which gives the
+    mesh, and the box ``[alpha, beta]``), and the ``tol`` it was solved to.
 
-    ``converged`` is ``first_order_residual <= config.tol``; a solve stopped
+    ``converged`` is ``first_order_residual <= tol``; a solve stopped
     by the iteration cap or a failed line search still returns its residual.
     ``objective_history`` holds the objective at every accepted iterate,
     which the monotone line search keeps non-increasing.
@@ -449,51 +441,48 @@ class TrackingResult:
     converged: bool
     objective_history: Tuple[float, ...]
     target: np.ndarray
-    grid: Grid2D
     alpha: float
     beta: float
-    config: DescentConfig
+    tol: float
 
 
 def solve_tracking(
-    y_d,
-    grid: Grid2D,
-    alpha: float,
-    beta: float,
-    cfg: DescentConfig = DescentConfig(),
-    u0: Optional[np.ndarray] = None,
+    y_d, alpha: float, beta: float, tol: float = SPG_TOL, u0: Optional[np.ndarray] = None
 ) -> TrackingResult:
     """Projected-gradient solve of the box-constrained tracking problem.
 
     The update is ``u+ = clip(u - s * p_u, [alpha, beta])`` with a spectral
     (Barzilai-Borwein) step length and monotone Armijo backtracking on the
     objective.  Terminates when the projected-gradient norm
-    ``|u - clip(u - p_u)|_{L2}`` falls to ``cfg.tol``, at the iteration
-    cap, or when a line search finds no step, whichever comes first.
+    ``|u - clip(u - p_u)|_{L2}`` falls to ``tol``, at the iteration
+    cap, or when a line search finds no step, whichever comes first.  The
+    target ``y_d`` gives the mesh, and a start ``u0`` must have its shape.
     """
     if not (alpha < beta and math.isfinite(alpha) and math.isfinite(beta)):
         raise ValueError(f"need finite alpha < beta, got [{alpha}, {beta}]")
-    y_d = _as_field(y_d, grid, "y_d")
+    _check_tol(tol)
+    y_d = _as_field(y_d, "y_d").copy()  # the result keeps the target it solved for
+    n = len(y_d)
 
     if u0 is None:
-        u = np.full((grid.n, grid.n), 0.5 * (alpha + beta))
+        u = np.full((n, n), 0.5 * (alpha + beta))
     else:
-        u = np.clip(_as_field(u0, grid, "u0"), alpha, beta)
+        u = np.clip(_as_field(u0, "u0", n), alpha, beta)
 
-    y = solve_state(u, grid)
-    jval = 0.5 * l2_norm(y - y_d, grid) ** 2
-    p = solve_adjoint(y, y_d, grid)
+    y = solve_state(u)
+    jval = 0.5 * l2_norm(y - y_d) ** 2
+    p = solve_adjoint(y, y_d)
     history: List[float] = [jval]
 
     # a trial's Newton solve stops once it must fail the Armijo test (see
     # the module docstring)
-    target_norm = l2_norm(y_d, grid)
+    target_norm = l2_norm(y_d)
     eps = 2.0**-52
     threshold = 0.0
 
     def fails_armijo(y_k: np.ndarray, rnorm: float) -> bool:
-        dist = l2_norm(y_k - y_d, grid)
-        rho = _state_error_bound(rnorm, grid.n)
+        dist = l2_norm(y_k - y_d)
+        rho = _state_error_bound(rnorm, n)
         # Rounding margin, in distance units.  A computed residual norm is
         # off from the exact one by at most about 50 eps (n + 1)^2 |y|_h
         # (the stencil's terms are up to 4 (n + 1)^2 |y| each), at y_k and
@@ -504,7 +493,7 @@ def solve_tracking(
         # 0.5 max(L - slack, 0)^2 >= 0.5 L^2 - dist * slack for
         # L = max(dist - rho, 0) <= dist, every trial rejected here fails
         # the full solve's test too.
-        slack = 2.0**10 * eps * (grid.n + 1) ** 2 * (dist + target_norm)
+        slack = 2.0**10 * eps * (n + 1) ** 2 * (dist + target_norm)
         return 0.5 * max(dist - rho, 0.0) ** 2 > threshold + dist * slack
 
     step = SPG_STEP_INIT
@@ -513,17 +502,17 @@ def solve_tracking(
 
     iterations = 0
     while True:
-        residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
-        if residual <= cfg.tol or iterations == SPG_MAX_ITERS:
+        residual = l2_norm(u - np.clip(u - p, alpha, beta))
+        if residual <= tol or iterations == SPG_MAX_ITERS:
             break
         iterations += 1
 
         if prev_u is not None:
             du = u - prev_u
             dg = p - prev_p
-            den = l2_inner(du, dg, grid)
+            den = l2_inner(du, dg)
             if den > 0.0:
-                step = min(max(l2_inner(du, du, grid) / den, SPG_STEP_MIN), SPG_STEP_MAX)
+                step = min(max(l2_inner(du, du) / den, SPG_STEP_MIN), SPG_STEP_MAX)
             else:
                 step = SPG_STEP_MAX
 
@@ -532,15 +521,13 @@ def solve_tracking(
         for _ in range(SPG_MAX_HALVINGS):
             u_try = np.clip(u - t * step * p, alpha, beta)
             move = u_try - u
-            if l2_norm(move, grid) == 0.0:
+            if l2_norm(move) == 0.0:
                 break
-            decrease = SPG_ARMIJO * l2_inner(p, move, grid)
+            decrease = SPG_ARMIJO * l2_inner(p, move)
             threshold = jval + decrease
-            y_try = _newton(
-                u_try, y, grid, fails_armijo, _trial_cg_atol(jval, -decrease, grid.n)
-            )
+            y_try = _newton(u_try, y, fails_armijo, _trial_cg_atol(jval, -decrease, n))
             if y_try is not None:
-                j_try = 0.5 * l2_norm(y_try - y_d, grid) ** 2
+                j_try = 0.5 * l2_norm(y_try - y_d) ** 2
                 if j_try <= threshold:
                     accepted = True
                     break
@@ -550,12 +537,12 @@ def solve_tracking(
 
         prev_u, prev_p = u, p
         u, y, jval = u_try, y_try, j_try
-        p = solve_adjoint(y, y_d, grid)
+        p = solve_adjoint(y, y_d)
         history.append(jval)
 
     return TrackingResult(
-        u, y, p, jval, residual, iterations, residual <= cfg.tol, tuple(history),
-        y_d, grid, alpha, beta, cfg,
+        u, y, p, jval, residual, iterations, residual <= tol, tuple(history),
+        y_d, alpha, beta, tol,
     )
 
 
@@ -572,9 +559,10 @@ def ssc_estimate(
     """Sampled estimate of the curvature constant of the control problem
     at the solved control ``ubar``, state ``y`` and adjoint ``p`` of ``result``.
 
-    Over feasible directions ``v = u - ubar`` (random box controls plus the
-    two box-vertex controls), scaled so the linearized state stays within
-    the shell ``|z_v| <= SSC_SHELL_RADIUS``, returns the minimum of
+    Over feasible directions ``v = u - ubar`` (random box controls on the
+    mesh of ``ubar``, plus the two box-vertex controls), scaled so the
+    linearized state stays within the shell ``|z_v| <= SSC_SHELL_RADIUS``,
+    returns the minimum of
 
         (<p, v> + 0.5 * sum (1 - 6 y p) z_v^2) / |z_v|^2.
 
@@ -586,55 +574,52 @@ def ssc_estimate(
     state distance, not a certified bound.
     """
     _check_ssc_settings(sample_count)
-    ubar, y, p, grid = result.control, result.state, result.adjoint, result.grid
+    ubar, y, p = result.control, result.state, result.adjoint
     alpha, beta = result.alpha, result.beta
     weight = 1.0 - 6.0 * y * p
 
     rng = np.random.default_rng(seed)
     candidates = [np.full_like(ubar, alpha), np.full_like(ubar, beta)]
-    candidates += [
-        alpha + (beta - alpha) * rng.random((grid.n, grid.n))
-        for _ in range(sample_count)
-    ]
+    candidates += [alpha + (beta - alpha) * rng.random(ubar.shape) for _ in range(sample_count)]
 
     quotients: List[float] = []
     for cand in candidates:
         v = cand - ubar
-        if l2_norm(v, grid) < 1e-14:
+        if l2_norm(v) < 1e-14:
             continue
-        z = solve_linearized(v, y, grid)
-        nz = l2_norm(z, grid)
+        z = solve_linearized(v, y)
+        nz = l2_norm(z)
         if nz < 1e-14:
             continue
         scale = min(1.0, SSC_SHELL_RADIUS / nz)
         v = scale * v
         z = scale * z
         nz = scale * nz
-        first = l2_inner(p, v, grid)
-        quad = l2_inner(weight * z, z, grid)
+        first = l2_inner(p, v)
+        quad = l2_inner(weight * z, z)
         quotients.append((first + 0.5 * quad) / nz**2)
     if not quotients:
         raise NoSamplesInShell("no feasible direction produced a nonzero state move")
     return min(quotients)
 
 
-def sine_combination(grid: Grid2D, coeffs: np.ndarray) -> np.ndarray:
-    """Field ``sum_kl c[k-1, l-1] sin(k pi x1) sin(l pi x2)`` on the grid."""
+def sine_combination(n: int, coeffs: np.ndarray) -> np.ndarray:
+    """Field ``sum_kl c[k-1, l-1] sin(k pi x1) sin(l pi x2)`` on n x n interior nodes."""
+    _check_n(n)
     coeffs = np.asarray(coeffs, dtype=float)
-    xs = np.arange(1, grid.n + 1) * grid.h
+    xs = np.arange(1, n + 1) * (1.0 / (n + 1))
     kmax, lmax = coeffs.shape
     sines = np.stack([np.sin(k * np.pi * xs) for k in range(1, max(kmax, lmax) + 1)])
-    field = np.zeros((grid.n, grid.n))
+    field = np.zeros((n, n))
     for k in range(kmax):
         for l in range(lmax):
             field += coeffs[k, l] * np.outer(sines[k], sines[l])
     return field
 
 
-def default_target(grid: Grid2D) -> np.ndarray:
-    """The reference tracking target ``sin(pi x1) sin(pi x2)``."""
-    x1, x2 = grid.nodes()
-    return np.sin(np.pi * x1) * np.sin(np.pi * x2)
+def default_target(n: int) -> np.ndarray:
+    """The reference tracking target ``sin(pi x1) sin(pi x2)`` on n x n interior nodes."""
+    return sine_combination(n, np.ones((1, 1)))
 
 
 @dataclass(frozen=True)
@@ -695,8 +680,8 @@ def perturbation_sweep(
     etas_per_norm: int,
     seed: int = 0,
 ) -> SweepReport:
-    """Re-solve the tracking problem of ``ubar_result`` with its descent
-    config for randomly perturbed targets.
+    """Re-solve the tracking problem of ``ubar_result`` at its ``tol`` for
+    randomly perturbed targets on its mesh.
 
     Perturbations are low-frequency random sine combinations
     (``SWEEP_MODES`` x ``SWEEP_MODES`` with standard normal coefficients)
@@ -705,18 +690,18 @@ def perturbation_sweep(
     not fatal.
     """
     _check_sweep_settings(eta_norms, etas_per_norm)
-    y_d, grid, ybar = ubar_result.target, ubar_result.grid, ubar_result.state
-    alpha, beta, cfg = ubar_result.alpha, ubar_result.beta, ubar_result.config
+    y_d, ybar = ubar_result.target, ubar_result.state
+    alpha, beta, tol = ubar_result.alpha, ubar_result.beta, ubar_result.tol
 
     samples: List[SweepSample] = []
     for j, target in enumerate(map(float, eta_norms)):
         for i in range(etas_per_norm):
             rng = np.random.default_rng([seed, j, i])
-            eta = sine_combination(grid, rng.standard_normal((SWEEP_MODES, SWEEP_MODES)))
-            eta = eta * (target / l2_norm(eta, grid))
+            eta = sine_combination(len(y_d), rng.standard_normal((SWEEP_MODES, SWEEP_MODES)))
+            eta = eta * (target / l2_norm(eta))
             try:
-                res = solve_tracking(y_d + eta, grid, alpha, beta, cfg, u0=ubar_result.control)
-                ratio = l2_norm(res.state - ybar, grid) / target
+                res = solve_tracking(y_d + eta, alpha, beta, tol, u0=ubar_result.control)
+                ratio = l2_norm(res.state - ybar) / target
                 samples.append(SweepSample(target, i, ratio, res.converged, res.iterations))
             except GrowthLabError as exc:
                 samples.append(SweepSample(target, i, math.nan, False, 0, error=str(exc)))

@@ -84,8 +84,7 @@ from growthlab.diagnostics import (
 )
 from growthlab.minimize import AllInfinite, NonFiniteValue, SolverConfig, TiltedSolveResult
 from growthlab.tracking import (
-    DescentConfig,
-    Grid2D,
+    SPG_TOL,
     TrackingResult,
     l2_inner,
     l2_norm,
@@ -152,12 +151,7 @@ def matrix_bytes(config: cli.RunConfig, values: np.ndarray) -> bytes:
 
 
 def solve_tracking(
-    y_d,
-    grid: Grid2D,
-    alpha: float,
-    beta: float,
-    cfg: DescentConfig = DescentConfig(),
-    u0: Optional[np.ndarray] = None,
+    y_d, alpha: float, beta: float, tol: float = SPG_TOL, u0: Optional[np.ndarray] = None
 ) -> TrackingResult:
     """The projected-gradient control solve, each trial solved in full."""
     if not (alpha < beta and math.isfinite(alpha) and math.isfinite(beta)):
@@ -165,13 +159,13 @@ def solve_tracking(
     y_d = np.asarray(y_d, dtype=float)
 
     if u0 is None:
-        u = np.full((grid.n, grid.n), 0.5 * (alpha + beta))
+        u = np.full(y_d.shape, 0.5 * (alpha + beta))
     else:
         u = np.clip(np.asarray(u0, dtype=float), alpha, beta)
 
-    y = solve_state(u, grid)
-    jval = 0.5 * l2_norm(y - y_d, grid) ** 2
-    p = solve_adjoint(y, y_d, grid)
+    y = solve_state(u)
+    jval = 0.5 * l2_norm(y - y_d) ** 2
+    p = solve_adjoint(y, y_d)
     history: List[float] = [jval]
     step = trk.SPG_STEP_INIT
     prev_u: Optional[np.ndarray] = None
@@ -179,19 +173,19 @@ def solve_tracking(
 
     iterations = 0
     for iterations in range(1, trk.SPG_MAX_ITERS + 1):
-        residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
-        if residual <= cfg.tol:
+        residual = l2_norm(u - np.clip(u - p, alpha, beta))
+        if residual <= tol:
             return TrackingResult(
                 u, y, p, jval, residual, iterations - 1, True, tuple(history),
-                y_d, grid, alpha, beta, cfg,
+                y_d, alpha, beta, tol,
             )
 
         if prev_u is not None:
             du = u - prev_u
             dg = p - prev_p
-            den = l2_inner(du, dg, grid)
+            den = l2_inner(du, dg)
             if den > 0.0:
-                step = min(max(l2_inner(du, du, grid) / den, trk.SPG_STEP_MIN), trk.SPG_STEP_MAX)
+                step = min(max(l2_inner(du, du) / den, trk.SPG_STEP_MIN), trk.SPG_STEP_MAX)
             else:
                 step = trk.SPG_STEP_MAX
 
@@ -200,13 +194,13 @@ def solve_tracking(
         for _ in range(trk.SPG_MAX_HALVINGS):
             u_try = np.clip(u - t * step * p, alpha, beta)
             move = u_try - u
-            if l2_norm(move, grid) == 0.0:
+            if l2_norm(move) == 0.0:
                 break
-            decrease = trk.SPG_ARMIJO * l2_inner(p, move, grid)
+            decrease = trk.SPG_ARMIJO * l2_inner(p, move)
             y_try = trk._newton(
-                u_try, y, grid, cg_atol=trk._trial_cg_atol(jval, -decrease, grid.n)
+                u_try, y, cg_atol=trk._trial_cg_atol(jval, -decrease, len(y_d))
             )
-            j_try = 0.5 * l2_norm(y_try - y_d, grid) ** 2
+            j_try = 0.5 * l2_norm(y_try - y_d) ** 2
             if j_try <= jval + decrease:
                 accepted = True
                 break
@@ -216,13 +210,13 @@ def solve_tracking(
 
         prev_u, prev_p = u, p
         u, y, jval = u_try, y_try, j_try
-        p = solve_adjoint(y, y_d, grid)
+        p = solve_adjoint(y, y_d)
         history.append(jval)
 
-    residual = l2_norm(u - np.clip(u - p, alpha, beta), grid)
+    residual = l2_norm(u - np.clip(u - p, alpha, beta))
     return TrackingResult(
-        u, y, p, jval, residual, iterations, residual <= cfg.tol, tuple(history),
-        y_d, grid, alpha, beta, cfg,
+        u, y, p, jval, residual, iterations, residual <= tol, tuple(history),
+        y_d, alpha, beta, tol,
     )
 
 

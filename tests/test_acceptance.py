@@ -61,10 +61,9 @@ def power_reports():
 @pytest.fixture(scope="module")
 def tracking_instance():
     """Reference tracking solve at n=32 on the default instance."""
-    grid = trk.Grid2D(32)
-    y_d = 0.6 * trk.default_target(grid)
-    result = trk.solve_tracking(y_d, grid, 0.0, 8.0, trk.DescentConfig(tol=1e-8))
-    return grid, y_d, result
+    y_d = 0.6 * trk.default_target(32)
+    result = trk.solve_tracking(y_d, 0.0, 8.0, tol=1e-8)
+    return y_d, result
 
 
 def test_c01_power_family_constants(power_reports):
@@ -192,16 +191,16 @@ def test_c07_pde_solver_order():
     start = time.monotonic()
     errors = {}
     for n in (16, 32, 64):
-        grid = trk.Grid2D(n)
-        x1, x2 = grid.nodes()
+        xs = np.arange(1, n + 1) * (1.0 / (n + 1))
+        x1, x2 = np.meshgrid(xs, xs, indexing="ij")
         ystar = np.sin(np.pi * x1) * np.sin(np.pi * x2)
         u = 2.0 * np.pi**2 * ystar + ystar**3
-        y = trk.solve_state(u, grid)
-        residual = grid.h * np.linalg.norm(
+        y = trk.solve_state(u)
+        residual = (1.0 / (n + 1)) * np.linalg.norm(
             _neg_laplacian(n) @ y.ravel() + y.ravel() ** 3 - u.ravel()
         )
         assert residual <= 1e-10
-        errors[n] = trk.l2_norm(y - ystar, grid)
+        errors[n] = trk.l2_norm(y - ystar)
     r1 = errors[16] / errors[32]
     r2 = errors[32] / errors[64]
     assert 3.3 <= r1 <= 4.7
@@ -212,39 +211,40 @@ def test_c07_pde_solver_order():
 
 
 def test_c08_adjoint_gradient_second_order(tracking_instance):
-    grid, y_d, result = tracking_instance
+    y_d, result = tracking_instance
+    n = len(y_d)
     rng = np.random.default_rng(1)
 
     t = 1e-5
     for _ in range(5):
-        u = rng.uniform(0.0, 8.0, (grid.n, grid.n))
-        v = rng.standard_normal((grid.n, grid.n))
-        p = trk.solve_adjoint(trk.solve_state(u, grid), y_d, grid)
+        u = rng.uniform(0.0, 8.0, (n, n))
+        v = rng.standard_normal((n, n))
+        p = trk.solve_adjoint(trk.solve_state(u), y_d)
         fd = (
-            trk.objective(u + t * v, y_d, grid) - trk.objective(u - t * v, y_d, grid)
+            trk.objective(u + t * v, y_d) - trk.objective(u - t * v, y_d)
         ) / (2 * t)
-        jval = trk.objective(u, y_d, grid)
-        assert abs(trk.l2_inner(p, v, grid) - fd) <= 1e-6 * (1.0 + abs(jval))
+        jval = trk.objective(u, y_d)
+        assert abs(trk.l2_inner(p, v) - fd) <= 1e-6 * (1.0 + abs(jval))
 
     y = result.state
     for _ in range(3):
-        v = rng.standard_normal((grid.n, grid.n))
-        w = rng.standard_normal((grid.n, grid.n))
-        zv = trk.solve_linearized(v, y, grid)
-        zw = trk.solve_linearized(w, y, grid)
-        assert abs(trk.l2_inner(zv, w, grid) - trk.l2_inner(v, zw, grid)) <= 1e-10
+        v = rng.standard_normal((n, n))
+        w = rng.standard_normal((n, n))
+        zv = trk.solve_linearized(v, y)
+        zw = trk.solve_linearized(w, y)
+        assert abs(trk.l2_inner(zv, w) - trk.l2_inner(v, zw)) <= 1e-10
 
     # frozen from the calibration run at n=32, t=1e-3: worst observed
     # relative error 7.6e-7, tolerance 1e-5 keeps a 13x margin
     td = 1e-3
     for _ in range(3):
-        v = rng.standard_normal((grid.n, grid.n))
-        z = trk.solve_linearized(v, result.state, grid)
-        form = trk.l2_inner((1 - 6 * result.state * result.adjoint) * z, z, grid)
+        v = rng.standard_normal((n, n))
+        z = trk.solve_linearized(v, result.state)
+        form = trk.l2_inner((1 - 6 * result.state * result.adjoint) * z, z)
         fd2 = (
-            trk.objective(result.control + td * v, y_d, grid)
-            - 2.0 * trk.objective(result.control, y_d, grid)
-            + trk.objective(result.control - td * v, y_d, grid)
+            trk.objective(result.control + td * v, y_d)
+            - 2.0 * trk.objective(result.control, y_d)
+            + trk.objective(result.control - td * v, y_d)
         ) / td**2
         assert abs(form - fd2) <= 1e-5 * abs(form)
     report("C8 adjoint/gradient/second-order consistency: PASS")
@@ -252,7 +252,7 @@ def test_c08_adjoint_gradient_second_order(tracking_instance):
 
 def test_c09_perturbation_consistency(tracking_instance):
     start = time.monotonic()
-    grid, y_d, result = tracking_instance
+    y_d, result = tracking_instance
     assert result.converged
 
     c = trk.ssc_estimate(result, sample_count=16, seed=0)

@@ -152,10 +152,10 @@ PACKAGE_EXPORTS = {
         "prox_step", "run_prox",
     ),
     "tracking": (
-        "DescentConfig", "Grid2D", "NewtonDivergence", "NoSamplesInShell", "SweepReport",
-        "TrackingResult", "default_target", "l2_inner", "l2_norm", "objective",
-        "perturbation_sweep", "sine_combination", "solve_adjoint", "solve_linearized",
-        "solve_state", "solve_tracking", "ssc_estimate",
+        "NewtonDivergence", "NoSamplesInShell", "SweepReport", "TrackingResult",
+        "default_target", "l2_inner", "l2_norm", "objective", "perturbation_sweep",
+        "sine_combination", "solve_adjoint", "solve_linearized", "solve_state",
+        "solve_tracking", "ssc_estimate",
     ),
     "catalog": ("CATALOG", "CatalogEntry", "get_entry"),
 }
@@ -164,7 +164,7 @@ PACKAGE_EXPORTS = {
 class TestPackageNamespace:
     def test_all_holds_exactly_the_exported_names(self):
         names = [name for names in PACKAGE_EXPORTS.values() for name in names]
-        assert len(names) == 62
+        assert len(names) == 60
         assert sorted(growthlab.__all__) == sorted(names)
 
     @pytest.mark.parametrize("module", sorted(PACKAGE_EXPORTS))
@@ -382,10 +382,7 @@ class TestTracking:
         monkeypatch.setattr(trk, "CONSISTENCY_FACTOR", factor)
         out = tmp_path / "t"
         assert run(["tracking", "--out", str(out)] + MINI_TRACKING, capsys)[0] == code
-        grid = trk.Grid2D(8)
-        result = trk.solve_tracking(
-            0.6 * trk.default_target(grid), grid, 0.0, 8.0, trk.DescentConfig(1e-8)
-        )
+        result = trk.solve_tracking(0.6 * trk.default_target(8), 0.0, 8.0, 1e-8)
         ssc = trk.ssc_estimate(result, 4, seed=0)
         sweep = trk.perturbation_sweep(result, (1e-2, 1e-1), 1, seed=0)
         manifest = json.loads((out / "manifest.json").read_text())
@@ -415,9 +412,8 @@ class TestTracking:
         result = trk.TrackingResult(
             field("control.txt"), field("state.txt"), field("adjoint.txt"),
             solve["objective"], solve["first_order_residual"], solve["iterations"],
-            solve["converged"], (), field("target.txt"), trk.Grid2D(config["n"]),
-            config["alpha"], config["beta"],
-            trk.DescentConfig(config["tol"]),
+            solve["converged"], (), field("target.txt"), config["alpha"], config["beta"],
+            config["tol"],
         )
         ssc = trk.ssc_estimate(result, config["ssc_samples"], seed=config["seed"])
         assert np.float64(ssc).tobytes() == np.float64(manifest["ssc_estimate"]).tobytes()

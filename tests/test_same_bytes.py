@@ -78,11 +78,17 @@ def test_every_difference_is_named_with_its_lines(tmp_path, monkeypatch, capsys)
 
 def test_run_list_holds_the_fixed_runs_and_each_parses(tmp_path, monkeypatch):
     runs = same_bytes.RUNS
-    # README runs, catalog-1d and maxsq-2d jobs, three tracking runs, and
-    # the 8 tracking jobs of a pde-tracking block for each of 3 seeds
-    assert len(runs) == 8 + 3 * 7 + 3 * 4 + 3 + 3 * 8
-    assert [run[0] for run in runs].count("tracking") == 3 + 3 * 8
-    assert runs[-25] == ["tracking", "--n", "32", "--amplitude", "0.8"]
+    # README runs, catalog-1d and maxsq-2d jobs, three tracking runs, a
+    # tracking run at a non-default tol and two refused ones, and the 8
+    # tracking jobs of a pde-tracking block for each of 3 seeds
+    assert len(runs) == 8 + 3 * 7 + 3 * 4 + 3 + 3 + 3 * 8
+    assert [run[0] for run in runs].count("tracking") == 3 + 3 + 3 * 8
+    assert runs[-28] == ["tracking", "--n", "32", "--amplitude", "0.8"]
+    assert runs[-27:-24] == [
+        ["tracking", "--n", "8", "--tol", "1e-11"],
+        ["tracking", "--n", "3"],
+        ["tracking", "--n", "8", "--tol", "0"],
+    ]
     # the recorder is gone once the list is built
     jobs = same_bytes.jobs
     assert jobs._cli.__module__ == "jobs"
@@ -94,7 +100,7 @@ def test_run_list_holds_the_fixed_runs_and_each_parses(tmp_path, monkeypatch):
             for job in jobs.make_block(workload, seed, 0):
                 if job["kind"] in ("diagnose", "prox", "tracking"):
                     jobs.start_job(job, tmp_path)
-    assert runs[8:-27] + runs[-24:] == passed
+    assert runs[8:-30] + runs[-24:] == passed
     parser = cli.build_parser()
     for run in runs:
         config = cli.resolve_config(run[0], parser.parse_args(run))

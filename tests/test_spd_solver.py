@@ -22,51 +22,51 @@ from growthlab.tracking import (
     NEWTON_MAX_HALVINGS,
     NEWTON_MAX_ITERS,
     STATE_RESIDUAL_TOL,
-    Grid2D,
 )
 
 SIZES = (8, 16, 24, 32, 64, 128)
 BASES = ("target", "saturated", "random")
 
 
-def base_state(kind, grid):
-    n = grid.n
+def base_state(kind, n):
     if kind == "target":
-        return 0.63 * trk.default_target(grid)
+        return 0.63 * trk.default_target(n)
     if kind == "saturated":
-        return trk.solve_state(np.full((n, n), 8.0), grid)
+        return trk.solve_state(np.full((n, n), 8.0))
     return np.random.default_rng(n).standard_normal((n, n))
 
 
-def assembled(y, grid):
-    return (_neg_laplacian(grid.n) + sp.diags(3.0 * y.ravel() ** 2)).tocsr()
+def assembled(y):
+    return (_neg_laplacian(len(y)) + sp.diags(3.0 * y.ravel() ** 2)).tocsr()
 
 
 def rel_diff(a, b):
     return float(np.linalg.norm(np.ravel(a - b)) / np.linalg.norm(np.ravel(b)))
 
 
-def spsolve_newton(u, grid):
+def spsolve_newton(u):
     """Frozen copy of the damped Newton state solve with a sparse direct
     solve per step."""
+    n = len(u)
+    h = 1.0 / (n + 1)
     u = u.ravel()
-    a = _neg_laplacian(grid.n)
+    a = _neg_laplacian(n)
     y = np.zeros_like(u)
 
     def residual(vec):
         return a @ vec + vec**3 - u
 
     res = residual(y)
-    rnorm = grid.h * float(np.linalg.norm(res))
+    rnorm = h * float(np.linalg.norm(res))
     for _ in range(NEWTON_MAX_ITERS):
         if rnorm <= STATE_RESIDUAL_TOL:
-            return y.reshape(grid.n, grid.n)
+            return y.reshape(n, n)
         step = spsolve((a + sp.diags(3.0 * y**2)).tocsr(), -res)
         t = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
             y_try = y + t * step
             res_try = residual(y_try)
-            rnorm_try = grid.h * float(np.linalg.norm(res_try))
+            rnorm_try = h * float(np.linalg.norm(res_try))
             if rnorm_try < rnorm:
                 break
             t *= 0.5
@@ -74,7 +74,7 @@ def spsolve_newton(u, grid):
             raise AssertionError("reference Newton stalled")
         y, res, rnorm = y_try, res_try, rnorm_try
     assert rnorm <= STATE_RESIDUAL_TOL
-    return y.reshape(grid.n, grid.n)
+    return y.reshape(n, n)
 
 
 @pytest.mark.parametrize("n", (4, 8, 16, 24, 32, 64, 128))
@@ -93,46 +93,42 @@ def test_stencil_equals_assembled_product_bitwise(n):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("kind", BASES)
 def test_linear_solves_match_sparse_direct(n, kind):
-    grid = Grid2D(n)
-    y = base_state(kind, grid)
-    m = assembled(y, grid)
+    y = base_state(kind, n)
+    m = assembled(y)
     rng = np.random.default_rng([n, len(kind)])
-    for rhs in (rng.standard_normal((n, n)), trk.default_target(grid)):
+    for rhs in (rng.standard_normal((n, n)), trk.default_target(n)):
         ref = spsolve(m, rhs.ravel()).reshape(n, n)
-        z = trk.solve_linearized(rhs, y, grid)
+        z = trk.solve_linearized(rhs, y)
         assert rel_diff(z, ref) <= 1e-12
-        assert grid.h * np.linalg.norm(rhs.ravel() - m @ z.ravel()) <= LINEAR_RESIDUAL_TOL
+        assert (1.0 / (n + 1)) * np.linalg.norm(rhs.ravel() - m @ z.ravel()) <= LINEAR_RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_adjoint_matches_sparse_direct(n):
-    grid = Grid2D(n)
-    y = base_state("saturated", grid)
-    y_d = 0.65 * trk.default_target(grid)
-    ref = spsolve(assembled(y, grid), (y - y_d).ravel()).reshape(n, n)
-    assert rel_diff(trk.solve_adjoint(y, y_d, grid), ref) <= 1e-12
+    y = base_state("saturated", n)
+    y_d = 0.65 * trk.default_target(n)
+    ref = spsolve(assembled(y), (y - y_d).ravel()).reshape(n, n)
+    assert rel_diff(trk.solve_adjoint(y, y_d), ref) <= 1e-12
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("control", ("saturated", "manufactured", "random"))
 def test_state_solve_matches_spsolve_newton(n, control):
-    grid = Grid2D(n)
     if control == "saturated":
         u = np.full((n, n), 8.0)
     elif control == "manufactured":
-        ystar = trk.default_target(grid)
+        ystar = trk.default_target(n)
         u = 2.0 * np.pi**2 * ystar + ystar**3
     else:
         u = np.random.default_rng(n).uniform(0.0, 8.0, (n, n))
-    assert rel_diff(trk.solve_state(u, grid), spsolve_newton(u, grid)) <= 1e-12
+    assert rel_diff(trk.solve_state(u), spsolve_newton(u)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", (16, 32, 64, 128))
 def test_iteration_count_does_not_grow_with_the_mesh(n, monkeypatch):
     # the preconditioned spectrum lies in [1, 1 + max d / (2 pi^2)]
     monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d: 8)
-    grid = Grid2D(n)
-    d = 3.0 * (0.65 * trk.default_target(grid)) ** 2
+    d = 3.0 * (0.65 * trk.default_target(n)) ** 2
     b = np.random.default_rng(n).standard_normal((n, n))
     x = trk._pcg_solve(d, b)
     assert np.linalg.norm(b - trk._spd_matvec(d, x)) <= 1e-13 * np.linalg.norm(b)
@@ -197,8 +193,7 @@ def test_in_place_cg_equals_the_allocating_copy_bitwise(n, seed, d_max, b_scale,
 
 @pytest.mark.parametrize("cap", (1, 3))
 def test_capped_cg_fails_as_the_allocating_copy_does(cap, monkeypatch):
-    grid = Grid2D(16)
-    d = 3.0 * base_state("saturated", grid) ** 2
+    d = 3.0 * base_state("saturated", 16) ** 2
     b = np.random.default_rng(cap).standard_normal((16, 16))
     monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d: cap)
     message = _solve_outcome(trk._pcg_solve, d, b)
@@ -228,8 +223,7 @@ def test_back_to_back_solves_return_fresh_arrays(n):
     """No buffer outlives a call: two solves at one n return arrays that
     share no memory with each other or with the inputs, and each equals
     a solve of its right-hand side alone."""
-    grid = Grid2D(n)
-    d = 3.0 * base_state("target", grid) ** 2
+    d = 3.0 * base_state("target", n) ** 2
     rng = np.random.default_rng(n)
     b1, b2 = rng.standard_normal((2, n, n))
     x1 = trk._pcg_solve(d, b1)

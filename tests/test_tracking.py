@@ -13,8 +13,7 @@ from _reference import neg_laplacian as _neg_laplacian
 from growthlab import tracking as trk
 from growthlab.core import GrowthLabError
 from growthlab.tracking import (
-    DescentConfig,
-    Grid2D,
+    SPG_TOL,
     LinearSolveFailure,
     NewtonDivergence,
     NoSamplesInShell,
@@ -32,12 +31,14 @@ from growthlab.tracking import (
     ssc_estimate,
 )
 
-GRID = Grid2D(16)
+N = 16
 ALPHA, BETA = 0.0, 8.0
+COARSE = "^grid needs at least 4 interior nodes per axis, got 3$"
 
 
-def sinbump(grid):
-    x1, x2 = grid.nodes()
+def sinbump(n):
+    xs = np.arange(1, n + 1) * (1.0 / (n + 1))
+    x1, x2 = np.meshgrid(xs, xs, indexing="ij")
     return np.sin(np.pi * x1) * np.sin(np.pi * x2)
 
 
@@ -55,24 +56,23 @@ def _count_cg_passes(monkeypatch):
 
 @pytest.fixture(scope="module")
 def default_solution():
-    y_d = 0.6 * default_target(GRID)
-    res = solve_tracking(y_d, GRID, ALPHA, BETA, DescentConfig(tol=1e-8))
+    y_d = 0.6 * default_target(N)
+    res = solve_tracking(y_d, ALPHA, BETA, 1e-8)
     return y_d, res
 
 
 class TestStateSolver:
     def test_zero_control_gives_zero_state(self):
-        y = solve_state(np.zeros((16, 16)), GRID)
+        y = solve_state(np.zeros((16, 16)))
         np.testing.assert_array_equal(y, np.zeros((16, 16)))
 
     def test_manufactured_solution_second_order(self):
         errors = {}
         for n in (16, 32):
-            grid = Grid2D(n)
-            ystar = sinbump(grid)
+            ystar = sinbump(n)
             u = 2.0 * np.pi**2 * ystar + ystar**3
-            y = solve_state(u, grid)
-            errors[n] = l2_norm(y - ystar, grid)
+            y = solve_state(u)
+            errors[n] = l2_norm(y - ystar)
         ratio = errors[16] / errors[32]
         assert 3.3 <= ratio <= 4.7
 
@@ -80,151 +80,229 @@ class TestStateSolver:
         # same bounds as the acceptance order check, one octave further
         errors = {}
         for n in (32, 64, 128):
-            grid = Grid2D(n)
-            ystar = sinbump(grid)
+            ystar = sinbump(n)
             u = 2.0 * np.pi**2 * ystar + ystar**3
-            y = solve_state(u, grid)
-            residual = grid.h * np.linalg.norm(
+            y = solve_state(u)
+            residual = np.linalg.norm(
                 _neg_laplacian(n) @ y.ravel() + y.ravel() ** 3 - u.ravel()
-            )
+            ) / (n + 1)
             assert residual <= 1e-10
-            errors[n] = l2_norm(y - ystar, grid)
+            errors[n] = l2_norm(y - ystar)
         assert 3.3 <= errors[32] / errors[64] <= 4.7
         assert 3.3 <= errors[64] / errors[128] <= 4.7
 
     def test_discrete_maximum_principle_positivity(self):
-        y = solve_state(np.full((16, 16), 2.0), GRID)
+        y = solve_state(np.full((16, 16), 2.0))
         assert np.all(y > 0.0)
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            Grid2D(3)
-        with pytest.raises(ValueError):
-            solve_state(np.zeros((4, 4)), GRID)
+        # the mesh is read from the field: n = 3 is too coarse, and a field
+        # that is not square has no mesh
+        with pytest.raises(ValueError, match=COARSE):
+            solve_state(np.zeros((3, 3)))
+        for bad in (np.zeros(16), np.zeros((16, 4)), np.zeros((2, 16, 16))):
+            with pytest.raises(ValueError, match=r"^u must have shape \(n, n\)"):
+                solve_state(bad)
         u = np.zeros((16, 16))
         u[3, 5] = np.nan
         with pytest.raises(ValueError, match="u has non-finite entries"):
-            solve_state(u, GRID)
+            solve_state(u)
+
+
+class TestMeshFromShape:
+    """Every function of fields reads the mesh from its first field's
+    (n, n) shape and refuses a field of another shape."""
+
+    @pytest.mark.parametrize("bad", (np.ones(16), np.ones((16, 4)), np.ones((1, 16, 16))))
+    def test_norm_and_inner_refuse_flat_or_non_square_arrays(self, bad):
+        square = np.ones((16, 16))
+        with pytest.raises(ValueError, match=r"^values must have shape \(n, n\)"):
+            l2_norm(bad)
+        with pytest.raises(ValueError, match=r"^a must have shape \(n, n\)"):
+            l2_inner(bad, square)
+        with pytest.raises(ValueError, match=r"^b must have shape \(16, 16\)"):
+            l2_inner(square, bad)
+
+    def test_norm_and_inner_read_h_from_the_shape(self):
+        for n in (4, 16, 33):
+            field = np.ones((n, n))
+            assert l2_norm(field) == (1.0 / (n + 1)) * n
+            assert l2_inner(field, 2.0 * field) == (1.0 / (n + 1)) ** 2 * 2.0 * n * n
+
+    def test_fields_of_another_size_are_refused_by_name(self):
+        y, other = np.ones((16, 16)), np.ones((8, 8))
+        cases = (
+            (lambda: solve_adjoint(y, other), "y_d"),
+            (lambda: solve_linearized(y, other), "y_base"),
+            (lambda: objective(y, other), "y_d"),
+            (lambda: solve_tracking(y, ALPHA, BETA, u0=other), "u0"),
+        )
+        for call, name in cases:
+            with pytest.raises(ValueError, match=rf"^{name} must have shape \(16, 16\), got \(8, 8\)$"):
+                call()
+
+    def test_fewer_than_four_nodes_are_refused_everywhere(self):
+        coarse = np.ones((3, 3))
+        calls = (
+            lambda: default_target(3),
+            lambda: sine_combination(3, np.ones((2, 2))),
+            lambda: l2_norm(coarse),
+            lambda: l2_inner(coarse, coarse),
+            lambda: solve_state(coarse),
+            lambda: solve_adjoint(coarse, coarse),
+            lambda: solve_linearized(coarse, coarse),
+            lambda: objective(coarse, coarse),
+            lambda: solve_tracking(coarse, ALPHA, BETA),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=COARSE):
+                call()
+        assert default_target(4).shape == (4, 4)
+
+    @pytest.mark.parametrize("tol", (0.0, -1e-8, math.nan, math.inf))
+    def test_bad_tol_is_refused_before_any_solve(self, tol, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(trk, "_newton", no_solve)
+        monkeypatch.setattr(trk, "_pcg_solve", no_solve)
+        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+            solve_tracking(default_target(8), ALPHA, BETA, tol)
+
+    def test_the_default_tol_is_spg_tol(self):
+        assert SPG_TOL == 1e-8
+        assert solve_tracking(0.6 * default_target(8), ALPHA, BETA).tol == SPG_TOL
+
+    def test_result_keeps_its_own_copy_of_the_target(self):
+        # the caller's array may change after the solve; the result and a
+        # sweep of it still see the target that was solved for
+        y_d = 0.6 * default_target(8)
+        kept = y_d.copy()
+        result = solve_tracking(y_d, ALPHA, BETA)
+        sweep = perturbation_sweep(result, (1e-2,), 1)
+        assert result.target is not y_d and not np.shares_memory(result.target, y_d)
+        y_d[:] = 0.0
+        assert _bits(result.target) == _bits(kept)
+        _assert_same_sweep(perturbation_sweep(result, (1e-2,), 1), sweep)
 
 
 class TestAdjointAndLinearized:
     def test_perfect_tracking_gives_zero_adjoint(self):
         u = np.full((16, 16), 1.5)
-        y = solve_state(u, GRID)
-        p = solve_adjoint(y, y, GRID)
+        y = solve_state(u)
+        p = solve_adjoint(y, y)
         np.testing.assert_array_equal(p, np.zeros((16, 16)))
 
     def test_poisson_positivity(self):
         # rhs y - y_d = +1 with zero state: p solves -lap(p) = 1
-        p = solve_adjoint(np.zeros((16, 16)), np.full((16, 16), -1.0), GRID)
+        p = solve_adjoint(np.zeros((16, 16)), np.full((16, 16), -1.0))
         assert np.all(p > 0.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        y_d = 0.5 * sinbump(GRID)
+        y_d = 0.5 * sinbump(N)
         t = 1e-5
         for _ in range(5):
             u = rng.uniform(ALPHA, BETA, (16, 16))
             v = rng.standard_normal((16, 16))
-            p = solve_adjoint(solve_state(u, GRID), y_d, GRID)
-            fd = (objective(u + t * v, y_d, GRID) - objective(u - t * v, y_d, GRID)) / (2 * t)
-            jval = objective(u, y_d, GRID)
-            assert abs(l2_inner(p, v, GRID) - fd) <= 1e-6 * (1.0 + abs(jval))
+            p = solve_adjoint(solve_state(u), y_d)
+            fd = (objective(u + t * v, y_d) - objective(u - t * v, y_d)) / (2 * t)
+            jval = objective(u, y_d)
+            assert abs(l2_inner(p, v) - fd) <= 1e-6 * (1.0 + abs(jval))
 
     def test_linearized_zero_and_exact_scaling(self):
-        y = solve_state(np.full((16, 16), 1.0), GRID)
-        z0 = solve_linearized(np.zeros((16, 16)), y, GRID)
+        y = solve_state(np.full((16, 16), 1.0))
+        z0 = solve_linearized(np.zeros((16, 16)), y)
         np.testing.assert_array_equal(z0, np.zeros((16, 16)))
-        v = sinbump(GRID)
-        z1 = solve_linearized(v, y, GRID)
-        z2 = solve_linearized(2.0 * v, y, GRID)
+        v = sinbump(N)
+        z1 = solve_linearized(v, y)
+        z2 = solve_linearized(2.0 * v, y)
         np.testing.assert_array_equal(z2, 2.0 * z1)
 
     def test_linearized_is_tangent_to_state_map(self, monkeypatch):
         monkeypatch.setattr(trk, "STATE_RESIDUAL_TOL", 1e-12)
         rng = np.random.default_rng(5)
         u = np.full((16, 16), 1.0)
-        y = solve_state(u, GRID)
+        y = solve_state(u)
         v = rng.standard_normal((16, 16))
-        z = solve_linearized(v, y, GRID)
+        z = solve_linearized(v, y)
         errs = [
-            l2_norm(solve_state(u + t * v, GRID) - y - t * z, GRID)
+            l2_norm(solve_state(u + t * v) - y - t * z)
             for t in (2e-2, 1e-2)
         ]
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.5)
 
     def test_self_adjointness(self):
         rng = np.random.default_rng(2)
-        y = solve_state(np.full((16, 16), 2.0), GRID)
+        y = solve_state(np.full((16, 16), 2.0))
         for _ in range(3):
             v = rng.standard_normal((16, 16))
             w = rng.standard_normal((16, 16))
-            zv = solve_linearized(v, y, GRID)
-            zw = solve_linearized(w, y, GRID)
-            assert abs(l2_inner(zv, w, GRID) - l2_inner(v, zw, GRID)) <= 1e-10
+            zv = solve_linearized(v, y)
+            zw = solve_linearized(w, y)
+            assert abs(l2_inner(zv, w) - l2_inner(v, zw)) <= 1e-10
 
     @pytest.mark.parametrize("n", (8, 16, 24, 32, 64))
     def test_column_major_fields_give_bitwise_equal_solves(self, n):
         # every field is made row-major on entry, so the preconditioner's
         # matrix products and the inner products never see the caller's
         # memory layout
-        grid = Grid2D(n)
         rng = np.random.default_rng(n)
         u = rng.uniform(ALPHA, BETA, (n, n))
         v = rng.standard_normal((n, n))
-        y_d = 0.64 * default_target(grid)
-        y = solve_state(u, grid)
+        y_d = 0.64 * default_target(n)
+        y = solve_state(u)
         f = np.asfortranarray
-        assert _bits(solve_state(f(u), grid)) == _bits(y)
-        assert _bits(solve_linearized(f(v), f(y), grid)) == _bits(solve_linearized(v, y, grid))
-        assert _bits(solve_adjoint(f(y), f(y_d), grid)) == _bits(solve_adjoint(y, y_d, grid))
+        assert _bits(solve_state(f(u))) == _bits(y)
+        assert _bits(solve_linearized(f(v), f(y))) == _bits(solve_linearized(v, y))
+        assert _bits(solve_adjoint(f(y), f(y_d))) == _bits(solve_adjoint(y, y_d))
 
     def test_refinement_passes_reach_the_default_solve(self, monkeypatch):
-        y = solve_state(np.full((16, 16), 50.0), GRID)
+        y = solve_state(np.full((16, 16), 50.0))
         v = np.random.default_rng(0).standard_normal((16, 16))
-        default = solve_linearized(v, y, GRID)
+        default = solve_linearized(v, y)
         # CG stops at 1000x the residual check, so refinement passes must
         # close the gap
         monkeypatch.setattr(trk, "SPD_FRACTION", 1e3)
         passes = _count_cg_passes(monkeypatch)
-        refined = solve_linearized(v, y, GRID)
+        refined = solve_linearized(v, y)
         assert len(passes) > 1
         residual = v - trk._spd_matvec(3.0 * y**2, refined)
-        assert l2_norm(residual, GRID) <= trk.LINEAR_RESIDUAL_TOL
+        assert l2_norm(residual) <= trk.LINEAR_RESIDUAL_TOL
         # both residuals are at most LINEAR_RESIDUAL_TOL, and the operator's
         # least eigenvalue is above that of -lap, 19.66 at n = 16
-        assert l2_norm(refined - default, GRID) <= 2.0 * trk.LINEAR_RESIDUAL_TOL / 19.0
+        assert l2_norm(refined - default) <= 2.0 * trk.LINEAR_RESIDUAL_TOL / 19.0
 
 
 class TestObjectiveAndCurvature:
     def test_perfect_tracking_objective_is_zero(self):
         u = np.full((16, 16), 1.0)
-        y_d = solve_state(u, GRID)
-        assert objective(u, y_d, GRID) == 0.0
+        y_d = solve_state(u)
+        assert objective(u, y_d) == 0.0
 
     def test_constant_target_quadrature(self):
         c = 0.7
-        val = objective(np.zeros((16, 16)), np.full((16, 16), c), GRID)
-        assert val == pytest.approx(0.5 * c**2 * (16 * GRID.h) ** 2, rel=1e-12)
+        val = objective(np.zeros((16, 16)), np.full((16, 16), c))
+        assert val == pytest.approx(0.5 * c**2 * (16 / 17) ** 2, rel=1e-12)
         assert val == pytest.approx(0.5 * c**2, rel=0.15)
 
     def test_weight_collapses_when_target_is_achieved(self):
         # y = y_d gives a zero adjoint, so the second-order weight
         # 1 - 6 y p is 1 and the form is |z|^2
         u = np.full((16, 16), 1.5)
-        y = solve_state(u, GRID)
-        p = solve_adjoint(y, y, GRID)
+        y = solve_state(u)
+        p = solve_adjoint(y, y)
         assert not p.any()
-        z = solve_linearized(sinbump(GRID), y, GRID)
-        form = l2_inner((1 - 6 * y * p) * z, z, GRID)
-        assert form == pytest.approx(l2_norm(z, GRID) ** 2, rel=1e-12)
+        z = solve_linearized(sinbump(N), y)
+        form = l2_inner((1 - 6 * y * p) * z, z)
+        assert form == pytest.approx(l2_norm(z) ** 2, rel=1e-12)
         assert form > 0.0
 
     def test_zero_direction_gives_zero_form(self):
-        y = solve_state(np.full((16, 16), 1.5), GRID)
-        p = solve_adjoint(y, 0.5 * sinbump(GRID), GRID)
-        z = solve_linearized(np.zeros((16, 16)), y, GRID)
-        assert l2_inner((1 - 6 * y * p) * z, z, GRID) == 0.0
+        y = solve_state(np.full((16, 16), 1.5))
+        p = solve_adjoint(y, 0.5 * sinbump(N))
+        z = solve_linearized(np.zeros((16, 16)), y)
+        assert l2_inner((1 - 6 * y * p) * z, z) == 0.0
 
     def test_second_difference_oracle(self, default_solution):
         # tolerance frozen from the central-difference calibration run
@@ -234,22 +312,21 @@ class TestObjectiveAndCurvature:
         t = 1e-3
         for _ in range(3):
             v = rng.standard_normal((16, 16))
-            z = solve_linearized(v, res.state, GRID)
-            form = l2_inner((1 - 6 * res.state * res.adjoint) * z, z, GRID)
+            z = solve_linearized(v, res.state)
+            form = l2_inner((1 - 6 * res.state * res.adjoint) * z, z)
             fd = (
-                objective(res.control + t * v, y_d, GRID)
-                - 2.0 * objective(res.control, y_d, GRID)
-                + objective(res.control - t * v, y_d, GRID)
+                objective(res.control + t * v, y_d)
+                - 2.0 * objective(res.control, y_d)
+                + objective(res.control - t * v, y_d)
             ) / t**2
             assert abs(form - fd) <= 1e-5 * abs(form)
 
 
 class TestSolveTracking:
     def test_attainable_target_recovered(self):
-        x1, x2 = GRID.nodes()
-        ustar = 1.0 + 0.5 * np.sin(np.pi * x1) * np.sin(np.pi * x2)
-        y_d = solve_state(ustar, GRID)
-        res = solve_tracking(y_d, GRID, ALPHA, BETA, DescentConfig(tol=1e-8))
+        ustar = 1.0 + 0.5 * sinbump(N)
+        y_d = solve_state(ustar)
+        res = solve_tracking(y_d, ALPHA, BETA, 1e-8)
         assert res.converged
         assert res.objective_value <= 1e-9
 
@@ -265,7 +342,7 @@ class TestSolveTracking:
         assert np.any(u <= ALPHA + 1e-10) and np.any(u >= BETA - 1e-10)
 
     def test_saturated_instance_is_bang_bang(self):
-        res = solve_tracking(np.full((16, 16), 5.0), GRID, 0.0, 2.0, DescentConfig(tol=1e-8))
+        res = solve_tracking(np.full((16, 16), 5.0), 0.0, 2.0, 1e-8)
         assert np.all(res.control >= 2.0 - 1e-10)
         assert np.all(res.adjoint < 0.0)
 
@@ -278,7 +355,7 @@ class TestSolveTracking:
             np.where(rng.random(u.shape) < 0.5, ALPHA, BETA) for _ in range(4)
         ]
         for cand in candidates:
-            assert l2_inner(p, cand - u, GRID) >= -1e-8
+            assert l2_inner(p, cand - u) >= -1e-8
 
     def test_objective_history_is_monotone(self, default_solution):
         _, res = default_solution
@@ -288,14 +365,14 @@ class TestSolveTracking:
 
     def test_iteration_cap_flags_result(self, monkeypatch):
         monkeypatch.setattr(trk, "SPG_MAX_ITERS", 3)
-        y_d = 0.6 * default_target(GRID)
-        res = solve_tracking(y_d, GRID, ALPHA, BETA, DescentConfig(tol=1e-8))
+        y_d = 0.6 * default_target(N)
+        res = solve_tracking(y_d, ALPHA, BETA, 1e-8)
         assert not res.converged
         assert res.first_order_residual > 1e-8
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
-            solve_tracking(np.zeros((16, 16)), GRID, 1.0, 1.0)
+            solve_tracking(np.zeros((16, 16)), 1.0, 1.0)
 
 
 class TestCurvatureEstimate:
@@ -303,10 +380,9 @@ class TestCurvatureEstimate:
         # the state of u is the target, so the adjoint is zero and the
         # weight 1 - 6 y p is one
         u = np.full((16, 16), 1.5)
-        y_d = solve_state(u, GRID)
+        y_d = solve_state(u)
         result = TrackingResult(
-            u, y_d, np.zeros((16, 16)), 0.0, 0.0, 0, True, (0.0,), y_d, GRID, ALPHA, BETA,
-            DescentConfig(),
+            u, y_d, np.zeros((16, 16)), 0.0, 0.0, 0, True, (0.0,), y_d, ALPHA, BETA, SPG_TOL,
         )
         c = ssc_estimate(result, sample_count=4, seed=1)
         assert c == pytest.approx(0.5, abs=1e-12)
@@ -342,8 +418,8 @@ class TestCurvatureEstimate:
         v_full = np.full_like(res.control, BETA) - res.control
         for a in (1.0, 0.5, 0.25):
             v = a * v_full
-            z = solve_linearized(v, y, GRID)
-            q = (l2_inner(p, v, GRID) + 0.5 * l2_inner(weight * z, z, GRID)) / l2_norm(z, GRID) ** 2
+            z = solve_linearized(v, y)
+            q = (l2_inner(p, v) + 0.5 * l2_inner(weight * z, z)) / l2_norm(z) ** 2
             if a == 1.0:
                 q_full = q
             else:
@@ -358,11 +434,11 @@ class TestCurvatureEstimate:
         found = 0
         for _ in range(6):
             u = res.control + 0.3 * (rng.uniform(ALPHA, BETA, (16, 16)) - res.control)
-            y_u = solve_state(u, GRID)
-            dist = l2_norm(y_u - res.state, GRID)
+            y_u = solve_state(u)
+            dist = l2_norm(y_u - res.state)
             if dist <= 1e-12 or dist > 0.5:
                 continue
-            gap = 0.5 * l2_norm(y_u - y_d, GRID) ** 2 - jbar
+            gap = 0.5 * l2_norm(y_u - y_d) ** 2 - jbar
             assert gap / dist**2 > 0.0
             found += 1
         assert found > 0
@@ -391,24 +467,22 @@ class TestPerturbationSweep:
         b = perturbation_sweep(res, (1e-2,), 2, seed=123)
         assert [s.ratio for s in a.samples] == [s.ratio for s in b.samples]
 
-    def test_samples_are_solved_with_the_result_config(self):
+    def test_samples_are_solved_with_the_result_tol(self):
         # a sweep of a result solved at tol 1e-11 must re-solve at 1e-11,
-        # not at the DescentConfig default 1e-8
-        grid = Grid2D(8)
-        y_d = 0.6 * default_target(grid)
-        cfg = DescentConfig(tol=1e-11)
-        result = solve_tracking(y_d, grid, ALPHA, BETA, cfg)
-        assert result.config is cfg
+        # not at the default SPG_TOL = 1e-8
+        y_d = 0.6 * default_target(8)
+        result = solve_tracking(y_d, ALPHA, BETA, 1e-11)
+        assert result.tol == 1e-11
         norms, seed = (1e-3, 1e-2), 5
         report = perturbation_sweep(result, norms, 2, seed=seed)
         assert len(report.samples) == 4
         for sample in report.samples:
             # the perturbation the docstring specifies for this sample
             rng = np.random.default_rng([seed, norms.index(sample.eta_norm), sample.index])
-            eta = sine_combination(grid, rng.standard_normal((trk.SWEEP_MODES, trk.SWEEP_MODES)))
-            eta = eta * (sample.eta_norm / l2_norm(eta, grid))
-            direct = solve_tracking(y_d + eta, grid, ALPHA, BETA, result.config, u0=result.control)
-            ratio = l2_norm(direct.state - result.state, grid) / sample.eta_norm
+            eta = sine_combination(8, rng.standard_normal((trk.SWEEP_MODES, trk.SWEEP_MODES)))
+            eta = eta * (sample.eta_norm / l2_norm(eta))
+            direct = solve_tracking(y_d + eta, ALPHA, BETA, result.tol, u0=result.control)
+            ratio = l2_norm(direct.state - result.state) / sample.eta_norm
             assert direct.first_order_residual <= 1e-11
             assert _bits(sample.ratio) == _bits(ratio)
             assert (sample.converged, sample.iterations) == (direct.converged, direct.iterations)
@@ -417,11 +491,11 @@ class TestPerturbationSweep:
         _, res = default_solution
         message = "solve failed, on purpose"
 
-        def failing_at_the_larger_norm(y_d, grid, alpha, beta, cfg, u0=None):
+        def failing_at_the_larger_norm(y_d, alpha, beta, tol, u0=None):
             # only the warm-started sweep solves at eta norm 1e-1 fail
-            if u0 is not None and l2_norm(y_d - res.target, grid) > 5e-2:
+            if u0 is not None and l2_norm(y_d - res.target) > 5e-2:
                 raise GrowthLabError(message)
-            return solve_tracking(y_d, grid, alpha, beta, cfg, u0=u0)
+            return solve_tracking(y_d, alpha, beta, tol, u0=u0)
 
         monkeypatch.setattr(trk, "solve_tracking", failing_at_the_larger_norm)
         report = perturbation_sweep(res, (1e-2, 1e-1), 2, seed=0)
@@ -439,14 +513,14 @@ class TestPerturbationSweep:
     def test_perturbing_toward_achieved_state_decreases_objective(self, default_solution):
         y_d, res = default_solution
         eta = 0.5 * (res.state - y_d)
-        shifted = 0.5 * l2_norm(res.state - (y_d + eta), GRID) ** 2
+        shifted = 0.5 * l2_norm(res.state - (y_d + eta)) ** 2
         assert shifted <= res.objective_value + 1e-15
 
     def test_low_frequency_field_builder(self):
         coeffs = np.zeros((4, 4))
         coeffs[0, 0] = 2.0
-        field = sine_combination(GRID, coeffs)
-        np.testing.assert_allclose(field, 2.0 * sinbump(GRID), atol=1e-12)
+        field = sine_combination(N, coeffs)
+        np.testing.assert_allclose(field, 2.0 * sinbump(N), atol=1e-12)
 
 
 def _sweep(*ratios) -> trk.SweepReport:
@@ -529,11 +603,9 @@ class TestEarlyRejectMatchesFullSolve:
 
     @staticmethod
     def _check_solve_and_sweep(n, amplitude, beta, monkeypatch):
-        grid = Grid2D(n)
-        y_d = amplitude * default_target(grid)
-        cfg = DescentConfig(tol=1e-8)
-        new = solve_tracking(y_d, grid, ALPHA, beta, cfg)
-        old = reference.solve_tracking(y_d, grid, ALPHA, beta, cfg)
+        y_d = amplitude * default_target(n)
+        new = solve_tracking(y_d, ALPHA, beta, 1e-8)
+        old = reference.solve_tracking(y_d, ALPHA, beta, 1e-8)
         _assert_same_result(new, old)
         new_sweep = perturbation_sweep(new, (1e-3,), 1)
         # the sweep's perturbed solves, each warm-started, through the frozen loop
@@ -552,41 +624,35 @@ class TestEarlyRejectMatchesFullSolve:
         self._check_solve_and_sweep(8, 5.0, 400.0, monkeypatch)
 
     def test_warm_start_matches(self):
-        y_d = 0.64 * default_target(GRID)
+        y_d = 0.64 * default_target(N)
         u0 = np.random.default_rng(7).uniform(-1.0, 9.0, (16, 16))
-        cfg = DescentConfig(tol=1e-8)
         _assert_same_result(
-            solve_tracking(y_d, GRID, ALPHA, BETA, cfg, u0=u0),
-            reference.solve_tracking(y_d, GRID, ALPHA, BETA, cfg, u0=u0),
+            solve_tracking(y_d, ALPHA, BETA, 1e-8, u0=u0),
+            reference.solve_tracking(y_d, ALPHA, BETA, 1e-8, u0=u0),
         )
 
     def test_tight_tolerance_matches(self):
-        grid = Grid2D(8)
-        y_d = 0.6 * default_target(grid)
-        cfg = DescentConfig(tol=1e-11)
+        y_d = 0.6 * default_target(8)
         _assert_same_result(
-            solve_tracking(y_d, grid, ALPHA, BETA, cfg),
-            reference.solve_tracking(y_d, grid, ALPHA, BETA, cfg),
+            solve_tracking(y_d, ALPHA, BETA, 1e-11),
+            reference.solve_tracking(y_d, ALPHA, BETA, 1e-11),
         )
 
     def test_stall_exit_matches(self):
         # the line search finds no step long before the tolerance is met:
         # one attempted step more than accepted ones (121 and 120 under the
         # default OpenBLAS kernel; the count moves with the BLAS kernel)
-        grid = Grid2D(8)
-        y_d = 0.6 * default_target(grid)
-        cfg = DescentConfig(tol=1e-14)
-        new = solve_tracking(y_d, grid, ALPHA, BETA, cfg)
-        _assert_same_result(new, reference.solve_tracking(y_d, grid, ALPHA, BETA, cfg))
+        y_d = 0.6 * default_target(8)
+        new = solve_tracking(y_d, ALPHA, BETA, 1e-14)
+        _assert_same_result(new, reference.solve_tracking(y_d, ALPHA, BETA, 1e-14))
         assert not new.converged
         assert new.iterations == len(new.objective_history) < trk.SPG_MAX_ITERS
 
     def test_iteration_cap_exit_matches(self, monkeypatch):
         monkeypatch.setattr(trk, "SPG_MAX_ITERS", 3)
-        y_d = 0.64 * default_target(GRID)
-        cfg = DescentConfig(tol=1e-8)
-        new = solve_tracking(y_d, GRID, ALPHA, BETA, cfg)
-        _assert_same_result(new, reference.solve_tracking(y_d, GRID, ALPHA, BETA, cfg))
+        y_d = 0.64 * default_target(N)
+        new = solve_tracking(y_d, ALPHA, BETA, 1e-8)
+        _assert_same_result(new, reference.solve_tracking(y_d, ALPHA, BETA, 1e-8))
         assert not new.converged
         assert new.iterations == 3 and len(new.objective_history) == 4
 
@@ -599,11 +665,11 @@ class TestEarlyRejectMatchesFullSolve:
             return pcg(d, b, atol)
 
         monkeypatch.setattr(trk, "_pcg_solve", counted)
-        y_d = 0.64 * default_target(GRID)
-        solve_tracking(y_d, GRID, ALPHA, BETA, DescentConfig(tol=1e-8))
+        y_d = 0.64 * default_target(N)
+        solve_tracking(y_d, ALPHA, BETA, 1e-8)
         new_calls = len(calls)
         calls.clear()
-        reference.solve_tracking(y_d, GRID, ALPHA, BETA, DescentConfig(tol=1e-8))
+        reference.solve_tracking(y_d, ALPHA, BETA, 1e-8)
         assert 0 < new_calls < len(calls)
 
 
@@ -622,10 +688,9 @@ def test_state_error_bound(n, seed, kind, newton_steps, scale):
     line-search trials are rejected early.  ``y`` is a Newton iterate from
     zero, a random field, or ``y_u`` moved along the lowest eigenmode,
     where the bound is nearly attained (a larger ``lam1`` breaks it)."""
-    grid = Grid2D(n)
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 8.0, (n, n))
-    y_u = solve_state(u, grid)
+    y_u = solve_state(u)
     if kind == "newton":
         iterates = []
 
@@ -633,15 +698,15 @@ def test_state_error_bound(n, seed, kind, newton_steps, scale):
             iterates.append(y_k)
             return len(iterates) == newton_steps
 
-        trk._newton(u, np.zeros_like(u), grid, record)
+        trk._newton(u, np.zeros_like(u), record)
         y = iterates[-1]
     elif kind == "random":
         y = scale * rng.standard_normal((n, n))
     else:
-        y = y_u + scale * default_target(grid)
-    residual = l2_norm(trk._neg_lap_stencil(y) + y**3 - u, grid)
+        y = y_u + scale * default_target(n)
+    residual = l2_norm(trk._neg_lap_stencil(y) + y**3 - u)
     bound = trk._state_error_bound(residual, n)
-    assert l2_norm(y_u - y, grid) <= bound * (1.0 + 1e-12)
+    assert l2_norm(y_u - y) <= bound * (1.0 + 1e-12)
 
 
 class TestInexactSolvesMatchExact:
@@ -654,10 +719,7 @@ class TestInexactSolvesMatchExact:
 
     @staticmethod
     def _solve_and_sweep(n, amplitude):
-        grid = Grid2D(n)
-        res = solve_tracking(
-            amplitude * default_target(grid), grid, ALPHA, BETA, DescentConfig(tol=1e-11)
-        )
+        res = solve_tracking(amplitude * default_target(n), ALPHA, BETA, 1e-11)
         return res, ssc_estimate(res, 4), perturbation_sweep(res, (1e-3, 1e-2, 1e-1), 1)
 
     @pytest.mark.parametrize("n, amplitude", ((16, 0.6), (24, 0.64)))
@@ -684,7 +746,7 @@ class TestErrorContract:
     def test_newton_iteration_cap_raises_with_history(self, monkeypatch):
         monkeypatch.setattr(trk, "NEWTON_MAX_ITERS", 1)
         with pytest.raises(NewtonDivergence, match="no convergence after 1 iterations") as info:
-            solve_state(np.full((16, 16), 50.0), GRID)
+            solve_state(np.full((16, 16), 50.0))
         history = info.value.residual_history
         assert len(history) == 2 and history[1] < history[0]
 
@@ -693,47 +755,46 @@ class TestErrorContract:
         # every halved step from decreasing it, Newton reports a stall
         monkeypatch.setattr(trk, "STATE_RESIDUAL_TOL", 1e-300)
         with pytest.raises(NewtonDivergence, match="stalled") as info:
-            solve_state(np.full((16, 16), 50.0), GRID)
+            solve_state(np.full((16, 16), 50.0))
         history = info.value.residual_history
         assert history[-1] <= 1e-10
         assert all(b < a for a, b in zip(history, history[1:]))
 
     def test_capped_linear_solve_raises(self, monkeypatch):
-        y = solve_state(np.full((16, 16), 2.0), GRID)
+        y = solve_state(np.full((16, 16), 2.0))
         v = np.random.default_rng(0).standard_normal((16, 16))
         monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d: 1)
         with pytest.raises(LinearSolveFailure, match="cap of 1 iterations"):
-            solve_linearized(v, y, GRID)
+            solve_linearized(v, y)
         with pytest.raises(LinearSolveFailure):
-            solve_adjoint(y, np.zeros((16, 16)), GRID)
+            solve_adjoint(y, np.zeros((16, 16)))
 
     def test_linear_residual_above_the_check_after_every_pass_raises(self, monkeypatch):
-        y = solve_state(np.full((16, 16), 2.0), GRID)
+        y = solve_state(np.full((16, 16), 2.0))
         v = np.random.default_rng(0).standard_normal((16, 16))
         monkeypatch.setattr(trk, "LINEAR_RESIDUAL_TOL", 1e-300)
         passes = _count_cg_passes(monkeypatch)
         with pytest.raises(LinearSolveFailure, match=r"^linear residual .* above 1\.0e-300$"):
-            solve_linearized(v, y, GRID)
+            solve_linearized(v, y)
         assert len(passes) == 4
 
     def test_capped_newton_step_raises(self, monkeypatch):
         monkeypatch.setattr(trk, "_cg_iteration_cap", lambda d: 1)
         with pytest.raises(LinearSolveFailure):
-            solve_state(np.full((16, 16), 2.0), GRID)
+            solve_state(np.full((16, 16), 2.0))
 
     def test_box_too_narrow_for_the_shell_raises(self):
         # every control in a box of width 1e-20 moves the state by less
         # than the shell's cut-off, so no direction sample survives
-        grid = Grid2D(8)
-        result = solve_tracking(0.6 * default_target(grid), grid, 0.0, 1e-20)
+        result = solve_tracking(0.6 * default_target(8), 0.0, 1e-20)
         assert result.iterations == 0 and result.converged
         with pytest.raises(NoSamplesInShell, match="no feasible direction"):
             ssc_estimate(result, 4)
 
     def test_non_finite_linear_solve_raises(self):
-        y = solve_state(np.full((16, 16), 2.0), GRID)
+        y = solve_state(np.full((16, 16), 2.0))
         with np.errstate(all="ignore"):
             with pytest.raises(LinearSolveFailure, match="non-finite"):
-                solve_linearized(np.full((16, 16), 1e308), y, GRID)
+                solve_linearized(np.full((16, 16), 1e308), y)
             with pytest.raises(LinearSolveFailure, match="not finite"):
-                solve_linearized(np.ones((16, 16)), np.full((16, 16), 1e200), GRID)
+                solve_linearized(np.ones((16, 16)), np.full((16, 16), 1e200))
