@@ -12,9 +12,10 @@ Run:  python demos/demo_growth_equivalence.py
 
 import numpy as np
 
-from growthlab import BallRegion, ExponentPair, SolverConfig
 from growthlab.catalog import halfpower_oracle, power_oracle
+from growthlab.core import BallRegion, ExponentPair
 from growthlab.diagnostics import run_diagnostics
+from growthlab.minimize import SolverConfig
 
 cfg = SolverConfig(grid_points_per_axis=2001)
 region = BallRegion(np.zeros(1), 10.0)
@@ -49,7 +50,7 @@ print(f"degenerate relations reported: {list(rep.audit.degenerate)}")
 print("restricting the oracle to x >= 0 recovers the one-sided modulus:")
 
 import math
-from growthlab import FunctionOracle
+from growthlab.core import FunctionOracle
 from growthlab.diagnostics import estimate_growth
 
 base = halfpower_oracle(3.0)

@@ -11,8 +11,9 @@ Run:  python demos/demo_prox_rates.py
 
 import numpy as np
 
-from growthlab import BallRegion, ExponentPair, SolverConfig
 from growthlab.catalog import power_oracle
+from growthlab.core import BallRegion, ExponentPair
+from growthlab.minimize import SolverConfig
 from growthlab.prox import ProxConfig, audit_rates, run_prox
 
 f = power_oracle(2.0)

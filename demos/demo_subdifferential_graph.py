@@ -11,15 +11,16 @@ Run:  python demos/demo_subdifferential_graph.py
 
 import numpy as np
 
-from growthlab import BallRegion, ExponentPair, SolverConfig
 from growthlab.catalog import boxquad_oracle
+from growthlab.core import BallRegion, ExponentPair
 from growthlab.diagnostics import (
     check_global_loja,
     check_subregularity,
     sample_subdifferential_graph,
 )
+from growthlab.minimize import SolverConfig
 
-f = boxquad_oracle(1.0)
+f =boxquad_oracle(1.0)
 pq = ExponentPair.from_p(2.0)
 region = BallRegion(np.zeros(1), 1.5)
 cfg = SolverConfig(grid_points_per_axis=301)

@@ -9,15 +9,15 @@ starts in a fresh working directory and writes to the same relative
 stdout, stderr and every output file.  It prints each run that differs,
 with each differing line, and exits 1 if any run differs, 0 if none does.
 
-``RUNS`` is one fixed list: five ``diagnose`` and three ``prox`` runs at the
-README's sizes; every ``diagnose`` and ``prox`` job of block 0 of seeds 0-2
-of the ``catalog-1d`` and ``maxsq-2d`` benchmark workloads
-(``bench/jobs.py``); ``tracking`` at n = 16 and 32; one bang-bang
-``tracking`` run, which exits 2; ``tracking`` at a tolerance other than
-the default; two refused ``tracking`` runs, one too coarse and one with
-a zero tolerance, which exit 1; and every ``tracking`` job of block 0 of
-seeds 0-2 of the ``pde-tracking`` workload.  Each benchmark run holds the
-arguments the benchmark's own job runner passes to the CLI.
+``RUNS`` is one fixed list: ``README_RUNS``, five ``diagnose`` and three
+``prox`` runs at the README's sizes; ``BENCH_RUNS`` of the ``catalog-1d`` and
+``maxsq-2d`` benchmark workloads (``bench/jobs.py``), every ``diagnose`` and
+``prox`` job of block 0 of seeds 0-2; ``TRACKING_RUNS``, ``tracking`` at
+n = 16 and 32, one bang-bang run, which exits 2, one at a tolerance other
+than the default, and two refused runs, one too coarse and one with a zero
+tolerance, which exit 1; and ``BENCH_RUNS`` of the ``pde-tracking``
+workload, every ``tracking`` job of block 0 of seeds 0-2.  Each benchmark
+run holds the arguments the benchmark's own job runner passes to the CLI.
 """
 
 from __future__ import annotations
@@ -55,7 +55,11 @@ def _bench_runs(workload: str) -> List[List[str]]:
     return runs
 
 
-RUNS: List[List[str]] = [
+# The runs the benchmark's job runners make, by workload.
+BENCH_RUNS: Dict[str, List[List[str]]] = {
+    workload: _bench_runs(workload) for workload in ("catalog-1d", "maxsq-2d", "pde-tracking")
+}
+README_RUNS: List[List[str]] = [
     ["diagnose", "--fn", "maxsq2d"],
     ["diagnose", "--fn", "maxsq2d", "--delta", "1"],
     ["diagnose", "--fn", "power", "--delta", "1"],
@@ -64,15 +68,21 @@ RUNS: List[List[str]] = [
     ["prox", "--fn", "power", "--iterations", "10"],
     ["prox", "--fn", "maxsq2d", "--x0=1.5,0.7"],
     ["prox", "--fn", "boxquad"],
-    *_bench_runs("catalog-1d"),
-    *_bench_runs("maxsq-2d"),
+]
+TRACKING_RUNS: List[List[str]] = [
     ["tracking", "--n", "16"],
     ["tracking", "--n", "32"],
     ["tracking", "--n", "32", "--amplitude", "0.8"],
     ["tracking", "--n", "8", "--tol", "1e-11"],
     ["tracking", "--n", "3"],
     ["tracking", "--n", "8", "--tol", "0"],
-    *_bench_runs("pde-tracking"),
+]
+RUNS: List[List[str]] = [
+    *README_RUNS,
+    *BENCH_RUNS["catalog-1d"],
+    *BENCH_RUNS["maxsq-2d"],
+    *TRACKING_RUNS,
+    *BENCH_RUNS["pde-tracking"],
 ]
 
 

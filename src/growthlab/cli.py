@@ -109,12 +109,8 @@ class RunConfig:
         return Path(str(self.values.get("out", "growthlab-out")))
 
     def flat(self) -> Dict[str, object]:
-        """JSON-ready view of the resolved configuration."""
-        out: Dict[str, object] = {"subcommand": self.subcommand}
-        for key in sorted(self.values):
-            val = self.values[key]
-            out[key] = list(val) if isinstance(val, tuple) else val
-        return out
+        """The resolved configuration with its subcommand, for ``_json_bytes``."""
+        return {"subcommand": self.subcommand, **self.values}
 
 
 def _parse_value(kind: str, raw: str):
@@ -123,7 +119,15 @@ def _parse_value(kind: str, raw: str):
     if kind == "float":
         return float(raw)
     if kind == "floats":
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        # a blank list is empty, for the library to refuse by name; a
+        # blank item among others is a typo, never dropped
+        tokens = raw.split(",")
+        blank = [not tok.strip() for tok in tokens]
+        if all(blank):
+            return ()
+        if any(blank):
+            raise ValueError(f"empty item in the list {raw!r}")
+        return tuple(float(tok) for tok in tokens)
     return raw
 
 

@@ -128,52 +128,23 @@ class TestImport:
         assert loaded == ["growthlab"] + sorted(f"growthlab.{m}" for m in ["core", *modules])
 
 
-# The names ``growthlab`` re-exports, by defining module, written out so
-# that a name dropped from or added to the package's table shows here.
-PACKAGE_EXPORTS = {
-    "core": (
-        "BallRegion", "ExponentPair", "FunctionOracle", "GrowthLabError", "as_vector",
-        "pairing",
-    ),
-    "minimize": (
-        "AllInfinite", "NonFiniteValue", "SolverConfig", "TiltedSolveResult", "argmin_ball",
-        "argmin_perturbed", "argmin_tilted", "ball_grid",
-    ),
-    "diagnostics": (
-        "DiagnosticsReport", "EquivalenceAudit", "GraphCheck", "GrowthEstimate",
-        "LojaEstimate", "NegativeGap", "ProbeResult", "SlopeInfinite", "TiltEstimate",
-        "check_equivalence", "check_global_loja", "check_subregularity", "convex_probe",
-        "estimate_growth", "estimate_loja_constant", "estimate_tilt_constant",
-        "lipschitz_probe", "metric_slope", "run_diagnostics", "sample_subdifferential_graph",
-        "unit_directions",
-    ),
-    "prox": (
-        "EpsilonNotBelowGamma", "ProxConfig", "ProxTrajectory", "RateAudit", "audit_rates",
-        "prox_step", "run_prox",
-    ),
-    "tracking": (
-        "NewtonDivergence", "NoSamplesInShell", "SweepReport", "TrackingResult",
-        "default_target", "l2_inner", "l2_norm", "objective", "perturbation_sweep",
-        "sine_combination", "solve_adjoint", "solve_linearized", "solve_state",
-        "solve_tracking", "ssc_estimate",
-    ),
-    "catalog": ("CATALOG", "CatalogEntry", "get_entry"),
-}
-
-
 class TestPackageNamespace:
-    def test_all_holds_exactly_the_exported_names(self):
-        names = [name for names in PACKAGE_EXPORTS.values() for name in names]
-        assert len(names) == 60
-        assert sorted(growthlab.__all__) == sorted(names)
-
-    @pytest.mark.parametrize("module", sorted(PACKAGE_EXPORTS))
-    def test_each_name_is_the_defining_modules_object(self, module):
-        home = importlib.import_module(f"growthlab.{module}")
-        listed = dir(growthlab)
-        for name in PACKAGE_EXPORTS[module]:
-            assert getattr(growthlab, name) is getattr(home, name), name
-            assert name in listed
+    @pytest.mark.parametrize(
+        "module, name",
+        (
+            ("core", "BallRegion"),
+            ("minimize", "SolverConfig"),
+            ("diagnostics", "run_diagnostics"),
+            ("prox", "run_prox"),
+            ("tracking", "solve_tracking"),
+            ("catalog", "get_entry"),
+        ),
+    )
+    def test_public_names_import_from_their_module_only(self, module, name):
+        # the package re-exports nothing: each name has one import path
+        assert name in importlib.import_module(f"growthlab.{module}").__all__
+        with pytest.raises(ImportError, match=name):
+            exec(f"from growthlab import {name}", {})
 
     @pytest.mark.parametrize(
         "module", sorted(info.name for info in pkgutil.iter_modules(growthlab.__path__))
@@ -182,17 +153,14 @@ class TestPackageNamespace:
         # a stale ``__all__`` entry breaks ``from growthlab.<module> import *``
         home = importlib.import_module(f"growthlab.{module}")
         assert [name for name in home.__all__ if not hasattr(home, name)] == []
-        assert set(growthlab._EXPORTS.get(module, ())) <= set(home.__all__)
 
     def test_a_replaced_name_resolves_to_the_current_object(self, monkeypatch):
         # the benchmark's tracer replaces functions in their modules and
-        # restores them; neither name may keep a replaced object
+        # restores them; ``cli.run_diagnostics`` may not keep a replaced object
         original = diagnostics.run_diagnostics
         monkeypatch.setattr(diagnostics, "run_diagnostics", lambda *args: None)
-        assert growthlab.run_diagnostics is diagnostics.run_diagnostics
         assert cli.run_diagnostics is diagnostics.run_diagnostics
         monkeypatch.undo()
-        assert growthlab.run_diagnostics is original
         assert cli.run_diagnostics is original
 
     @pytest.mark.parametrize("module", (growthlab, cli))
@@ -541,6 +509,25 @@ class TestConfigResolution:
         assert code == 1
         assert "no_such_key" in err
 
+    @pytest.mark.parametrize(
+        "subcommand, line",
+        (
+            ("prox", "x0 = 1.5,"),
+            ("diagnose", "tilt_norms = 0.5,,2"),
+            ("tracking", "eta_norms = ,1e-2"),
+        ),
+    )
+    def test_empty_list_item_in_config_file_exits_one_without_files(
+        self, subcommand, line, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        out = tmp_path / "e"
+        code, _, err = run([subcommand, "--config", str(cfg), "--out", str(out)], capsys)
+        raw = line.partition("= ")[2]
+        assert (code, err) == (1, f"error: empty item in the list {raw!r}\n")
+        assert not out.exists()
+
 
 # (argv, message): settings refused with ``error: <message>`` and exit 1
 # before any solve or grid scan.
@@ -563,6 +550,9 @@ INVALID_SETTINGS = (
      "x0 has length 1, but 'maxsq2d' has dimension 2"),
     (["prox", "--fn", "maxsq2d", "--x0=1,2,3"],
      "x0 has length 3, but 'maxsq2d' has dimension 2"),
+    (["prox", "--fn", "maxsq2d", "--x0=1.5,,0.7"], "empty item in the list '1.5,,0.7'"),
+    (["diagnose", "--fn", "power", "--tilt-norms", "0.5,,2"],
+     "empty item in the list '0.5,,2'"),
     (["prox", "--fn", "power", "--x0=1,2"],
      "x0 has length 2, but 'power' has dimension 1"),
     (["tracking", "--n", "3"], "grid needs at least 4 interior nodes per axis, got 3"),

@@ -78,29 +78,39 @@ def test_every_difference_is_named_with_its_lines(tmp_path, monkeypatch, capsys)
 
 def test_run_list_holds_the_fixed_runs_and_each_parses(tmp_path, monkeypatch):
     runs = same_bytes.RUNS
+    bench_runs = same_bytes.BENCH_RUNS
     # README runs, catalog-1d and maxsq-2d jobs, three tracking runs, a
     # tracking run at a non-default tol and two refused ones, and the 8
     # tracking jobs of a pde-tracking block for each of 3 seeds
     assert len(runs) == 8 + 3 * 7 + 3 * 4 + 3 + 3 + 3 * 8
-    assert [run[0] for run in runs].count("tracking") == 3 + 3 + 3 * 8
-    assert runs[-28] == ["tracking", "--n", "32", "--amplitude", "0.8"]
-    assert runs[-27:-24] == [
+    assert runs == [
+        *same_bytes.README_RUNS,
+        *bench_runs["catalog-1d"],
+        *bench_runs["maxsq-2d"],
+        *same_bytes.TRACKING_RUNS,
+        *bench_runs["pde-tracking"],
+    ]
+    assert same_bytes.TRACKING_RUNS == [
+        ["tracking", "--n", "16"],
+        ["tracking", "--n", "32"],
+        ["tracking", "--n", "32", "--amplitude", "0.8"],
         ["tracking", "--n", "8", "--tol", "1e-11"],
         ["tracking", "--n", "3"],
         ["tracking", "--n", "8", "--tol", "0"],
     ]
-    # the recorder is gone once the list is built
+    # the recorder is gone once the lists are built
     jobs = same_bytes.jobs
     assert jobs._cli.__module__ == "jobs"
-    # the arguments the benchmark's runners pass to the CLI
-    passed = []
-    monkeypatch.setattr(jobs, "_cli", lambda args, out: (passed.append(args), (0, ""))[1])
+    # the arguments the benchmark's runners pass to the CLI, by workload
+    passed = {}
+    monkeypatch.setattr(jobs, "_cli", lambda args, out: (passed[workload].append(args), (0, ""))[1])
     for workload in ("catalog-1d", "maxsq-2d", "pde-tracking"):
+        passed[workload] = []
         for seed in range(3):
             for job in jobs.make_block(workload, seed, 0):
                 if job["kind"] in ("diagnose", "prox", "tracking"):
                     jobs.start_job(job, tmp_path)
-    assert runs[8:-30] + runs[-24:] == passed
+    assert bench_runs == passed
     parser = cli.build_parser()
     for run in runs:
         config = cli.resolve_config(run[0], parser.parse_args(run))
