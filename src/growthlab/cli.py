@@ -22,10 +22,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,11 @@ if TYPE_CHECKING:
     from .catalog import CatalogEntry
     from .minimize import SolverConfig
 
-__all__ = ["RunConfig", "main", "cmd_diagnose", "cmd_prox", "cmd_tracking", "cmd_catalog"]
+__all__ = ["main", "cmd_diagnose", "cmd_prox", "cmd_tracking", "cmd_catalog"]
+
+# The resolved settings of one run: ``"subcommand"`` and every key of its
+# schema, each value typed by the schema's parser.
+Config = Dict[str, object]
 
 
 def __getattr__(name: str):
@@ -51,84 +55,60 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# (type, default) per key.  A None default is the library's own default,
+def _floats(raw: str) -> Tuple[float, ...]:
+    """A comma-separated list of floats.  A blank list is empty, for the
+    library to refuse by name; a blank item among others is a typo, never
+    dropped."""
+    tokens = raw.split(",")
+    blank = [not tok.strip() for tok in tokens]
+    if all(blank):
+        return ()
+    if any(blank):
+        raise ValueError(f"empty item in the list {raw!r}")
+    return tuple(float(tok) for tok in tokens)
+
+
+# (parser, default) per key.  A None default is the library's own default,
 # which the subcommand writes back into the resolved configuration; a 0
 # for ``grid_points`` or ``directions`` is derived from the function's
 # dimension, and the derived value is written back the same way.
-_SCHEMAS: Dict[str, Dict[str, Tuple[str, object]]] = {
+_SCHEMAS: Dict[str, Dict[str, Tuple[Callable[[str], object], object]]] = {
     "diagnose": {
-        "fn": ("str", "power"),
-        "p": ("float", 2.0),
-        "bound": ("float", 1.0),
-        "delta": ("float", 10.0),
-        "grid_points": ("int", 0),
-        "tilt_norms": ("floats", (0.5, 1.0, 2.0, 4.0)),
-        "directions": ("int", 0),
-        "seed": ("int", 0),
-        "out": ("str", "growthlab-out"),
+        "fn": (str, "power"),
+        "p": (float, 2.0),
+        "bound": (float, 1.0),
+        "delta": (float, 10.0),
+        "grid_points": (int, 0),
+        "tilt_norms": (_floats, (0.5, 1.0, 2.0, 4.0)),
+        "directions": (int, 0),
+        "seed": (int, 0),
+        "out": (str, "growthlab-out"),
     },
     "prox": {
-        "fn": ("str", "power"),
-        "p": ("float", 2.0),
-        "bound": ("float", 1.0),
-        "epsilon": ("float", 0.5),
-        "x0": ("floats", (1.0,)),
-        "iterations": ("int", 10),
-        "delta": ("float", 10.0),
-        "grid_points": ("int", 0),
-        "out": ("str", "growthlab-out"),
+        "fn": (str, "power"),
+        "p": (float, 2.0),
+        "bound": (float, 1.0),
+        "epsilon": (float, 0.5),
+        "x0": (_floats, (1.0,)),
+        "iterations": (int, 10),
+        "delta": (float, 10.0),
+        "grid_points": (int, 0),
+        "out": (str, "growthlab-out"),
     },
     "tracking": {
-        "n": ("int", 32),
-        "alpha": ("float", 0.0),
-        "beta": ("float", 8.0),
-        "amplitude": ("float", 0.6),
-        "tol": ("float", None),
-        "ssc_samples": ("int", 16),
-        "eta_norms": ("floats", (1e-3, 1e-2, 1e-1)),
-        "etas_per_norm": ("int", 8),
-        "seed": ("int", 0),
-        "out": ("str", "growthlab-out"),
+        "n": (int, 32),
+        "alpha": (float, 0.0),
+        "beta": (float, 8.0),
+        "amplitude": (float, 0.6),
+        "tol": (float, None),
+        "ssc_samples": (int, 16),
+        "eta_norms": (_floats, (1e-3, 1e-2, 1e-1)),
+        "etas_per_norm": (int, 8),
+        "seed": (int, 0),
+        "out": (str, "growthlab-out"),
     },
     "catalog": {},
 }
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved settings for one subcommand invocation."""
-
-    subcommand: str
-    values: Dict[str, object]
-
-    @property
-    def seed(self) -> int:
-        return int(self.values.get("seed", 0))
-
-    @property
-    def out_dir(self) -> Path:
-        return Path(str(self.values.get("out", "growthlab-out")))
-
-    def flat(self) -> Dict[str, object]:
-        """The resolved configuration with its subcommand, for ``_json_bytes``."""
-        return {"subcommand": self.subcommand, **self.values}
-
-
-def _parse_value(kind: str, raw: str):
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "floats":
-        # a blank list is empty, for the library to refuse by name; a
-        # blank item among others is a typo, never dropped
-        tokens = raw.split(",")
-        blank = [not tok.strip() for tok in tokens]
-        if all(blank):
-            return ()
-        if any(blank):
-            raise ValueError(f"empty item in the list {raw!r}")
-        return tuple(float(tok) for tok in tokens)
-    return raw
 
 
 def _read_config_file(path: str) -> Dict[str, str]:
@@ -144,21 +124,23 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return entries
 
 
-def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
+def resolve_config(subcommand: str, args: argparse.Namespace) -> Config:
+    """The run's settings: defaults < config file < flags."""
     schema = _SCHEMAS[subcommand]
-    values: Dict[str, object] = {key: default for key, (_, default) in schema.items()}
+    config: Config = {"subcommand": subcommand}
+    config.update((key, default) for key, (_, default) in schema.items())
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
             if key not in schema:
                 raise ValueError(f"unknown config key {key!r} for '{subcommand}'")
-            values[key] = _parse_value(schema[key][0], raw)
-    for key, (kind, _) in schema.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            values[key] = _parse_value(kind, flag_val)
-    if values.get("seed", 0) < 0:
-        raise ValueError(f"seed must be >= 0, got {values['seed']}")
-    return RunConfig(subcommand, values)
+            config[key] = schema[key][0](raw)
+    for key, (parse, _) in schema.items():
+        raw = getattr(args, key, None)
+        if raw is not None:
+            config[key] = parse(raw)
+    if config.get("seed", 0) < 0:
+        raise ValueError(f"seed must be >= 0, got {config['seed']}")
+    return config
 
 
 def _finite_or_none(obj):
@@ -181,130 +163,129 @@ def _json_bytes(payload: dict) -> bytes:
     return (text + "\n").encode()
 
 
-def _config_comment_lines(config: RunConfig) -> List[str]:
-    lines = [f"subcommand={config.subcommand}"]
-    for key, val in sorted(config.values.items()):
+def _config_comment_lines(config: Config) -> List[str]:
+    lines = [f"subcommand={config['subcommand']}"]
+    for key, val in sorted(config.items()):
+        if key == "subcommand":
+            continue
         if isinstance(val, tuple):
             val = ",".join(repr(v) for v in val)
         lines.append(f"{key}={val}")
     return lines
 
 
-def _csv_bytes(config: RunConfig, header: Sequence[str], rows: Sequence[Sequence[str]]) -> bytes:
+def _text_bytes(config: Config, body: Iterable[str]) -> bytes:
+    """The ``# key=value`` lines of ``config``, then the ``body`` lines."""
     lines = [f"# {line}" for line in _config_comment_lines(config)]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(body)
     return ("\n".join(lines) + "\n").encode()
 
 
-def _matrix_bytes(config: RunConfig, values: np.ndarray) -> bytes:
-    lines = [f"# {line}" for line in _config_comment_lines(config)]
+def _csv_bytes(config: Config, header: Sequence[str], rows: Sequence[Sequence[str]]) -> bytes:
+    return _text_bytes(config, (",".join(row) for row in [header, *rows]))
+
+
+def _matrix_bytes(config: Config, values: np.ndarray) -> bytes:
     # ``tolist`` gives Python floats, whose repr is ``repr(float(v))``
-    for row in np.asarray(values, dtype=float).tolist():
-        lines.append(" ".join(map(repr, row)))
-    return ("\n".join(lines) + "\n").encode()
+    rows = np.asarray(values, dtype=float).tolist()
+    return _text_bytes(config, (" ".join(map(repr, row)) for row in rows))
 
 
-def _write_outputs(config: RunConfig, files: Dict[str, bytes], **fields) -> None:
+def _write_outputs(config: Config, files: Dict[str, bytes], **fields) -> None:
     """Write ``files`` in order, then ``manifest.json``: the resolved config,
     the names of ``files`` in write order and the subcommand's ``fields``."""
-    out = config.out_dir
+    out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     for name, payload in files.items():
         (out / name).write_bytes(payload)
-    manifest = {"config": config.flat(), "outputs": list(files), **fields}
+    manifest = {"config": config, "outputs": list(files), **fields}
     (out / "manifest.json").write_bytes(_json_bytes(manifest))
 
 
-def _build_oracle(entry: CatalogEntry, config: RunConfig) -> FunctionOracle:
-    from .catalog import _check_bound
-
-    # every function's outputs record ``bound``, so refuse a bad one even
-    # where the function does not read it
-    _check_bound(float(config.values["bound"]))
-    return entry.make(**{key: float(config.values[key]) for key in entry.default_params})
-
-
-def _solver_config(config: RunConfig, dim: int) -> SolverConfig:
+def _problem(
+    config: Config,
+) -> Tuple[CatalogEntry, FunctionOracle, ExponentPair, BallRegion, SolverConfig]:
+    """The catalog entry of ``fn``, its oracle, the exponents, the ball of
+    radius ``delta`` around the origin and the solver settings; a derived
+    ``grid_points`` is written into ``config``."""
+    from .catalog import _check_bound, get_entry
     from .minimize import SolverConfig
 
-    pts = int(config.values["grid_points"])
-    if pts == 0:
-        pts = 2001 if dim == 1 else (101 if dim == 2 else 31)
-    return SolverConfig(grid_points_per_axis=pts)
+    entry = get_entry(config["fn"])
+    dim = entry.dimension
+    # every function's outputs record ``bound``, so refuse a bad one even
+    # where the function does not read it
+    _check_bound(config["bound"])
+    oracle = entry.make(**{key: config[key] for key in entry.default_params})
+    pq = ExponentPair.from_p(config["p"])
+    region = BallRegion(np.zeros(dim), config["delta"])
+    if config["grid_points"] == 0:
+        config["grid_points"] = 2001 if dim == 1 else (101 if dim == 2 else 31)
+    return entry, oracle, pq, region, SolverConfig(grid_points_per_axis=config["grid_points"])
 
 
-def cmd_diagnose(config: RunConfig) -> int:
-    from . import catalog, diagnostics
+def _coords(v: np.ndarray) -> str:
+    return ";".join(repr(float(c)) for c in v)
 
-    entry = catalog.get_entry(str(config.values["fn"]))
-    oracle = _build_oracle(entry, config)
-    pq = ExponentPair.from_p(float(config.values["p"]))
-    region = BallRegion(np.zeros(entry.dimension), float(config.values["delta"]))
-    cfg = _solver_config(config, entry.dimension)
-    directions = int(config.values["directions"])
-    if directions == 0:
-        directions = 2 if entry.dimension == 1 else 8
-    config = RunConfig(
-        config.subcommand,
-        {**config.values, "grid_points": cfg.grid_points_per_axis, "directions": directions},
-    )
+
+def cmd_diagnose(config: Config) -> int:
+    from . import diagnostics
+
+    entry, oracle, pq, region, solver = _problem(config)
+    if config["directions"] == 0:
+        config["directions"] = 2 if entry.dimension == 1 else 8
 
     report = diagnostics.run_diagnostics(
         oracle,
         region,
         pq,
-        cfg,
-        tilt_norms=tuple(config.values["tilt_norms"]),
-        directions_per_norm=directions,
-        seed=config.seed,
+        solver,
+        tilt_norms=config["tilt_norms"],
+        directions_per_norm=config["directions"],
+        seed=config["seed"],
     )
 
-    payload = {"config": config.flat(), "function": oracle.descriptor}
-    payload.update(report.to_json_dict())
-    header, rows = report.csv_rows()
+    # the report's fields as nested dicts, with the audit's verdict added
+    payload = {"config": config, "function": oracle.descriptor, **asdict(report)}
+    payload["audit"]["all_pass"] = report.audit.all_pass
+    growth, tilt, loja = report.growth, report.tilt, report.loja
+    rows = [
+        ["growth", repr(growth.gamma_hat), _coords(growth.witness), "", str(growth.samples_used)],
+        ["tilt", repr(tilt.kappa_hat), _coords(tilt.worst_minimizer),
+         _coords(tilt.worst_tilt), ""],
+        ["loja", repr(loja.mu_hat), "", _coords(loja.worst_tilt), ""],
+    ]
     _write_outputs(
         config,
         {
             "diagnose_report.json": _json_bytes(payload),
-            "diagnose_report.csv": _csv_bytes(config, header, rows),
+            "diagnose_report.csv": _csv_bytes(
+                config, ["estimator", "value", "witness", "tilt", "samples"], rows
+            ),
         },
     )
 
     for note in report.audit.degenerate:
         print(f"warning: degenerate estimate: {note}")
     print(
-        f"{oracle.descriptor}: gamma_hat={report.growth.gamma_hat!r} "
-        f"kappa_hat={report.tilt.kappa_hat!r} mu_hat={report.loja.mu_hat!r} "
+        f"{oracle.descriptor}: gamma_hat={growth.gamma_hat!r} "
+        f"kappa_hat={tilt.kappa_hat!r} mu_hat={loja.mu_hat!r} "
         f"audit={'pass' if report.audit.all_pass else 'FAIL'}"
     )
     return 0 if report.audit.all_pass else 2
 
 
-def cmd_prox(config: RunConfig) -> int:
-    from . import catalog, prox
+def cmd_prox(config: Config) -> int:
+    from . import prox
 
-    entry = catalog.get_entry(str(config.values["fn"]))
-    x0 = np.asarray(tuple(config.values["x0"]), dtype=float)
+    entry, oracle, pq, region, solver = _problem(config)
+    x0 = np.asarray(config["x0"], dtype=float)
     if x0.size != entry.dimension:
         raise ValueError(
             f"x0 has length {x0.size}, but '{entry.id}' has dimension {entry.dimension}"
         )
-    oracle = _build_oracle(entry, config)
-    region = BallRegion(np.zeros(x0.size), float(config.values["delta"]))
-    epsilon = float(config.values["epsilon"])
-    solver = _solver_config(config, x0.size)
-    prox_cfg = prox.ProxConfig(
-        epsilon=epsilon,
-        exponents=ExponentPair.from_p(float(config.values["p"])),
-        iterations=int(config.values["iterations"]),
-        region=region,
-        solver=solver,
-    )
-    config = RunConfig(
-        config.subcommand,
-        {**config.values, "grid_points": solver.grid_points_per_axis},
-    )
+    epsilon = config["epsilon"]
+    prox_cfg = prox.ProxConfig(epsilon, pq, config["iterations"], region, solver)
 
     constants = oracle.known_constants or {}
     gamma_ref = constants.get("gamma")
@@ -348,26 +329,23 @@ def cmd_prox(config: RunConfig) -> int:
     return 0 if audit.passed else 2
 
 
-def cmd_tracking(config: RunConfig) -> int:
+def cmd_tracking(config: Config) -> int:
     from . import tracking as trk
 
-    n = int(config.values["n"])
-    alpha = float(config.values["alpha"])
-    beta = float(config.values["beta"])
-    y_d = float(config.values["amplitude"]) * trk.default_target(n)
-    tol = float(trk.SPG_TOL if config.values["tol"] is None else config.values["tol"])
-    trk._check_tol(tol)
-    config = RunConfig(config.subcommand, {**config.values, "tol": tol})
-    ssc_samples = int(config.values["ssc_samples"])
-    eta_norms = tuple(config.values["eta_norms"])
-    etas_per_norm = int(config.values["etas_per_norm"])
+    n = config["n"]
+    alpha, beta = config["alpha"], config["beta"]
+    y_d = config["amplitude"] * trk.default_target(n)
+    if config["tol"] is None:
+        config["tol"] = trk.SPG_TOL
+    trk._check_tol(config["tol"])
+    seed = config["seed"]
     # refuse bad sampling settings before the control solve
-    trk._check_ssc_settings(ssc_samples)
-    trk._check_sweep_settings(eta_norms, etas_per_norm)
+    trk._check_ssc_settings(config["ssc_samples"])
+    trk._check_sweep_settings(config["eta_norms"], config["etas_per_norm"])
 
-    result = trk.solve_tracking(y_d, alpha, beta, tol)
-    ssc = trk.ssc_estimate(result, ssc_samples, seed=config.seed)
-    sweep = trk.perturbation_sweep(result, eta_norms, etas_per_norm, seed=config.seed)
+    result = trk.solve_tracking(y_d, alpha, beta, config["tol"])
+    ssc = trk.ssc_estimate(result, config["ssc_samples"], seed=seed)
+    sweep = trk.perturbation_sweep(result, config["eta_norms"], config["etas_per_norm"], seed=seed)
     consistent = sweep.consistent(ssc)
 
     header = ["eta_norm", "index", "ratio", "converged", "iterations", "error"]
@@ -405,7 +383,7 @@ def cmd_tracking(config: RunConfig) -> int:
     return 0 if consistent else 2
 
 
-def cmd_catalog(config: RunConfig) -> int:
+def cmd_catalog(config: Config) -> int:
     from . import catalog
 
     for entry in sorted(catalog.CATALOG.values(), key=lambda e: e.id):
@@ -431,25 +409,22 @@ def _attach_negative_values(argv: Sequence[str]) -> List[str]:
     argparse reads a token starting with ``-`` as an option name unless it
     looks like a plain negative number, so negative lists such as ``--x0
     -1.2,0.5`` and exponents such as ``--epsilon -1e-3`` would be refused.
+    Every token after a numeric flag that starts with a single ``-`` is
+    joined, so a malformed value meets its parser's own message; one that
+    starts with ``--`` is left to argparse as an option name.
     """
-    kinds = {
-        f"--{key.replace('_', '-')}": kind
+    numeric = {
+        f"--{key.replace('_', '-')}"
         for schema in _SCHEMAS.values()
-        for key, (kind, _) in schema.items()
-        if kind != "str"
+        for key, (parse, _) in schema.items()
+        if parse is not str
     }
     out: List[str] = []
     for token in argv:
-        flag = out[-1] if out else ""
-        if token.startswith("-") and flag in kinds:
-            try:
-                _parse_value(kinds[flag], token)
-            except ValueError:
-                pass
-            else:
-                out[-1] = f"{flag}={token}"
-                continue
-        out.append(token)
+        if out and out[-1] in numeric and token.startswith("-") and not token.startswith("--"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
     return out
 
 

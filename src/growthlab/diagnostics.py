@@ -25,7 +25,7 @@ ratio is the one a loop over the pairs would compute.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -184,29 +184,6 @@ class DiagnosticsReport:
     audit: EquivalenceAudit
     exponents: ExponentPair
     region: BallRegion
-
-    def to_json_dict(self) -> dict:
-        """The report's fields as nested dicts, with the audit's verdict
-        added as ``audit.all_pass``; arrays stay arrays."""
-        out = asdict(self)
-        out["audit"]["all_pass"] = self.audit.all_pass
-        return out
-
-    def csv_rows(self) -> Tuple[List[str], List[List[str]]]:
-        """One flat row per estimator with witness coordinates."""
-        header = ["estimator", "value", "witness", "tilt", "samples"]
-
-        def coords(v: np.ndarray) -> str:
-            return ";".join(repr(float(c)) for c in v)
-
-        rows = [
-            ["growth", repr(self.growth.gamma_hat), coords(self.growth.witness),
-             "", str(self.growth.samples_used)],
-            ["tilt", repr(self.tilt.kappa_hat), coords(self.tilt.worst_minimizer),
-             coords(self.tilt.worst_tilt), ""],
-            ["loja", repr(self.loja.mu_hat), "", coords(self.loja.worst_tilt), ""],
-        ]
-        return header, rows
 
 
 def unit_directions(dim: int, count: int, seed=0) -> np.ndarray:

@@ -143,7 +143,9 @@ def audit_rates(traj: ProxTrajectory, gamma_ref: float, xbar, fbar: float) -> Ra
 
     with ``rho = epsilon / gamma_ref`` and the exponents ``p, q`` and
     ``epsilon`` the trajectory was run with, which requires ``epsilon``
-    strictly below the growth modulus of reference.
+    strictly below the growth modulus of reference.  A trajectory that
+    starts where ``f`` is ``+inf`` raises ``ValueError``: its value
+    envelope would be ``+inf`` at every step and check nothing.
     """
     if not (gamma_ref > 0.0 and math.isfinite(gamma_ref)):
         raise ValueError(f"gamma_ref must be positive and finite, got {gamma_ref}")
@@ -152,6 +154,8 @@ def audit_rates(traj: ProxTrajectory, gamma_ref: float, xbar, fbar: float) -> Ra
         raise EpsilonNotBelowGamma(
             f"epsilon={epsilon} must lie strictly below gamma_ref={gamma_ref}"
         )
+    if traj.values[0] == math.inf:
+        raise ValueError("f is +inf at x0, so the value envelope would be +inf at every step")
     xbar = as_vector(xbar, traj.points[0].size)
     rho = epsilon / gamma_ref
     d0 = _norm(traj.points[0] - xbar)

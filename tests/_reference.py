@@ -143,7 +143,7 @@ def pcg_solve(d: np.ndarray, b: np.ndarray, atol: float = 0.0) -> np.ndarray:
     )
 
 
-def matrix_bytes(config: cli.RunConfig, values: np.ndarray) -> bytes:
+def matrix_bytes(config: dict, values: np.ndarray) -> bytes:
     lines = [f"# {line}" for line in cli._config_comment_lines(config)]
     for row in np.asarray(values, dtype=float):
         lines.append(" ".join(repr(float(v)) for v in row))

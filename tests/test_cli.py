@@ -200,6 +200,32 @@ class TestDiagnose:
         assert (out / "diagnose_report.csv").exists()
         assert (out / "manifest.json").exists()
 
+    def test_report_layout(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code, _, _ = run(
+            ["diagnose", "--fn", "power", "--delta", "1", "--grid-points", "201",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        lines = (out / "diagnose_report.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        assert rows[0] == ["estimator", "value", "witness", "tilt", "samples"]
+        assert [row[0] for row in rows[1:]] == ["growth", "tilt", "loja"]
+        # the empty cells: growth has no tilt, tilt and loja no sample
+        # count, loja no witness
+        growth, tilt, loja = rows[1:]
+        assert [cell == "" for cell in growth] == [False, False, False, True, False]
+        assert [cell == "" for cell in tilt] == [False, False, False, False, True]
+        assert [cell == "" for cell in loja] == [False, False, True, False, True]
+        assert float(growth[1]) == 1.0 and growth[4] == "200"
+        report = strict_json((out / "diagnose_report.json").read_text())
+        assert sorted(report) == sorted(
+            ["config", "function", "growth", "tilt", "loja", "audit", "exponents", "region"]
+        )
+        assert report["audit"]["all_pass"] is True
+        assert report["config"]["subcommand"] == "diagnose"
+
     def test_degenerate_warns_but_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "d"
         code, stdout, _ = run(
@@ -317,6 +343,17 @@ class TestProx:
         )
         assert code == 1
         assert "epsilon" in err
+        assert not out.exists()
+
+    def test_start_outside_the_domain_exits_one_without_files(self, tmp_path, capsys):
+        # boxquad is +inf at x0 = 0.9 > bound: the rate audit would check nothing
+        out = tmp_path / "p"
+        code, stdout, err = run(
+            ["prox", "--fn", "boxquad", "--bound", "0.5", "--x0", "0.9", "--out", str(out)],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        assert err == "error: f is +inf at x0, so the value envelope would be +inf at every step\n"
         assert not out.exists()
 
     def test_zero_iterations_exits_one(self, tmp_path, capsys):
@@ -551,6 +588,9 @@ INVALID_SETTINGS = (
     (["prox", "--fn", "maxsq2d", "--x0=1,2,3"],
      "x0 has length 3, but 'maxsq2d' has dimension 2"),
     (["prox", "--fn", "maxsq2d", "--x0=1.5,,0.7"], "empty item in the list '1.5,,0.7'"),
+    # a malformed negative list gets its own message, not argparse's
+    (["prox", "--fn", "maxsq2d", "--x0", "-1.5,0.7,"], "empty item in the list '-1.5,0.7,'"),
+    (["prox", "--fn", "maxsq2d", "--x0", "-1.5,abc"], "could not convert string to float: 'abc'"),
     (["diagnose", "--fn", "power", "--tilt-norms", "0.5,,2"],
      "empty item in the list '0.5,,2'"),
     (["prox", "--fn", "power", "--x0=1,2"],
@@ -774,7 +814,7 @@ class TestMatrixWriter:
              "float32", "transposed"),
     )
     def test_rows_equal_the_per_element_writer(self, values):
-        config = cli.RunConfig("tracking", {"n": 3, "eta_norms": (1e-3, 1e-2)})
+        config = {"subcommand": "tracking", "n": 3, "eta_norms": (1e-3, 1e-2)}
         assert cli._matrix_bytes(config, values) == reference.matrix_bytes(config, values)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from growthlab.catalog import power_oracle
+from growthlab.catalog import boxquad_oracle, power_oracle
 from growthlab.core import BallRegion, ExponentPair, FunctionOracle
 from growthlab.minimize import SolverConfig
 from growthlab.prox import (
@@ -145,6 +145,13 @@ class TestAuditRates:
         # the trajectory itself runs at epsilon 1.5, above gamma_ref 1
         traj = run_prox(power_oracle(2.0), [1.0], make_config(epsilon=1.5, iterations=1))
         with pytest.raises(EpsilonNotBelowGamma):
+            audit_rates(traj, 1.0, np.zeros(1), 0.0)
+
+    def test_start_outside_the_domain_refused(self):
+        # f(x0) = +inf: the value envelope would be +inf at every step
+        traj = run_prox(boxquad_oracle(0.5), [0.9], make_config(iterations=2))
+        assert traj.values[0] == np.inf
+        with pytest.raises(ValueError, match=r"f is \+inf at x0, so the value envelope"):
             audit_rates(traj, 1.0, np.zeros(1), 0.0)
 
     def test_gamma_must_be_positive(self):

@@ -114,4 +114,4 @@ def test_run_list_holds_the_fixed_runs_and_each_parses(tmp_path, monkeypatch):
     parser = cli.build_parser()
     for run in runs:
         config = cli.resolve_config(run[0], parser.parse_args(run))
-        assert config.subcommand == run[0]
+        assert config["subcommand"] == run[0]
