@@ -14,10 +14,14 @@ with each differing line, and exits 1 if any run differs, 0 if none does.
 ``maxsq-2d`` benchmark workloads (``bench/jobs.py``), every ``diagnose`` and
 ``prox`` job of block 0 of seeds 0-2; ``TRACKING_RUNS``, ``tracking`` at
 n = 16 and 32, one bang-bang run, which exits 2, one at a tolerance other
-than the default, and two refused runs, one too coarse and one with a zero
+than the default, two at odd n, n = 25 with the benchmark's sweep arguments
+and n = 5, and two refused runs, one too coarse and one with a zero
 tolerance, which exit 1; and ``BENCH_RUNS`` of the ``pde-tracking``
 workload, every ``tracking`` job of block 0 of seeds 0-2.  Each benchmark
 run holds the arguments the benchmark's own job runner passes to the CLI.
+At odd n an (n, n) field's byte size is not a multiple of 64, so the BLAS
+kernels meet its flat views at another alignment than at the benchmark's
+even n.
 """
 
 from __future__ import annotations
@@ -74,6 +78,9 @@ TRACKING_RUNS: List[List[str]] = [
     ["tracking", "--n", "32"],
     ["tracking", "--n", "32", "--amplitude", "0.8"],
     ["tracking", "--n", "8", "--tol", "1e-11"],
+    ["tracking", "--n", "25", "--amplitude", "0.64", "--eta-norms", "1e-3,1e-2",
+     "--etas-per-norm", "1", "--ssc-samples", "4", "--seed", "0"],
+    ["tracking", "--n", "5"],
     ["tracking", "--n", "3"],
     ["tracking", "--n", "8", "--tol", "0"],
 ]

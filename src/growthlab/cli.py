@@ -289,16 +289,21 @@ def cmd_prox(config: Config) -> int:
 
     constants = oracle.known_constants or {}
     gamma_ref = constants.get("gamma")
-    if gamma_ref is not None and gamma_ref > 0.0 and epsilon >= gamma_ref:
-        # Refuse before doing any work: the rate bounds would be vacuous.
+    audited = gamma_ref is not None and gamma_ref > 0.0
+    # Refuse before doing any work what the rate audit would refuse after
+    # the whole trajectory: vacuous rate bounds, and a start where f is
+    # +inf.  A start outside the ball is left to run_prox, which refuses it.
+    if audited and epsilon >= gamma_ref:
         raise prox.EpsilonNotBelowGamma(
             f"epsilon={epsilon} must lie strictly below the growth "
             f"modulus gamma={gamma_ref} of '{oracle.descriptor}'"
         )
+    if audited and region.contains(x0):
+        prox._refuse_infinite_start(oracle(x0))
 
     traj = prox.run_prox(oracle, x0, prox_cfg)
     audit = None
-    if gamma_ref is not None and gamma_ref > 0.0:
+    if audited:
         xbar = oracle.known_minimizer
         audit = prox.audit_rates(traj, gamma_ref, xbar, oracle(xbar))
 

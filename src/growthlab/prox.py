@@ -132,6 +132,13 @@ class RateAudit:
     records: Tuple[RateRecord, ...]
 
 
+def _refuse_infinite_start(f0: float) -> None:
+    """Refuse a start value ``f0 = +inf``: a rate audit's value envelope
+    would be ``+inf`` at every step and check nothing."""
+    if f0 == math.inf:
+        raise ValueError("f is +inf at x0, so the value envelope would be +inf at every step")
+
+
 def audit_rates(traj: ProxTrajectory, gamma_ref: float, xbar, fbar: float) -> RateAudit:
     """Check the geometric envelopes on distances and value gaps.
 
@@ -154,8 +161,7 @@ def audit_rates(traj: ProxTrajectory, gamma_ref: float, xbar, fbar: float) -> Ra
         raise EpsilonNotBelowGamma(
             f"epsilon={epsilon} must lie strictly below gamma_ref={gamma_ref}"
         )
-    if traj.values[0] == math.inf:
-        raise ValueError("f is +inf at x0, so the value envelope would be +inf at every step")
+    _refuse_infinite_start(traj.values[0])
     xbar = as_vector(xbar, traj.points[0].size)
     rho = epsilon / gamma_ref
     d0 = _norm(traj.points[0] - xbar)

@@ -1,25 +1,32 @@
 """Box-constrained tracking for a semilinear elliptic state equation.
 
-Finite-difference realization on the unit square with homogeneous Dirichlet
-data: 5-point Laplacian, cubic nonlinearity, damped Newton for the state,
-and a spectral projected-gradient loop for the control problem
+Finite differences on the unit square with zero Dirichlet data: 5-point
+Laplacian, cubic nonlinearity, damped Newton for the state, and a spectral
+projected-gradient loop for the control problem
 
     minimize 0.5 * |y_u - y_d|^2   over   alpha <= u <= beta,
     where  -lap(y_u) + y_u^3 = u,  y_u = 0 on the boundary.
 
-Every linear solve (Newton steps, adjoint and linearized states) has the
-symmetric positive definite operator ``-lap + diag(d)`` with ``d >= 0`` and
-goes through one conjugate-gradient solver preconditioned by the exact
-inverse of ``-lap`` (matrix-diagonalization fast Poisson solver).  The
-operator ``-lap`` itself is applied as a 5-point stencil; no matrix is
-assembled.  Each CG solve allocates its workspace once per call and
-updates it in place, so an iteration makes no temporary (n, n) arrays;
-no buffer outlives the call.
+States, adjoints, controls and targets are (n, n) arrays of interior nodal
+values; a field's shape gives the mesh (``n >= 4`` nodes per axis, width
+``h = 1 / (n + 1)``), and its discrete L2 norm is ``h * |values|_2``.  The
+public functions check each field once, as it enters (``_as_field``: finite
+row-major floats on one mesh; ``l2_norm`` and ``l2_inner``: shapes).  The
+private kernels trust their fields: the stencil, the CG solver
+``_pcg_solve``, the SPD solve ``_solve_spd``, Newton and the norm ``_l2``.
+``solve_tracking`` checks its target and start, takes its first state from
+``solve_state``, and from then on calls kernels only.
 
-States, adjoints, controls, and targets are all (n, n) arrays of interior
-nodal values, and so is every field the Newton, CG and stencil layers
-take and return; its shape gives the mesh (``n >= 4`` interior nodes per
-axis, width ``h = 1 / (n + 1)``), and its discrete L2 norm is ``h * |values|_2``.
+Every linear solve (Newton steps, adjoint and linearized states) has the
+operator ``-lap + diag(d)``, ``d >= 0``, and goes through one CG solver
+preconditioned by the exact inverse of ``-lap`` (a fast Poisson solver by
+matrix diagonalization); ``-lap`` is a 5-point stencil, never assembled.
+Each CG solve updates a workspace it allocates once; no buffer outlives it.
+
+Newton's residual at ``y`` is the state operator's value ``-lap(y) + y^3``
+minus ``u``.  Newton returns its state with that value, which the control
+loop hands to every line-search trial of its next iteration, since each
+starts Newton from that state: one value per accepted state, not per trial.
 
 A line-search trial's Newton solve stops at an iterate ``y_k`` with
 residual ``r`` once ``0.5 * max(|y_k - y_d| - rho, 0)^2``, with
@@ -28,19 +35,15 @@ a rounding margin: ``-lap + y^3`` is strongly monotone with modulus
 ``lam1``, the least eigenvalue of ``-lap``, so the state the full solve
 would return lies within ``rho`` of ``y_k``, and the trial fails as well.
 
-Each CG solve stops at the accuracy its caller checks (inexact Newton, as
-in Dembo, Eisenstat & Steihaug 1982 and Eisenstat & Walker 1996).  The same
-Lipschitz bound says that a state residual ``r`` moves a trial's objective
-by about ``|y - y_d| * r / lam1``, so a trial's Newton steps stop their CG
-at the absolute L2 residual
-``min(TRIAL_STATE_FRACTION * STATE_RESIDUAL_TOL,
-TRIAL_ARMIJO_FRACTION * lam1 * margin / |y - y_d|)``, with the Armijo
-margin ``margin = -SPG_ARMIJO * <p, move>`` and the current state ``y``:
-the trial's objective is then known to a tenth of the margin its Armijo
-test asks for.  Newton's own stop, ``|residual| <= STATE_RESIDUAL_TOL``,
-is unchanged.  The adjoint and linearized solves, also those of
-``ssc_estimate``, stop their CG at ``SPD_FRACTION * LINEAR_RESIDUAL_TOL``
-and keep their true-residual check and refinement.  ``solve_state`` and ``objective`` solve to ``CG_RTOL``.
+Each CG solve stops at the accuracy its caller checks (inexact Newton:
+Dembo, Eisenstat & Steihaug 1982; Eisenstat & Walker 1996).  A residual
+``r`` moves a trial's objective by about ``|y - y_d| * r / lam1`` at the
+current state ``y``, so a trial's Newton steps stop their CG at the L2
+residual ``min(TRIAL_STATE_FRACTION * STATE_RESIDUAL_TOL,
+TRIAL_ARMIJO_FRACTION * lam1 * margin / |y - y_d|)``, for the Armijo margin
+``margin = -SPG_ARMIJO * <p, move>``.  The adjoint and linearized solves
+stop at ``SPD_FRACTION * LINEAR_RESIDUAL_TOL`` and keep their true-residual
+check and refinement; ``solve_state`` and ``objective`` solve to ``CG_RTOL``.
 """
 
 from __future__ import annotations
@@ -129,18 +132,21 @@ def _neg_lap_stencil(x: np.ndarray) -> np.ndarray:
 
     The five terms are summed in the column order of the assembled CSR
     matrix, (i-1, j), (i, j-1), centre, (i, j+1), (i+1, j), so the result
-    is bitwise equal to that matrix's product (``tests/_reference.py``)."""
+    is bitwise equal to that matrix's product (``tests/_reference.py``).
+    Each term is a view of one padded ``off * x``, whose first row is +0.0,
+    where that sum starts, and whose other border rows and columns are -0.0,
+    which IEEE addition absorbs, even into a zero's sign."""
     h = 1.0 / (x.shape[0] + 1)
     off = -1.0 / h**2
-    ox = off * x
-    out = np.empty(x.shape)
-    out[0] = 0.0
-    out[1:] = ox[:-1]
-    out[:, 1:] += ox[:, :-1]
+    pad = np.empty((x.shape[0] + 2, x.shape[1] + 2))
+    pad.fill(-0.0)
+    pad[0] = 0.0
+    ox = np.multiply(off, x, out=pad[1:-1, 1:-1])
+    out = pad[:-2, 1:-1] + pad[1:-1, :-2]
     # the centre coefficient 4/h^2 is -4 * off exactly (a power-of-two scale)
     out -= np.multiply(ox, 4.0)
-    out[:, :-1] += ox[:, 1:]
-    out[:-1] += ox[1:]
+    out += pad[1:-1, 2:]
+    out += pad[2:, 1:-1]
     return out
 
 
@@ -176,8 +182,7 @@ def _spd_matvec(d: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _pcg_solve(d: np.ndarray, b: np.ndarray, atol: float = 0.0) -> np.ndarray:
     """Solve ``(-lap + diag(d)) x = b`` for (n, n) fields ``d >= 0`` and
-    ``b`` by conjugate gradients preconditioned with the exact inverse of
-    ``-lap``.
+    ``b`` by CG preconditioned with the exact inverse of ``-lap``; a kernel.
 
     Since the preconditioner inverts ``-lap``, ``-lap z = r`` for every
     preconditioned residual ``z``, so ``w = -lap direction`` follows the
@@ -188,9 +193,10 @@ def _pcg_solve(d: np.ndarray, b: np.ndarray, atol: float = 0.0) -> np.ndarray:
     iteration cap raises ``LinearSolveFailure``.
 
     Each call allocates its (n, n) workspace once and updates it in place:
-    every product keeps its operands, and only the order of a two-term
-    sum changes, which IEEE addition does not see, so the iterates are
-    bitwise those of the allocating form ``x = x + step * direction``.
+    every product keeps its operands and only the order of two-term sums
+    changes, so the iterates are bitwise those of the allocating form
+    ``x = x + step * direction``.  Each inner product is one BLAS ``ddot``
+    of flat views, as ``np.vdot`` takes it but without its Python dispatch.
     The returned ``x`` is a fresh array.
     """
     s, lam = _poisson_eigen(b.shape[0])
@@ -206,7 +212,8 @@ def _pcg_solve(d: np.ndarray, b: np.ndarray, atol: float = 0.0) -> np.ndarray:
         np.matmul(t1, s, out=out)
 
     x = np.zeros(b.shape)
-    bnorm = math.sqrt(float(np.vdot(b, b)))
+    b_ = b.reshape(-1)
+    bnorm = math.sqrt(float(b_.dot(b_)))
     if bnorm == 0.0:
         return x
     # ``atol`` over the mesh width h = 1 / (n + 1), in the Euclidean norm
@@ -218,23 +225,24 @@ def _pcg_solve(d: np.ndarray, b: np.ndarray, atol: float = 0.0) -> np.ndarray:
     w = r.copy()
     q = np.empty(b.shape)
     tmp = np.empty(b.shape)
-    rz = float(np.vdot(r, z))
+    r_, z_, dir_, q_ = r.reshape(-1), z.reshape(-1), direction.reshape(-1), q.reshape(-1)
+    rz = float(r_.dot(z_))
     cap = _cg_iteration_cap(d)
     for _ in range(cap):
         np.multiply(d, direction, out=q)
         q += w
-        step = rz / float(np.vdot(direction, q))
+        step = rz / float(dir_.dot(q_))
         np.multiply(step, direction, out=tmp)
         x += tmp
         np.multiply(step, q, out=tmp)
         r -= tmp
-        rnorm = math.sqrt(float(np.vdot(r, r)))
+        rnorm = math.sqrt(float(r_.dot(r_)))
         if not math.isfinite(rnorm):
             raise LinearSolveFailure("conjugate gradients produced a non-finite residual")
         if rnorm <= stop:
             return x
         precondition(r, z)
-        rz_next = float(np.vdot(r, z))
+        rz_next = float(r_.dot(z_))
         beta = rz_next / rz
         direction *= beta
         direction += z
@@ -252,6 +260,12 @@ def _side(shape: Tuple[int, ...], name: str) -> int:
         raise ValueError(f"{name} must have shape (n, n), got {shape}")
     _check_n(shape[0])
     return shape[0]
+
+
+def _l2(values: np.ndarray) -> float:
+    """``l2_norm``'s bits for a checked field, from its flat view's ``ddot``."""
+    flat = values.reshape(-1)
+    return (1.0 / (values.shape[0] + 1)) * math.sqrt(float(flat.dot(flat)))
 
 
 def l2_norm(values: np.ndarray) -> float:
@@ -284,28 +298,23 @@ def _as_field(values, name: str, n: Optional[int] = None) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def _newton(
-    u: np.ndarray,
-    y: np.ndarray,
-    give_up: Optional[Callable[[np.ndarray, float], bool]] = None,
-    cg_atol: float = 0.0,
-) -> Optional[np.ndarray]:
-    """Damped Newton for ``-lap(y) + y^3 = u`` from the field ``y``.
+def _newton_op(
+    u: np.ndarray, y: np.ndarray, give_up: Optional[Callable[[np.ndarray, float], bool]] = None,
+    cg_atol: float = 0.0, op: Optional[np.ndarray] = None,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Damped Newton for ``-lap(y) + y^3 = u`` from the field ``y``, whose
+    operator value ``-lap(y) + y^3`` is ``op`` when the caller has it.
 
     Returns the first iterate whose residual norm is at most
-    ``STATE_RESIDUAL_TOL``, or None as soon as ``give_up(y_k, rnorm_k)``
-    holds for an iterate ``y_k`` after a Newton step.  Each step's CG
-    solve stops at the absolute L2 residual ``cg_atol``, or at ``CG_RTOL``
-    relative to the Newton residual if that is larger.  Raises
-    ``NewtonDivergence`` when the step halving stalls or after
-    ``NEWTON_MAX_ITERS`` steps.
-    """
-
-    def residual(vec: np.ndarray) -> np.ndarray:
-        return _neg_lap_stencil(vec) + vec**3 - u
-
-    res = residual(y)
-    rnorm = l2_norm(res)
+    ``STATE_RESIDUAL_TOL`` with its operator value, or None as soon as
+    ``give_up(y_k, rnorm_k)`` holds for an iterate ``y_k`` after a step.
+    Each step's CG stops at the absolute L2 residual ``cg_atol`` or at
+    ``CG_RTOL`` relative to the Newton residual, whichever is larger.
+    Raises ``NewtonDivergence`` if the halving stalls or at the step cap."""
+    if op is None:
+        op = _neg_lap_stencil(y) + y**3
+    res = op - u
+    rnorm = _l2(res)
     history = [rnorm]
     while rnorm > STATE_RESIDUAL_TOL:
         if len(history) > NEWTON_MAX_ITERS:  # the start, then one entry per step
@@ -316,9 +325,10 @@ def _newton(
         step = _pcg_solve(3.0 * y**2, -res, cg_atol)
         t = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
-            y_try = y + t * step
-            res_try = residual(y_try)
-            rnorm_try = l2_norm(res_try)
+            y_try = y + step if t == 1.0 else y + t * step
+            op_try = _neg_lap_stencil(y_try) + y_try**3
+            res_try = op_try - u
+            rnorm_try = _l2(res_try)
             if rnorm_try < rnorm:
                 break
             t *= 0.5
@@ -326,23 +336,26 @@ def _newton(
             raise NewtonDivergence(
                 f"residual stalled at {rnorm:.3e} (tolerance {STATE_RESIDUAL_TOL:.1e})", history
             )
-        y, res, rnorm = y_try, res_try, rnorm_try
+        y, op, res, rnorm = y_try, op_try, res_try, rnorm_try
         history.append(rnorm)
         if give_up is not None and give_up(y, rnorm):
             return None
-    return y
+    return y, op
+
+
+def _newton(u: np.ndarray, y: np.ndarray, give_up=None, cg_atol: float = 0.0):
+    """The state ``_newton_op`` returns, or None, without its operator value."""
+    found = _newton_op(u, y, give_up, cg_atol)
+    return None if found is None else found[0]
 
 
 def _state_error_bound(rnorm: float, n: int) -> float:
     """Bound on the discrete L2 distance from a field with residual norm
-    ``rnorm`` to the state ``solve_state`` returns.
-
-    ``-lap + y^3`` is strongly monotone with modulus ``lam1``, the least
-    eigenvalue of ``-lap``, so two fields are at most the distance of their
-    images over ``lam1`` apart; the returned state's residual is at most
-    ``STATE_RESIDUAL_TOL``.  This is the tilt stability of the state
-    equation: the state map is ``1 / lam1``-Lipschitz in the control.
-    """
+    ``rnorm`` to the state ``solve_state`` returns, whose residual is at most
+    ``STATE_RESIDUAL_TOL``: ``-lap + y^3`` is strongly monotone with modulus
+    ``lam1``, the least eigenvalue of ``-lap``, so two fields are at most the
+    distance of their images over ``lam1`` apart.  This is the tilt stability
+    of the state equation: the state map is ``1 / lam1``-Lipschitz in ``u``."""
     return (rnorm + STATE_RESIDUAL_TOL) / _poisson_eigen(n)[1][0, 0]
 
 
@@ -359,13 +372,10 @@ def _trial_cg_atol(jval: float, margin: float, n: int) -> float:
 
 
 def solve_state(u) -> np.ndarray:
-    """Solve ``-lap(y) + y^3 = u`` with zero Dirichlet data by damped Newton.
-
-    The Jacobian ``-lap + 3 diag(y^2)`` is symmetric positive definite and
-    the cubic nonlinearity is monotone, so Newton from zero is reliable;
-    the step is halved while the residual norm fails to decrease to guard
-    large forcing.  Newton stops once the residual norm is at most
-    ``STATE_RESIDUAL_TOL`` and raises after ``NEWTON_MAX_ITERS`` steps.
+    """Solve ``-lap(y) + y^3 = u`` with zero Dirichlet data by damped Newton
+    from zero, which is reliable: the Jacobian ``-lap + 3 diag(y^2)`` is
+    symmetric positive definite and the cubic nonlinearity monotone.  The
+    step is halved while the residual norm fails to decrease (large forcing).
     """
     u = _as_field(u, "u")
     return _newton(u, np.zeros(u.shape))
@@ -382,20 +392,15 @@ def _solve_spd(y_base: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for _ in range(4):
         x = x + _pcg_solve(d, resid, atol)
         resid = rhs - _spd_matvec(d, x)
-        resid_norm = l2_norm(resid)
+        resid_norm = _l2(resid)
         if resid_norm <= LINEAR_RESIDUAL_TOL:
             return x
-    raise LinearSolveFailure(
-        f"linear residual {resid_norm:.3e} above {LINEAR_RESIDUAL_TOL:.1e}"
-    )
+    raise LinearSolveFailure(f"linear residual {resid_norm:.3e} above {LINEAR_RESIDUAL_TOL:.1e}")
 
 
 def solve_adjoint(y, y_d) -> np.ndarray:
-    """Adjoint state: ``(-lap + 3 diag(y^2)) p = y - y_d``.
-
-    The adjoint is the L2 gradient of the tracking objective with respect
-    to the control.
-    """
+    """Adjoint state ``(-lap + 3 diag(y^2)) p = y - y_d``: the L2 gradient
+    of the tracking objective with respect to the control."""
     y = _as_field(y, "y")
     y_d = _as_field(y_d, "y_d", len(y))
     return _solve_spd(y, y - y_d)
@@ -412,7 +417,7 @@ def objective(u, y_d) -> float:
     """Tracking objective ``0.5 * |y_u - y_d|_{L2}^2``."""
     u = _as_field(u, "u")
     y_d = _as_field(y_d, "y_d", len(u))
-    return 0.5 * l2_norm(solve_state(u) - y_d) ** 2
+    return 0.5 * _l2(_newton(u, np.zeros(u.shape)) - y_d) ** 2
 
 
 def _check_tol(tol: float) -> None:
@@ -464,24 +469,22 @@ def solve_tracking(
     y_d = _as_field(y_d, "y_d").copy()  # the result keeps the target it solved for
     n = len(y_d)
 
-    if u0 is None:
-        u = np.full((n, n), 0.5 * (alpha + beta))
-    else:
-        u = np.clip(_as_field(u0, "u0", n), alpha, beta)
+    u = (np.full((n, n), 0.5 * (alpha + beta)) if u0 is None
+         else np.clip(_as_field(u0, "u0", n), alpha, beta))
 
     y = solve_state(u)
-    jval = 0.5 * l2_norm(y - y_d) ** 2
-    p = solve_adjoint(y, y_d)
+    op = _neg_lap_stencil(y) + y**3  # the state operator's value at y
+    jval = 0.5 * _l2(y - y_d) ** 2
+    p = _solve_spd(y, y - y_d)
     history: List[float] = [jval]
 
-    # a trial's Newton solve stops once it must fail the Armijo test (see
-    # the module docstring)
-    target_norm = l2_norm(y_d)
+    # a trial's Newton solve stops once it must fail the Armijo test (module docstring)
+    target_norm = _l2(y_d)
     eps = 2.0**-52
     threshold = 0.0
 
     def fails_armijo(y_k: np.ndarray, rnorm: float) -> bool:
-        dist = l2_norm(y_k - y_d)
+        dist = _l2(y_k - y_d)
         rho = _state_error_bound(rnorm, n)
         # Rounding margin, in distance units.  A computed residual norm is
         # off from the exact one by at most about 50 eps (n + 1)^2 |y|_h
@@ -502,14 +505,13 @@ def solve_tracking(
 
     iterations = 0
     while True:
-        residual = l2_norm(u - np.clip(u - p, alpha, beta))
+        residual = _l2(u - np.clip(u - p, alpha, beta))
         if residual <= tol or iterations == SPG_MAX_ITERS:
             break
         iterations += 1
 
         if prev_u is not None:
-            du = u - prev_u
-            dg = p - prev_p
+            du, dg = u - prev_u, p - prev_p
             den = l2_inner(du, dg)
             if den > 0.0:
                 step = min(max(l2_inner(du, du) / den, SPG_STEP_MIN), SPG_STEP_MAX)
@@ -521,13 +523,13 @@ def solve_tracking(
         for _ in range(SPG_MAX_HALVINGS):
             u_try = np.clip(u - t * step * p, alpha, beta)
             move = u_try - u
-            if l2_norm(move) == 0.0:
+            if _l2(move) == 0.0:
                 break
             decrease = SPG_ARMIJO * l2_inner(p, move)
             threshold = jval + decrease
-            y_try = _newton(u_try, y, fails_armijo, _trial_cg_atol(jval, -decrease, n))
-            if y_try is not None:
-                j_try = 0.5 * l2_norm(y_try - y_d) ** 2
+            found = _newton_op(u_try, y, fails_armijo, _trial_cg_atol(jval, -decrease, n), op)
+            if found is not None:
+                j_try = 0.5 * _l2(found[0] - y_d) ** 2
                 if j_try <= threshold:
                     accepted = True
                     break
@@ -536,8 +538,8 @@ def solve_tracking(
             break
 
         prev_u, prev_p = u, p
-        u, y, jval = u_try, y_try, j_try
-        p = solve_adjoint(y, y_d)
+        (y, op), u, jval = found, u_try, j_try
+        p = _solve_spd(y, y - y_d)
         history.append(jval)
 
     return TrackingResult(
@@ -592,9 +594,7 @@ def ssc_estimate(
         if nz < 1e-14:
             continue
         scale = min(1.0, SSC_SHELL_RADIUS / nz)
-        v = scale * v
-        z = scale * z
-        nz = scale * nz
+        v, z, nz = scale * v, scale * z, scale * nz
         first = l2_inner(p, v)
         quad = l2_inner(weight * z, z)
         quotients.append((first + 0.5 * quad) / nz**2)

@@ -10,6 +10,15 @@ temporaries.  At ``atol = 0`` it is the solver from before it took an
 absolute residual target, which stopped at ``CG_RTOL`` relative to the
 right-hand side alone.
 
+``neg_lap_stencil`` is a frozen copy of the 5-point stencil from before it
+read its five terms from one zero-padded buffer: it sums them by slice
+updates.  ``newton`` is a frozen copy of the damped Newton state solve from
+before it carried the state operator's value ``-lap(y) + y^3`` from one
+solve to the next: it forms every residual from its iterate, and takes its
+first trial step as ``y + 1.0 * step``.  It calls the two frozen copies
+``neg_lap_stencil`` and ``pcg_solve``, so it shares no kernel with the
+library; ``solve_tracking`` below calls the library's own ``_newton``.
+
 ``matrix_bytes`` is a frozen copy of the CLI's matrix writer from before it
 wrote rows from ``tolist``: it converts one element at a time.
 
@@ -598,3 +607,61 @@ def unit_directions(dim: int, count: int, seed=0) -> np.ndarray:
             v = rng.standard_normal(dim)
         out[i] = v / _norm(v)
     return out
+
+
+def neg_lap_stencil(x: np.ndarray) -> np.ndarray:
+    """``-lap x``, summed in the assembled matrix's column order by slice updates."""
+    h = 1.0 / (x.shape[0] + 1)
+    off = -1.0 / h**2
+    ox = off * x
+    out = np.empty(x.shape)
+    out[0] = 0.0
+    out[1:] = ox[:-1]
+    out[:, 1:] += ox[:, :-1]
+    # the centre coefficient 4/h^2 is -4 * off exactly (a power-of-two scale)
+    out -= np.multiply(ox, 4.0)
+    out[:, :-1] += ox[:, 1:]
+    out[:-1] += ox[1:]
+    return out
+
+
+def newton(
+    u: np.ndarray,
+    y: np.ndarray,
+    give_up: Optional[Callable[[np.ndarray, float], bool]] = None,
+    cg_atol: float = 0.0,
+) -> Optional[np.ndarray]:
+    """Damped Newton for ``-lap(y) + y^3 = u`` from ``y``, every residual
+    formed afresh from its iterate."""
+
+    def residual(vec: np.ndarray) -> np.ndarray:
+        return neg_lap_stencil(vec) + vec**3 - u
+
+    res = residual(y)
+    rnorm = l2_norm(res)
+    history = [rnorm]
+    while rnorm > trk.STATE_RESIDUAL_TOL:
+        if len(history) > trk.NEWTON_MAX_ITERS:  # the start, then one entry per step
+            raise trk.NewtonDivergence(
+                f"no convergence after {trk.NEWTON_MAX_ITERS} iterations, residual {rnorm:.3e}",
+                history,
+            )
+        step = pcg_solve(3.0 * y**2, -res, cg_atol)
+        t = 1.0
+        for _ in range(trk.NEWTON_MAX_HALVINGS):
+            y_try = y + t * step
+            res_try = residual(y_try)
+            rnorm_try = l2_norm(res_try)
+            if rnorm_try < rnorm:
+                break
+            t *= 0.5
+        else:
+            raise trk.NewtonDivergence(
+                f"residual stalled at {rnorm:.3e} (tolerance {trk.STATE_RESIDUAL_TOL:.1e})",
+                history,
+            )
+        y, res, rnorm = y_try, res_try, rnorm_try
+        history.append(rnorm)
+        if give_up is not None and give_up(y, rnorm):
+            return None
+    return y

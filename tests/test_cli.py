@@ -356,6 +356,26 @@ class TestProx:
         assert err == "error: f is +inf at x0, so the value envelope would be +inf at every step\n"
         assert not out.exists()
 
+    def test_infinite_start_is_refused_before_the_trajectory(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        run_prox = prox.run_prox
+
+        def counted(*args):
+            calls.append(args)
+            return run_prox(*args)
+
+        monkeypatch.setattr(prox, "run_prox", counted)
+        out = tmp_path / "p"
+        argv = ["prox", "--fn", "boxquad", "--bound", "0.5", "--out", str(out)]
+        code, stdout, err = run(argv + ["--x0", "0.9"], capsys)
+        assert (code, stdout, calls) == (1, "", [])
+        assert err == "error: f is +inf at x0, so the value envelope would be +inf at every step\n"
+        assert not out.exists()
+        # a start outside the ball, where boxquad is +inf too, is refused as such
+        code, stdout, err = run(argv + ["--delta", "1", "--x0", "2"], capsys)
+        assert (code, stdout, err) == (1, "", "error: x0 must lie in the working ball\n")
+        assert len(calls) == 1 and not out.exists()
+
     def test_zero_iterations_exits_one(self, tmp_path, capsys):
         out = tmp_path / "p"
         code, _, _ = run(

@@ -80,9 +80,9 @@ def test_run_list_holds_the_fixed_runs_and_each_parses(tmp_path, monkeypatch):
     runs = same_bytes.RUNS
     bench_runs = same_bytes.BENCH_RUNS
     # README runs, catalog-1d and maxsq-2d jobs, three tracking runs, a
-    # tracking run at a non-default tol and two refused ones, and the 8
-    # tracking jobs of a pde-tracking block for each of 3 seeds
-    assert len(runs) == 8 + 3 * 7 + 3 * 4 + 3 + 3 + 3 * 8
+    # tracking run at a non-default tol, two at odd n and two refused ones,
+    # and the 8 tracking jobs of a pde-tracking block for each of 3 seeds
+    assert len(runs) == 8 + 3 * 7 + 3 * 4 + 3 + 5 + 3 * 8
     assert runs == [
         *same_bytes.README_RUNS,
         *bench_runs["catalog-1d"],
@@ -95,6 +95,9 @@ def test_run_list_holds_the_fixed_runs_and_each_parses(tmp_path, monkeypatch):
         ["tracking", "--n", "32"],
         ["tracking", "--n", "32", "--amplitude", "0.8"],
         ["tracking", "--n", "8", "--tol", "1e-11"],
+        ["tracking", "--n", "25", "--amplitude", "0.64", "--eta-norms", "1e-3,1e-2",
+         "--etas-per-norm", "1", "--ssc-samples", "4", "--seed", "0"],
+        ["tracking", "--n", "5"],
         ["tracking", "--n", "3"],
         ["tracking", "--n", "8", "--tol", "0"],
     ]
