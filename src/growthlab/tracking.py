@@ -15,7 +15,8 @@ row-major floats on one mesh; ``l2_norm`` and ``l2_inner``: shapes).  The
 private kernels trust their fields: the stencil, the CG solver
 ``_pcg_solve``, the SPD solve ``_solve_spd``, Newton and the norm ``_l2``.
 ``solve_tracking`` checks its target and start, takes its first state from
-``solve_state``, and from then on calls kernels only.
+``solve_state`` and each adjoint from ``solve_adjoint``, and runs its
+line-search trials and norms on the kernels.
 
 Every linear solve (Newton steps, adjoint and linearized states) has the
 operator ``-lap + diag(d)``, ``d >= 0``, and goes through one CG solver
@@ -24,9 +25,10 @@ matrix diagonalization); ``-lap`` is a 5-point stencil, never assembled.
 Each CG solve updates a workspace it allocates once; no buffer outlives it.
 
 Newton's residual at ``y`` is the state operator's value ``-lap(y) + y^3``
-minus ``u``.  Newton returns its state with that value, which the control
-loop hands to every line-search trial of its next iteration, since each
-starts Newton from that state: one value per accepted state, not per trial.
+minus ``u``.  Newton returns its state with that value (the control loop
+computes it once for its first state), and the loop hands it to every
+line-search trial of its next iteration, since each starts Newton from
+that state: one value per accepted state, not per trial.
 
 A line-search trial's Newton solve stops at an iterate ``y_k`` with
 residual ``r`` once ``0.5 * max(|y_k - y_d| - rho, 0)^2``, with
@@ -263,17 +265,18 @@ def _side(shape: Tuple[int, ...], name: str) -> int:
 
 
 def _l2(values: np.ndarray) -> float:
-    """``l2_norm``'s bits for a checked field, from its flat view's ``ddot``."""
+    """``l2_norm`` of a field whose shape is already checked."""
+    # np.linalg.norm of the row-major values, bitwise: sqrt of their dot
+    # product with themselves, one BLAS ``ddot`` of the flat view (the
+    # ``np.vdot`` kernel, without its Python dispatch)
     flat = values.reshape(-1)
     return (1.0 / (values.shape[0] + 1)) * math.sqrt(float(flat.dot(flat)))
 
 
 def l2_norm(values: np.ndarray) -> float:
     """Discrete L2 norm of an (n, n) interior nodal field: ``h * |values|_2``."""
-    h = 1.0 / (_side(values.shape, "values") + 1)
-    # np.linalg.norm of the row-major values, bitwise: sqrt of their dot
-    # product with themselves
-    return h * math.sqrt(float(np.vdot(values, values)))
+    _side(values.shape, "values")
+    return _l2(values)
 
 
 def l2_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -299,8 +302,11 @@ def _as_field(values, name: str, n: Optional[int] = None) -> np.ndarray:
 
 
 def _newton_op(
-    u: np.ndarray, y: np.ndarray, give_up: Optional[Callable[[np.ndarray, float], bool]] = None,
-    cg_atol: float = 0.0, op: Optional[np.ndarray] = None,
+    u: np.ndarray,
+    y: np.ndarray,
+    give_up: Optional[Callable[[np.ndarray, float], bool]] = None,
+    cg_atol: float = 0.0,
+    op: Optional[np.ndarray] = None,
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Damped Newton for ``-lap(y) + y^3 = u`` from the field ``y``, whose
     operator value ``-lap(y) + y^3`` is ``op`` when the caller has it.
@@ -325,7 +331,7 @@ def _newton_op(
         step = _pcg_solve(3.0 * y**2, -res, cg_atol)
         t = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
-            y_try = y + step if t == 1.0 else y + t * step
+            y_try = y + t * step
             op_try = _neg_lap_stencil(y_try) + y_try**3
             res_try = op_try - u
             rnorm_try = _l2(res_try)
@@ -351,11 +357,14 @@ def _newton(u: np.ndarray, y: np.ndarray, give_up=None, cg_atol: float = 0.0):
 
 def _state_error_bound(rnorm: float, n: int) -> float:
     """Bound on the discrete L2 distance from a field with residual norm
-    ``rnorm`` to the state ``solve_state`` returns, whose residual is at most
-    ``STATE_RESIDUAL_TOL``: ``-lap + y^3`` is strongly monotone with modulus
-    ``lam1``, the least eigenvalue of ``-lap``, so two fields are at most the
-    distance of their images over ``lam1`` apart.  This is the tilt stability
-    of the state equation: the state map is ``1 / lam1``-Lipschitz in ``u``."""
+    ``rnorm`` to the state ``solve_state`` returns.
+
+    ``-lap + y^3`` is strongly monotone with modulus ``lam1``, the least
+    eigenvalue of ``-lap``, so two fields are at most the distance of their
+    images over ``lam1`` apart; the returned state's residual is at most
+    ``STATE_RESIDUAL_TOL``.  This is the tilt stability of the state
+    equation: the state map is ``1 / lam1``-Lipschitz in the control.
+    """
     return (rnorm + STATE_RESIDUAL_TOL) / _poisson_eigen(n)[1][0, 0]
 
 
@@ -372,10 +381,13 @@ def _trial_cg_atol(jval: float, margin: float, n: int) -> float:
 
 
 def solve_state(u) -> np.ndarray:
-    """Solve ``-lap(y) + y^3 = u`` with zero Dirichlet data by damped Newton
-    from zero, which is reliable: the Jacobian ``-lap + 3 diag(y^2)`` is
-    symmetric positive definite and the cubic nonlinearity monotone.  The
-    step is halved while the residual norm fails to decrease (large forcing).
+    """Solve ``-lap(y) + y^3 = u`` with zero Dirichlet data by damped Newton.
+
+    The Jacobian ``-lap + 3 diag(y^2)`` is symmetric positive definite and
+    the cubic nonlinearity is monotone, so Newton from zero is reliable;
+    the step is halved while the residual norm fails to decrease to guard
+    large forcing.  Newton stops once the residual norm is at most
+    ``STATE_RESIDUAL_TOL`` and raises after ``NEWTON_MAX_ITERS`` steps.
     """
     u = _as_field(u, "u")
     return _newton(u, np.zeros(u.shape))
@@ -395,12 +407,17 @@ def _solve_spd(y_base: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         resid_norm = _l2(resid)
         if resid_norm <= LINEAR_RESIDUAL_TOL:
             return x
-    raise LinearSolveFailure(f"linear residual {resid_norm:.3e} above {LINEAR_RESIDUAL_TOL:.1e}")
+    raise LinearSolveFailure(
+        f"linear residual {resid_norm:.3e} above {LINEAR_RESIDUAL_TOL:.1e}"
+    )
 
 
 def solve_adjoint(y, y_d) -> np.ndarray:
-    """Adjoint state ``(-lap + 3 diag(y^2)) p = y - y_d``: the L2 gradient
-    of the tracking objective with respect to the control."""
+    """Adjoint state: ``(-lap + 3 diag(y^2)) p = y - y_d``.
+
+    The adjoint is the L2 gradient of the tracking objective with respect
+    to the control.
+    """
     y = _as_field(y, "y")
     y_d = _as_field(y_d, "y_d", len(y))
     return _solve_spd(y, y - y_d)
@@ -417,7 +434,7 @@ def objective(u, y_d) -> float:
     """Tracking objective ``0.5 * |y_u - y_d|_{L2}^2``."""
     u = _as_field(u, "u")
     y_d = _as_field(y_d, "y_d", len(u))
-    return 0.5 * _l2(_newton(u, np.zeros(u.shape)) - y_d) ** 2
+    return 0.5 * _l2(solve_state(u) - y_d) ** 2
 
 
 def _check_tol(tol: float) -> None:
@@ -469,16 +486,19 @@ def solve_tracking(
     y_d = _as_field(y_d, "y_d").copy()  # the result keeps the target it solved for
     n = len(y_d)
 
-    u = (np.full((n, n), 0.5 * (alpha + beta)) if u0 is None
-         else np.clip(_as_field(u0, "u0", n), alpha, beta))
+    if u0 is None:
+        u = np.full((n, n), 0.5 * (alpha + beta))
+    else:
+        u = np.clip(_as_field(u0, "u0", n), alpha, beta)
 
     y = solve_state(u)
     op = _neg_lap_stencil(y) + y**3  # the state operator's value at y
     jval = 0.5 * _l2(y - y_d) ** 2
-    p = _solve_spd(y, y - y_d)
+    p = solve_adjoint(y, y_d)
     history: List[float] = [jval]
 
-    # a trial's Newton solve stops once it must fail the Armijo test (module docstring)
+    # a trial's Newton solve stops once it must fail the Armijo test (see
+    # the module docstring)
     target_norm = _l2(y_d)
     eps = 2.0**-52
     threshold = 0.0
@@ -511,7 +531,8 @@ def solve_tracking(
         iterations += 1
 
         if prev_u is not None:
-            du, dg = u - prev_u, p - prev_p
+            du = u - prev_u
+            dg = p - prev_p
             den = l2_inner(du, dg)
             if den > 0.0:
                 step = min(max(l2_inner(du, du) / den, SPG_STEP_MIN), SPG_STEP_MAX)
@@ -538,8 +559,8 @@ def solve_tracking(
             break
 
         prev_u, prev_p = u, p
-        (y, op), u, jval = found, u_try, j_try
-        p = _solve_spd(y, y - y_d)
+        u, (y, op), jval = u_try, found, j_try
+        p = solve_adjoint(y, y_d)
         history.append(jval)
 
     return TrackingResult(
@@ -594,7 +615,9 @@ def ssc_estimate(
         if nz < 1e-14:
             continue
         scale = min(1.0, SSC_SHELL_RADIUS / nz)
-        v, z, nz = scale * v, scale * z, scale * nz
+        v = scale * v
+        z = scale * z
+        nz = scale * nz
         first = l2_inner(p, v)
         quad = l2_inner(weight * z, z)
         quotients.append((first + 0.5 * quad) / nz**2)

@@ -14,10 +14,10 @@ right-hand side alone.
 read its five terms from one zero-padded buffer: it sums them by slice
 updates.  ``newton`` is a frozen copy of the damped Newton state solve from
 before it carried the state operator's value ``-lap(y) + y^3`` from one
-solve to the next: it forms every residual from its iterate, and takes its
-first trial step as ``y + 1.0 * step``.  It calls the two frozen copies
-``neg_lap_stencil`` and ``pcg_solve``, so it shares no kernel with the
-library; ``solve_tracking`` below calls the library's own ``_newton``.
+solve to the next: it forms every residual from its iterate.  It calls the
+two frozen copies ``neg_lap_stencil`` and ``pcg_solve``, so it shares no
+kernel with the library but the norm ``l2_norm``; ``solve_tracking`` below
+calls the library's own ``_newton``.
 
 ``matrix_bytes`` is a frozen copy of the CLI's matrix writer from before it
 wrote rows from ``tolist``: it converts one element at a time.

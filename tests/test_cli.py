@@ -356,25 +356,16 @@ class TestProx:
         assert err == "error: f is +inf at x0, so the value envelope would be +inf at every step\n"
         assert not out.exists()
 
-    def test_infinite_start_is_refused_before_the_trajectory(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        run_prox = prox.run_prox
-
-        def counted(*args):
-            calls.append(args)
-            return run_prox(*args)
-
-        monkeypatch.setattr(prox, "run_prox", counted)
+    def test_start_outside_the_ball_is_left_to_run_prox(self, tmp_path, capsys):
+        # boxquad is +inf outside the ball too, but run_prox refuses first
         out = tmp_path / "p"
-        argv = ["prox", "--fn", "boxquad", "--bound", "0.5", "--out", str(out)]
-        code, stdout, err = run(argv + ["--x0", "0.9"], capsys)
-        assert (code, stdout, calls) == (1, "", [])
-        assert err == "error: f is +inf at x0, so the value envelope would be +inf at every step\n"
-        assert not out.exists()
-        # a start outside the ball, where boxquad is +inf too, is refused as such
-        code, stdout, err = run(argv + ["--delta", "1", "--x0", "2"], capsys)
+        code, stdout, err = run(
+            ["prox", "--fn", "boxquad", "--bound", "0.5", "--delta", "1", "--x0", "2",
+             "--out", str(out)],
+            capsys,
+        )
         assert (code, stdout, err) == (1, "", "error: x0 must lie in the working ball\n")
-        assert len(calls) == 1 and not out.exists()
+        assert not out.exists()
 
     def test_zero_iterations_exits_one(self, tmp_path, capsys):
         out = tmp_path / "p"
@@ -625,6 +616,8 @@ INVALID_SETTINGS = (
     (["diagnose", "--directions", "-1"], "directions_per_norm must be >= 1"),
     (["prox", "--fn", "power", "--epsilon", "2"],
      "epsilon=2.0 must lie strictly below the growth modulus gamma=1.0 of 'power(p=2.0)'"),
+    (["prox", "--fn", "boxquad", "--bound", "0.5", "--x0", "0.9"],
+     "f is +inf at x0, so the value envelope would be +inf at every step"),
     (["diagnose", "--fn", "power", "--bound", "-1"],
      "bound must be positive and finite, got -1.0"),
     (["diagnose", "--fn", "maxsq2d", "--bound", "0"],

@@ -10,6 +10,8 @@ odd ``n`` an (n, n) field's byte size is not a multiple of 64, so its flat
 views sit differently against the BLAS kernels' vector width.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,21 @@ def test_stencil_equals_the_slice_update_copy_bitwise(n):
         # a column-major field, and a view of a larger one
         assert stencils(np.asfortranarray(x)) == (new, old)
         assert stencils(np.pad(x, 1)[1:-1, 1:-1]) == (new, old)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_norm_equals_the_vdot_form_bitwise(n):
+    # l2_norm sums by one ``ddot`` of the flat view; np.vdot, which it
+    # replaced, reads the same row-major order, whatever the layout
+    h = 1.0 / (n + 1)
+    rng = np.random.default_rng(n)
+    fields = [np.full((n, n), -0.0), special_field(n, 0, SPECIAL[:7])]
+    fields += [rng.standard_normal((n, n)) * np.exp(rng.uniform(-30.0, 30.0, (n, n)))
+               for _ in range(8)]
+    for x in fields:
+        for view in (x, np.asfortranarray(x), x.T, x[:, ::-1], np.pad(x, 1)[1:-1, 1:-1]):
+            old = h * math.sqrt(float(np.vdot(view, view)))
+            assert np.float64(trk.l2_norm(view)).tobytes() == np.float64(old).tobytes()
 
 
 def newtons(u, y, give_up=None, cg_atol=0.0):
