@@ -10,7 +10,9 @@ stdout, stderr and every output file.  It prints each run that differs,
 with each differing line, and exits 1 if any run differs, 0 if none does.
 
 ``RUNS`` is one fixed list: ``README_RUNS``, five ``diagnose`` and three
-``prox`` runs at the README's sizes; ``BENCH_RUNS`` of the ``catalog-1d`` and
+``prox`` runs at the README's sizes; ``LIMIT_RUNS``, two ``diagnose`` runs at
+tilt norm 1e150, just inside the largest norm whose square is finite, one
+of them on a ball of radius 1e150; ``BENCH_RUNS`` of the ``catalog-1d`` and
 ``maxsq-2d`` benchmark workloads (``bench/jobs.py``), every ``diagnose`` and
 ``prox`` job of block 0 of seeds 0-2; ``TRACKING_RUNS``, ``tracking`` at
 n = 16 and 32, one bang-bang run, which exits 2, one at a tolerance other
@@ -73,6 +75,10 @@ README_RUNS: List[List[str]] = [
     ["prox", "--fn", "maxsq2d", "--x0=1.5,0.7"],
     ["prox", "--fn", "boxquad"],
 ]
+LIMIT_RUNS: List[List[str]] = [
+    ["diagnose", "--fn", "power", "--delta", "1e150", "--tilt-norms", "1e150"],
+    ["diagnose", "--fn", "maxsq2d", "--tilt-norms", "1e150", "--grid-points", "41"],
+]
 TRACKING_RUNS: List[List[str]] = [
     ["tracking", "--n", "16"],
     ["tracking", "--n", "32"],
@@ -86,6 +92,7 @@ TRACKING_RUNS: List[List[str]] = [
 ]
 RUNS: List[List[str]] = [
     *README_RUNS,
+    *LIMIT_RUNS,
     *BENCH_RUNS["catalog-1d"],
     *BENCH_RUNS["maxsq-2d"],
     *TRACKING_RUNS,

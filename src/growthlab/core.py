@@ -52,8 +52,10 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
 
 
 def _check_norm_sample(kind: str, norms: Sequence[float], count_name: str, count: int) -> None:
-    """Refuse ``count < 1`` draws per norm, no ``norms``, or a norm not
-    positive and finite; ``kind`` and ``count_name`` name them in messages."""
+    """Refuse ``count < 1`` draws per norm, no ``norms``, a norm not
+    positive and finite, or a norm above ``GRID_BOUND_LIMIT``, whose square
+    overflows, as ``BallRegion`` refuses such a radius; ``kind`` and
+    ``count_name`` name them in messages."""
     if count < 1:
         raise ValueError(f"{count_name} must be >= 1")
     if len(norms) == 0:
@@ -61,6 +63,8 @@ def _check_norm_sample(kind: str, norms: Sequence[float], count_name: str, count
     for nrm in norms:
         if not (nrm > 0.0 and math.isfinite(nrm)):
             raise ValueError(f"{kind} norms must be positive and finite, got {nrm}")
+        if nrm > GRID_BOUND_LIMIT:
+            raise ValueError(f"{kind} norm {nrm} is too large: its square overflows")
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,15 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     square root ``np.linalg.norm(rows, axis=1)`` computes, bitwise, without
     its copy of the array's conjugate."""
     return np.sqrt(np.add.reduce(rows * rows, axis=1))
+
+
+def _overflowing_norm(rows: np.ndarray, reach: float = 1.0) -> Optional[float]:
+    """The norm of the first row of a finite ``(m, d)`` array whose squared
+    norm overflows, or whose norm times ``reach`` does, or None; the norm
+    is taken by ``math.hypot``, which does not overflow."""
+    with np.errstate(over="ignore"):
+        large = np.flatnonzero(~(_row_norms(rows) * reach < math.inf))
+    return math.hypot(*rows[large[0]].tolist()) if large.size else None
 
 
 def _norm(x) -> float:

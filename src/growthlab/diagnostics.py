@@ -37,6 +37,7 @@ from .core import (
     GrowthLabError,
     _check_norm_sample,
     _norm,
+    _overflowing_norm,
     _row_norms,
     as_vector,
 )
@@ -590,12 +591,10 @@ def sample_subdifferential_graph(
     over ``domain_region`` and emits one ``(point, tilt)`` pair per reported
     minimizer.  Requires ``f`` to be ``+inf`` outside a bounded set inside
     the region, so the ball constraint is never active and each pair is a
-    genuine graph sample.  ``tilt_grid`` holds ``(d,)`` tilts, or scalars
-    when ``d = 1``; ``argmin_tilted`` checks them once, as one stack.
+    genuine graph sample.  ``tilt_grid`` is a ``(T, d)`` array-like, such as
+    a list of ``(d,)`` tilts; ``argmin_tilted`` checks it once, as one stack.
     """
     tilts = np.array(tilt_grid, dtype=float)
-    if tilts.ndim < 2:  # scalar tilts of a 1-D problem, or no tilts
-        tilts = tilts.reshape(-1, 1 if tilts.size else domain_region.dim)
     return tuple(zip(*_tilted_pairs(f, tilts, domain_region, cfg)))
 
 
@@ -614,7 +613,8 @@ class GraphCheck:
 
 
 def _graph_pairs(pairs: Sequence[Pair], dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The points and the tilts of ``pairs`` as two ``(n, dim)`` arrays."""
+    """The points and the tilts of ``pairs`` as two ``(n, dim)`` arrays;
+    refuses a pair that is not finite or whose tilt's squared norm overflows."""
     try:
         stack = np.array(list(pairs), dtype=float)
     except ValueError:  # points or tilts of unequal shapes
@@ -624,6 +624,9 @@ def _graph_pairs(pairs: Sequence[Pair], dim: int) -> Tuple[np.ndarray, np.ndarra
     if not np.all(np.isfinite(stack)):
         raise ValueError("graph pairs must be finite (no NaN/inf)")
     stack = stack.reshape(-1, 2, dim)
+    nrm = _overflowing_norm(stack[:, 1])
+    if nrm is not None:
+        raise ValueError(f"graph pair tilt norm {nrm} is too large: its square overflows")
     return stack[:, 0], stack[:, 1]
 
 

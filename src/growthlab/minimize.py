@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .core import (
     FunctionOracle,
     GrowthLabError,
     _ball_bound,
+    _overflowing_norm,
     _pair_rows,
     _project_rows,
     _row_norms,
@@ -410,13 +411,13 @@ def _solve(
     can overflow) within the grid minimum's cut widened by ``POOL_SLACK``,
     which covers the cut's rounding.
 
-    Tilts are finite (``argmin_tilted`` checks them), so a tilt's grid values
-    are ``base - pairing(xi, pts)``, one ``pairing`` call per tilt, which the
-    benchmark's self-check counts, and ``AllInfinite`` is checked on ``base``
-    once per stack.  Only a pairing that overflows (``|x| |xi|`` above about
-    1.8e308) at a ``+inf`` cell differs from a masked subtraction: it gives
-    NaN, and the solve raises ``NonFiniteValue``.  ``argmin_ball`` passes no
-    tilt: a zero tilt is slower and turns a ``-0.0`` minimum into ``+0.0``.
+    Tilts are finite and pair finitely with every point of the ball
+    (``argmin_tilted`` checks them), so a tilt's grid values are
+    ``base - pairing(xi, pts)``, one ``pairing`` call per tilt, which the
+    benchmark's self-check counts, with no mask: ``+inf`` minus a finite
+    number stays ``+inf``.  ``AllInfinite`` is checked on ``base`` once per
+    stack.  ``argmin_ball`` passes no tilt: a zero tilt is slower and turns
+    a ``-0.0`` minimum into ``+0.0``.
     """
     pts = _ball_grid(tuple(region.center), region.radius, cfg.grid_points_per_axis)
     base = f.evaluate_rows(pts)
@@ -501,32 +502,35 @@ def argmin_ball(
 
 
 def argmin_tilted(
-    f: FunctionOracle, xi, region: BallRegion, cfg: SolverConfig
-) -> Union[TiltedSolveResult, Tuple[TiltedSolveResult, ...]]:
-    """Minimize the linearly tilted objective ``f(y) - <xi, y>`` over the ball.
+    f: FunctionOracle, tilts, region: BallRegion, cfg: SolverConfig
+) -> Tuple[TiltedSolveResult, ...]:
+    """Minimize the linearly tilted objective ``f(y) - <xi, y>`` over the
+    ball for each row ``xi`` of the ``(T, d)`` array-like ``tilts``.
 
-    A 0-D or 1-D ``xi`` is one tilt and gives one ``TiltedSolveResult``.  A
-    ``(T, d)`` array is a stack of tilts and gives a tuple of T results, in
-    stack order, each bitwise equal to solving its tilt alone: ``f`` is
-    evaluated on the grid once for the whole stack, and every tilt's
-    multistarts are polished in one lockstep loop.  Each result's
-    ``evaluations`` counts the grid points plus that tilt's own polish
-    candidates.  One rule checks every form, a single tilt as a stack of
-    one, before ``f`` is evaluated: each tilt needs ``d`` finite entries.
+    Gives a tuple of T results, in stack order, each bitwise equal to
+    solving its tilt in a stack of one: ``f`` is evaluated on the grid once
+    for the whole stack, and every tilt's multistarts are polished in one
+    lockstep loop.  Each result's ``evaluations`` counts the grid points plus that
+    tilt's own polish candidates.  One rule checks the stack before ``f``
+    is evaluated: it has shape ``(T, d)`` and finite entries, and no tilt's
+    squared norm, or its pairing with a point of the ball, overflows.
     """
-    tilts = np.array(xi, dtype=float)
-    single = tilts.ndim < 2
-    tilts = np.atleast_2d(tilts)
+    tilts = np.array(tilts, dtype=float)
     if tilts.ndim != 2 or tilts.shape[1] != region.dim:
-        raise ValueError(
-            f"expected a tilt of shape ({region.dim},) or (T, {region.dim}), got {np.shape(xi)}"
-        )
+        raise ValueError(f"expected tilts of shape (T, {region.dim}), got {tilts.shape}")
     if not np.all(np.isfinite(tilts)):
         raise ValueError("tilt entries must be finite (no NaN/inf)")
+    # |<xi, y>| <= |xi| |y|, and |y| <= reach in the ball
+    reach = math.hypot(*region.center.tolist()) + _ball_bound(region.radius)
+    nrm = _overflowing_norm(tilts, reach)
+    if nrm is not None:
+        raise ValueError(
+            f"tilt norm {nrm} is too large for the ball of radius {region.radius}: "
+            "its square or its pairing with a point of the ball overflows"
+        )
     if len(tilts) == 0:
         return ()
-    results = _solve(f, tilts, region, cfg, f"{f.descriptor} - <xi,.>")
-    return results[0] if single else results
+    return _solve(f, tilts, region, cfg, f"{f.descriptor} - <xi,.>")
 
 
 def argmin_perturbed(

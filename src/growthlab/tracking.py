@@ -25,10 +25,10 @@ matrix diagonalization); ``-lap`` is a 5-point stencil, never assembled.
 Each CG solve updates a workspace it allocates once; no buffer outlives it.
 
 Newton's residual at ``y`` is the state operator's value ``-lap(y) + y^3``
-minus ``u``.  Newton returns its state with that value (the control loop
-computes it once for its first state), and the loop hands it to every
-line-search trial of its next iteration, since each starts Newton from
-that state: one value per accepted state, not per trial.
+minus ``u``.  Newton's one entry, ``_newton_op``, returns its state with
+that value (the control loop computes it once for its first state), and the
+loop hands it to every line-search trial of its next iteration, since each
+starts Newton from that state: one value per accepted state, not per trial.
 
 A line-search trial's Newton solve stops at an iterate ``y_k`` with
 residual ``r`` once ``0.5 * max(|y_k - y_d| - rho, 0)^2``, with
@@ -349,12 +349,6 @@ def _newton_op(
     return y, op
 
 
-def _newton(u: np.ndarray, y: np.ndarray, give_up=None, cg_atol: float = 0.0):
-    """The state ``_newton_op`` returns, or None, without its operator value."""
-    found = _newton_op(u, y, give_up, cg_atol)
-    return None if found is None else found[0]
-
-
 def _state_error_bound(rnorm: float, n: int) -> float:
     """Bound on the discrete L2 distance from a field with residual norm
     ``rnorm`` to the state ``solve_state`` returns.
@@ -390,7 +384,7 @@ def solve_state(u) -> np.ndarray:
     ``STATE_RESIDUAL_TOL`` and raises after ``NEWTON_MAX_ITERS`` steps.
     """
     u = _as_field(u, "u")
-    return _newton(u, np.zeros(u.shape))
+    return _newton_op(u, np.zeros(u.shape))[0]
 
 
 def _solve_spd(y_base: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ before it carried the state operator's value ``-lap(y) + y^3`` from one
 solve to the next: it forms every residual from its iterate.  It calls the
 two frozen copies ``neg_lap_stencil`` and ``pcg_solve``, so it shares no
 kernel with the library but the norm ``l2_norm``; ``solve_tracking`` below
-calls the library's own ``_newton``.
+solves its trials with it.
 
 ``matrix_bytes`` is a frozen copy of the CLI's matrix writer from before it
 wrote rows from ``tolist``: it converts one element at a time.
@@ -206,9 +206,7 @@ def solve_tracking(
             if l2_norm(move) == 0.0:
                 break
             decrease = trk.SPG_ARMIJO * l2_inner(p, move)
-            y_try = trk._newton(
-                u_try, y, cg_atol=trk._trial_cg_atol(jval, -decrease, len(y_d))
-            )
+            y_try = newton(u_try, y, cg_atol=trk._trial_cg_atol(jval, -decrease, len(y_d)))
             j_try = 0.5 * l2_norm(y_try - y_d) ** 2
             if j_try <= jval + decrease:
                 accepted = True

@@ -141,7 +141,7 @@ def test_c04_nonlinear_perturbation_probes(power_reports):
         probe = convex_probe(f, ORIGIN, region, phi, lam, kappa, CFG_1D)
         assert probe.passed
         # the linear special case reduces to a tilt: same witness
-        tilted = argmin_tilted(f, [-c], region, CFG_1D)
+        (tilted,) = argmin_tilted(f, [[-c]], region, CFG_1D)
         assert probe.witness[0] == pytest.approx(tilted.representative[0], abs=1e-7)
     report("C4 Lipschitz/convex probes with kappa=gamma^(-q/p)*tau: PASS")
 

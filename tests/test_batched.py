@@ -19,6 +19,7 @@ in the polish, is an elementwise pairing, which rounds a row alike wherever
 it sits in the batch."""
 
 import math
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -224,7 +225,7 @@ class TestScalarOracles1D:
         assert len(stacked) == len(TILTS_1D)
         for t, in_stack in zip(TILTS_1D, stacked):
             ref = ref_argmin_ball(ref_tilted(f, [t]), region, cfg)
-            _assert_bitwise(argmin_tilted(f, [t], region, cfg), ref)
+            _assert_bitwise(argmin_tilted(f, [[t]], region, cfg)[0], ref)
             _assert_bitwise(in_stack, ref)
 
     @pytest.mark.parametrize("cfg_id", sorted(CONFIGS))
@@ -259,7 +260,7 @@ class TestBatchedOracles1D:
         for t, in_stack in zip(TILTS_1D, stacked):
             objective = ref_tilted(f, [t])
             ref = ref_argmin_ball(objective, region, cfg)
-            _assert_equivalent(argmin_tilted(f, [t], region, cfg), ref, objective, cfg)
+            _assert_equivalent(argmin_tilted(f, [[t]], region, cfg)[0], ref, objective, cfg)
             _assert_equivalent(in_stack, ref, objective, cfg)
 
     @pytest.mark.parametrize("gname", sorted(PERTURBATIONS_1D))
@@ -299,7 +300,7 @@ class TestOracles2D:
         for xi, in_stack in zip(tilts, stacked):
             objective = ref_tilted(f, xi)
             ref = ref_argmin_ball(objective, region, cfg)
-            _assert_equivalent(argmin_tilted(f, xi, region, cfg), ref, objective, cfg)
+            _assert_equivalent(argmin_tilted(f, xi[None], region, cfg)[0], ref, objective, cfg)
             _assert_equivalent(in_stack, ref, objective, cfg)
 
     def test_perturbed_equivalent_at_radius_ten(self):
@@ -377,7 +378,7 @@ def _probe_passes(result):
 # point: an error class or a check of its result).
 ORACLE_READERS = {
     "argmin_ball": (lambda f: argmin_ball(f, BALL, CFG41), _base_only),
-    "argmin_tilted": (lambda f: argmin_tilted(f, [0.3], BALL, CFG41), _base_only),
+    "argmin_tilted": (lambda f: argmin_tilted(f, [[0.3]], BALL, CFG41)[0], _base_only),
     "argmin_tilted-stack": (
         lambda f: argmin_tilted(f, [[0.3], [-0.2]], BALL, CFG41),
         lambda results: all(map(_base_only, results)),
@@ -410,7 +411,7 @@ ORACLE_READERS = {
         lambda phi: convex_probe(SQUARE, BASE, BALL, phi, 1.0, 1.0, CFG41), _probe_passes
     ),
     "sample_subdifferential_graph": (
-        lambda f: sample_subdifferential_graph(f, BALL, [-0.5, 0.5], CFG41),
+        lambda f: sample_subdifferential_graph(f, BALL, [[-0.5], [0.5]], CFG41),
         lambda pairs: [x.tolist() for x, _ in pairs] == [[0.0], [0.0]],
     ),
     "check_global_loja": (
@@ -470,7 +471,7 @@ class TestErrorContract:
         region = BallRegion(np.zeros(1), 1.0)
         cfg = SolverConfig(grid_points_per_axis=101)
         with pytest.raises(NonFiniteValue):
-            argmin_tilted(f, [0.3], region, cfg)
+            argmin_tilted(f, [[0.3]], region, cfg)
 
     @pytest.mark.parametrize("bad", (math.nan, -math.inf))
     def test_scan_rejects_batched(self, bad):
@@ -478,14 +479,14 @@ class TestErrorContract:
             lambda x: np.where(x[:, 0] > 0.5, bad, x[:, 0] ** 2), "bad-batch"
         )
         with pytest.raises(NonFiniteValue):
-            argmin_tilted(f, [0.1], BallRegion(np.zeros(1), 1.0), SolverConfig(grid_points_per_axis=101))
+            argmin_tilted(f, [[0.1]], BallRegion(np.zeros(1), 1.0), SolverConfig(grid_points_per_axis=101))
 
     def test_batch_of_wrong_shape_rejected(self):
         f = FunctionOracle(
             lambda x: float(x[0] ** 2), "short", evaluate_batch=lambda x: x[:-1, 0] ** 2
         )
         with pytest.raises(ValueError):
-            argmin_tilted(f, [0.1], BallRegion(np.zeros(1), 1.0), SolverConfig(grid_points_per_axis=11))
+            argmin_tilted(f, [[0.1]], BallRegion(np.zeros(1), 1.0), SolverConfig(grid_points_per_axis=11))
 
     @pytest.mark.parametrize("bad", (math.nan, -math.inf))
     def test_stack_names_the_value(self, bad):
@@ -518,36 +519,40 @@ class TestErrorContract:
         with pytest.raises(ValueError):
             argmin_tilted(power_oracle(2.0), tilts, BallRegion(np.zeros(1), 1.0), SolverConfig(grid_points_per_axis=11))
 
-    # each bad tilt as (single-tilt form, stacked form) on a 2-D ball
+    # tilts refused on the ball of radius 1 around the origin of R^2: bad
+    # stacks, and a single tilt in a 0-D or 1-D form, which is not a stack
     BAD_TILTS = {
-        "nan": ([math.nan, 0.0], [[0.5, 0.5], [math.nan, 0.0]]),
-        "+inf": ([math.inf, 0.0], [[0.5, 0.5], [math.inf, 0.0]]),
-        "-inf": ([0.0, -math.inf], [[0.5, 0.5], [0.0, -math.inf]]),
-        "wrong length": ([0.1, 0.2, 0.3], [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
-        "empty": ([], [[]]),
-        "3-D": (np.zeros((1, 1, 2)), np.zeros((2, 1, 2))),
-        "ragged": ([0.1, [0.2, 0.3]], [[0.1, 0.2], [0.3]]),
+        "nan": [[0.5, 0.5], [math.nan, 0.0]],
+        "+inf": [[0.5, 0.5], [math.inf, 0.0]],
+        "-inf": [[0.5, 0.5], [0.0, -math.inf]],
+        "wrong length": [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]],
+        "empty": [[]],
+        "3-D": np.zeros((2, 1, 2)),
+        "ragged": [[0.1, 0.2], [0.3]],
+        "0-D": 0.3,
+        "1-D": [0.3, -0.2],
+        "1-D empty": [],
+        "1-D nan": [math.nan, 0.0],
+        "square overflows": [[0.5, 0.5], [1e200, 1e200]],
+        # on the ball around (1e300, 0): |<xi, y>| reaches 1e310
+        "pairing overflows": [[0.5, 0.5], [1e10, 0.0]],
+    }
+    # the start of each overflow refusal's message, which names the norm
+    OVERFLOW_MESSAGES = {
+        "square overflows": "tilt norm 1.414213562373095e+200 is too large",
+        "pairing overflows": "tilt norm 10000000000.0 is too large",
     }
 
-    @pytest.mark.parametrize("form", ("single", "stacked"))
     @pytest.mark.parametrize("case", sorted(BAD_TILTS))
-    def test_every_tilt_form_checked_before_evaluation(self, case, form):
-        calls = []
+    def test_every_tilt_form_checked_before_evaluation(self, case):
+        def never(x):
+            raise AssertionError("the oracle was evaluated")
 
-        def counted(x):
-            calls.append(1)
-            return np.add.reduce(x * x, axis=1)
-
-        f = FunctionOracle.from_batch(counted, "counted")
-        xi = self.BAD_TILTS[case][form == "stacked"]
-        with pytest.raises(ValueError):
-            argmin_tilted(f, xi, BallRegion(np.zeros(2), 1.0), SolverConfig(grid_points_per_axis=11))
-        assert calls == []
-
-    def test_zero_d_tilt_is_one_tilt(self):
-        f, region = power_oracle(2.0), BallRegion(np.zeros(1), 1.0)
-        cfg = SolverConfig(grid_points_per_axis=11)
-        _assert_same(argmin_tilted(f, 0.3, region, cfg), argmin_tilted(f, [0.3], region, cfg))
+        center = np.array([1e300, 0.0]) if case == "pairing overflows" else np.zeros(2)
+        message = "^" + re.escape(self.OVERFLOW_MESSAGES.get(case, ""))
+        with pytest.raises(ValueError, match=message):
+            argmin_tilted(FunctionOracle(never, "never"), self.BAD_TILTS[case],
+                          BallRegion(center, 1.0), SolverConfig(grid_points_per_axis=11))
 
     def test_empty_stack(self):
         def never(x):
@@ -556,7 +561,7 @@ class TestErrorContract:
         f, region = FunctionOracle(never, "never"), BallRegion(np.zeros(1), 1.0)
         cfg = SolverConfig(grid_points_per_axis=11)
         assert argmin_tilted(f, np.zeros((0, 1)), region, cfg) == ()
-        assert sample_subdifferential_graph(f, region, [], cfg) == ()
+        assert sample_subdifferential_graph(f, region, np.zeros((0, 1)), cfg) == ()
 
     def test_no_multistarts(self, monkeypatch):
         monkeypatch.setattr(minimize, "MULTISTART_COUNT", 0)
@@ -564,7 +569,7 @@ class TestErrorContract:
         cfg = SolverConfig(grid_points_per_axis=21)
         tilts = np.array([[0.5, 0.0], [0.0, -1.0], [0.3, 0.3]])
         for xi, new in zip(tilts, argmin_tilted(f, tilts, region, cfg)):
-            _assert_same(new, argmin_tilted(f, xi, region, cfg))
+            _assert_same(new, argmin_tilted(f, xi[None], region, cfg)[0])
             assert new.evaluations == len(ball_grid(region, 21))
 
 
@@ -612,7 +617,7 @@ def test_stack_equals_one_tilt_at_a_time(case):
     f, cfg = STACK_ORACLES[dim][name], STACK_CFG[dim]
     region = BallRegion(np.zeros(dim), 1.0)
     with patch.object(minimize, "MULTISTART_COUNT", 3):
-        alone = [argmin_tilted(f, xi, region, cfg) for xi in tilts]
+        alone = [argmin_tilted(f, xi[None], region, cfg)[0] for xi in tilts]
         stacked = argmin_tilted(f, tilts, region, cfg)
         assert len(stacked) == len(tilts)
         for a, b in zip(stacked, alone):

@@ -8,6 +8,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -594,6 +595,14 @@ INVALID_SETTINGS = (
      "eta norms must be positive and finite, got nan"),
     (["tracking", "--n", "8", "--ssc-samples", "2", "--eta-norms", "inf"],
      "eta norms must be positive and finite, got inf"),
+    # norms whose squares overflow: at the largest the tilted values once
+    # read -inf, below it every ratio read 0 and the audit passed
+    (["diagnose", "--fn", "power", "--tilt-norms", "1e160"],
+     "tilt norm 1e+160 is too large: its square overflows"),
+    (["diagnose", "--fn", "power", "--tilt-norms", "1e308"],
+     "tilt norm 1e+308 is too large: its square overflows"),
+    (["tracking", "--n", "8", "--eta-norms", "1e200"],
+     "eta norm 1e+200 is too large: its square overflows"),
     (["prox", "--fn", "maxsq2d", "--x0=1"],
      "x0 has length 1, but 'maxsq2d' has dimension 2"),
     (["prox", "--fn", "maxsq2d", "--x0=1,2,3"],
@@ -690,8 +699,11 @@ class TestConfigValidation:
         monkeypatch.setattr(prox, "run_prox", no_solve)
         for i, (argv, message) in enumerate(INVALID_SETTINGS):
             out = tmp_path / str(i)
-            code, _, err = run(argv + ["--out", str(out)], capsys)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, _, err = run(argv + ["--out", str(out)], capsys)
             assert (code, err) == (1, f"error: {message}\n"), argv
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
             assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 subdifferential-graph checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,7 +211,7 @@ class TestTiltAndLojaEstimates:
         # every tilted minimizer x satisfies f(x) - f(0) <= <xi, x - 0>
         f = power_oracle(2.0)
         for xi in (np.array([0.5]), np.array([-1.0]), np.array([2.0])):
-            result = argmin_tilted(f, xi, region(10.0), CFG_SMALL)
+            (result,) = argmin_tilted(f, xi[None], region(10.0), CFG_SMALL)
             for x in result.minimizers:
                 assert f(x) - f(ORIGIN) <= pairing(xi, x - ORIGIN) + 1e-8
 
@@ -664,7 +665,7 @@ class TestProbes:
         probe = convex_probe(f, ORIGIN, region(1.0), phi, 1.0, 0.55, CFG_SMALL)
         assert probe.passed
         assert probe.perturbation_size == pytest.approx(c, rel=1e-12)
-        tilted = argmin_tilted(f, [-c], region(1.0), CFG_SMALL)
+        (tilted,) = argmin_tilted(f, [[-c]], region(1.0), CFG_SMALL)
         assert probe.witness[0] == pytest.approx(tilted.representative[0], abs=1e-9)
 
     def test_indicator_excluding_base_point(self):
@@ -845,14 +846,11 @@ class TestSubdifferentialGraph:
         rows = [np.array(t[:dim]) for t in ((-1.0, 0.5), (0.0, 0.0), (0.5, -0.25), (0.0, 0.0))]
         stack = np.array(rows)
         expected = diagnostics._tilted_pairs(f, stack, reg, cfg)
-        forms = [rows, stack, [list(row) for row in rows]]
-        if dim == 1:
-            forms.append([float(row[0]) for row in rows])
-        for form in forms:
+        for form in (rows, stack, [list(row) for row in rows]):
             pairs = sample_subdifferential_graph(f, reg, form, cfg)
             assert np.array([x for x, _ in pairs]).tobytes() == expected[0].tobytes()
             assert np.array([xi for _, xi in pairs]).tobytes() == expected[1].tobytes()
-        assert sample_subdifferential_graph(f, reg, [], cfg) == ()
+        assert sample_subdifferential_graph(f, reg, np.zeros((0, dim)), cfg) == ()
 
     @pytest.mark.parametrize(
         "tilts",
@@ -860,9 +858,12 @@ class TestSubdifferentialGraph:
             [np.array([1.0, 2.0])],  # wrong length
             [np.array([1.0]), np.array([1.0, 2.0])],  # ragged
             [np.array([math.nan])],
-            [0.5, math.inf],
+            [np.array([0.5]), np.array([math.inf])],
+            [np.array([1e200])],  # its square overflows
+            [0.5, -0.5],  # scalars: not a stack of (1,) tilts
+            [],
         ),
-        ids=("wrong-length", "ragged", "nan", "inf"),
+        ids=("wrong-length", "ragged", "nan", "inf", "square-overflows", "scalars", "no-stack"),
     )
     def test_bad_tilts_are_refused_before_any_evaluation(self, tilts):
         def never(x):
@@ -954,6 +955,24 @@ class TestSubdifferentialGraph:
                 check_subregularity(pairs, ORIGIN, P2, 0.55)
             with pytest.raises(ValueError, match="finite"):
                 check_global_loja(pairs, f, ORIGIN, P2, 0.275)
+
+    @pytest.mark.parametrize("dim", (1, 2))
+    def test_graph_checks_refuse_a_tilt_whose_square_overflows(self, dim):
+        def never(x):
+            raise AssertionError("the oracle was evaluated")
+
+        f, xbar = FunctionOracle(never, "never"), np.zeros(dim)
+        good = (np.full(dim, 0.5), np.full(dim, 1.0))
+        # 1e200 in every coordinate: the norm is finite, its square is not
+        broken = (good[0], np.full(dim, 1e200))
+        nrm = math.hypot(*broken[1])
+        assert math.isfinite(nrm)
+        message = "^" + re.escape(f"graph pair tilt norm {nrm!r} is too large")
+        for pairs in ((broken, good), (good, broken), (good, broken, good)):
+            with pytest.raises(ValueError, match=message):
+                check_subregularity(pairs, xbar, P2, 0.55)
+            with pytest.raises(ValueError, match=message):
+                check_global_loja(pairs, f, xbar, P2, 0.275)
 
     def test_global_loja_on_linspace_tilts(self):
         # the middle tilt of this linspace is 2.2e-16, not 0

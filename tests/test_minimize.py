@@ -97,18 +97,18 @@ class TestArgminBall:
 
 class TestArgminTilted:
     def test_quadratic_stationarity(self):
-        res = argmin_tilted(SQUARE, [1.0], unit_ball(), CFG)
+        (res,) = argmin_tilted(SQUARE, [[1.0]], unit_ball(), CFG)
         np.testing.assert_allclose(res.representative, [0.5], atol=1e-9)
         assert res.min_value == pytest.approx(-0.25, abs=1e-9)
 
     def test_cubic_stationarity(self):
         f = FunctionOracle(lambda x: float(abs(x[0]) ** 3), "cube")
-        res = argmin_tilted(f, [3.0], unit_ball(radius=2.0), CFG)
+        (res,) = argmin_tilted(f, [[3.0]], unit_ball(radius=2.0), CFG)
         np.testing.assert_allclose(res.representative, [1.0], atol=1e-7)
 
     def test_zero_tilt_matches_argmin_ball_bitwise(self):
         f = FunctionOracle(lambda x: float(np.sin(3 * x[0]) + x[0] ** 2), "mixed")
-        tilted = argmin_tilted(f, [0.0], unit_ball(), CFG)
+        (tilted,) = argmin_tilted(f, [[0.0]], unit_ball(), CFG)
         plain = argmin_ball(f, unit_ball(), CFG)
         assert tilted.min_value == plain.min_value
         assert len(tilted.minimizers) == len(plain.minimizers)
@@ -122,7 +122,7 @@ class TestArgminTilted:
         manual = FunctionOracle(
             lambda y: float(f.evaluate(y)) - pairing(xi, y), "manual"
         )
-        via_tilt = argmin_tilted(f, xi, unit_ball(), CFG)
+        (via_tilt,) = argmin_tilted(f, xi[None], unit_ball(), CFG)
         via_ball = argmin_ball(manual, unit_ball(), CFG)
         assert via_tilt.min_value == via_ball.min_value
         for a, b in zip(via_tilt.minimizers, via_ball.minimizers):

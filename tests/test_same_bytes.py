@@ -79,16 +79,22 @@ def test_every_difference_is_named_with_its_lines(tmp_path, monkeypatch, capsys)
 def test_run_list_holds_the_fixed_runs_and_each_parses(tmp_path, monkeypatch):
     runs = same_bytes.RUNS
     bench_runs = same_bytes.BENCH_RUNS
-    # README runs, catalog-1d and maxsq-2d jobs, three tracking runs, a
-    # tracking run at a non-default tol, two at odd n and two refused ones,
-    # and the 8 tracking jobs of a pde-tracking block for each of 3 seeds
-    assert len(runs) == 8 + 3 * 7 + 3 * 4 + 3 + 5 + 3 * 8
+    # README runs, two diagnose runs just inside the tilt-norm limit,
+    # catalog-1d and maxsq-2d jobs, three tracking runs, a tracking run at a
+    # non-default tol, two at odd n and two refused ones, and the 8 tracking
+    # jobs of a pde-tracking block for each of 3 seeds
+    assert len(runs) == 8 + 2 + 3 * 7 + 3 * 4 + 3 + 5 + 3 * 8 == 75
     assert runs == [
         *same_bytes.README_RUNS,
+        *same_bytes.LIMIT_RUNS,
         *bench_runs["catalog-1d"],
         *bench_runs["maxsq-2d"],
         *same_bytes.TRACKING_RUNS,
         *bench_runs["pde-tracking"],
+    ]
+    assert same_bytes.LIMIT_RUNS == [
+        ["diagnose", "--fn", "power", "--delta", "1e150", "--tilt-norms", "1e150"],
+        ["diagnose", "--fn", "maxsq2d", "--tilt-norms", "1e150", "--grid-points", "41"],
     ]
     assert same_bytes.TRACKING_RUNS == [
         ["tracking", "--n", "16"],

@@ -164,7 +164,7 @@ class TestMeshFromShape:
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve started")
 
-        monkeypatch.setattr(trk, "_newton", no_solve)
+        monkeypatch.setattr(trk, "_newton_op", no_solve)
         monkeypatch.setattr(trk, "_pcg_solve", no_solve)
         with pytest.raises(ValueError, match="^tol must be positive and finite$"):
             solve_tracking(default_target(8), ALPHA, BETA, tol)
@@ -404,7 +404,7 @@ class TestCurvatureEstimate:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(trk, "_newton", counting("newton", trk._newton))
+        monkeypatch.setattr(trk, "_newton_op", counting("newton", trk._newton_op))
         monkeypatch.setattr(trk, "_pcg_solve", counting("cg", trk._pcg_solve))
         ssc_estimate(res, sample_count=8, seed=0)
         assert calls == {"newton": 0, "cg": 2 + 8}
@@ -658,13 +658,16 @@ class TestEarlyRejectMatchesFullSolve:
 
     def test_rejected_trials_skip_linear_solves(self, monkeypatch):
         calls = []
-        pcg = trk._pcg_solve
 
-        def counted(d, b, atol=0.0):
-            calls.append(b.shape[0])
-            return pcg(d, b, atol)
+        def counted(pcg):
+            def solve(d, b, atol=0.0):
+                calls.append(b.shape[0])
+                return pcg(d, b, atol)
+            return solve
 
-        monkeypatch.setattr(trk, "_pcg_solve", counted)
+        # the frozen loop's trials run on the frozen CG, its other solves on the library's
+        monkeypatch.setattr(trk, "_pcg_solve", counted(trk._pcg_solve))
+        monkeypatch.setattr(reference, "pcg_solve", counted(reference.pcg_solve))
         y_d = 0.64 * default_target(N)
         solve_tracking(y_d, ALPHA, BETA, 1e-8)
         new_calls = len(calls)
@@ -698,7 +701,7 @@ def test_state_error_bound(n, seed, kind, newton_steps, scale):
             iterates.append(y_k)
             return len(iterates) == newton_steps
 
-        trk._newton(u, np.zeros_like(u), record)
+        trk._newton_op(u, np.zeros_like(u), record)
         y = iterates[-1]
     elif kind == "random":
         y = scale * rng.standard_normal((n, n))

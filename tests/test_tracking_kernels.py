@@ -70,9 +70,10 @@ def test_norm_equals_the_vdot_form_bitwise(n):
 def newtons(u, y, give_up=None, cg_atol=0.0):
     """The outcome of the library's Newton and of the frozen copy from
     ``y``: each returned state's bytes, None, or the error's message and
-    residual history, with the iterates each passed to ``give_up``."""
+    residual history, with the iterates each passed to ``give_up``.  The
+    operator value the library returns with its state must be that state's."""
     outcomes = []
-    for solve in (trk._newton, reference.newton):
+    for solve in (trk._newton_op, reference.newton):
         seen = []
 
         def recorded(y_k, rnorm):
@@ -81,6 +82,9 @@ def newtons(u, y, give_up=None, cg_atol=0.0):
 
         try:
             y_out = solve(u, y.copy(), None if give_up is None else recorded, cg_atol)
+            if solve is trk._newton_op and y_out is not None:
+                y_out, op = y_out
+                assert op.tobytes() == (trk._neg_lap_stencil(y_out) + y_out**3).tobytes()
             outcome = None if y_out is None else y_out.tobytes()
         except trk.NewtonDivergence as exc:
             outcome = (str(exc), exc.residual_history)
